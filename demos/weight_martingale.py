@@ -7,9 +7,11 @@ gradient of log Z.
 Run: python3 demos/weight_martingale.py
 """
 
+import math
+
 from slelab.core import Params, validate_config
 from slelab.partition import PartitionSpec, grad_log_z
-from slelab.sampler import drift_s, girsanov_check, martingale_check
+from slelab.sampler import girsanov_check, martingale_check
 
 
 def show(report):
@@ -24,7 +26,7 @@ def main():
     for kappa in (2.0, 4.0):
         spec = PartitionSpec("backward", kappa, 3)
         bs = [kappa * grad_log_z(spec, cfg, i) for i in range(3)]
-        ss = [drift_s(spec, cfg, i) for i in range(3)]
+        ss = [math.sqrt(kappa) * grad_log_z(spec, cfg, i) for i in range(3)]
         print(f"  kappa={kappa}: b = {[round(b, 4) for b in bs]},"
               f" s = b/sqrt(kappa) = {[round(s, 4) for s in ss]}")
 

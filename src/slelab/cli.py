@@ -48,6 +48,7 @@ from .core import (
 )
 from .coupling import (
     BadCouplingParameters,
+    CoincidentPoints,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
@@ -73,6 +74,7 @@ from .partition import (
 from .sampler import (
     EffectiveSampleCollapse,
     NumericalBlowup,
+    RaggedGrid,
     SwallowedTooOften,
     companion_observable,
     girsanov_check,
@@ -88,7 +90,7 @@ EXIT_NUMERICS = 3
 ENV_WORKERS = "SLELAB_WORKERS"
 
 _CONFIG_ERRORS = (DuplicatePoint, EpsilonTooLarge, BadCouplingParameters,
-                  StepTooLarge)
+                  StepTooLarge, CoincidentPoints, RaggedGrid)
 _NUMERIC_ERRORS = (NumericalBlowup, EffectiveSampleCollapse, SwallowedTooOften,
                    Swallowed, SwallowedReference, ProbeTooClose)
 
@@ -231,15 +233,68 @@ def resolve_workers(config: dict) -> int:
     return os.cpu_count() or 1
 
 
-def _coupling_params(config: dict, cfg: PointConfig) -> Params:
+def _flow(config: dict, check: str, min_points: int = 1):
+    """(Params, PartitionSpec, PointConfig) from mode, kappa and points."""
+    mode = _mode(config)
+    kappa = _number(config, "kappa", required=True, positive=True)
+    cfg = _points(config)
+    if len(cfg) < min_points:
+        raise ConfigError(f"{check} check needs at least {min_points} points")
+    return (Params(mode=mode, kappa=kappa, n_points=len(cfg)),
+            PartitionSpec(mode, kappa, len(cfg)), cfg)
+
+
+def _pair(config: dict, n_points: int) -> tuple[int, int]:
+    i = _index(config, "i_index", n_points, required=True)
+    j = _index(config, "j_index", n_points, required=True)
+    if i == j:
+        raise ConfigError("i_index and j_index must differ")
+    return i, j
+
+
+def _indices(config: dict, n_points: int) -> Sequence[int]:
+    """The optional i_index, or every index when it is absent."""
+    i_index = _index(config, "i_index", n_points)
+    return range(n_points) if i_index is None else [i_index]
+
+
+def _ensemble(config: dict) -> tuple[float, float, int, int]:
+    """(t_final, dt, n_paths, seed) of a Monte Carlo check."""
+    t_final, dt = _times(config)
+    n_paths = _integer(config, "n_paths", required=True, minimum=1)
+    seed = _integer(config, "seed", default=0)
+    return t_final, dt, n_paths, seed
+
+
+def _bound(config: dict, spec: PartitionSpec, cfg: PointConfig) -> Optional[float]:
+    """bound_n times the initial weight, or None for the check's default."""
+    bound_mult = _number(config, "bound_n", positive=True)
+    return None if bound_mult is None else bound_mult * z_value(spec, cfg)
+
+
+def _coupling(config: dict):
+    """(PointConfig, Params, CouplingSpec) of a coupling check, with the
+    spec checked against the coupling theorems."""
+    cfg = _points(config)
     mode = _mode(config)
     kappa = _number(config, "kappa", required=True, positive=True)
     gamma = _number(config, "gamma")
     chi = _number(config, "chi")
     if mode == BACKWARD and gamma is None:
         raise ConfigError("backward coupling checks need field 'gamma'")
-    return Params(mode=mode, kappa=kappa, n_points=len(cfg),
-                  gamma=gamma, chi=chi)
+    params = Params(mode=mode, kappa=kappa, n_points=len(cfg),
+                    gamma=gamma, chi=chi)
+    cspec = make_coupling_spec(params)
+    cspec.require_coupled()
+    return cfg, params, cspec
+
+
+def _exact_row(name: str, estimate: float, tolerance: float,
+               n_samples: int = 1, reference: float = 0.0) -> McReport:
+    """Row of a deterministic check: no standard error."""
+    return make_report(name=name, estimate=float(estimate), std_error=0.0,
+                       reference=reference, tolerance=tolerance,
+                       n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +308,11 @@ def _run_zip(config: dict, workers: int) -> List[McReport]:
     n, dt_eff = _uniform_steps(t_final, dt)
     path = build_driving_path(1.0, 0.0, np.zeros(n), dt_eff)
     final = evolve(initial_state(mode, bulk=bulk), path)
-    rows = []
-    for k, z in enumerate(bulk):
-        exact = reference_map_zero_driving(z, t_final, mode)
-        err = abs(final.bulk_values[k] - exact)
-        rows.append(make_report(
-            name=f"zip_z_re{z.real:g}_im{z.imag:g}",
-            estimate=float(err), std_error=0.0, reference=0.0,
-            tolerance=1e-10, n_samples=n))
-    return rows
+    return [_exact_row(f"zip_z_re{z.real:g}_im{z.imag:g}",
+                       abs(final.bulk_values[k]
+                           - reference_map_zero_driving(z, t_final, mode)),
+                       1e-10, n)
+            for k, z in enumerate(bulk)]
 
 
 def _run_hcap(config: dict, workers: int) -> List[McReport]:
@@ -274,29 +325,18 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
     path = build_driving_path(kappa, 0.0, incs, dt_eff)
     radius = 1e4
     final = evolve(initial_state(mode, bulk=(1j * radius, 2j * radius)), path)
-    est = extract_hcap(final, probe_radius=radius)
-    return [make_report(
-        name=f"hcap_k{kappa:g}_t{t_final:g}",
-        estimate=float(est), std_error=0.0, reference=2.0 * t_final,
-        tolerance=1e-4, n_samples=n)]
+    return [_exact_row(f"hcap_k{kappa:g}_t{t_final:g}",
+                       extract_hcap(final, probe_radius=radius), 1e-4, n,
+                       reference=2.0 * t_final)]
 
 
 def _residual_rows(config: dict, fn: Callable, label: str,
                    tolerance: float) -> List[McReport]:
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
-    cfg = _points(config)
-    spec = PartitionSpec(mode, kappa, len(cfg))
+    _, spec, cfg = _flow(config, label)
     fd_step = _number(config, "fd_step", positive=True)
-    i_index = _index(config, "i_index", len(cfg))
-    indices = range(len(cfg)) if i_index is None else [i_index]
-    rows = []
-    for i in indices:
-        kwargs = {} if fd_step is None else {"fd_step": fd_step}
-        rows.append(make_report(
-            name=f"{label}_i{i}", estimate=float(fn(spec, cfg, i, **kwargs)),
-            std_error=0.0, reference=0.0, tolerance=tolerance, n_samples=1))
-    return rows
+    return [_exact_row(f"{label}_i{i}", fn(spec, cfg, i, fd_step=fd_step),
+                       tolerance)
+            for i in _indices(config, len(cfg))]
 
 
 def _run_bpz(config: dict, workers: int) -> List[McReport]:
@@ -308,83 +348,46 @@ def _run_kz(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_commutator(config: dict, workers: int) -> List[McReport]:
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
-    cfg = _points(config)
-    if len(cfg) < 2:
-        raise ConfigError("commutator check needs at least two points")
-    spec = PartitionSpec(mode, kappa, len(cfg))
-    i = _index(config, "i_index", len(cfg), required=True)
-    j = _index(config, "j_index", len(cfg), required=True)
-    if i == j:
-        raise ConfigError("i_index and j_index must differ")
+    _, spec, cfg = _flow(config, "commutator", min_points=2)
+    i, j = _pair(config, len(cfg))
     fd_step = _number(config, "fd_step", positive=True)
     observables = [
         ("x0x1", lambda x: x[0] * x[1]),
         ("arctan_sum", arctan_sum),
     ]
-    rows = []
-    for obs_name, phi in observables:
-        kwargs = {} if fd_step is None else {"fd_step": fd_step}
-        rows.append(make_report(
-            name=f"commutator_{obs_name}",
-            estimate=float(commutator_residual(spec, phi, cfg, i, j, **kwargs)),
-            std_error=0.0, reference=0.0, tolerance=1e-4, n_samples=1))
-    return rows
+    return [_exact_row(f"commutator_{obs_name}",
+                       commutator_residual(spec, phi, cfg, i, j,
+                                           fd_step=fd_step), 1e-4)
+            for obs_name, phi in observables]
 
 
 def _run_schemes(config: dict, workers: int) -> List[McReport]:
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
-    cfg = _points(config)
-    if len(cfg) < 2:
-        raise ConfigError("schemes check needs at least two points")
-    i = _index(config, "i_index", len(cfg), required=True)
-    j = _index(config, "j_index", len(cfg), required=True)
-    if i == j:
-        raise ConfigError("i_index and j_index must differ")
+    params, spec, cfg = _flow(config, "schemes", min_points=2)
+    i, j = _pair(config, len(cfg))
     eps_tilde = _number(config, "eps_tilde", required=True, positive=True)
     c = _number(config, "c", required=True, positive=True)
     dt = _number(config, "dt", required=True, positive=True)
     n_paths = _integer(config, "n_paths", required=True, minimum=1)
     seed = _integer(config, "seed", default=0)
-    params = Params(mode=mode, kappa=kappa, n_points=len(cfg))
-    spec = PartitionSpec(mode, kappa, len(cfg))
     return commutation_experiment(params, spec, cfg, i, j, eps_tilde, c, dt,
                                   n_paths, seed=seed, n_workers=workers)
 
 
 def _run_martingale(config: dict, workers: int) -> List[McReport]:
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
-    cfg = _points(config)
+    params, spec, cfg = _flow(config, "martingale")
     i = _index(config, "i_index", len(cfg), default=0)
-    t_final, dt = _times(config)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
-    params = Params(mode=mode, kappa=kappa, n_points=len(cfg))
-    spec = PartitionSpec(mode, kappa, len(cfg))
-    bound_mult = _number(config, "bound_n", positive=True)
-    bound = None if bound_mult is None else bound_mult * z_value(spec, cfg)
+    t_final, dt, n_paths, seed = _ensemble(config)
     return [martingale_check(params, spec, cfg, i, t_final, dt, n_paths,
-                             bound_n=bound, seed=seed, n_workers=workers)]
+                             bound_n=_bound(config, spec, cfg), seed=seed,
+                             n_workers=workers)]
 
 
 def _run_girsanov(config: dict, workers: int) -> List[McReport]:
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
-    cfg = _points(config)
-    if len(cfg) < 2:
-        raise ConfigError("girsanov check needs at least two points")
+    params, spec, cfg = _flow(config, "girsanov", min_points=2)
     i = _index(config, "i_index", len(cfg), default=0)
     j = _index(config, "j_index", len(cfg))
-    t_final, dt = _times(config)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
-    params = Params(mode=mode, kappa=kappa, n_points=len(cfg))
-    spec = PartitionSpec(mode, kappa, len(cfg))
-    bound_mult = _number(config, "bound_n", positive=True)
-    bound = None if bound_mult is None else bound_mult * z_value(spec, cfg)
+    t_final, dt, n_paths, seed = _ensemble(config)
+    bound = _bound(config, spec, cfg)
     observable = companion_observable(i, len(cfg), j)
     return [girsanov_check(params, spec, cfg, i, observable, t_final, dt,
                            n_paths, bound_n=bound, seed=seed,
@@ -393,9 +396,7 @@ def _run_girsanov(config: dict, workers: int) -> List[McReport]:
 
 def _run_inverse(config: dict, workers: int) -> List[McReport]:
     kappa = _number(config, "kappa", required=True, positive=True)
-    t_final, dt = _times(config)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
+    t_final, dt, n_paths, seed = _ensemble(config)
     bulk = _bulk_points(config)
     z0 = bulk[0] if bulk else 2j
     return inverse_law_check(kappa, z0, t_final, dt, n_paths, seed=seed,
@@ -403,57 +404,36 @@ def _run_inverse(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_coupling_pde(config: dict, workers: int) -> List[McReport]:
-    cfg = _points(config)
-    params = _coupling_params(config, cfg)
-    cspec = make_coupling_spec(params)
-    cspec.require_coupled()
+    cfg, _, cspec = _coupling(config)
     bulk = _bulk_points(config, required=True)
     fd_step = _number(config, "fd_step", positive=True)
-    i_index = _index(config, "i_index", len(cfg))
-    indices = range(len(cfg)) if i_index is None else [i_index]
-    rows = []
-    for m, z in enumerate(bulk):
-        for i in indices:
-            kwargs = {} if fd_step is None else {"fd_step": fd_step}
-            rows.append(make_report(
-                name=f"coupling_pde_z{m}_i{i}",
-                estimate=float(coupling_pde_residual(cspec, z, cfg, i, **kwargs)),
-                std_error=0.0, reference=0.0, tolerance=1e-4, n_samples=1))
-    return rows
+    indices = _indices(config, len(cfg))
+    return [_exact_row(f"coupling_pde_z{m}_i{i}",
+                       coupling_pde_residual(cspec, z, cfg, i, fd_step=fd_step),
+                       1e-4)
+            for m, z in enumerate(bulk) for i in indices]
 
 
 def _run_coupling_mc(config: dict, workers: int) -> List[McReport]:
-    cfg = _points(config)
-    params = _coupling_params(config, cfg)
-    cspec = make_coupling_spec(params)
-    cspec.require_coupled()
+    cfg, _, cspec = _coupling(config)
     i = _index(config, "i_index", len(cfg), default=0)
     bulk = _bulk_points(config, required=True)
-    t_final, dt = _times(config)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
+    t_final, dt, n_paths, seed = _ensemble(config)
     return coupling_martingale_check(cspec, cfg, i, bulk, t_final, dt,
                                      n_paths, seed=seed, n_workers=workers)
 
 
 def _run_crossvar(config: dict, workers: int) -> List[McReport]:
-    cfg = _points(config)
-    params = _coupling_params(config, cfg)
-    cspec = make_coupling_spec(params)
-    cspec.require_coupled()
+    cfg, params, cspec = _coupling(config)
     i = _index(config, "i_index", len(cfg), default=0)
     bulk = _bulk_points(config, required=True, minimum=2)
-    t_final, dt = _times(config)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
+    t_final, dt, n_paths, seed = _ensemble(config)
     rows = cross_variation_experiment(cspec, cfg, i, bulk, t_final, dt,
                                       n_paths, seed=seed, n_workers=workers)
     worst = green_increment_check(params.mode, params.kappa, bulk[0], bulk[1],
                                   _GREEN_ID_T, _GREEN_ID_DT, seed=seed)
-    rows.append(make_report(
-        name="green_increment_identity", estimate=float(worst),
-        std_error=0.0, reference=0.0, tolerance=1e-6,
-        n_samples=int(round(_GREEN_ID_T / _GREEN_ID_DT))))
+    rows.append(_exact_row("green_increment_identity", worst, 1e-6,
+                           int(round(_GREEN_ID_T / _GREEN_ID_DT))))
     return rows
 
 

@@ -30,13 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import McReport, Params, PointConfig, RngSpec, make_report, normal_block
-from .partition import (PartitionSpec, StepTooLarge, fd_first, fd_second,
-                        grad_log_z_cols, min_gap)
-from .sampler import (REASON_SWALLOWED, _chunk_ranges, _sum_stats, map_chunks,
-                      run_leg, step_sizes)
+from .core import (BACKWARD, McReport, Params, PointConfig, RngSpec,
+                   make_report, mean_var, normal_block)
 from .loewner import Swallowed
-from .core import BACKWARD
+from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
+                        grad_log_z_cols)
+from .sampler import (REASON_SWALLOWED, chunked, map_chunks, run_leg,
+                      step_sizes, sum_stats)
 
 
 class EpsilonTooLarge(ValueError):
@@ -82,12 +82,40 @@ def arctan_sum(x: np.ndarray) -> np.ndarray:
     return np.sum(np.arctan(x), axis=-1)
 
 
-def _scheme_legs(order: str, plan: SchemePlan) -> list[tuple[int, float]]:
+def _scheme_legs(order: str, plan: SchemePlan,
+                 dt: float) -> list[tuple[int, np.ndarray]]:
+    """(driving slot, substep sizes) of each leg of a scheme."""
     if order == "scheme1":
-        return [(plan.i, plan.eps), (plan.j, plan.eps_tilde)]
-    if order == "scheme2":
-        return [(plan.j, plan.eps_prime), (plan.i, plan.c * plan.eps_tilde)]
-    raise ValueError("order must be 'scheme1' or 'scheme2'")
+        legs = [(plan.i, plan.eps), (plan.j, plan.eps_tilde)]
+    elif order == "scheme2":
+        legs = [(plan.j, plan.eps_prime), (plan.i, plan.c * plan.eps_tilde)]
+    else:
+        raise ValueError("order must be 'scheme1' or 'scheme2'")
+    return [(slot, step_sizes(T, dt)) for slot, T in legs]
+
+
+def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
+              x: np.ndarray, normals: np.ndarray, drifted: bool):
+    """Run the legs of a scheme on rows x, each leg on its own slice of the
+    normals; returns (x, active, stop reason).
+
+    collision_guard=2 keeps only the exact swallow criterion
+    gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider layer is
+    not needed, and stopping near-miss paths would condition the two
+    schemes on the minimum gap over time.  Whether the two orders share
+    the law of the swallow events is not established: with three points
+    they swallow at different rates (ROADMAP item 4d).
+    """
+    used = 0
+    active = reason = None
+    for slot, deltas in legs:
+        res = run_leg(mode, kappa, exponent, h_weight, x, slot,
+                      normals[:, used:used + deltas.size], deltas,
+                      drifted=drifted, active=active, stopped_reason=reason,
+                      collision_guard=2.0)
+        used += deltas.size
+        x, active, reason = res.x, res.active, res.stopped_reason
+    return x, active, reason
 
 
 def run_scheme(
@@ -108,31 +136,16 @@ def run_scheme(
     both legs reduce to pure companion slit flows.  Raises Swallowed if a
     companion is absorbed; callers discard and count such paths.
     """
-    legs = _scheme_legs(order, plan)
-    deltas = [step_sizes(T, dt) for _, T in legs]
-    total = sum(d.size for d in deltas)
+    legs = _scheme_legs(order, plan, dt)
+    total = sum(d.size for _, d in legs)
     normals = normal_block(rng.seed, rng.path_index, 1, total)
     if not noise:
         normals = np.zeros_like(normals)
-    x = cfg.as_array()[None, :]
-    used = 0
-    active = None
-    for (slot, _T), dl in zip(legs, deltas):
-        # collision_guard=2 keeps only the exact swallow criterion
-        # gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider
-        # layer is not needed, and discarding near-miss paths would
-        # condition the two schemes on a trajectory event (minimum gap
-        # over time) that is not determined by the final hull, biasing
-        # the comparison.  Swallow events are final-hull-measurable and
-        # therefore identical in law across schemes.
-        res = run_leg(params.mode, params.kappa, spec.exponent, spec.h_weight,
-                      x, slot, normals[:, used:used + dl.size], dl,
-                      drifted=drifted, active=active, collision_guard=2.0)
-        used += dl.size
-        if not res.active[0]:
-            raise Swallowed(f"companion swallowed in {order} leg at point {slot}",
-                            step=int(res.stopped_step[0]))
-        x, active = res.x, res.active
+    x, active, _ = _run_legs(legs, params.mode, params.kappa, spec.exponent,
+                             spec.h_weight, cfg.as_array()[None, :], normals,
+                             drifted)
+    if not active[0]:
+        raise Swallowed(f"a companion was swallowed in {order}")
     final = PointConfig(tuple(float(v) for v in x[0]))
     obs = {f"x_{k}": float(x[0, k]) for k in range(x.shape[1])}
     obs["phi"] = float(phi(x[0]))
@@ -141,24 +154,13 @@ def run_scheme(
 
 def _scheme_chunk(task: dict) -> dict:
     plan = SchemePlan(*task["plan"])
-    legs = _scheme_legs(task["order"], plan)
-    deltas = [step_sizes(T, task["dt"]) for _, T in legs]
-    total = sum(d.size for d in deltas)
+    legs = _scheme_legs(task["order"], plan, task["dt"])
+    total = sum(d.size for _, d in legs)
     normals = normal_block(task["seed"], task["first_path"], task["count"], total)
     x = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    used = 0
-    active = None
-    reason = None
-    for (slot, _T), dl in zip(legs, deltas):
-        # guard=2 == exact swallow criterion; see run_scheme for why the
-        # wider collision layer must not be used here
-        res = run_leg(task["mode"], task["kappa"], task["exponent"],
-                      task["h_weight"], x, slot,
-                      normals[:, used:used + dl.size], dl,
-                      drifted=True, active=active,
-                      stopped_reason=reason, collision_guard=2.0)
-        used += dl.size
-        x, active, reason = res.x, res.active, res.stopped_reason
+    x, _, reason = _run_legs(legs, task["mode"], task["kappa"],
+                             task["exponent"], task["h_weight"], x, normals,
+                             drifted=True)
     keep = reason != REASON_SWALLOWED
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum())}
     n_pts = x.shape[1]
@@ -172,17 +174,14 @@ def _scheme_chunk(task: dict) -> dict:
 
 def _scheme_stats(order, plan, params, spec, cfg, dt, n_paths, seed,
                   first_path, n_workers) -> dict:
-    tasks = [
-        {"order": order,
-         "plan": (plan.i, plan.j, plan.eps_tilde, plan.c, plan.eps,
-                  plan.eps_prime),
-         "mode": params.mode, "kappa": params.kappa,
-         "exponent": spec.exponent, "h_weight": spec.h_weight,
-         "points": tuple(cfg.points), "dt": dt, "seed": seed,
-         "first_path": first_path + a, "count": cnt}
-        for a, cnt in _chunk_ranges(n_paths)
-    ]
-    return _sum_stats(map_chunks(_scheme_chunk, tasks, n_workers))
+    task = {"order": order,
+            "plan": (plan.i, plan.j, plan.eps_tilde, plan.c, plan.eps,
+                     plan.eps_prime),
+            "mode": params.mode, "kappa": params.kappa,
+            "exponent": spec.exponent, "h_weight": spec.h_weight,
+            "points": tuple(cfg.points), "dt": dt, "seed": seed}
+    tasks = chunked(task, n_paths, first_path)
+    return sum_stats(map_chunks(_scheme_chunk, tasks, n_workers))
 
 
 def commutation_experiment(
@@ -209,15 +208,12 @@ def commutation_experiment(
     names = [f"x_{k}" for k in range(len(cfg))] + ["phi"]
     reports = []
     for name in names:
-        n1, n2 = s1["n"], s2["n"]
-        m1 = s1[f"s_{name}"] / n1
-        m2 = s2[f"s_{name}"] / n2
-        v1 = max(s1[f"s2_{name}"] / n1 - m1 * m1, 0.0) * n1 / max(n1 - 1, 1)
-        v2 = max(s2[f"s2_{name}"] / n2 - m2 * m2, 0.0) * n2 / max(n2 - 1, 1)
-        pooled = math.sqrt(v1 / n1 + v2 / n2)
+        m1, v1 = mean_var(s1[f"s_{name}"], s1[f"s2_{name}"], s1["n"])
+        m2, v2 = mean_var(s2[f"s_{name}"], s2[f"s2_{name}"], s2["n"])
+        pooled = math.sqrt(v1 + v2)
         tol = max(3.0 * pooled, 10.0 * eps_tilde**2)
         reports.append(make_report(f"scheme_diff_{name}", m1, pooled, m2, tol,
-                                   n1 + n2))
+                                   s1["n"] + s2["n"]))
     return reports
 
 
@@ -241,19 +237,6 @@ def _generator_value(spec: PartitionSpec, phi: Callable, x: np.ndarray,
     return acc
 
 
-def _check_step(cfg: PointConfig, fd_step: float | None, scale: float = 1.0,
-                default_frac: float = 1e-4):
-    gap = min_gap(cfg)
-    if fd_step is None:
-        fd_step = default_frac * gap
-    if not fd_step > 0:
-        raise ValueError("fd_step must be positive")
-    if scale * fd_step >= gap / 10.0:
-        raise StepTooLarge(
-            f"fd_step {fd_step:g} (x{scale:g} outer) too large for min gap {gap:g}")
-    return fd_step
-
-
 def apply_generator(
     spec: PartitionSpec,
     phi: Callable[[np.ndarray], float],
@@ -266,7 +249,7 @@ def apply_generator(
     zero function for drift-free negative controls)."""
     if not 0 <= k < len(cfg):
         raise IndexError(f"index {k} out of range")
-    h = _check_step(cfg, fd_step)
+    h = _resolve_step(cfg, fd_step, 1e-4)
     return _generator_value(spec, phi, cfg.as_array(), k, h, drift_fn)
 
 
@@ -291,7 +274,7 @@ def commutator_residual(
     """
     if i == j:
         raise ValueError("i and j must differ")
-    h = _check_step(cfg, fd_step, scale=10.0, default_frac=2e-3)
+    h = _resolve_step(cfg, fd_step, 2e-3, scale=10.0)
     x = cfg.as_array()
 
     def L(k: int, g: Callable) -> Callable:

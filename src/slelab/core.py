@@ -17,7 +17,7 @@ paths are batched or parallelized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -101,13 +101,6 @@ def validate_config(points: Sequence[float]) -> PointConfig:
             if pts[a] == pts[b]:
                 raise DuplicatePoint(a + 1, b + 1, pts[a])
     return PointConfig(pts)
-
-
-def transform_config(cfg: PointConfig, a: float, lam: float) -> PointConfig:
-    """Apply x -> lam*x + a to every point (lam > 0 keeps distinctness)."""
-    if not lam > 0:
-        raise ValueError(f"scale must be positive, got {lam}")
-    return PointConfig(tuple(lam * x + a for x in cfg.points))
 
 
 @dataclass(frozen=True)
@@ -222,3 +215,11 @@ def make_report(
     ok = abs(estimate - reference) <= tolerance
     return McReport(name, float(estimate), float(std_error), float(reference),
                     float(tolerance), int(n_samples), bool(ok))
+
+
+def mean_var(s1: float, s2: float, n: int) -> tuple[float, float]:
+    """Mean and variance of the mean from the power sums s1 = sum x and
+    s2 = sum x^2 of n samples (sample variance with n - 1)."""
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1, 1)
+    return mean, var / n

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     BACKWARD,
     FORWARD,
-    DrivingPath,
     McReport,
     Params,
     PointConfig,
@@ -46,11 +45,10 @@ from .partition import (
     StepTooLarge,
     fd_first,
     fd_second,
-    grad_log_z_cols,
     log_z_cols,
     min_gap,
 )
-from .sampler import DEFAULT_CHUNK, REASON_NONE, REASON_SWALLOWED, map_chunks, step_sizes
+from .sampler import REASON_SWALLOWED, chunked, map_chunks, step_sizes, sum_stats
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -317,10 +315,6 @@ def coupling_pde_residual(
 # Coupled flow ensembles
 
 
-class BulkSwallowed(Swallowed):
-    """A tracked bulk point hit the driving singularity."""
-
-
 def _field_values(
     mode: str,
     kappa: float,
@@ -356,7 +350,6 @@ def _h_run(
     bulk: Sequence[complex],
     deltas: np.ndarray,
     normals: np.ndarray,
-    record: bool = False,
 ) -> Dict[str, np.ndarray]:
     """Drifted-measure flow of n paths carrying field observables.
 
@@ -387,8 +380,6 @@ def _h_run(
     h0 = h_prev.copy()
     g0 = _pair_green(kind, zb, pairs)
     accum = np.zeros_like(g0)
-    rec_h = [h_prev.copy()] if record else None
-    rec_w = [x[:, i].copy()] if record else None
 
     others = [k for k in range(n_pts) if k != i]
     for step in range(deltas.size):
@@ -418,11 +409,8 @@ def _h_run(
         for p, (a, b) in enumerate(pairs):
             accum[:, p] += dh[:, a] * dh[:, b]
         h_prev = h_new
-        if record:
-            rec_h.append(h_new.copy())
-            rec_w.append(x[:, i].copy())
     gt = _pair_green(kind, zb, pairs)
-    out = {
+    return {
         "h0": h0,
         "ht": h_prev,
         "accum": accum,
@@ -431,94 +419,13 @@ def _h_run(
         "reason": reason,
         "stopped_step": stopped_step,
     }
-    if record:
-        out["rec_h"] = np.stack(rec_h, axis=0)
-        out["rec_w"] = np.stack(rec_w, axis=0)
-    return out
-
-
-@dataclasses.dataclass(frozen=True)
-class HProcessSample:
-    """One coupled path: driving, field values along it, and the pairwise
-    cross-variation ledger against the Green function drop."""
-
-    params: Params
-    index_i: int
-    bulk_points: Tuple[complex, ...]
-    path: DrivingPath
-    h_values: np.ndarray  # (n_steps+1, n_bulk)
-    cross_var: Dict[Tuple[int, int], float]
-    green_start: Dict[Tuple[int, int], float]
-    green_end: Dict[Tuple[int, int], float]
-    stopped_at: Optional[int]
-
-
-def simulate_h_process(
-    cspec: CouplingSpec,
-    cfg: PointConfig,
-    i: int,
-    bulk: Sequence[complex],
-    t_final: float,
-    dt: float,
-    seed: int,
-    path_index: int = 0,
-) -> HProcessSample:
-    validate_config(cfg.points)
-    if not (0 <= i < len(cfg.points)):
-        raise IndexError(f"slot {i} out of range")
-    if any(np.imag(zz) <= 0 for zz in bulk):
-        raise ValueError("bulk points must satisfy Im z > 0")
-    deltas = step_sizes(t_final, dt)
-    if not np.allclose(deltas, deltas[0]):
-        raise ValueError("single-path simulation needs t_final a multiple of dt")
-    normals = normal_block(seed, path_index, 1, deltas.size)
-    run = _h_run(cspec, cfg, i, bulk, deltas, normals, record=True)
-    if not run["active"][0]:
-        # ensemble checks keep frozen paths (stopped martingale), but a
-        # single sample is meant for the pathwise cross-variation identity,
-        # which needs the full horizon
-        step = int(run["stopped_step"][0])
-        raise BulkSwallowed(
-            f"coupled flow stopped at step {step} of {deltas.size}",
-            step=step, time=step * float(deltas[0]),
-        )
-    w_vals = run["rec_w"][:, 0]
-    incs = np.diff(w_vals)
-    path = DrivingPath(
-        dt=float(deltas[0]),
-        n_steps=deltas.size,
-        increments=incs,
-        values=w_vals,
-    )
-    pairs = [
-        (a, b) for a in range(len(bulk)) for b in range(a + 1, len(bulk))
-    ]
-    return HProcessSample(
-        params=cspec.params,
-        index_i=i,
-        bulk_points=tuple(complex(zz) for zz in bulk),
-        path=path,
-        h_values=run["rec_h"][:, 0, :],
-        cross_var={p: float(run["accum"][0, k]) for k, p in enumerate(pairs)},
-        green_start={
-            p: float(green(MODE_GREEN[cspec.mode], bulk[p[0]], bulk[p[1]]))
-            for p in pairs
-        },
-        green_end={
-            p: float(
-                green(MODE_GREEN[cspec.mode], bulk[p[0]], bulk[p[1]])
-                - run["g_drop"][0, k]
-            )
-            for k, p in enumerate(pairs)
-        },
-        stopped_at=None,
-    )
 
 
 def _h_chunk(task: dict) -> dict:
     cspec: CouplingSpec = task["cspec"]
     deltas = task["deltas"]
-    normals = normal_block(task["seed"], task["first"], task["count"], deltas.size)
+    normals = normal_block(task["seed"], task["first_path"], task["count"],
+                           deltas.size)
     run = _h_run(cspec, task["cfg"], task["i"], task["bulk"], deltas, normals)
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
@@ -532,14 +439,6 @@ def _h_chunk(task: dict) -> dict:
         "sd2": (xv_err**2).sum(axis=0),
         "n_swallowed": int(np.sum(run["reason"] == REASON_SWALLOWED)),
     }
-
-
-def _sum_chunks(parts: List[dict]) -> dict:
-    total = dict(parts[0])
-    for p in parts[1:]:
-        for k, v in p.items():
-            total[k] = total[k] + v
-    return total
 
 
 def _run_h_ensemble(
@@ -556,25 +455,9 @@ def _run_h_ensemble(
     validate_config(cfg.points)
     if any(np.imag(zz) <= 0 for zz in bulk):
         raise ValueError("bulk points must satisfy Im z > 0")
-    deltas = step_sizes(t_final, dt)
-    tasks = []
-    first = 0
-    while first < n_paths:
-        count = min(DEFAULT_CHUNK, n_paths - first)
-        tasks.append(
-            {
-                "cspec": cspec,
-                "cfg": cfg,
-                "i": i,
-                "bulk": tuple(bulk),
-                "deltas": deltas,
-                "seed": seed,
-                "first": first,
-                "count": count,
-            }
-        )
-        first += count
-    return _sum_chunks(map_chunks(_h_chunk, tasks, n_workers))
+    task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
+            "deltas": step_sizes(t_final, dt), "seed": seed}
+    return sum_stats(map_chunks(_h_chunk, chunked(task, n_paths), n_workers))
 
 
 def coupling_martingale_check(
@@ -636,9 +519,12 @@ def cross_variation_experiment(
     """
     if len(bulk) < 2:
         raise ValueError("cross variation needs at least two bulk points")
+    pairs = [(a, b) for a in range(len(bulk)) for b in range(a + 1, len(bulk))]
+    for a, b in pairs:
+        # raises CoincidentPoints before any path is run
+        green(MODE_GREEN[cspec.mode], bulk[a], bulk[b])
     stats = _run_h_ensemble(cspec, cfg, i, bulk, t_final, dt, n_paths, seed, n_workers)
     n = stats["n"]
-    pairs = [(a, b) for a in range(len(bulk)) for b in range(a + 1, len(bulk))]
     reports = []
     for p, (a, b) in enumerate(pairs):
         est = stats["sx"][p] / n
@@ -653,36 +539,6 @@ def cross_variation_experiment(
                 std_error=float(se),
                 reference=float(ref),
                 tolerance=rel_tolerance * abs(ref),
-                n_samples=n,
-            )
-        )
-    return reports
-
-
-def cross_variation_check(samples: Sequence[HProcessSample]) -> List[McReport]:
-    """Same comparison from already-simulated single-path samples."""
-    if not samples:
-        raise ValueError("need at least one sample")
-    pairs = sorted(samples[0].cross_var)
-    if any(sorted(s.cross_var) != pairs for s in samples):
-        raise ValueError("samples track different bulk pairs")
-    n = len(samples)
-    reports = []
-    for a, b in pairs:
-        xs = np.array([s.cross_var[(a, b)] for s in samples])
-        gs = np.array(
-            [s.green_start[(a, b)] - s.green_end[(a, b)] for s in samples]
-        )
-        d = xs - gs
-        se = float(np.std(d) / math.sqrt(n))
-        ref = float(np.mean(gs))
-        reports.append(
-            make_report(
-                name=f"crossvar_pair_{a}_{b}",
-                estimate=float(np.mean(xs)),
-                std_error=se,
-                reference=ref,
-                tolerance=0.05 * abs(ref),
                 n_samples=n,
             )
         )

@@ -44,52 +44,10 @@ class ProbeTooClose(RuntimeError):
     """Capacity probe is not far enough from the hull for the 1/z expansion."""
 
 
-@dataclass(frozen=True)
-class SubstepResult:
-    new_value: complex | float
-    new_deriv: complex | float
-    swallowed: bool
-
-
 def sqrt_him(q):
     """Square root with branch Im >= 0 (array-safe)."""
     s = np.sqrt(np.asarray(q, dtype=complex))
     return np.where(s.imag < 0, -s, s)
-
-
-def substep_backward(w, U0: float, delta: float, deriv=1.0) -> SubstepResult:
-    """One exact backward slit substep of capacity 2*delta at driving U0."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    d = w - U0
-    if isinstance(w, complex) or np.iscomplexobj(w):
-        new = U0 + complex(sqrt_him(d * d - 4.0 * delta))
-        return SubstepResult(new, deriv * d / (new - U0), False)
-    arg = d * d - 4.0 * delta
-    if arg <= 0.0:
-        raise Swallowed(
-            f"real point {w} absorbed (swallowing time {d * d / 4.0})",
-            time=d * d / 4.0,
-        )
-    new = U0 + np.sign(d) * np.sqrt(arg)
-    return SubstepResult(float(new), deriv * d / (new - U0), False)
-
-
-def substep_forward(w, U0: float, delta: float, deriv=1.0,
-                    swallow_guard: float = FORWARD_SWALLOW_GUARD) -> SubstepResult:
-    """One exact forward slit substep; complex points too close to the tip
-    are refused, points whose image lands on the real axis are flagged."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    d = w - U0
-    if isinstance(w, complex) or np.iscomplexobj(w):
-        if abs(d) < swallow_guard:
-            raise Swallowed(f"point {w} within swallow guard of the driving value")
-        new = U0 + complex(sqrt_him(d * d + 4.0 * delta))
-        swallowed = complex(w).imag > 0 and (new - U0).imag <= 0.0
-        return SubstepResult(new, deriv * d / (new - U0), swallowed)
-    new = U0 + np.sign(d) * np.sqrt(d * d + 4.0 * delta)
-    return SubstepResult(float(new), deriv * d / (new - U0), False)
 
 
 # Vectorized substeps for path-ensemble engines.  No exceptions: swallowed

@@ -136,15 +136,19 @@ def fd_first(f: Callable, x: np.ndarray, i: int, h: float) -> float:
     ) / (12.0 * h)
 
 
-def _resolve_step(cfg: PointConfig, fd_step: float | None, default_frac: float) -> float:
+def _resolve_step(cfg: PointConfig, fd_step: float | None, default_frac: float,
+                  scale: float = 1.0) -> float:
+    """The FD step (default: default_frac times the min gap); scale times it
+    must stay below a tenth of the min gap."""
     gap = min_gap(cfg)
     if fd_step is None:
         fd_step = default_frac * gap
     if not fd_step > 0:
         raise ValueError("fd_step must be positive")
-    if fd_step >= gap / 10.0:
+    if scale * fd_step >= gap / 10.0:
         raise StepTooLarge(
-            f"fd_step {fd_step:g} must stay below a tenth of the min gap {gap:g}"
+            f"{scale:g} * fd_step = {scale * fd_step:g} must stay below a "
+            f"tenth of the min gap {gap:g}"
         )
     return fd_step
 

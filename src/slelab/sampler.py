@@ -23,21 +23,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BACKWARD, DrivingPath, McReport, Params, PointConfig,
-                   RngSpec, make_report, normal_block)
-from .loewner import ChainState
-from .partition import PartitionSpec, grad_log_z_cols, log_z_cols, z_value
-
-MEASURE_BASE_P = "base_P"
-MEASURE_DRIFTED_Q = "drifted_Q"
-MEASURE_REWEIGHTED_P = "reweighted_P"
-MEASURES = (MEASURE_BASE_P, MEASURE_DRIFTED_Q, MEASURE_REWEIGHTED_P)
+from .core import (BACKWARD, McReport, Params, PointConfig, make_report,
+                   mean_var, normal_block)
+from .loewner import slit_complex, slit_real
+from .partition import PartitionSpec, log_z_cols, z_value
 
 REASON_NONE = 0
 REASON_BOUND = 1
@@ -70,13 +66,8 @@ class SwallowedTooOften(RuntimeError):
     """More than 1% of inverse-construction paths failed."""
 
 
-def drift_s(spec: PartitionSpec, current: PointConfig, i: int) -> float:
-    """Girsanov exponent drift: sqrt(kappa) * d(log Z)/dx_i at the running
-    configuration (W in slot i).  The SDE drift is b_i = sqrt(kappa) * s."""
-    x = current.as_array()
-    if len(x) < 2:
-        return 0.0
-    return float(np.sqrt(spec.kappa) * grad_log_z_cols(spec.exponent, x, i))
+class RaggedGrid(ValueError):
+    """The horizon is not a whole number of equal substeps."""
 
 
 def step_sizes(T: float, dt: float) -> np.ndarray:
@@ -105,7 +96,6 @@ class LegResult:
     stopped_reason: np.ndarray   # (n,) int8, REASON_*
     log_m: np.ndarray | None     # (n,) log M at stop/terminal
     log_m0: np.ndarray | None    # (n,) log M at start of this leg
-    trace: list | None           # optional per-substep snapshots
 
 
 def run_leg(
@@ -123,7 +113,6 @@ def run_leg(
     active: np.ndarray | None = None,
     stopped_step: np.ndarray | None = None,
     stopped_reason: np.ndarray | None = None,
-    record: bool = False,
     collision_guard: float = COLLISION_GUARD,
 ) -> LegResult:
     """Advance an ensemble for len(deltas) substeps with driving in column
@@ -154,11 +143,6 @@ def run_leg(
         log_m = log_z_cols(exponent, x)
         log_m0 = log_m.copy()
 
-    trace = [] if record else None
-    if record:
-        trace.append({"x": x.copy(), "derivs": derivs.copy(),
-                      "log_m": None if log_m is None else log_m.copy()})
-
     guard2 = max(collision_guard, 2.0) ** 2
     for k, delta in enumerate(deltas):
         U0 = x[:, slot]
@@ -172,14 +156,10 @@ def run_leg(
                 stopped_step[layer] = k
                 stopped_reason[layer] = REASON_SWALLOWED
                 active = active & ~layer
-            if mode == BACKWARD:
-                # active paths sit outside the layer, so arg > 0 throughout
-                arg = dgap * dgap - 4.0 * delta
-                root = np.sqrt(np.maximum(arg, 1e-300))
-            else:
-                root = np.sqrt(dgap * dgap + 4.0 * delta)
-            x_new[:, comp] = U0[:, None] + np.sign(dgap) * root
-            d_new[:, comp] = derivs[:, comp] * (np.abs(dgap) / root)
+            # active paths sit outside the layer, so no active row is
+            # swallowed by the substep itself
+            x_new[:, comp], mult, _ = slit_real(xc, U0[:, None], delta, mode)
+            d_new[:, comp] = derivs[:, comp] * mult
             if drifted:
                 b = kappa * exponent * np.sum(1.0 / (U0[:, None] - xc), axis=1)
             else:
@@ -205,102 +185,24 @@ def run_leg(
                     stopped_step[hit] = k + 1
                     stopped_reason[hit] = REASON_BOUND
                     active = active & ~hit
-        if record:
-            trace.append({"x": x.copy(), "derivs": derivs.copy(),
-                          "log_m": None if log_m is None else log_m.copy()})
 
     return LegResult(x, derivs, active, stopped_step, stopped_reason,
-                     log_m, log_m0, trace)
+                     log_m, log_m0)
 
 
-@dataclass(frozen=True)
-class SlePathSample:
-    """One simulated path with its weight trace and stop bookkeeping."""
-
-    params: Params
-    index_i: int
-    path: DrivingPath
-    states: tuple[ChainState, ...]
-    weight_trace: np.ndarray
-    stopped_at: tuple[int, str] | None
+def chunked(task: dict, n_paths: int, first_path: int = 0) -> list[dict]:
+    """One copy of `task` per DEFAULT_CHUNK paths, keyed by its first path
+    index and path count."""
+    return [dict(task, first_path=first_path + a,
+                 count=min(DEFAULT_CHUNK, n_paths - a))
+            for a in range(0, n_paths, DEFAULT_CHUNK)]
 
 
-def simulate_ith_sle(
-    params: Params,
-    spec: PartitionSpec,
-    cfg: PointConfig,
-    i: int,
-    T: float,
-    dt: float,
-    rng: RngSpec,
-    measure: str = MEASURE_BASE_P,
-    bound_n: float | None = None,
-    states_stride: int = 1,
-) -> SlePathSample:
-    """Simulate one path of the i-th SLE(kappa, b) and record its trace.
-
-    base_P / reweighted_P: driftless driving, weight trace M_t/M_0 frozen at
-    the stopping time.  drifted_Q: drift b_i added to the driving and the
-    weight trace reported as identically 1 (the M functional is still
-    tracked internally for the stopping rule).
-    """
-    if measure not in MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}")
-    if not 0 <= i < len(cfg):
-        raise IndexError(f"driving index {i} out of range")
-    deltas = step_sizes(T, dt)
-    if not np.allclose(deltas, deltas[0]):
-        raise ValueError("single-path simulation needs T to be a multiple of dt")
-    m = deltas.size
-    normals = normal_block(rng.seed, rng.path_index, 1, m)
-    x0 = cfg.as_array()[None, :]
-    if bound_n is None:
-        bound_n = 10.0 * z_value(spec, cfg)
-    res = run_leg(
-        params.mode, params.kappa, spec.exponent, spec.h_weight,
-        x0, i, normals, deltas,
-        drifted=(measure == MEASURE_DRIFTED_Q),
-        track_weight=True, log_bound=math.log(bound_n), record=True,
-    )
-    comp = [c for c in range(len(cfg)) if c != i]
-    states = []
-    weights = []
-    t = 0.0
-    times = np.concatenate([[0.0], np.cumsum(deltas)])
-    for k, snap in enumerate(res.trace):
-        weights.append(math.exp(snap["log_m"][0] - res.log_m0[0]))
-        if k % states_stride == 0 or k == m:
-            t = times[k]
-            states.append(ChainState(
-                time=t, mode=params.mode,
-                marked_values=snap["x"][0, comp].copy(),
-                marked_derivs=snap["derivs"][0, comp].copy(),
-                bulk_values=np.empty(0, dtype=complex),
-                bulk_derivs=np.empty(0, dtype=complex),
-                hcap_accum=2.0 * t,
-                marked_initial=x0[0, comp].copy(),
-                bulk_initial=np.empty(0, dtype=complex),
-            ))
-    weight_trace = np.asarray(weights)
-    stop = None
-    if res.stopped_step[0] >= 0:
-        stop = (int(res.stopped_step[0]), REASON_NAMES[int(res.stopped_reason[0])])
-    if measure == MEASURE_DRIFTED_Q:
-        weight_trace = np.ones_like(weight_trace)
-    w_values = np.array([snap["x"][0, i] for snap in res.trace])
-    # Recover raw Brownian increments from the recorded normals.
-    increments = np.sqrt(deltas) * normals[0]
-    path = DrivingPath(dt=dt, n_steps=m, increments=increments, values=w_values)
-    return SlePathSample(params, i, path, tuple(states), weight_trace, stop)
-
-
-def _chunk_ranges(n_paths: int, chunk: int = DEFAULT_CHUNK):
-    out = []
-    first = 0
-    while first < n_paths:
-        out.append((first, min(chunk, n_paths - first)))
-        first += chunk
-    return out
+def sum_stats(parts: list[dict]) -> dict:
+    """Key-wise sum of chunk statistics.  The sum starts from the first
+    part, so array values and -0.0 pass through unchanged."""
+    return {k: functools.reduce(operator.add, (p[k] for p in parts))
+            for k in parts[0]}
 
 
 def map_chunks(fn: Callable, tasks: Sequence, n_workers: int = 1) -> list:
@@ -341,26 +243,18 @@ def _ensemble_chunk(task: dict) -> dict:
     }
 
 
-def _sum_stats(stats: list[dict]) -> dict:
-    keys = stats[0].keys()
-    return {k: sum(s[k] for s in stats) for k in keys}
-
-
 def _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
                     first_path, drifted, observable, n_workers) -> dict:
-    log_bound = None if bound_n is None else math.log(bound_n)
-    tasks = [
-        {
-            "mode": params.mode, "kappa": params.kappa,
-            "exponent": spec.exponent, "h_weight": spec.h_weight,
-            "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
-            "seed": seed, "first_path": first_path + a, "count": c,
-            "drifted": drifted, "log_bound": log_bound,
-            "observable": observable,
-        }
-        for a, c in _chunk_ranges(n_paths)
-    ]
-    return _sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
+    task = {
+        "mode": params.mode, "kappa": params.kappa,
+        "exponent": spec.exponent, "h_weight": spec.h_weight,
+        "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
+        "seed": seed, "drifted": drifted,
+        "log_bound": None if bound_n is None else math.log(bound_n),
+        "observable": observable,
+    }
+    tasks = chunked(task, n_paths, first_path)
+    return sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
 
 
 def martingale_check(
@@ -381,9 +275,8 @@ def martingale_check(
     st = _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
                          0, drifted=False, observable=None, n_workers=n_workers)
     n = st["n"]
-    mean = st["sw"] / n
-    var = max(st["sw2"] / n - mean * mean, 0.0) * n / max(n - 1, 1)
-    se = math.sqrt(var / n)
+    mean, var = mean_var(st["sw"], st["sw2"], n)
+    se = math.sqrt(var)
     return make_report(
         f"martingale_mean_weight_k{params.kappa:g}_N{len(cfg)}",
         mean, se, 1.0, 3.0 * se, n,
@@ -429,10 +322,8 @@ def girsanov_check(
     est1 = base["swf"] / base["sw"]
     var1 = (base["sw2f2"] - 2.0 * est1 * base["sw2f"] + est1**2 * base["sw2"])
     se1 = math.sqrt(max(var1, 0.0)) / base["sw"]
-    m = drift["n"]
-    est2 = drift["sf"] / m
-    var2 = max(drift["sf2"] / m - est2 * est2, 0.0) * m / max(m - 1, 1)
-    se2 = math.sqrt(var2 / m)
+    est2, var2 = mean_var(drift["sf"], drift["sf2"], drift["n"])
+    se2 = math.sqrt(var2)
     pooled = math.hypot(se1, se2)
     return make_report(name, est1, pooled, est2, 3.0 * pooled, n)
 
@@ -463,10 +354,7 @@ def _bulk_backward_terminal(z0: complex, kappa: float, normals: np.ndarray,
     W = np.zeros(n)
     Z = np.full(n, complex(z0), dtype=complex)
     for k in range(m):
-        d = Z - W
-        s = np.sqrt(d * d - 4.0 * dt)
-        s = np.where(s.imag < 0, -s, s)
-        Z = W + s
+        Z = slit_complex(Z, W, dt, BACKWARD)[0]
         W = W + sq * normals[:, k]
     return Z, W
 
@@ -521,17 +409,13 @@ def inverse_law_check(
         raise ValueError("z0 must lie in the upper half-plane")
     deltas = step_sizes(T, dt)
     if not np.allclose(deltas, deltas[0]):
-        raise ValueError("inverse check needs T to be a multiple of dt")
-    m = deltas.size
+        raise RaggedGrid("inverse check needs T to be a multiple of dt")
+    task = {"z0": complex(z0), "kappa": kappa, "dt": float(deltas[0]),
+            "n_steps": deltas.size, "seed": seed}
 
     def arm(first: int, rev: bool) -> dict:
-        tasks = [
-            {"z0": complex(z0), "kappa": kappa, "dt": float(deltas[0]),
-             "n_steps": m, "seed": seed, "first_path": first + a, "count": c,
-             "reversed": rev}
-            for a, c in _chunk_ranges(n_paths)
-        ]
-        return _sum_stats(map_chunks(_inverse_chunk, tasks, n_workers))
+        tasks = chunked(dict(task, reversed=rev), n_paths, first)
+        return sum_stats(map_chunks(_inverse_chunk, tasks, n_workers))
 
     a = arm(0, rev=False)
     b = arm(n_paths, rev=True)

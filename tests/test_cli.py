@@ -120,11 +120,9 @@ def test_check_worker_env_does_not_change_rows(tmp_path, monkeypatch):
     assert read_rows(str(tmp_path / "r1")) == read_rows(str(tmp_path / "r2"))
 
 
-def test_girsanov_on_worker_pool_matches_one_worker(tmp_path, monkeypatch):
+def _pool_matches_one_worker(tmp_path, monkeypatch, **kw):
     # 20001 paths make two chunks, so two workers go through the process pool
-    kw = dict(check="girsanov", mode="backward", kappa=4.0,
-              points=[0.0, 1.0], i_index=0, t_final=0.005, dt=1e-3,
-              n_paths=20001, seed=0)
+    kw = dict(kw, n_paths=20001, seed=0)
     monkeypatch.setenv("SLELAB_WORKERS", "1")
     c1 = write_config(tmp_path, name="a.json", out_path=str(tmp_path / "r1"), **kw)
     assert main(["check", c1]) in (0, 1)
@@ -132,6 +130,53 @@ def test_girsanov_on_worker_pool_matches_one_worker(tmp_path, monkeypatch):
     c2 = write_config(tmp_path, name="b.json", out_path=str(tmp_path / "r2"), **kw)
     assert main(["check", c2]) in (0, 1)
     assert read_rows(str(tmp_path / "r1")) == read_rows(str(tmp_path / "r2"))
+
+
+SHORT = dict(t_final=0.005, dt=1e-3)
+POOL_CHECKS = {
+    "schemes": dict(mode="backward", kappa=4.0, points=[0.0, 1.0], i_index=0,
+                    j_index=1, eps_tilde=0.01, c=2.0, dt=1e-3),
+    "inverse": dict(kappa=4.0, **SHORT),
+    "coupling_mc": dict(mode="backward", kappa=4.0, gamma=2.0,
+                        points=[0.0, 1.0], bulk_points=[[0.5, 1.0]], **SHORT),
+}
+
+
+def test_girsanov_on_worker_pool_matches_one_worker(tmp_path, monkeypatch):
+    _pool_matches_one_worker(tmp_path, monkeypatch, check="girsanov",
+                             mode="backward", kappa=4.0, points=[0.0, 1.0],
+                             i_index=0, **SHORT)
+
+
+@pytest.mark.parametrize("check", sorted(POOL_CHECKS))
+def test_ensemble_on_worker_pool_matches_one_worker(tmp_path, monkeypatch,
+                                                    check):
+    _pool_matches_one_worker(tmp_path, monkeypatch, check=check,
+                             **POOL_CHECKS[check])
+
+
+def _config_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_inverse_ragged_grid_exit_two(tmp_path, capsys):
+    # 0.1 is not a whole number of 0.03 substeps; time reversal needs one
+    cfg = write_config(tmp_path, check="inverse", kappa=4.0, t_final=0.1,
+                       dt=0.03, n_paths=10, out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "multiple of dt" in _config_error_line(capsys)
+
+
+def test_crossvar_coincident_bulk_points_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, check="crossvar", mode="backward", kappa=4.0,
+                       gamma=2.0, points=[0.0, 1.0],
+                       bulk_points=[[1, 2], [1, 2]], n_paths=10,
+                       out_path=str(tmp_path / "r"), **SHORT)
+    assert main(["check", cfg]) == 2
+    assert "singular" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_out_flag_redirects_stem(tmp_path):

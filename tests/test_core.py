@@ -12,7 +12,6 @@ from slelab.core import (
     normal_block,
     sample_increments,
     standard_normals,
-    transform_config,
     validate_config,
 )
 
@@ -39,32 +38,6 @@ def test_validate_config_negative_and_float():
 def test_validate_config_near_duplicates_rejected():
     with pytest.raises(DuplicatePoint):
         validate_config((0.0, 1.0, 1.0))
-
-
-def test_transform_config_shift():
-    cfg = validate_config((0.0, 1.0))
-    out = transform_config(cfg, 2.0, 1.0)
-    assert out.points == (2.0, 3.0)
-
-
-def test_transform_config_scale():
-    cfg = validate_config((0.0, 1.0))
-    out = transform_config(cfg, 0.0, 3.0)
-    assert out.points == (0.0, 3.0)
-
-
-def test_transform_config_composite():
-    cfg = validate_config((0.0, 1.0, 3.0))
-    out = transform_config(cfg, -1.0, 2.0)
-    assert out.points == (-1.0, 1.0, 5.0)
-
-
-def test_transform_config_rejects_nonpositive_scale():
-    cfg = validate_config((0.0, 1.0))
-    with pytest.raises(ValueError):
-        transform_config(cfg, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        transform_config(cfg, 0.0, -2.0)
 
 
 def test_sample_increments_mean():

@@ -4,17 +4,15 @@ the defining PDE, and the martingale/cross-variation experiments."""
 import numpy as np
 import pytest
 
-from slelab.core import Params, validate_config
+from slelab.core import Params, normal_block, validate_config
 from slelab.coupling import (
     BadCouplingParameters,
-    BulkSwallowed,
     CoincidentPoints,
-    HProcessSample,
+    _h_run,
     boundary_u,
     check_backward_relation,
     coupling_martingale_check,
     coupling_pde_residual,
-    cross_variation_check,
     cross_variation_experiment,
     default_epsilon_signs,
     forward_chi,
@@ -24,8 +22,8 @@ from slelab.coupling import (
     holo_u_tilde,
     make_coupling_spec,
     q_charge,
-    simulate_h_process,
 )
+from slelab.sampler import REASON_SWALLOWED, step_sizes
 
 CFG = validate_config((0.0, 1.0))
 CS_BACK = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0))
@@ -168,27 +166,39 @@ def test_green_increment_identity_pathwise():
                                  0.02, 1e-5, seed=0) < 1e-6
 
 
+def _short_run(cspec, bulk, n_paths=3):
+    deltas = step_sizes(0.05, 1e-3)
+    return _h_run(cspec, CFG, 0, bulk, deltas,
+                  normal_block(0, 0, n_paths, deltas.size))
+
+
 def test_simulate_h_process_initial_values():
-    s = simulate_h_process(CS_BACK, CFG, 0, [1 + 2j, -1 + 2j], 0.05, 1e-3, seed=0)
-    h = np.asarray(s.h_values)
-    assert h.shape[1] == 2
-    for m, z in enumerate((1 + 2j, -1 + 2j)):
+    """h_0 is the boundary data at each bulk point, on every path."""
+    bulk = [1 + 2j, -1 + 2j]
+    run = _short_run(CS_BACK, bulk)
+    assert run["h0"].shape == (3, 2)
+    for m, z in enumerate(bulk):
         np.testing.assert_allclose(
-            h[0, m], boundary_u("backward", z, [0.0, 1.0], 4.0, (-1, -1)),
+            run["h0"][:, m], boundary_u("backward", z, [0.0, 1.0], 4.0, (-1, -1)),
             rtol=1e-14)
-    assert s.stopped_at is None
-    assert set(s.cross_var) == {(0, 1)}
+    assert run["active"].all()
+    assert run["accum"].shape == (3, 1)
 
 
 def test_simulate_h_process_forward_bulk_swallowed():
     # a bulk point right above the driven slot dies almost immediately
-    with pytest.raises(BulkSwallowed):
-        simulate_h_process(CS_FWD, CFG, 0, [0.02j], 0.05, 1e-3, seed=0)
+    run = _short_run(CS_FWD, [0.02j], n_paths=1)
+    assert not run["active"][0]
+    assert run["reason"][0] == REASON_SWALLOWED
+    assert run["stopped_step"][0] == 0
+    # the frozen path keeps its starting field value
+    np.testing.assert_array_equal(run["ht"], run["h0"])
 
 
 def test_simulate_h_process_rejects_boundary_bulk():
     with pytest.raises(ValueError):
-        simulate_h_process(CS_BACK, CFG, 0, [0.5 + 0j], 0.05, 1e-3, seed=0)
+        coupling_martingale_check(CS_BACK, CFG, 0, [0.5 + 0j], 0.05, 1e-3,
+                                  10, seed=0)
 
 
 def test_coupling_martingale_check():
@@ -219,17 +229,3 @@ def test_cross_variation_experiment():
                                      0.05, 1e-4, 200, seed=0)
     assert rep[0].name == "crossvar_pair_0_1"
     assert rep[0].passed
-
-
-def test_cross_variation_check_flags_missing_noise_term():
-    """A sample with zero accumulated cross variation cannot match the
-    Green-function drop; the check must report the failure."""
-    s = simulate_h_process(CS_BACK, CFG, 0, [1 + 2j, -1 + 2j], 0.05, 1e-3, seed=0)
-    fake = HProcessSample(params=s.params, index_i=s.index_i,
-                          bulk_points=s.bulk_points, path=s.path,
-                          h_values=s.h_values,
-                          cross_var={(0, 1): 0.0},
-                          green_start=s.green_start, green_end=s.green_end,
-                          stopped_at=s.stopped_at)
-    out = cross_variation_check([fake] * 120)
-    assert not out[0].passed

@@ -12,9 +12,9 @@ from slelab.loewner import (
     extract_hcap,
     initial_state,
     reference_map_zero_driving,
+    slit_complex,
+    slit_real,
     sqrt_him,
-    substep_backward,
-    substep_forward,
 )
 
 SQRT5 = np.sqrt(5.0)
@@ -34,64 +34,74 @@ def test_sqrt_him_branch():
 
 
 def test_substep_backward_real():
-    res = substep_backward(3.0, 0.0, 1.0)
-    np.testing.assert_allclose(res.new_value, SQRT5, rtol=0, atol=1e-12)
+    new, mult, bad = slit_real(np.array([3.0]), 0.0, 1.0, "backward")
+    np.testing.assert_allclose(new, [SQRT5], rtol=0, atol=1e-12)
     # deriv multiplier w0 / w_delta
-    np.testing.assert_allclose(res.new_deriv, 3.0 / SQRT5, rtol=0, atol=1e-12)
-    assert not res.swallowed
+    np.testing.assert_allclose(mult, [3.0 / SQRT5], rtol=0, atol=1e-12)
+    assert not bad.any()
 
 
 def test_substep_backward_complex():
-    res = substep_backward(1j, 0.0, 1.0)
-    np.testing.assert_allclose(res.new_value, SQRT5 * 1j, rtol=0, atol=1e-12)
-    assert not res.swallowed
+    new, _, bad = slit_complex(np.array([1j]), 0.0, 1.0, "backward")
+    np.testing.assert_allclose(new, [SQRT5 * 1j], rtol=0, atol=1e-12)
+    assert not bad.any()
 
 
 def test_substep_backward_swallows_real():
-    with pytest.raises(Swallowed):
-        substep_backward(0.1, 0.0, 1.0)
+    """A swallowed point is flagged and keeps its value and a unit multiplier."""
+    new, mult, bad = slit_real(np.array([0.1, 3.0]), 0.0, 1.0, "backward")
+    np.testing.assert_array_equal(bad, [True, False])
+    assert new[0] == 0.1 and mult[0] == 1.0
 
 
 def test_substep_backward_boundary_case():
     # gap^2 == 4 delta sits on the swallowed side
-    with pytest.raises(Swallowed):
-        substep_backward(2.0, 0.0, 1.0)
+    _, _, bad = slit_real(np.array([2.0, -2.0]), 0.0, 1.0, "backward")
+    np.testing.assert_array_equal(bad, [True, True])
 
 
 def test_substep_forward_complex():
-    res = substep_forward(3j, 0.0, 1.0)
-    np.testing.assert_allclose(res.new_value, SQRT5 * 1j, rtol=0, atol=1e-12)
-    assert not res.swallowed
+    new, _, bad = slit_complex(np.array([3j]), 0.0, 1.0, "forward")
+    np.testing.assert_allclose(new, [SQRT5 * 1j], rtol=0, atol=1e-12)
+    assert not bad.any()
 
 
 def test_substep_forward_real():
-    res = substep_forward(1.0, 0.0, 1.0)
-    np.testing.assert_allclose(res.new_value, SQRT5, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(res.new_deriv, 1.0 / SQRT5, rtol=0, atol=1e-12)
-    assert not res.swallowed
+    new, mult, bad = slit_real(np.array([1.0]), 0.0, 1.0, "forward")
+    np.testing.assert_allclose(new, [SQRT5], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mult, [1.0 / SQRT5], rtol=0, atol=1e-12)
+    assert not bad.any()
 
 
 def test_substep_forward_flags_absorbed_bulk():
-    """w=i is absorbed at t=1/4 < 1; image lands on the real axis."""
-    res = substep_forward(1j, 0.0, 1.0)
-    assert res.swallowed
-    np.testing.assert_allclose(complex(res.new_value).real, np.sqrt(3.0),
-                               rtol=0, atol=1e-12)
+    """w=i is absorbed at t=1/4 < 1: flagged, value and derivative kept."""
+    new, mult, bad = slit_complex(np.array([1j, 3j]), 0.0, 1.0, "forward")
+    np.testing.assert_array_equal(bad, [True, False])
+    assert new[0] == 1j and mult[0] == 1.0
 
 
 def test_substep_deriv_chains():
-    first = substep_backward(3.0, 0.0, 1.0, deriv=1.0)
-    second = substep_backward(3.0, 0.0, 1.0, deriv=2.5)
-    np.testing.assert_allclose(second.new_deriv, 2.5 * first.new_deriv,
-                               rtol=1e-14, atol=0)
+    """Multipliers of two substeps compose to the multiplier of their
+    composition (chain rule), since capacities add."""
+    x = np.array([3.0, -1.7])
+    for mode in ("backward", "forward"):
+        one, m_one, _ = slit_real(x, 0.2, 0.5, mode)
+        half, m1, _ = slit_real(x, 0.2, 0.25, mode)
+        two, m2, _ = slit_real(half, 0.2, 0.25, mode)
+        np.testing.assert_allclose(two, one, rtol=1e-14)
+        np.testing.assert_allclose(m1 * m2, m_one, rtol=1e-14)
 
 
 def test_substep_shift_covariance():
     """Shifting w and U0 together shifts the image and keeps the deriv."""
-    a = substep_backward(3.0, 0.0, 1.0)
-    b = substep_backward(4.5, 1.5, 1.0)
-    np.testing.assert_allclose(b.new_value - 1.5, a.new_value, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(b.new_deriv, a.new_deriv, rtol=0, atol=1e-12)
+    a, ma, _ = slit_real(np.array([3.0]), 0.0, 1.0, "backward")
+    b, mb, _ = slit_real(np.array([4.5]), 1.5, 1.0, "backward")
+    np.testing.assert_allclose(b - 1.5, a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mb, ma, rtol=0, atol=1e-12)
+    za, mza, _ = slit_complex(np.array([0.4 + 0.7j]), 0.0, 0.1, "forward")
+    zb, mzb, _ = slit_complex(np.array([1.9 + 0.7j]), 1.5, 0.1, "forward")
+    np.testing.assert_allclose(zb - 1.5, za, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mzb, mza, rtol=0, atol=1e-12)
 
 
 def test_evolve_zero_driving_bulk():

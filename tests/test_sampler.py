@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from slelab.core import Params, RngSpec, validate_config
-from slelab.partition import PartitionSpec
+from slelab.core import Params, validate_config
+from slelab.partition import PartitionSpec, grad_log_z
 from slelab.sampler import (
+    RaggedGrid,
     companion_observable,
-    drift_s,
     girsanov_check,
     inverse_law_check,
     martingale_check,
     run_leg,
-    simulate_ith_sle,
     step_sizes,
 )
 
@@ -28,21 +27,36 @@ def test_step_sizes_remainder():
     assert step_sizes(0.1, 1e-3).sum() == pytest.approx(0.1, rel=1e-12)
 
 
+def _leg_drift(mode, kappa, pts, slot, delta=1e-2):
+    """Driver displacement over delta of one noise-free drifted substep:
+    the SDE drift b = sqrt(kappa) * s that run_leg applies."""
+    spec = PartitionSpec(mode, kappa, len(pts))
+    res = run_leg(mode, kappa, spec.exponent, spec.h_weight, np.array([pts]),
+                  slot, np.zeros((1, 1)), np.array([delta]), drifted=True,
+                  collision_guard=2.0)
+    return (res.x[0, slot] - pts[slot]) / delta
+
+
 def test_drift_s_examples():
-    np.testing.assert_allclose(drift_s(SPEC_BACK, CFG2, 0), 1.0, rtol=1e-14)
-    np.testing.assert_allclose(
-        drift_s(PartitionSpec("forward", 4.0, 2), CFG2, 0), -1.0, rtol=1e-14)
-    np.testing.assert_allclose(
-        drift_s(PartitionSpec("backward", 4.0, 1), validate_config((0.0,)), 0),
-        0.0, rtol=0, atol=0)
+    """s = b / sqrt(kappa) = sqrt(kappa) d(log Z)/dx_i: +1 backward and -1
+    forward at (0, 1), 0 for a single point."""
+    np.testing.assert_allclose(_leg_drift("backward", 4.0, (0.0, 1.0), 0) / 2.0,
+                               1.0, rtol=1e-14)
+    np.testing.assert_allclose(_leg_drift("forward", 4.0, (0.0, 1.0), 0) / 2.0,
+                               -1.0, rtol=1e-14)
+    assert _leg_drift("backward", 4.0, (0.0,), 0) == 0.0
+    cfg = validate_config((0.0, 1.0, 3.0))
+    for i in range(3):
+        np.testing.assert_allclose(
+            _leg_drift("backward", 2.0, cfg.points, i),
+            2.0 * grad_log_z(PartitionSpec("backward", 2.0, 3), cfg, i),
+            rtol=1e-12)
 
 
 def test_drift_s_kappa_free_combination():
     """sqrt(kappa) * s is the same -2 sum 1/(x_i-x_l) for every kappa."""
-    cfg = validate_config((0.0, 1.0, 3.0))
-    vals = [np.sqrt(k) * drift_s(PartitionSpec("backward", k, 3), cfg, 1)
-            for k in (2.0, 4.0, 6.0)]
-    np.testing.assert_allclose(vals, vals[0], rtol=1e-13)
+    vals = [_leg_drift("backward", k, (0.0, 1.0, 3.0), 1) for k in (2.0, 4.0, 6.0)]
+    np.testing.assert_allclose(vals, -1.0, rtol=1e-12)
 
 
 def test_run_leg_deterministic_single_step():
@@ -65,38 +79,6 @@ def test_run_leg_substep_semigroup():
                   np.zeros((1, 2)), np.array([0.005, 0.005]),
                   drifted=False, collision_guard=2.0)
     np.testing.assert_allclose(one.x, two.x, rtol=0, atol=1e-14)
-
-
-def test_simulate_snapshot_at_time_zero():
-    samp = simulate_ith_sle(P_BACK, SPEC_BACK, CFG2, 0, 0.05, 1e-3,
-                            RngSpec(0, 0), "base_P")
-    assert samp.weight_trace[0] == 1.0
-    assert samp.path.values[0] == 0.0
-    # states track the companions of the driven point
-    np.testing.assert_array_equal(samp.states[0].marked_values, [1.0])
-    assert samp.stopped_at is None
-    assert len(samp.states) == len(samp.path.values)
-
-
-def test_simulate_deterministic_in_seed():
-    a = simulate_ith_sle(P_BACK, SPEC_BACK, CFG2, 0, 0.02, 1e-3,
-                         RngSpec(5, 9), "reweighted_P")
-    b = simulate_ith_sle(P_BACK, SPEC_BACK, CFG2, 0, 0.02, 1e-3,
-                         RngSpec(5, 9), "reweighted_P")
-    np.testing.assert_array_equal(a.path.values, b.path.values)
-    np.testing.assert_array_equal(a.weight_trace, b.weight_trace)
-
-
-def test_simulate_drifted_measure_has_unit_weights():
-    samp = simulate_ith_sle(P_BACK, SPEC_BACK, CFG2, 0, 0.05, 1e-3,
-                            RngSpec(0, 4), "drifted_Q")
-    np.testing.assert_array_equal(np.unique(samp.weight_trace), [1.0])
-
-
-def test_simulate_weights_positive():
-    samp = simulate_ith_sle(P_BACK, SPEC_BACK, CFG2, 0, 0.05, 1e-3,
-                            RngSpec(2, 1), "reweighted_P")
-    assert np.all(np.asarray(samp.weight_trace) > 0)
 
 
 def test_martingale_mean_weight():
@@ -180,5 +162,5 @@ def test_inverse_law_rejects_lower_half_plane_start():
 
 def test_inverse_law_rejects_ragged_grid():
     # time reversal needs a uniform grid
-    with pytest.raises(ValueError):
+    with pytest.raises(RaggedGrid):
         inverse_law_check(2.0, 2j, 0.1, 0.03, 10, seed=0)

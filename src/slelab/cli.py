@@ -386,6 +386,8 @@ def _run_girsanov(config: dict, workers: int) -> List[McReport]:
     params, spec, cfg = _flow(config, "girsanov", min_points=2)
     i = _index(config, "i_index", len(cfg), default=0)
     j = _index(config, "j_index", len(cfg))
+    if j == i:
+        raise ConfigError("i_index and j_index must differ")
     t_final, dt, n_paths, seed = _ensemble(config)
     bound = _bound(config, spec, cfg)
     observable = companion_observable(i, len(cfg), j)

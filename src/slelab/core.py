@@ -4,14 +4,20 @@ Random numbers
 --------------
 Every Monte Carlo path owns an independent counter-based stream: a Philox
 bit generator whose 128-bit key packs the run seed in the high 64 bits and
-the path index in the low 64 bits.  Gaussian variates use the inverse-CDF
-method (fixed, documented choice): draw a uniform 53-bit integer k and map
+the path index in the low 64 bits, with its counter starting at zero.
+Gaussian variates use the inverse-CDF method (fixed, documented choice):
+take a uniform 53-bit integer k = random_raw() >> 11 from the keyed stream
+and map
 
     z = ndtri((k + 0.5) * 2**-53)
 
 so the uniform argument is strictly inside (0, 1) and the stream for a
 given (seed, path_index) is bit-for-bit reproducible regardless of how
-paths are batched or parallelized.
+paths are batched or parallelized.  k is exactly what
+Generator(Philox(key)).integers(0, 2**53, dtype=uint64) draws: Lemire's
+bounded-integer method keeps the high 53 bits of each 64-bit word, and it
+never rejects because 2**53 divides 2**64.  Drawing through random_raw lets
+one Philox serve a whole block of paths by resetting its key and counter.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtri
 
 BACKWARD = "backward"
@@ -155,16 +161,9 @@ class RngSpec:
     path_index: int = 0
 
 
-def _philox(seed: int, path_index: int) -> Generator:
-    key = ((seed & _MASK64) << 64) | (path_index & _MASK64)
-    return Generator(Philox(key=key))
-
-
 def standard_normals(rng: RngSpec, n: int) -> np.ndarray:
     """n standard normals from the stream keyed by (seed, path_index)."""
-    g = _philox(rng.seed, rng.path_index)
-    k = g.integers(0, 1 << 53, size=n, dtype=np.uint64)
-    return ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+    return normal_block(rng.seed, rng.path_index, 1, n)[0]
 
 
 def sample_increments(rng: RngSpec, dt: float, n_steps: int) -> np.ndarray:
@@ -179,11 +178,25 @@ def sample_increments(rng: RngSpec, dt: float, n_steps: int) -> np.ndarray:
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
     """(n_paths, n_steps) standard normals; row p is exactly the stream of
     RngSpec(seed, first_path + p), so batching never changes results."""
+    # one Philox for the block: per row, reset it to a fresh generator's
+    # state (counter zero, empty 4-word buffer) under that row's key
+    key = [0, seed & _MASK64]
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bits = Philox(key=0)
     k = np.empty((n_paths, n_steps), dtype=np.uint64)
     for p in range(n_paths):
-        g = _philox(seed, first_path + p)
-        k[p] = g.integers(0, 1 << 53, size=n_steps, dtype=np.uint64)
-    return ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+        key[0] = (first_path + p) & _MASK64
+        bits.state = fresh
+        k[p] = bits.random_raw(n_steps)
+    k >>= 11
+    u = k.astype(np.float64)
+    del k
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,15 @@ def test_crossvar_coincident_bulk_points_exit_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_girsanov_companion_equal_to_driver_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, check="girsanov", mode="backward", kappa=4.0,
+                       points=[0.0, 1.0], i_index=0, j_index=0, n_paths=10,
+                       out_path=str(tmp_path / "r"), **SHORT)
+    assert main(["check", cfg]) == 2
+    assert "must differ" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_out_flag_redirects_stem(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()

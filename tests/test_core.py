@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from slelab.core import (
     DuplicatePoint,
@@ -82,6 +86,40 @@ def test_normal_block_chunking_invariance():
     whole = normal_block(5, 0, 10, 16)
     parts = np.vstack([normal_block(5, 0, 3, 16), normal_block(5, 3, 7, 16)])
     np.testing.assert_array_equal(whole, parts)
+
+
+MASK64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 7])
+@pytest.mark.parametrize("first_path", [0, 2**64 - 2])
+def test_normal_block_matches_generator_recipe(seed, first_path):
+    """The stream definition, built independently of core: row p is
+    ndtri((k + 0.5) 2^-53) with k = Generator(Philox(key=(seed << 64) | path))
+    .integers(0, 2^53); the path index wraps modulo 2^64, and step counts
+    around Philox's 4-word buffer cover partial and whole refills."""
+    for n_steps in (1, 3, 4, 5, 37):
+        block = normal_block(seed, first_path, 4, n_steps)
+        for p in range(4):
+            key = (seed << 64) | ((first_path + p) & MASK64)
+            k = Generator(Philox(key=key)).integers(0, 2**53, size=n_steps,
+                                                    dtype=np.uint64)
+            ref = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+            np.testing.assert_array_equal(block[p], ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, MASK64), first_path=st.integers(0, MASK64),
+       n_paths=st.integers(0, 8), n_steps=st.integers(0, 40), data=st.data())
+def test_normal_block_split_invariance(seed, first_path, n_paths, n_steps, data):
+    """Any split of [first_path, first_path + n_paths) into two calls gives
+    the rows of one call, bit for bit."""
+    cut = data.draw(st.integers(0, n_paths))
+    whole = normal_block(seed, first_path, n_paths, n_steps)
+    head = normal_block(seed, first_path, cut, n_steps)
+    tail = normal_block(seed, first_path + cut, n_paths - cut, n_steps)
+    assert whole.shape == (n_paths, n_steps)
+    assert np.vstack([head, tail]).tobytes() == whole.tobytes()
 
 
 def test_build_driving_path_scaling():

@@ -97,7 +97,7 @@ def _scheme_legs(order: str, plan: SchemePlan,
 def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
               x: np.ndarray, normals: np.ndarray, drifted: bool):
     """Run the legs of a scheme on rows x, each leg on its own slice of the
-    normals; returns (x, active, stop reason).
+    normals; returns the final Flow.
 
     collision_guard=2 keeps only the exact swallow criterion
     gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider layer is
@@ -107,15 +107,13 @@ def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
     they swallow at different rates (ROADMAP item 4d).
     """
     used = 0
-    active = reason = None
+    flow = x
     for slot, deltas in legs:
-        res = run_leg(mode, kappa, exponent, h_weight, x, slot,
-                      normals[:, used:used + deltas.size], deltas,
-                      drifted=drifted, active=active, stopped_reason=reason,
-                      collision_guard=2.0)
+        flow = run_leg(mode, kappa, exponent, h_weight, flow, slot,
+                       normals[:, used:used + deltas.size], deltas,
+                       drifted=drifted, collision_guard=2.0)
         used += deltas.size
-        x, active, reason = res.x, res.active, res.stopped_reason
-    return x, active, reason
+    return flow
 
 
 def run_scheme(
@@ -141,11 +139,11 @@ def run_scheme(
     normals = normal_block(rng.seed, rng.path_index, 1, total)
     if not noise:
         normals = np.zeros_like(normals)
-    x, active, _ = _run_legs(legs, params.mode, params.kappa, spec.exponent,
-                             spec.h_weight, cfg.as_array()[None, :], normals,
-                             drifted)
-    if not active[0]:
+    flow = _run_legs(legs, params.mode, params.kappa, spec.exponent,
+                     spec.h_weight, cfg.as_array()[None, :], normals, drifted)
+    if not flow.active[0]:
         raise Swallowed(f"a companion was swallowed in {order}")
+    x = flow.x
     final = PointConfig(tuple(float(v) for v in x[0]))
     obs = {f"x_{k}": float(x[0, k]) for k in range(x.shape[1])}
     obs["phi"] = float(phi(x[0]))
@@ -158,10 +156,10 @@ def _scheme_chunk(task: dict) -> dict:
     total = sum(d.size for _, d in legs)
     normals = normal_block(task["seed"], task["first_path"], task["count"], total)
     x = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    x, _, reason = _run_legs(legs, task["mode"], task["kappa"],
-                             task["exponent"], task["h_weight"], x, normals,
-                             drifted=True)
-    keep = reason != REASON_SWALLOWED
+    flow = _run_legs(legs, task["mode"], task["kappa"], task["exponent"],
+                     task["h_weight"], x, normals, drifted=True)
+    x = flow.x
+    keep = flow.reason != REASON_SWALLOWED
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum())}
     n_pts = x.shape[1]
     cols = {f"x_{k}": x[keep, k] for k in range(n_pts)}

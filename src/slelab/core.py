@@ -52,16 +52,15 @@ def _check_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class Params:
-    """Fixed scalars of an experiment: flow direction, kappa, point count,
-    optional coupling constant (gamma for the backward coupling, chi for the
-    forward one) and the sign sequence used by the coupling checks."""
+    """Fixed scalars of an experiment: flow direction, kappa, point count
+    and the optional coupling constant (gamma for the backward coupling, chi
+    for the forward one)."""
 
     mode: str
     kappa: float
     n_points: int
     gamma: float | None = None
     chi: float | None = None
-    epsilon_signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -73,11 +72,6 @@ class Params:
         # coupling charge, and checks are run in both forms
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.epsilon_signs is not None:
-            signs = tuple(int(s) for s in self.epsilon_signs)
-            if len(signs) != self.n_points or any(s not in (-1, 1) for s in signs):
-                raise ValueError("epsilon_signs must be +/-1 of length n_points")
-            object.__setattr__(self, "epsilon_signs", signs)
 
 
 @dataclass(frozen=True)

@@ -172,12 +172,9 @@ def make_coupling_spec(
 ) -> CouplingSpec:
     pspec = PartitionSpec(params.mode, params.kappa, params.n_points)
     if epsilon_signs is None:
-        if params.epsilon_signs is not None:
-            epsilon_signs = params.epsilon_signs
-        else:
-            epsilon_signs = default_epsilon_signs(
-                params.mode, params.kappa, params.n_points
-            )
+        epsilon_signs = default_epsilon_signs(
+            params.mode, params.kappa, params.n_points
+        )
     if params.mode == BACKWARD:
         if params.gamma is None:
             raise BadCouplingParameters("backward coupling needs gamma in Params")
@@ -326,7 +323,8 @@ def _field_values(
 ) -> np.ndarray:
     """h for every path/bulk point; x (n,N), zb/db (n,M) -> (n,M)."""
     diff = zb[:, None, :] - x[:, :, None]
-    u = -(2.0 / math.sqrt(kappa)) * np.einsum("k,nkm->nm", eps, np.log(np.abs(diff)))
+    part = np.log(np.abs(diff)) if mode == BACKWARD else np.angle(diff)
+    u = -(2.0 / math.sqrt(kappa)) * np.einsum("k,nkm->nm", eps, part)
     if mode == BACKWARD:
         return u + curvature * np.log(np.abs(db))
     return u - curvature * np.angle(db)
@@ -374,7 +372,6 @@ def _h_run(
     pairs = [(a, b) for a in range(m_bulk) for b in range(a + 1, m_bulk)]
     active = np.ones(n, dtype=bool)
     reason = np.zeros(n, dtype=np.int8)
-    stopped_step = np.full(n, -1, dtype=np.int64)
 
     h_prev = _field_values(mode, kappa, eps, curvature, x, zb, db)
     h0 = h_prev.copy()
@@ -391,19 +388,19 @@ def _h_run(
         swallowed_now = active & (np.any(bad_c, axis=1) | np.any(bad_b, axis=1))
         if np.any(swallowed_now):
             reason[swallowed_now] = REASON_SWALLOWED
-            stopped_step[swallowed_now] = step
-            active = active & ~swallowed_now
+            active[swallowed_now] = False
         drift = kappa * exponent * np.sum(
             np.where(np.abs(u0[:, None] - xc) > 0, 1.0 / (u0[:, None] - xc), 0.0),
             axis=1,
         )
+        # frozen rows are never written; u0 is a view of the driver column
         w_new = u0 + math.sqrt(kappa) * math.sqrt(delta) * normals[:, step] + drift * delta
+        for j, c in enumerate(others):
+            np.copyto(x[:, c], new_c[:, j], where=active)
+        np.copyto(u0, w_new, where=active)
         upd = active[:, None]
-        if others:
-            x[:, others] = np.where(upd, new_c, x[:, others])
-        x[:, i] = np.where(active, w_new, x[:, i])
-        zb = np.where(upd, new_b, zb)
-        db = np.where(upd, db * mult_b, db)
+        np.copyto(zb, new_b, where=upd)
+        np.multiply(db, mult_b, out=db, where=upd)
         h_new = _field_values(mode, kappa, eps, curvature, x, zb, db)
         dh = h_new - h_prev
         for p, (a, b) in enumerate(pairs):
@@ -417,7 +414,6 @@ def _h_run(
         "g_drop": g0 - gt,
         "active": active,
         "reason": reason,
-        "stopped_step": stopped_step,
     }
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (BACKWARD, McReport, Params, PointConfig, make_report,
                    mean_var, normal_block)
-from .loewner import slit_complex, slit_real
+from .loewner import reference_map_zero_driving, slit_complex, slit_real
 from .partition import PartitionSpec, log_z_cols, z_value
 
 REASON_NONE = 0
@@ -86,16 +86,15 @@ def step_sizes(T: float, dt: float) -> np.ndarray:
 
 
 @dataclass
-class LegResult:
-    """Terminal arrays of one vectorized simulation leg (rows = paths)."""
+class Flow:
+    """Ensemble state carried from leg to leg (rows = paths).  Legs write
+    it in place, and a row that has stopped is never written again."""
 
     x: np.ndarray            # (n, N) full configuration, driver in its slot
     derivs: np.ndarray       # (n, N) companion derivatives (1 in driver slot)
     active: np.ndarray       # (n,) bool
-    stopped_step: np.ndarray     # (n,) int, -1 if never stopped
-    stopped_reason: np.ndarray   # (n,) int8, REASON_*
-    log_m: np.ndarray | None     # (n,) log M at stop/terminal
-    log_m0: np.ndarray | None    # (n,) log M at start of this leg
+    reason: np.ndarray       # (n,) int8, REASON_*
+    log_m: np.ndarray | None  # (n,) log M at stop/terminal, if tracked
 
 
 def run_leg(
@@ -103,91 +102,72 @@ def run_leg(
     kappa: float,
     exponent: float,
     h_weight: float,
-    x: np.ndarray,
+    x: np.ndarray | Flow,
     slot: int,
     normals: np.ndarray,
     deltas: np.ndarray,
     drifted: bool,
     track_weight: bool = False,
     log_bound: float | None = None,
-    active: np.ndarray | None = None,
-    stopped_step: np.ndarray | None = None,
-    stopped_reason: np.ndarray | None = None,
     collision_guard: float = COLLISION_GUARD,
-) -> LegResult:
+) -> Flow:
     """Advance an ensemble for len(deltas) substeps with driving in column
-    `slot`.  Paths whose smallest companion gap enters the collision layer
+    `slot`.  `x` is either an (n, N) start array, which is copied and never
+    written, or the Flow of an earlier leg, which is continued in place.
+    Derivatives (and log M, when tracked) restart at the leg start.  Paths
+    whose smallest companion gap enters the collision layer
     (gap^2 <= collision_guard^2 * dt, checked at the substep start) freeze
     there with reason `swallowed`; bound-stopped paths freeze at the
     boundary where |M| first exceeded the bound."""
-    x = np.array(x, dtype=float)
-    n, n_pts = x.shape
-    comp = np.array([c for c in range(n_pts) if c != slot], dtype=int)
-    derivs = np.ones_like(x)
+    if isinstance(x, Flow):
+        flow = x
+        flow.derivs.fill(1.0)
+    else:
+        xs = np.array(x, dtype=float)
+        flow = Flow(xs, np.ones_like(xs), np.ones(xs.shape[0], dtype=bool),
+                    np.zeros(xs.shape[0], dtype=np.int8), None)
+    x, derivs, active, reason = flow.x, flow.derivs, flow.active, flow.reason
+    comp = np.array([c for c in range(x.shape[1]) if c != slot], dtype=int)
     sqk = math.sqrt(kappa)
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    else:
-        active = active.copy()
-    if stopped_step is None:
-        stopped_step = np.full(n, -1, dtype=int)
-    else:
-        stopped_step = stopped_step.copy()
-    if stopped_reason is None:
-        stopped_reason = np.zeros(n, dtype=np.int8)
-    else:
-        stopped_reason = stopped_reason.copy()
-
-    log_m = log_m0 = None
-    if track_weight:
-        log_m = log_z_cols(exponent, x)
-        log_m0 = log_m.copy()
+    flow.log_m = log_m = log_z_cols(exponent, x) if track_weight else None
 
     guard2 = max(collision_guard, 2.0) ** 2
     for k, delta in enumerate(deltas):
         U0 = x[:, slot]
-        x_new = x.copy()
-        d_new = derivs.copy()
+        b = 0.0
         if comp.size:
             xc = x[:, comp]
             dgap = xc - U0[:, None]
             layer = (dgap * dgap <= guard2 * delta).any(axis=1) & active
             if layer.any():
-                stopped_step[layer] = k
-                stopped_reason[layer] = REASON_SWALLOWED
-                active = active & ~layer
+                reason[layer] = REASON_SWALLOWED
+                active[layer] = False
             # active paths sit outside the layer, so no active row is
             # swallowed by the substep itself
-            x_new[:, comp], mult, _ = slit_real(xc, U0[:, None], delta, mode)
-            d_new[:, comp] = derivs[:, comp] * mult
+            new, mult, _ = slit_real(xc, U0[:, None], delta, mode)
             if drifted:
                 b = kappa * exponent * np.sum(1.0 / (U0[:, None] - xc), axis=1)
-            else:
-                b = 0.0
-        else:
-            b = 0.0
-        x_new[:, slot] = U0 + sqk * math.sqrt(delta) * normals[:, k] + b * delta
+            for j, c in enumerate(comp):
+                np.copyto(x[:, c], new[:, j], where=active)
+                np.multiply(derivs[:, c], mult[:, j], out=derivs[:, c],
+                            where=active)
+        # U0 is a view of the driver column, read here for the last time
+        np.copyto(U0, U0 + sqk * math.sqrt(delta) * normals[:, k] + b * delta,
+                  where=active)
 
-        x = np.where(active[:, None], x_new, x)
-        derivs = np.where(active[:, None], d_new, derivs)
-        if comp.size and active.any():
-            dact = derivs[active][:, comp]
-            if np.any(dact <= 0.0) or np.any(dact >= DERIV_CAP):
-                raise NumericalBlowup("companion derivative left (0, 1e300)")
-
+        # every row: a stopped row passed this check on its last active step
+        dc = derivs[:, comp]
+        if np.any(dc <= 0.0) or np.any(dc >= DERIV_CAP):
+            raise NumericalBlowup("companion derivative left (0, 1e300)")
         if track_weight:
-            lm_new = (h_weight * np.sum(np.log(derivs[:, comp]), axis=1)
-                      + log_z_cols(exponent, x))
-            log_m = np.where(active, lm_new, log_m)
+            np.copyto(log_m, h_weight * np.sum(np.log(dc), axis=1)
+                      + log_z_cols(exponent, x), where=active)
             if log_bound is not None:
                 hit = active & (log_m > log_bound)
                 if hit.any():
-                    stopped_step[hit] = k + 1
-                    stopped_reason[hit] = REASON_BOUND
-                    active = active & ~hit
-
-    return LegResult(x, derivs, active, stopped_step, stopped_reason,
-                     log_m, log_m0)
+                    reason[hit] = REASON_BOUND
+                    active[hit] = False
+    return flow
 
 
 def chunked(task: dict, n_paths: int, first_path: int = 0) -> list[dict]:
@@ -220,15 +200,15 @@ def _ensemble_chunk(task: dict) -> dict:
     normals = normal_block(task["seed"], task["first_path"], task["count"],
                            deltas.size)
     x0 = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    res = run_leg(
+    flow = run_leg(
         task["mode"], task["kappa"], task["exponent"], task["h_weight"],
         x0, task["slot"], normals, deltas,
         drifted=task["drifted"], track_weight=True,
         log_bound=task["log_bound"],
     )
-    w = np.exp(res.log_m - res.log_m0)
+    w = np.exp(flow.log_m - log_z_cols(task["exponent"], x0))   # M / M_0
     obs = task["observable"]
-    f = obs(res.x) if obs is not None else np.zeros(task["count"])
+    f = obs(flow.x) if obs is not None else np.zeros(task["count"])
     return {
         "n": task["count"],
         "sw": float(np.sum(w)),
@@ -238,8 +218,8 @@ def _ensemble_chunk(task: dict) -> dict:
         "sw2f2": float(np.sum(w * w * f * f)),
         "sf": float(np.sum(f)),
         "sf2": float(np.sum(f * f)),
-        "n_swallowed": int(np.sum(res.stopped_reason == REASON_SWALLOWED)),
-        "n_bound": int(np.sum(res.stopped_reason == REASON_BOUND)),
+        "n_swallowed": int(np.sum(flow.reason == REASON_SWALLOWED)),
+        "n_bound": int(np.sum(flow.reason == REASON_BOUND)),
     }
 
 
@@ -368,7 +348,8 @@ def _inverse_chunk(task: dict) -> dict:
                                    task["dt"])
     val = Z - W
     bad = ~(val.imag > 0.0) | ~np.isfinite(val.real) | ~np.isfinite(val.imag)
-    re, im = val.real[~bad], val.imag[~bad]
+    shifted = val[~bad] - task["shift"]
+    re, im = shifted.real, shifted.imag
     out = {"n": int((~bad).sum()), "n_failed": int(bad.sum())}
     for tag, arr in (("re", re), ("im", im)):
         for p in (1, 2, 3, 4):
@@ -376,8 +357,10 @@ def _inverse_chunk(task: dict) -> dict:
     return out
 
 
-def _moment_stats(st: dict, tag: str):
-    """(mean, variance, SE of mean, SE of variance) from raw moment sums."""
+def _moment_stats(st: dict, tag: str, shift: float):
+    """(mean, variance, SE of mean, SE of variance) from power sums of the
+    samples minus `shift`.  A shift near the mean keeps the fourth central
+    moment from cancelling when the spread is small against the mean."""
     n = st["n"]
     m1 = st[f"{tag}1"] / n
     c2 = st[f"{tag}2"] / n - m1 * m1
@@ -385,7 +368,7 @@ def _moment_stats(st: dict, tag: str):
           + 6 * m1**2 * st[f"{tag}2"] / n - 3 * m1**4)
     se_mean = math.sqrt(max(c2, 0.0) / n)
     se_var = math.sqrt(max(c4 - c2 * c2, 0.0) / n)
-    return m1, c2, se_mean, se_var
+    return m1 + shift, c2, se_mean, se_var
 
 
 def inverse_law_check(
@@ -410,8 +393,10 @@ def inverse_law_check(
     deltas = step_sizes(T, dt)
     if not np.allclose(deltas, deltas[0]):
         raise RaggedGrid("inverse check needs T to be a multiple of dt")
+    # a constant known before any path runs keeps the sums additive
+    shift = complex(reference_map_zero_driving(z0, T, BACKWARD))
     task = {"z0": complex(z0), "kappa": kappa, "dt": float(deltas[0]),
-            "n_steps": deltas.size, "seed": seed}
+            "n_steps": deltas.size, "seed": seed, "shift": shift}
 
     def arm(first: int, rev: bool) -> dict:
         tasks = chunked(dict(task, reversed=rev), n_paths, first)
@@ -425,9 +410,10 @@ def inverse_law_check(
                 f"{st['n_failed']} of {n_paths} inverse paths failed")
 
     reports = []
-    for tag, label in (("re", "real"), ("im", "imag")):
-        ma, va, sma, sva = _moment_stats(a, tag)
-        mb, vb, smb, svb = _moment_stats(b, tag)
+    for tag, label, c in (("re", "real", shift.real),
+                          ("im", "imag", shift.imag)):
+        ma, va, sma, sva = _moment_stats(a, tag, c)
+        mb, vb, smb, svb = _moment_stats(b, tag, c)
         se_mean = math.hypot(sma, smb)
         se_var = math.hypot(sva, svb)
         reports.append(make_report(f"inverse_mean_{label}", ma, se_mean, mb,

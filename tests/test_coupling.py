@@ -172,14 +172,17 @@ def _short_run(cspec, bulk, n_paths=3):
                   normal_block(0, 0, n_paths, deltas.size))
 
 
-def test_simulate_h_process_initial_values():
+@pytest.mark.parametrize("cspec", [CS_BACK, CS_FWD], ids=["backward", "forward"])
+def test_simulate_h_process_initial_values(cspec):
     """h_0 is the boundary data at each bulk point, on every path."""
     bulk = [1 + 2j, -1 + 2j]
-    run = _short_run(CS_BACK, bulk)
+    run = _short_run(cspec, bulk)
     assert run["h0"].shape == (3, 2)
     for m, z in enumerate(bulk):
         np.testing.assert_allclose(
-            run["h0"][:, m], boundary_u("backward", z, [0.0, 1.0], 4.0, (-1, -1)),
+            run["h0"][:, m],
+            boundary_u(cspec.mode, z, [0.0, 1.0], cspec.kappa,
+                       cspec.epsilon_signs),
             rtol=1e-14)
     assert run["active"].all()
     assert run["accum"].shape == (3, 1)
@@ -190,8 +193,8 @@ def test_simulate_h_process_forward_bulk_swallowed():
     run = _short_run(CS_FWD, [0.02j], n_paths=1)
     assert not run["active"][0]
     assert run["reason"][0] == REASON_SWALLOWED
-    assert run["stopped_step"][0] == 0
-    # the frozen path keeps its starting field value
+    # the frozen path keeps its starting field value, so it froze before
+    # its first step
     np.testing.assert_array_equal(run["ht"], run["h0"])
 
 
@@ -205,6 +208,14 @@ def test_coupling_martingale_check():
     rep = coupling_martingale_check(CS_BACK, CFG, 0, [1 + 2j], 0.05, 1e-3,
                                     4000, seed=0)
     assert len(rep) == 1
+    assert rep[0].passed
+    assert abs(rep[0].estimate) <= 3 * rep[0].std_error
+
+
+def test_coupling_martingale_check_forward():
+    """The forward field is the imaginary part of the holomorphic sum."""
+    rep = coupling_martingale_check(CS_FWD, CFG, 0, [-1 + 1j], 0.05, 1e-3,
+                                    10_000, seed=0)
     assert rep[0].passed
     assert abs(rep[0].estimate) <= 3 * rep[0].std_error
 
@@ -228,4 +239,10 @@ def test_cross_variation_experiment():
     rep = cross_variation_experiment(CS_BACK, CFG, 0, [1 + 2j, -1 + 2j],
                                      0.05, 1e-4, 200, seed=0)
     assert rep[0].name == "crossvar_pair_0_1"
+    assert rep[0].passed
+
+
+def test_cross_variation_experiment_forward():
+    rep = cross_variation_experiment(CS_FWD, CFG, 0, [1 + 2j, -1 + 2j],
+                                     0.05, 1e-4, 200, seed=0)
     assert rep[0].passed

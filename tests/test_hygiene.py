@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +54,21 @@ def test_benchmark_hooks_resolve():
     # the tracer reads normals and deltas from run_leg's positional args
     from slelab.sampler import run_leg
     assert list(inspect.signature(run_leg).parameters)[6:8] == ["normals", "deltas"]
+
+
+def test_run_leg_as_micro_benchmark_calls_it():
+    """micro.py reuses one start array for every round, so run_leg must
+    accept its call (positional arguments plus drifted and track_weight)
+    and leave that array as it was."""
+    from slelab.partition import PartitionSpec
+    from slelab.sampler import run_leg
+    spec = PartitionSpec("forward", 4.0, 3)
+    x0 = np.tile([0.0, 1.0, 3.0], (4, 1))
+    normals = np.random.default_rng(0).standard_normal((4, 5))
+    for w in (0, 1):
+        run_leg("forward", 4.0, spec.exponent, spec.h_weight, x0, 0,
+                normals, np.full(5, 1e-4), drifted=True, track_weight=bool(w))
+    np.testing.assert_array_equal(x0, np.tile([0.0, 1.0, 3.0], (4, 1)))
 
 
 def test_benchmark_micro_imports():

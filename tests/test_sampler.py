@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slelab.core import Params, validate_config
+from slelab.core import Params, normal_block, validate_config
 from slelab.partition import PartitionSpec, grad_log_z
 from slelab.sampler import (
     RaggedGrid,
@@ -81,6 +81,33 @@ def test_run_leg_substep_semigroup():
     np.testing.assert_allclose(one.x, two.x, rtol=0, atol=1e-14)
 
 
+def test_run_leg_flow_continues_in_place():
+    """The same steps in one call, or split over two calls that pass the
+    Flow along, give bit-identical rows; a row stopped in the first call
+    is not written by the second, and the start array is never written."""
+    spec = PartitionSpec("backward", 4.0, 2)
+    args = ("backward", 4.0, spec.exponent, spec.h_weight)
+    x0 = np.tile([0.0, 0.3], (2000, 1))
+    normals = normal_block(0, 0, 2000, 200)
+    deltas = np.full(200, 1e-4)
+    whole = run_leg(*args, x0, 0, normals, deltas, drifted=True)
+    first = run_leg(*args, x0, 0, normals[:, :80], deltas[:80], drifted=True)
+    stopped = ~first.active
+    frozen_x = first.x[stopped].copy()
+    frozen_reason = first.reason[stopped].copy()
+    second = run_leg(*args, first, 0, normals[:, 80:], deltas[80:],
+                     drifted=True)
+    assert second is first
+    # guard 12 stops rows in both calls and leaves some running
+    assert 0 < stopped.sum() < (~second.active).sum() < 2000
+    np.testing.assert_array_equal(second.x, whole.x)
+    np.testing.assert_array_equal(second.active, whole.active)
+    np.testing.assert_array_equal(second.reason, whole.reason)
+    np.testing.assert_array_equal(second.x[stopped], frozen_x)
+    np.testing.assert_array_equal(second.reason[stopped], frozen_reason)
+    np.testing.assert_array_equal(x0, np.tile([0.0, 0.3], (2000, 1)))
+
+
 def test_martingale_mean_weight():
     r = martingale_check(P_BACK, SPEC_BACK, CFG2, 0, 0.1, 1e-3, 4000, seed=0)
     assert r.reference == 1.0
@@ -148,6 +175,16 @@ def test_inverse_law_check():
     assert {"inverse_mean_real", "inverse_mean_imag"} <= names
     for r in reports:
         assert r.passed, r
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inverse_variance_standard_error(seed):
+    """The imaginary part's variance (about 1.3e-10 around a mean near
+    2.005) gets a positive SE below the variance itself."""
+    reports = inverse_law_check(4.0, 2j, 0.005, 1e-3, 20_001, seed=seed)
+    row = next(r for r in reports if r.name == "inverse_var_imag")
+    assert 0.0 < row.std_error < row.estimate
+    assert row.passed
 
 
 def test_inverse_law_rejects_degenerate_horizon():

@@ -24,6 +24,7 @@ All indices are 0-based.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +37,7 @@ from .loewner import Swallowed
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         grad_log_z_cols)
 from .sampler import (REASON_SWALLOWED, chunked, map_chunks, run_leg,
-                      step_sizes, sum_stats)
+                      step_sizes, step_windows, sum_stats)
 
 
 class EpsilonTooLarge(ValueError):
@@ -95,9 +96,13 @@ def _scheme_legs(order: str, plan: SchemePlan,
 
 
 def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
-              x: np.ndarray, normals: np.ndarray, drifted: bool):
-    """Run the legs of a scheme on rows x, each leg on its own slice of the
-    normals; returns the final Flow.
+              x: np.ndarray, draw: Callable, drifted: bool):
+    """Run the legs of a scheme on rows x, each leg on its own steps of the
+    rows' streams; returns the final Flow.  `draw(n_steps, first_step)`
+    gives the normals of steps first_step .. first_step + n_steps - 1 of
+    the whole scheme.  They are drawn one window of step_windows at a time
+    across leg boundaries; each run_leg call covers a window's part of one
+    leg, and the derivatives restart where a leg starts.
 
     collision_guard=2 keeps only the exact swallow criterion
     gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider layer is
@@ -106,13 +111,21 @@ def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
     the law of the swallow events is not established: with three points
     they swallow at different rates (ROADMAP item 4d).
     """
-    used = 0
+    starts = np.cumsum([0] + [deltas.size for _, deltas in legs])
     flow = x
-    for slot, deltas in legs:
-        flow = run_leg(mode, kappa, exponent, h_weight, flow, slot,
-                       normals[:, used:used + deltas.size], deltas,
-                       drifted=drifted, collision_guard=2.0)
-        used += deltas.size
+    for a, b in step_windows(int(starts[-1])):
+        normals = draw(b - a, a)
+        for (slot, deltas), start, stop in zip(legs, starts, starts[1:]):
+            lo, hi = max(a, start), min(b, stop)
+            if lo >= hi:
+                continue
+            if lo == start > 0:      # a later leg starts: flow is a Flow
+                flow.derivs.fill(1.0)
+            flow = run_leg(mode, kappa, exponent, h_weight, flow, slot,
+                           normals[:, lo - a:hi - a],
+                           deltas[lo - start:hi - start],
+                           drifted=drifted, collision_guard=2.0)
+        del normals      # before the next window is drawn
     return flow
 
 
@@ -135,12 +148,13 @@ def run_scheme(
     companion is absorbed; callers discard and count such paths.
     """
     legs = _scheme_legs(order, plan, dt)
-    total = sum(d.size for _, d in legs)
-    normals = normal_block(rng.seed, rng.path_index, 1, total)
-    if not noise:
-        normals = np.zeros_like(normals)
+    if noise:
+        draw = functools.partial(normal_block, rng.seed, rng.path_index, 1)
+    else:
+        def draw(n_steps, first_step):
+            return np.zeros((1, n_steps))
     flow = _run_legs(legs, params.mode, params.kappa, spec.exponent,
-                     spec.h_weight, cfg.as_array()[None, :], normals, drifted)
+                     spec.h_weight, cfg.as_array()[None, :], draw, drifted)
     if not flow.active[0]:
         raise Swallowed(f"a companion was swallowed in {order}")
     x = flow.x
@@ -153,11 +167,11 @@ def run_scheme(
 def _scheme_chunk(task: dict) -> dict:
     plan = SchemePlan(*task["plan"])
     legs = _scheme_legs(task["order"], plan, task["dt"])
-    total = sum(d.size for _, d in legs)
-    normals = normal_block(task["seed"], task["first_path"], task["count"], total)
+    draw = functools.partial(normal_block, task["seed"], task["first_path"],
+                             task["count"])
     x = np.tile(np.asarray(task["points"]), (task["count"], 1))
     flow = _run_legs(legs, task["mode"], task["kappa"], task["exponent"],
-                     task["h_weight"], x, normals, drifted=True)
+                     task["h_weight"], x, draw, drifted=True)
     x = flow.x
     keep = flow.reason != REASON_SWALLOWED
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum())}
@@ -170,16 +184,15 @@ def _scheme_chunk(task: dict) -> dict:
     return out
 
 
-def _scheme_stats(order, plan, params, spec, cfg, dt, n_paths, seed,
-                  first_path, n_workers) -> dict:
+def _scheme_tasks(order, plan, params, spec, cfg, dt, n_paths, seed,
+                  first_path) -> list[dict]:
     task = {"order": order,
             "plan": (plan.i, plan.j, plan.eps_tilde, plan.c, plan.eps,
                      plan.eps_prime),
             "mode": params.mode, "kappa": params.kappa,
             "exponent": spec.exponent, "h_weight": spec.h_weight,
             "points": tuple(cfg.points), "dt": dt, "seed": seed}
-    tasks = chunked(task, n_paths, first_path)
-    return sum_stats(map_chunks(_scheme_chunk, tasks, n_workers))
+    return chunked(task, n_paths, first_path)
 
 
 def commutation_experiment(
@@ -197,12 +210,16 @@ def commutation_experiment(
 ) -> list[McReport]:
     """Scheme 1 vs Scheme 2 Monte Carlo means, one report per observable
     (each final marked point and the arctan test function); tolerance
-    max(3 * pooled SE, 10 * eps_tilde**2)."""
+    max(3 * pooled SE, 10 * eps_tilde**2).  Both schemes share one
+    map_chunks call (one pool)."""
     plan = plan_schemes(cfg, i, j, eps_tilde, c)
-    s1 = _scheme_stats("scheme1", plan, params, spec, cfg, dt, n_paths, seed,
-                       0, n_workers)
-    s2 = _scheme_stats("scheme2", plan, params, spec, cfg, dt, n_paths, seed,
-                       n_paths, n_workers)
+    tasks1 = _scheme_tasks("scheme1", plan, params, spec, cfg, dt, n_paths,
+                           seed, 0)
+    tasks2 = _scheme_tasks("scheme2", plan, params, spec, cfg, dt, n_paths,
+                           seed, n_paths)
+    parts = map_chunks(_scheme_chunk, tasks1 + tasks2, n_workers)
+    s1 = sum_stats(parts[:len(tasks1)])
+    s2 = sum_stats(parts[len(tasks1):])
     names = [f"x_{k}" for k in range(len(cfg))] + ["phi"]
     reports = []
     for name in names:

@@ -18,6 +18,15 @@ Generator(Philox(key)).integers(0, 2**53, dtype=uint64) draws: Lemire's
 bounded-integer method keeps the high 53 bits of each 64-bit word, and it
 never rejects because 2**53 divides 2**64.  Drawing through random_raw lets
 one Philox serve a whole block of paths by resetting its key and counter.
+
+Blocks are laid out step-major: normal_block returns an (n_paths, n_steps)
+array whose columns (one step of every path) are contiguous, because every
+ensemble kernel reads one step of all paths at a time.  Philox is
+counter-based, so a block can start at any step: word w of a stream is
+word w % 4 of the Philox output at counter w // 4 + 1, and setting the
+counter to first_step // 4 (empty buffer) and dropping first_step % 4
+words resumes the stream exactly.  Callers therefore draw long horizons
+in windows of steps and never hold more than one window.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ FORWARD = "forward"
 MODES = (BACKWARD, FORWARD)
 
 _MASK64 = (1 << 64) - 1
+_GROUP = 256       # rows per conversion group of normal_block
 
 
 class DuplicatePoint(ValueError):
@@ -169,28 +179,36 @@ def sample_increments(rng: RngSpec, dt: float, n_steps: int) -> np.ndarray:
     return np.sqrt(dt) * standard_normals(rng, n_steps)
 
 
-def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """(n_paths, n_steps) standard normals; row p is exactly the stream of
-    RngSpec(seed, first_path + p), so batching never changes results."""
-    # one Philox for the block: per row, reset it to a fresh generator's
-    # state (counter zero, empty 4-word buffer) under that row's key
+def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
+                 first_step: int = 0) -> np.ndarray:
+    """(n_paths, n_steps) standard normals, laid out step-major; row p is
+    steps first_step .. first_step + n_steps - 1 of the stream of
+    RngSpec(seed, first_path + p), so batching along paths or steps never
+    changes results."""
+    # one Philox for the block: per row, reset it under that row's key to
+    # the counter before first_step's 4-word group, with an empty buffer
+    counter, skip = divmod(first_step, 4)
     key = [0, seed & _MASK64]
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
+    start = {"bit_generator": "Philox",
+             "state": {"counter": [counter, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     bits = Philox(key=0)
-    k = np.empty((n_paths, n_steps), dtype=np.uint64)
-    for p in range(n_paths):
-        key[0] = (first_path + p) & _MASK64
-        bits.state = fresh
-        k[p] = bits.random_raw(n_steps)
-    k >>= 11
-    u = k.astype(np.float64)
-    del k
-    u += 0.5
-    u *= 2.0**-53
-    return ndtri(u, out=u)
+    out = np.empty((n_steps, n_paths))
+    # raw words of one group of rows; never a whole block of them
+    raw = np.empty((min(_GROUP, n_paths), skip + n_steps), dtype=np.uint64)
+    for a in range(0, n_paths, _GROUP):
+        b = min(a + _GROUP, n_paths)
+        for p in range(a, b):
+            key[0] = (first_path + p) & _MASK64
+            bits.state = start
+            raw[p - a] = bits.random_raw(skip + n_steps)
+        k = raw[:b - a, skip:]
+        k >>= 11
+        np.copyto(out[:, a:b], k.T, casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
+    return ndtri(out, out=out).T
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ from .partition import (
     log_z_cols,
     min_gap,
 )
-from .sampler import REASON_SWALLOWED, chunked, map_chunks, step_sizes, sum_stats
+from .sampler import (REASON_SWALLOWED, chunked, map_chunks, step_sizes,
+                      step_windows, sum_stats)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -322,7 +323,9 @@ def _field_values(
     db: np.ndarray,
 ) -> np.ndarray:
     """h for every path/bulk point; x (n,N), zb/db (n,M) -> (n,M)."""
-    diff = zb[:, None, :] - x[:, :, None]
+    # complex minus complex: a float x would be broadcast through a slower
+    # mixed-type loop, with the same bits
+    diff = zb[:, None, :] - x.astype(complex)[:, :, None]
     part = np.log(np.abs(diff)) if mode == BACKWARD else np.angle(diff)
     u = -(2.0 / math.sqrt(kappa)) * np.einsum("k,nkm->nm", eps, part)
     if mode == BACKWARD:
@@ -347,9 +350,13 @@ def _h_run(
     i: int,
     bulk: Sequence[complex],
     deltas: np.ndarray,
-    normals: np.ndarray,
+    seed: int,
+    first_path: int,
+    n_paths: int,
 ) -> Dict[str, np.ndarray]:
-    """Drifted-measure flow of n paths carrying field observables.
+    """Drifted-measure flow of paths first_path .. first_path + n_paths - 1
+    under `seed`, carrying field observables; their normals are drawn one
+    window of step_windows at a time.
 
     Companions move by exact slit maps; the driver by Euler steps of
     dW = sqrt(kappa) dB + kappa (d/dW) log Z dt with the drift frozen at
@@ -363,15 +370,14 @@ def _h_run(
     curvature = cspec.curvature_constant
     exponent = cspec.pspec.exponent
     kind = MODE_GREEN[mode]
-    n = normals.shape[0]
     n_pts = len(cfg.points)
-    x = np.tile(np.asarray(cfg.points, dtype=float), (n, 1))
-    zb = np.tile(np.asarray(bulk, dtype=complex), (n, 1))
+    x = np.tile(np.asarray(cfg.points, dtype=float), (n_paths, 1))
+    zb = np.tile(np.asarray(bulk, dtype=complex), (n_paths, 1))
     db = np.ones_like(zb)
     m_bulk = zb.shape[1]
     pairs = [(a, b) for a in range(m_bulk) for b in range(a + 1, m_bulk)]
-    active = np.ones(n, dtype=bool)
-    reason = np.zeros(n, dtype=np.int8)
+    active = np.ones(n_paths, dtype=bool)
+    reason = np.zeros(n_paths, dtype=np.int8)
 
     h_prev = _field_values(mode, kappa, eps, curvature, x, zb, db)
     h0 = h_prev.copy()
@@ -379,33 +385,37 @@ def _h_run(
     accum = np.zeros_like(g0)
 
     others = [k for k in range(n_pts) if k != i]
-    for step in range(deltas.size):
-        delta = deltas[step]
-        u0 = x[:, i]
-        xc = x[:, others] if others else np.zeros((n, 0))
-        new_c, mult_c, bad_c = slit_real(xc, u0[:, None], delta, mode)
-        new_b, mult_b, bad_b = slit_complex(zb, u0[:, None], delta, mode)
-        swallowed_now = active & (np.any(bad_c, axis=1) | np.any(bad_b, axis=1))
-        if np.any(swallowed_now):
-            reason[swallowed_now] = REASON_SWALLOWED
-            active[swallowed_now] = False
-        drift = kappa * exponent * np.sum(
-            np.where(np.abs(u0[:, None] - xc) > 0, 1.0 / (u0[:, None] - xc), 0.0),
-            axis=1,
-        )
-        # frozen rows are never written; u0 is a view of the driver column
-        w_new = u0 + math.sqrt(kappa) * math.sqrt(delta) * normals[:, step] + drift * delta
-        for j, c in enumerate(others):
-            np.copyto(x[:, c], new_c[:, j], where=active)
-        np.copyto(u0, w_new, where=active)
-        upd = active[:, None]
-        np.copyto(zb, new_b, where=upd)
-        np.multiply(db, mult_b, out=db, where=upd)
-        h_new = _field_values(mode, kappa, eps, curvature, x, zb, db)
-        dh = h_new - h_prev
-        for p, (a, b) in enumerate(pairs):
-            accum[:, p] += dh[:, a] * dh[:, b]
-        h_prev = h_new
+    u0 = x[:, i]             # a view of the driver column
+    for first, stop in step_windows(deltas.size):
+        normals = normal_block(seed, first_path, n_paths, stop - first,
+                               first)
+        for k, delta in enumerate(deltas[first:stop]):
+            xc = x[:, others] if others else np.zeros((n_paths, 0))
+            new_c, mult_c, bad_c = slit_real(xc, u0[:, None], delta, mode)
+            new_b, mult_b, bad_b = slit_complex(zb, u0[:, None], delta, mode)
+            # most steps swallow nothing: test the whole masks first
+            if bad_c.any() or bad_b.any():
+                stop_now = active & (bad_c.any(axis=1) | bad_b.any(axis=1))
+                reason[stop_now] = REASON_SWALLOWED
+                active[stop_now] = False
+            gap = u0[:, None] - xc
+            drift = kappa * exponent * np.sum(
+                np.where(np.abs(gap) > 0, 1.0 / gap, 0.0), axis=1)
+            # frozen rows are never written
+            w_new = (u0 + math.sqrt(kappa) * math.sqrt(delta) * normals[:, k]
+                     + drift * delta)
+            for j, c in enumerate(others):
+                np.copyto(x[:, c], new_c[:, j], where=active)
+            np.copyto(u0, w_new, where=active)
+            upd = active[:, None]
+            np.copyto(zb, new_b, where=upd)
+            np.multiply(db, mult_b, out=db, where=upd)
+            h_new = _field_values(mode, kappa, eps, curvature, x, zb, db)
+            dh = h_new - h_prev
+            for p, (a, b) in enumerate(pairs):
+                accum[:, p] += dh[:, a] * dh[:, b]
+            h_prev = h_new
+        del normals      # before the next window is drawn
     gt = _pair_green(kind, zb, pairs)
     return {
         "h0": h0,
@@ -419,10 +429,8 @@ def _h_run(
 
 def _h_chunk(task: dict) -> dict:
     cspec: CouplingSpec = task["cspec"]
-    deltas = task["deltas"]
-    normals = normal_block(task["seed"], task["first_path"], task["count"],
-                           deltas.size)
-    run = _h_run(cspec, task["cfg"], task["i"], task["bulk"], deltas, normals)
+    run = _h_run(cspec, task["cfg"], task["i"], task["bulk"], task["deltas"],
+                 task["seed"], task["first_path"], task["count"])
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
     return {

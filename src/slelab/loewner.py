@@ -46,8 +46,10 @@ class ProbeTooClose(RuntimeError):
 
 def sqrt_him(q):
     """Square root with branch Im >= 0 (array-safe)."""
-    s = np.sqrt(np.asarray(q, dtype=complex))
-    return np.where(s.imag < 0, -s, s)
+    q = np.asarray(q, dtype=complex)
+    s = np.sqrt(q, out=np.empty_like(q))     # an array, also for 0-d q
+    np.negative(s, out=s, where=s.imag < 0)
+    return s
 
 
 # Vectorized substeps for path-ensemble engines.  No exceptions: swallowed

@@ -15,8 +15,10 @@ the first substep boundary (after at least one completed substep) where
 frozen and are retained in Monte Carlo averages.
 
 All indices are 0-based.  Paths are chunked for memory and optional
-process-level parallelism; chunking never changes results because every
-path owns the stream keyed by (seed, path_index).
+process-level parallelism, and a chunk draws its normals one window of at
+most STEP_BLOCK steps at a time, so its memory does not grow with the
+horizon.  Neither changes results, because every path owns the stream
+keyed by (seed, path_index) and a window resumes it at its first step.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ REASON_NAMES = {REASON_BOUND: "bound_n", REASON_SWALLOWED: "swallowed"}
 
 DERIV_CAP = 1e300
 DEFAULT_CHUNK = 20_000
+# steps per window of normals: a chunk holds DEFAULT_CHUNK * STEP_BLOCK * 8
+# bytes of them (41 MB).  Each window costs one Philox reset per path:
+# 500 steps of 20000 paths took 0.50 s in one block, 0.53 s in 256-step
+# windows, 0.58 s in 128-step and 0.88 s in 64-step windows (2-vCPU host).
+STEP_BLOCK = 256
 
 # Paths stop when a companion gap enters the collision layer
 # gap^2 <= COLLISION_GUARD^2 * dt.  The slit substep itself only swallows at
@@ -85,10 +92,19 @@ def step_sizes(T: float, dt: float) -> np.ndarray:
     return out
 
 
+def step_windows(n_steps: int) -> list[tuple[int, int]]:
+    """Bounds [a, b) of the consecutive windows of at most STEP_BLOCK steps
+    that cover n_steps steps."""
+    return [(a, min(a + STEP_BLOCK, n_steps))
+            for a in range(0, n_steps, STEP_BLOCK)]
+
+
 @dataclass
 class Flow:
-    """Ensemble state carried from leg to leg (rows = paths).  Legs write
-    it in place, and a row that has stopped is never written again."""
+    """Ensemble state carried from call to call of run_leg (rows = paths).
+    Calls write it in place, and a row that has stopped is never written
+    again.  Continuing a Flow is exact, so a leg may be run one step window
+    at a time; a caller that starts a new leg on it restarts `derivs`."""
 
     x: np.ndarray            # (n, N) full configuration, driver in its slot
     derivs: np.ndarray       # (n, N) companion derivatives (1 in driver slot)
@@ -113,23 +129,27 @@ def run_leg(
 ) -> Flow:
     """Advance an ensemble for len(deltas) substeps with driving in column
     `slot`.  `x` is either an (n, N) start array, which is copied and never
-    written, or the Flow of an earlier leg, which is continued in place.
-    Derivatives (and log M, when tracked) restart at the leg start.  Paths
-    whose smallest companion gap enters the collision layer
-    (gap^2 <= collision_guard^2 * dt, checked at the substep start) freeze
-    there with reason `swallowed`; bound-stopped paths freeze at the
-    boundary where |M| first exceeded the bound."""
+    written, or the Flow of an earlier call, which is continued in place:
+    splitting the steps over several calls gives the same bits as one call.
+    Derivatives start at 1 and log M (when tracked) at log Z of the start
+    array; neither is reset on a Flow (commutation._run_legs restarts the
+    derivatives at each new leg).  Paths whose smallest companion gap
+    enters the collision layer (gap^2 <= collision_guard^2 * dt, checked
+    at the substep start) freeze there with reason `swallowed`;
+    bound-stopped paths freeze at the boundary where |M| first exceeded
+    the bound."""
     if isinstance(x, Flow):
         flow = x
-        flow.derivs.fill(1.0)
     else:
         xs = np.array(x, dtype=float)
         flow = Flow(xs, np.ones_like(xs), np.ones(xs.shape[0], dtype=bool),
                     np.zeros(xs.shape[0], dtype=np.int8), None)
+    if track_weight and flow.log_m is None:
+        flow.log_m = log_z_cols(exponent, flow.x)
     x, derivs, active, reason = flow.x, flow.derivs, flow.active, flow.reason
+    log_m = flow.log_m
     comp = np.array([c for c in range(x.shape[1]) if c != slot], dtype=int)
     sqk = math.sqrt(kappa)
-    flow.log_m = log_m = log_z_cols(exponent, x) if track_weight else None
 
     guard2 = max(collision_guard, 2.0) ** 2
     for k, delta in enumerate(deltas):
@@ -197,15 +217,18 @@ def map_chunks(fn: Callable, tasks: Sequence, n_workers: int = 1) -> list:
 def _ensemble_chunk(task: dict) -> dict:
     """Terminal sufficient statistics for one chunk of paths."""
     deltas = step_sizes(task["T"], task["dt"])
-    normals = normal_block(task["seed"], task["first_path"], task["count"],
-                           deltas.size)
     x0 = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    flow = run_leg(
-        task["mode"], task["kappa"], task["exponent"], task["h_weight"],
-        x0, task["slot"], normals, deltas,
-        drifted=task["drifted"], track_weight=True,
-        log_bound=task["log_bound"],
-    )
+    flow = x0
+    for a, b in step_windows(deltas.size):
+        normals = normal_block(task["seed"], task["first_path"],
+                               task["count"], b - a, a)
+        flow = run_leg(
+            task["mode"], task["kappa"], task["exponent"], task["h_weight"],
+            flow, task["slot"], normals, deltas[a:b],
+            drifted=task["drifted"], track_weight=True,
+            log_bound=task["log_bound"],
+        )
+        del normals      # before the next window is drawn
     w = np.exp(flow.log_m - log_z_cols(task["exponent"], x0))   # M / M_0
     obs = task["observable"]
     f = obs(flow.x) if obs is not None else np.zeros(task["count"])
@@ -223,8 +246,8 @@ def _ensemble_chunk(task: dict) -> dict:
     }
 
 
-def _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
-                    first_path, drifted, observable, n_workers) -> dict:
+def _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
+                    first_path, drifted, observable) -> list[dict]:
     task = {
         "mode": params.mode, "kappa": params.kappa,
         "exponent": spec.exponent, "h_weight": spec.h_weight,
@@ -233,8 +256,7 @@ def _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
         "log_bound": None if bound_n is None else math.log(bound_n),
         "observable": observable,
     }
-    tasks = chunked(task, n_paths, first_path)
-    return sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
+    return chunked(task, n_paths, first_path)
 
 
 def martingale_check(
@@ -252,8 +274,9 @@ def martingale_check(
     """Optional-stopping test: mean of M_{T and tau}/M_0 against 1."""
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
-    st = _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
-                         0, drifted=False, observable=None, n_workers=n_workers)
+    tasks = _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths, bound_n,
+                            seed, 0, drifted=False, observable=None)
+    st = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
     n = st["n"]
     mean, var = mean_var(st["sw"], st["sw2"], n)
     se = math.sqrt(var)
@@ -282,18 +305,22 @@ def girsanov_check(
     Arm 1 simulates driftless paths and weights the observable by the
     terminal M/M_0 (self-normalized); arm 2 simulates drifted paths stopped
     by the same bound rule applied to their reconstructed M.  The two arms
-    use disjoint path_index ranges, hence independent streams.
+    use disjoint path_index ranges, hence independent streams, and share
+    one map_chunks call (one pool).
     """
     if observable is None:
         observable = companion_observable(i, len(cfg))
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
-    base = _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n,
-                           seed, 0, drifted=False, observable=observable,
-                           n_workers=n_workers)
-    drift = _ensemble_stats(params, spec, cfg, i, T, dt, n_paths, bound_n,
-                            seed, n_paths, drifted=True, observable=observable,
-                            n_workers=n_workers)
+    base_tasks = _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths,
+                                 bound_n, seed, 0, drifted=False,
+                                 observable=observable)
+    drift_tasks = _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths,
+                                  bound_n, seed, n_paths, drifted=True,
+                                  observable=observable)
+    parts = map_chunks(_ensemble_chunk, base_tasks + drift_tasks, n_workers)
+    base = sum_stats(parts[:len(base_tasks)])
+    drift = sum_stats(parts[len(base_tasks):])
     n = base["n"]
     ess = base["sw"] ** 2 / max(base["sw2"], 1e-300)
     if ess < 0.01 * n:
@@ -325,27 +352,23 @@ def companion_observable(i: int, n_points: int, j: int | None = None):
     return functools.partial(_column, j=j)
 
 
-def _bulk_backward_terminal(z0: complex, kappa: float, normals: np.ndarray,
-                            dt: float):
-    """Backward chains tracking one bulk point; driving from 0 with the
-    given standard-normal increments.  Returns (f_T(z0), W_T) per path."""
-    n, m = normals.shape
-    sq = math.sqrt(kappa * dt)
-    W = np.zeros(n)
-    Z = np.full(n, complex(z0), dtype=complex)
-    for k in range(m):
-        Z = slit_complex(Z, W, dt, BACKWARD)[0]
-        W = W + sq * normals[:, k]
-    return Z, W
-
-
 def _inverse_chunk(task: dict) -> dict:
-    m = task["n_steps"]
-    normals = normal_block(task["seed"], task["first_path"], task["count"], m)
-    if task["reversed"]:
-        normals = -normals[:, ::-1]
-    Z, W = _bulk_backward_terminal(task["z0"], task["kappa"], normals,
-                                   task["dt"])
+    """Backward chains tracking one bulk point, driven from 0 by the
+    chunk's increments; the reversed arm reads its windows from the last
+    step back, each reversed and negated."""
+    n, dt = task["count"], task["dt"]
+    sq = math.sqrt(task["kappa"] * dt)
+    W = np.zeros(n)
+    Z = np.full(n, task["z0"], dtype=complex)
+    windows = step_windows(task["n_steps"])
+    for a, b in windows[::-1] if task["reversed"] else windows:
+        normals = normal_block(task["seed"], task["first_path"], n, b - a, a)
+        if task["reversed"]:
+            normals = np.negative(normals, out=normals)[:, ::-1]
+        for k in range(b - a):
+            Z = slit_complex(Z, W, dt, BACKWARD)[0]
+            W = W + sq * normals[:, k]
+        del normals      # before the next window is drawn
     val = Z - W
     bad = ~(val.imag > 0.0) | ~np.isfinite(val.real) | ~np.isfinite(val.imag)
     shifted = val[~bad] - task["shift"]
@@ -398,12 +421,11 @@ def inverse_law_check(
     task = {"z0": complex(z0), "kappa": kappa, "dt": float(deltas[0]),
             "n_steps": deltas.size, "seed": seed, "shift": shift}
 
-    def arm(first: int, rev: bool) -> dict:
-        tasks = chunked(dict(task, reversed=rev), n_paths, first)
-        return sum_stats(map_chunks(_inverse_chunk, tasks, n_workers))
-
-    a = arm(0, rev=False)
-    b = arm(n_paths, rev=True)
+    tasks = chunked(dict(task, reversed=False), n_paths)
+    rev_tasks = chunked(dict(task, reversed=True), n_paths, n_paths)
+    parts = map_chunks(_inverse_chunk, tasks + rev_tasks, n_workers)
+    a = sum_stats(parts[:len(tasks)])
+    b = sum_stats(parts[len(tasks):])
     for st in (a, b):
         if st["n_failed"] > 0.01 * n_paths:
             raise SwallowedTooOften(

@@ -108,18 +108,45 @@ def test_normal_block_matches_generator_recipe(seed, first_path):
             np.testing.assert_array_equal(block[p], ref)
 
 
+@pytest.mark.parametrize("first_step", [0, 1, 3, 4, 5, 255, 257])
+def test_normal_block_resumes_at_first_step(first_step):
+    """A block that starts at step a is columns a.. of the block that starts
+    at step 0, bit for bit, wherever a falls in Philox's 4-word groups."""
+    whole = normal_block(11, 6, 300, 300)
+    for stop in (first_step + 3, 300):
+        part = normal_block(11, 6, 300, stop - first_step, first_step=first_step)
+        assert part.tobytes() == whole[:, first_step:stop].tobytes()
+
+
+def test_normal_block_columns_contiguous():
+    """Step-major layout: each step of all paths is one contiguous column."""
+    block = normal_block(2, 0, 600, 9, first_step=6)
+    assert block.shape == (600, 9)
+    assert block.flags.f_contiguous
+    assert all(block[:, k].flags.c_contiguous for k in range(9))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, MASK64), first_path=st.integers(0, MASK64),
-       n_paths=st.integers(0, 8), n_steps=st.integers(0, 40), data=st.data())
-def test_normal_block_split_invariance(seed, first_path, n_paths, n_steps, data):
-    """Any split of [first_path, first_path + n_paths) into two calls gives
-    the rows of one call, bit for bit."""
+       n_paths=st.integers(0, 8), n_steps=st.integers(0, 40),
+       first_step=st.integers(0, 1000), data=st.data())
+def test_normal_block_split_invariance(seed, first_path, n_paths, n_steps,
+                                       first_step, data):
+    """Any split of [first_path, first_path + n_paths) into two calls, or of
+    the steps [first_step, first_step + n_steps) into two calls, gives the
+    block of one call, bit for bit."""
     cut = data.draw(st.integers(0, n_paths))
-    whole = normal_block(seed, first_path, n_paths, n_steps)
-    head = normal_block(seed, first_path, cut, n_steps)
-    tail = normal_block(seed, first_path + cut, n_paths - cut, n_steps)
+    step_cut = data.draw(st.integers(0, n_steps))
+    whole = normal_block(seed, first_path, n_paths, n_steps, first_step)
+    head = normal_block(seed, first_path, cut, n_steps, first_step)
+    tail = normal_block(seed, first_path + cut, n_paths - cut, n_steps,
+                        first_step)
     assert whole.shape == (n_paths, n_steps)
     assert np.vstack([head, tail]).tobytes() == whole.tobytes()
+    left = normal_block(seed, first_path, n_paths, step_cut, first_step)
+    right = normal_block(seed, first_path, n_paths, n_steps - step_cut,
+                         first_step + step_cut)
+    assert np.hstack([left, right]).tobytes() == whole.tobytes()
 
 
 def test_build_driving_path_scaling():

@@ -4,7 +4,7 @@ the defining PDE, and the martingale/cross-variation experiments."""
 import numpy as np
 import pytest
 
-from slelab.core import Params, normal_block, validate_config
+from slelab.core import Params, validate_config
 from slelab.coupling import (
     BadCouplingParameters,
     CoincidentPoints,
@@ -168,8 +168,7 @@ def test_green_increment_identity_pathwise():
 
 def _short_run(cspec, bulk, n_paths=3):
     deltas = step_sizes(0.05, 1e-3)
-    return _h_run(cspec, CFG, 0, bulk, deltas,
-                  normal_block(0, 0, n_paths, deltas.size))
+    return _h_run(cspec, CFG, 0, bulk, deltas, 0, 0, n_paths)
 
 
 @pytest.mark.parametrize("cspec", [CS_BACK, CS_FWD], ids=["backward", "forward"])

@@ -7,8 +7,9 @@ product, writes one report per cell plus a summary CSV.
 Reports are byte-identical across reruns of the same (config, seed): no
 timestamps, floats written with repr, JSON keys sorted.  Exit codes:
 0 all rows pass, 1 some row failed, 2 config error (missing or invalid
-field, infeasible eps_tilde, duplicate points), 3 numerical failure
-(blowup, excess swallowing, weight collapse, probe trouble).
+field, infeasible eps_tilde, duplicate points, a horizon shorter than one
+substep, an unusable finite-difference step), 3 numerical failure (blowup,
+excess swallowing, weight collapse, probe trouble).
 
 Indices (i_index, j_index) are 0-based.  bound_n is a multiple of the
 initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
@@ -73,6 +74,7 @@ from .partition import (
 )
 from .sampler import (
     EffectiveSampleCollapse,
+    HorizonTooShort,
     NumericalBlowup,
     RaggedGrid,
     SwallowedTooOften,
@@ -90,7 +92,7 @@ EXIT_NUMERICS = 3
 ENV_WORKERS = "SLELAB_WORKERS"
 
 _CONFIG_ERRORS = (DuplicatePoint, EpsilonTooLarge, BadCouplingParameters,
-                  StepTooLarge, CoincidentPoints, RaggedGrid)
+                  StepTooLarge, CoincidentPoints, RaggedGrid, HorizonTooShort)
 _NUMERIC_ERRORS = (NumericalBlowup, EffectiveSampleCollapse, SwallowedTooOften,
                    Swallowed, SwallowedReference, ProbeTooClose)
 

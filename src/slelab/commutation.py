@@ -102,7 +102,7 @@ def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
     gives the normals of steps first_step .. first_step + n_steps - 1 of
     the whole scheme.  They are drawn one window of step_windows at a time
     across leg boundaries; each run_leg call covers a window's part of one
-    leg, and the derivatives restart where a leg starts.
+    leg.  The legs carry no weights, so no derivative is tracked.
 
     collision_guard=2 keeps only the exact swallow criterion
     gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider layer is
@@ -119,8 +119,6 @@ def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
             lo, hi = max(a, start), min(b, stop)
             if lo >= hi:
                 continue
-            if lo == start > 0:      # a later leg starts: flow is a Flow
-                flow.derivs.fill(1.0)
             flow = run_leg(mode, kappa, exponent, h_weight, flow, slot,
                            normals[:, lo - a:hi - a],
                            deltas[lo - start:hi - start],

@@ -248,3 +248,16 @@ def mean_var(s1: float, s2: float, n: int) -> tuple[float, float]:
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1, 1)
     return mean, var / n
+
+
+def sum_columns(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of equal-shape arrays, added left to right.  These are the bits
+    of np.sum(a, axis=1) for an (n, P) array `a` whose columns are not
+    adjacent in memory, such as x[:, indices], however large P is.  numpy
+    starts from +0.0, which differs only when the first term is -0.0, and
+    no kernel term (1/gap, the log of a positive value) is.  A single
+    term is returned as it is."""
+    out = cols[0]
+    for c in cols[1:]:
+        out = out + c
+    return out

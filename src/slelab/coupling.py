@@ -23,6 +23,7 @@ the mirrored pair for kappa > 4.  Controls flip a sign and must fail.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,12 +38,14 @@ from .core import (
     _check_mode,
     make_report,
     normal_block,
+    sum_columns,
     validate_config,
 )
 from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
     PartitionSpec,
     StepTooLarge,
+    _check_square,
     fd_first,
     fd_second,
     log_z_cols,
@@ -284,6 +287,7 @@ def coupling_pde_residual(
         raise StepTooLarge(
             f"fd_step {h} too large for point scale {scale} (needs < scale/10)"
         )
+    _check_square(h)
     x0 = np.asarray(cfg.points, dtype=float)
     z_center = math.exp(log_z_cols(spec.exponent, x0))
 
@@ -321,16 +325,48 @@ def _field_values(
     x: np.ndarray,
     zb: np.ndarray,
     db: np.ndarray,
-) -> np.ndarray:
-    """h for every path/bulk point; x (n,N), zb/db (n,M) -> (n,M)."""
-    # complex minus complex: a float x would be broadcast through a slower
+) -> List[np.ndarray]:
+    """h at every bulk point, one (n,) column per bulk point; x (n, N) and
+    zb, db (n, M) are column-major, so each call reads one column."""
+    # complex minus complex: a float column would go through a slower
     # mixed-type loop, with the same bits
-    diff = zb[:, None, :] - x.astype(complex)[:, :, None]
-    part = np.log(np.abs(diff)) if mode == BACKWARD else np.angle(diff)
-    u = -(2.0 / math.sqrt(kappa)) * np.einsum("k,nkm->nm", eps, part)
-    if mode == BACKWARD:
-        return u + curvature * np.log(np.abs(db))
-    return u - curvature * np.angle(db)
+    x_c = [x[:, k].astype(complex) for k in range(x.shape[1])]
+    scale = -(2.0 / math.sqrt(kappa))
+    columns = []
+    for m in range(zb.shape[1]):
+        parts = []
+        for xk in x_c:
+            diff = zb[:, m] - xk
+            if mode == BACKWARD:
+                part = np.abs(diff)
+                parts.append(np.log(part, out=part))
+            else:
+                parts.append(np.angle(diff))
+        # the sum over points keeps the bits of einsum("k,nkm->nm"): for a
+        # lone bulk point einsum adds in an order of its own, for several
+        # it adds left to right from zero
+        if zb.shape[1] == 1:
+            h = np.einsum("k,nk->n", eps, np.stack(parts, axis=1))
+        else:
+            h = np.zeros(x.shape[0])
+            for e, part in zip(eps, parts):
+                if e > 0:
+                    h += part
+                else:
+                    h -= part
+        h *= scale
+        # plus Q log|db| backward, minus chi arg db forward
+        if mode == BACKWARD:
+            curv = np.abs(db[:, m])
+            np.log(curv, out=curv)
+            curv *= curvature
+            h += curv
+        else:
+            curv = np.angle(db[:, m])
+            curv *= curvature
+            h -= curv
+        columns.append(h)
+    return columns
 
 
 def _pair_green(kind: str, zb: np.ndarray, pairs: List[Tuple[int, int]]) -> np.ndarray:
@@ -341,7 +377,13 @@ def _pair_green(kind: str, zb: np.ndarray, pairs: List[Tuple[int, int]]) -> np.n
         za = zb[:, a]
         wb = zb[:, b]
         cols.append(-np.log(np.abs(za - wb)) + sign * np.log(np.abs(za - np.conj(wb))))
-    return np.stack(cols, axis=1) if cols else np.zeros((zb.shape[0], 0))
+    return _stack(cols, zb.shape[0])
+
+
+def _stack(cols: List[np.ndarray], n: int) -> np.ndarray:
+    """(n, len(cols)) C-ordered: the chunk sums over paths read this
+    layout, and summing another one adds in a different order."""
+    return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
 
 
 def _h_run(
@@ -362,65 +404,81 @@ def _h_run(
     dW = sqrt(kappa) dB + kappa (d/dW) log Z dt with the drift frozen at
     each substep start.  Paths whose companion or tracked bulk point is
     swallowed are frozen at the start of the offending substep and kept
-    (their h increments vanish from then on).
+    (their h increments vanish from then on).  The state is column-major
+    and every step works one point's column at a time.
     """
     mode = cspec.mode
     kappa = cspec.kappa
     eps = np.asarray(cspec.epsilon_signs, dtype=float)
     curvature = cspec.curvature_constant
-    exponent = cspec.pspec.exponent
+    kb = kappa * cspec.pspec.exponent
     kind = MODE_GREEN[mode]
     n_pts = len(cfg.points)
-    x = np.tile(np.asarray(cfg.points, dtype=float), (n_paths, 1))
-    zb = np.tile(np.asarray(bulk, dtype=complex), (n_paths, 1))
+    m_bulk = len(bulk)
+    x = np.empty((n_paths, n_pts), order="F")
+    x[:] = np.asarray(cfg.points, dtype=float)
+    zb = np.empty((n_paths, m_bulk), dtype=complex, order="F")
+    zb[:] = np.asarray(bulk, dtype=complex)
     db = np.ones_like(zb)
-    m_bulk = zb.shape[1]
     pairs = [(a, b) for a in range(m_bulk) for b in range(a + 1, m_bulk)]
     active = np.ones(n_paths, dtype=bool)
     reason = np.zeros(n_paths, dtype=np.int8)
 
     h_prev = _field_values(mode, kappa, eps, curvature, x, zb, db)
-    h0 = h_prev.copy()
+    h0 = _stack(h_prev, n_paths)
     g0 = _pair_green(kind, zb, pairs)
-    accum = np.zeros_like(g0)
+    accum = [np.zeros(n_paths) for _ in pairs]
 
-    others = [k for k in range(n_pts) if k != i]
-    u0 = x[:, i]             # a view of the driver column
+    # column views, written in place; frozen rows are never written
+    u0 = x[:, i]
+    comps = [x[:, k] for k in range(n_pts) if k != i]
+    z_cols = [zb[:, m] for m in range(m_bulk)]
+    d_cols = [db[:, m] for m in range(m_bulk)]
     for first, stop in step_windows(deltas.size):
         normals = normal_block(seed, first_path, n_paths, stop - first,
                                first)
         for k, delta in enumerate(deltas[first:stop]):
-            xc = x[:, others] if others else np.zeros((n_paths, 0))
-            new_c, mult_c, bad_c = slit_real(xc, u0[:, None], delta, mode)
-            new_b, mult_b, bad_b = slit_complex(zb, u0[:, None], delta, mode)
+            new_c, bad = [], []
+            for xc in comps:
+                new, _, swallowed = slit_real(xc, u0, delta, mode)
+                new_c.append(new)
+                bad.append(swallowed)
+            new_b, mult_b = [], []
+            for zc in z_cols:
+                new, mult, swallowed = slit_complex(zc, u0, delta, mode)
+                new_b.append(new)
+                mult_b.append(mult)
+                bad.append(swallowed)
             # most steps swallow nothing: test the whole masks first
-            if bad_c.any() or bad_b.any():
-                stop_now = active & (bad_c.any(axis=1) | bad_b.any(axis=1))
+            if any(b.any() for b in bad):
+                stop_now = active & functools.reduce(np.logical_or, bad)
                 reason[stop_now] = REASON_SWALLOWED
                 active[stop_now] = False
-            gap = u0[:, None] - xc
-            drift = kappa * exponent * np.sum(
-                np.where(np.abs(gap) > 0, 1.0 / gap, 0.0), axis=1)
-            # frozen rows are never written
-            w_new = (u0 + math.sqrt(kappa) * math.sqrt(delta) * normals[:, k]
-                     + drift * delta)
-            for j, c in enumerate(others):
-                np.copyto(x[:, c], new_c[:, j], where=active)
+            # the same bits as u0 + sqrt(kappa) * sqrt(delta) * normal
+            # + drift * delta
+            w_new = normals[:, k] * (math.sqrt(kappa) * math.sqrt(delta))
+            w_new += u0
+            if comps:
+                gaps = [u0 - xc for xc in comps]
+                inv = [np.where(np.abs(gap) > 0, 1.0 / gap, 0.0)
+                       for gap in gaps]
+                w_new += kb * sum_columns(inv) * delta
+            for xc, new in zip(comps, new_c):
+                np.copyto(xc, new, where=active)
             np.copyto(u0, w_new, where=active)
-            upd = active[:, None]
-            np.copyto(zb, new_b, where=upd)
-            np.multiply(db, mult_b, out=db, where=upd)
+            for zc, dc, new, mult in zip(z_cols, d_cols, new_b, mult_b):
+                np.copyto(zc, new, where=active)
+                np.multiply(dc, mult, out=dc, where=active)
             h_new = _field_values(mode, kappa, eps, curvature, x, zb, db)
-            dh = h_new - h_prev
             for p, (a, b) in enumerate(pairs):
-                accum[:, p] += dh[:, a] * dh[:, b]
+                accum[p] += (h_new[a] - h_prev[a]) * (h_new[b] - h_prev[b])
             h_prev = h_new
         del normals      # before the next window is drawn
     gt = _pair_green(kind, zb, pairs)
     return {
         "h0": h0,
-        "ht": h_prev,
-        "accum": accum,
+        "ht": _stack(h_prev, n_paths),
+        "accum": _stack(accum, n_paths),
         "g_drop": g0 - gt,
         "active": active,
         "reason": reason,

@@ -59,15 +59,30 @@ def slit_real(x, U0, delta, mode: str):
     """(new_x, multiplier, swallowed) for arrays of real boundary points."""
     d = x - U0
     if mode == BACKWARD:
-        arg = d * d - 4.0 * delta
+        arg = d * d
+        arg -= 4.0 * delta
         bad = arg <= 0.0
-        root = np.sqrt(np.where(bad, 1.0, arg))
-        new = np.where(bad, x, U0 + np.sign(d) * root)
-        mult = np.where(bad, 1.0, np.abs(d) / root)
+        # swallowed entries get a NaN root here and are patched below; d
+        # is 0 only there, so copysign gives the sign of d everywhere else
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.sqrt(arg, out=arg)
+            mult = np.abs(d)
+            mult /= root
+            new = np.copysign(root, d, out=root)
+        new += U0
+        if bad.any():
+            new = np.where(bad, x, new)
+            mult = np.where(bad, 1.0, mult)
         return new, mult, bad
-    root = np.sqrt(d * d + 4.0 * delta)
-    new = U0 + np.sign(d) * root
-    return new, np.abs(d) / root, np.zeros(np.shape(new), dtype=bool)
+    root = d * d
+    root += 4.0 * delta
+    np.sqrt(root, out=root)
+    mult = np.abs(d)
+    mult /= root
+    new = np.sign(d)
+    new *= root
+    new += U0
+    return new, mult, np.zeros(new.shape, dtype=bool)
 
 
 def slit_complex(z, U0, delta, mode: str):
@@ -75,14 +90,15 @@ def slit_complex(z, U0, delta, mode: str):
     d = z - U0
     sign = -4.0 if mode == BACKWARD else 4.0
     s = sqrt_him(d * d + sign * delta)
-    new = U0 + s
+    new = s + U0
     if mode == BACKWARD:
-        bad = np.zeros(np.shape(new), dtype=bool)
+        bad = np.zeros(new.shape, dtype=bool)
     else:
         bad = s.imag <= 0.0
-        new = np.where(bad, z, new)
-        s = np.where(bad, d, s)
-    return new, d / s, bad
+        if bad.any():
+            new = np.where(bad, z, new)
+            s = np.where(bad, d, s)
+    return new, np.divide(d, s, out=d), bad
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,18 @@ All indices are 0-based.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import BACKWARD, PointConfig, _check_mode
+from .core import BACKWARD, PointConfig, _check_mode, sum_columns
 
 
 class StepTooLarge(ValueError):
-    """Finite-difference step too large for the closest pair of points."""
+    """Finite-difference step unusable for the closest pair of points: too
+    large for the gap, or so small that its square underflows."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,15 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n < 2:
         return np.zeros(x.shape[:-1])
-    iu, ju = np.triu_indices(n, k=1)
-    gaps = np.abs(x[..., iu] - x[..., ju])
+    # one pair of columns at a time (contiguous for a column-major x),
+    # pairs in np.triu_indices order
     with np.errstate(divide="ignore"):
-        return exponent * np.sum(np.log(gaps), axis=-1)
+        logs = [np.log(np.abs(x[..., i] - x[..., j]))
+                for i in range(n) for j in range(i + 1, n)]
+    if x.ndim == 1:
+        # one configuration: summed as a vector, pairwise from 8 pairs on
+        return exponent * np.sum(logs)
+    return exponent * sum_columns(logs)
 
 
 def grad_log_z_cols(exponent: float, x: np.ndarray, i: int) -> np.ndarray:
@@ -150,7 +157,16 @@ def _resolve_step(cfg: PointConfig, fd_step: float | None, default_frac: float,
             f"{scale:g} * fd_step = {scale * fd_step:g} must stay below a "
             f"tenth of the min gap {gap:g}"
         )
+    _check_square(fd_step)
     return fd_step
+
+
+def _check_square(fd_step: float) -> None:
+    """The second-difference stencils divide by fd_step**2, which must not
+    underflow (as it does for points 1e-300 apart)."""
+    if fd_step * fd_step < sys.float_info.min:
+        raise StepTooLarge(
+            f"fd_step {fd_step:g} is too small: its square underflows")
 
 
 def bpz_residual(

@@ -17,8 +17,14 @@ frozen and are retained in Monte Carlo averages.
 All indices are 0-based.  Paths are chunked for memory and optional
 process-level parallelism, and a chunk draws its normals one window of at
 most STEP_BLOCK steps at a time, so its memory does not grow with the
-horizon.  Neither changes results, because every path owns the stream
-keyed by (seed, path_index) and a window resumes it at its first step.
+horizon.  Every path owns the stream keyed by (seed, path_index) and a
+window resumes it at its first step, so no split changes a path.  Reports
+are byte-identical across worker counts and STEP_BLOCK at the fixed chunk
+size DEFAULT_CHUNK; another chunk size adds the per-chunk sums in another
+order, which can change the last bits.
+
+The ensemble state (Flow) is column-major: each point's column of all
+paths is contiguous, and the kernel works one column at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BACKWARD, McReport, Params, PointConfig, make_report,
-                   mean_var, normal_block)
+                   mean_var, normal_block, sum_columns)
 from .loewner import reference_map_zero_driving, slit_complex, slit_real
 from .partition import PartitionSpec, log_z_cols, z_value
 
@@ -77,6 +83,10 @@ class RaggedGrid(ValueError):
     """The horizon is not a whole number of equal substeps."""
 
 
+class HorizonTooShort(ValueError):
+    """The horizon is shorter than one substep."""
+
+
 def step_sizes(T: float, dt: float) -> np.ndarray:
     """Uniform substeps of size dt, plus one shorter remainder step if T is
     not a multiple of dt."""
@@ -88,7 +98,8 @@ def step_sizes(T: float, dt: float) -> np.ndarray:
     if rem > 1e-6 * dt:
         out = np.append(out, rem)
     if out.size == 0:
-        raise ValueError("T shorter than one substep")
+        raise HorizonTooShort(
+            f"horizon {T!r} is shorter than one substep of {dt!r}")
     return out
 
 
@@ -104,13 +115,16 @@ class Flow:
     """Ensemble state carried from call to call of run_leg (rows = paths).
     Calls write it in place, and a row that has stopped is never written
     again.  Continuing a Flow is exact, so a leg may be run one step window
-    at a time; a caller that starts a new leg on it restarts `derivs`."""
+    at a time.  `x` and `derivs` are column-major: each point's column of
+    all paths is contiguous, and the kernels work one column at a time.
+    `derivs` and `log_m` exist only once a weighted call (track_weight)
+    has started them, and only weighted calls update them."""
 
-    x: np.ndarray            # (n, N) full configuration, driver in its slot
-    derivs: np.ndarray       # (n, N) companion derivatives (1 in driver slot)
-    active: np.ndarray       # (n,) bool
-    reason: np.ndarray       # (n,) int8, REASON_*
-    log_m: np.ndarray | None  # (n,) log M at stop/terminal, if tracked
+    x: np.ndarray              # (n, N) configuration, driver in its slot
+    derivs: np.ndarray | None  # (n, N) companion derivatives, driver slot 1
+    active: np.ndarray         # (n,) bool
+    reason: np.ndarray         # (n,) int8, REASON_*
+    log_m: np.ndarray | None   # (n,) log M at stop/terminal, if tracked
 
 
 def run_leg(
@@ -128,60 +142,83 @@ def run_leg(
     collision_guard: float = COLLISION_GUARD,
 ) -> Flow:
     """Advance an ensemble for len(deltas) substeps with driving in column
-    `slot`.  `x` is either an (n, N) start array, which is copied and never
-    written, or the Flow of an earlier call, which is continued in place:
-    splitting the steps over several calls gives the same bits as one call.
-    Derivatives start at 1 and log M (when tracked) at log Z of the start
-    array; neither is reset on a Flow (commutation._run_legs restarts the
-    derivatives at each new leg).  Paths whose smallest companion gap
-    enters the collision layer (gap^2 <= collision_guard^2 * dt, checked
-    at the substep start) freeze there with reason `swallowed`;
-    bound-stopped paths freeze at the boundary where |M| first exceeded
-    the bound."""
+    `slot`.  `x` is either an (n, N) start array, which is copied into a
+    column-major Flow and never written, or the Flow of an earlier call,
+    which is continued in place: splitting the steps over several calls
+    gives the same bits as one call.  Weighted calls start the derivatives
+    at 1 and log M at log Z of the configuration where tracking begins;
+    neither is reset on a Flow.  Paths whose smallest companion gap enters
+    the collision layer (gap^2 <= collision_guard^2 * dt, checked at the
+    substep start) freeze there with reason `swallowed`; bound-stopped
+    paths freeze at the boundary where |M| first exceeded the bound."""
     if isinstance(x, Flow):
         flow = x
     else:
-        xs = np.array(x, dtype=float)
-        flow = Flow(xs, np.ones_like(xs), np.ones(xs.shape[0], dtype=bool),
+        xs = np.array(x, dtype=float, order="F")
+        flow = Flow(xs, None, np.ones(xs.shape[0], dtype=bool),
                     np.zeros(xs.shape[0], dtype=np.int8), None)
+    if track_weight and flow.derivs is None:
+        flow.derivs = np.ones_like(flow.x)
     if track_weight and flow.log_m is None:
         flow.log_m = log_z_cols(exponent, flow.x)
-    x, derivs, active, reason = flow.x, flow.derivs, flow.active, flow.reason
-    log_m = flow.log_m
-    comp = np.array([c for c in range(x.shape[1]) if c != slot], dtype=int)
+    x, active, reason, log_m = flow.x, flow.active, flow.reason, flow.log_m
+    others = [c for c in range(x.shape[1]) if c != slot]
+    # column views: U0 and comps are written in place below
+    U0 = x[:, slot]
+    comps = [x[:, c] for c in others]
+    dcols = [flow.derivs[:, c] for c in others] if track_weight else []
     sqk = math.sqrt(kappa)
+    kb = kappa * exponent
 
     guard2 = max(collision_guard, 2.0) ** 2
     for k, delta in enumerate(deltas):
-        U0 = x[:, slot]
-        b = 0.0
-        if comp.size:
-            xc = x[:, comp]
-            dgap = xc - U0[:, None]
-            layer = (dgap * dgap <= guard2 * delta).any(axis=1) & active
+        if comps:
+            lim = guard2 * delta
+            layer = np.zeros_like(active)
+            for xc in comps:
+                gap2 = xc - U0
+                gap2 *= gap2
+                layer |= gap2 <= lim
+            layer &= active
             if layer.any():
                 reason[layer] = REASON_SWALLOWED
                 active[layer] = False
+            if drifted:
+                # b * delta, b = kappa * exponent * sum of 1 / (U0 - xc)
+                inv = [np.subtract(U0, xc) for xc in comps]
+                for t in inv:
+                    np.divide(1.0, t, out=t)
+                b_delta = sum_columns(inv)
+                b_delta *= kb
+                b_delta *= delta
             # active paths sit outside the layer, so no active row is
             # swallowed by the substep itself
-            new, mult, _ = slit_real(xc, U0[:, None], delta, mode)
-            if drifted:
-                b = kappa * exponent * np.sum(1.0 / (U0[:, None] - xc), axis=1)
-            for j, c in enumerate(comp):
-                np.copyto(x[:, c], new[:, j], where=active)
-                np.multiply(derivs[:, c], mult[:, j], out=derivs[:, c],
-                            where=active)
-        # U0 is a view of the driver column, read here for the last time
-        np.copyto(U0, U0 + sqk * math.sqrt(delta) * normals[:, k] + b * delta,
-                  where=active)
+            for j, xc in enumerate(comps):
+                new, mult, _ = slit_real(xc, U0, delta, mode)
+                np.copyto(xc, new, where=active)
+                if track_weight:
+                    np.multiply(dcols[j], mult, out=dcols[j], where=active)
+        # the bits of U0 + sqk * sqrt(delta) * normal + b * delta
+        step = normals[:, k] * (sqk * math.sqrt(delta))
+        step += U0
+        if drifted and comps:
+            step += b_delta
+        np.copyto(U0, step, where=active)
 
-        # every row: a stopped row passed this check on its last active step
-        dc = derivs[:, comp]
-        if np.any(dc <= 0.0) or np.any(dc >= DERIV_CAP):
-            raise NumericalBlowup("companion derivative left (0, 1e300)")
         if track_weight:
-            np.copyto(log_m, h_weight * np.sum(np.log(dc), axis=1)
-                      + log_z_cols(exponent, x), where=active)
+            # every row: a stopped row passed this on its last active step
+            for dc in dcols:
+                if np.any(dc <= 0.0) or np.any(dc >= DERIV_CAP):
+                    raise NumericalBlowup(
+                        "companion derivative left (0, 1e300)")
+            new_m = log_z_cols(exponent, x)
+            if dcols:
+                # h_weight * sum log f' + log Z
+                logs = sum_columns([np.log(dc) for dc in dcols])
+                logs *= h_weight
+                logs += new_m
+                new_m = logs
+            np.copyto(log_m, new_m, where=active)
             if log_bound is not None:
                 hit = active & (log_m > log_bound)
                 if hit.any():

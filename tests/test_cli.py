@@ -188,6 +188,36 @@ def test_girsanov_companion_equal_to_driver_exit_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_bpz_underflowing_fd_step_exit_two(tmp_path, capsys):
+    # the default step, 1e-4 of the gap, has a square below the float range
+    cfg = write_config(tmp_path, check="bpz", mode="backward", kappa=4.0,
+                       points=[0.0, 1e-300], out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "underflows" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_coupling_pde_underflowing_fd_step_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, check="coupling_pde", mode="forward",
+                       kappa=2.0, points=[0.0, 1.0],
+                       bulk_points=[[0.0, 1e-300]],
+                       out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "underflows" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_schemes_leg_shorter_than_substep_exit_two(tmp_path, capsys):
+    # the first leg lasts about 2e-12, far less than one substep of dt
+    cfg = write_config(tmp_path, check="schemes", mode="backward", kappa=4.0,
+                       points=[0.0, 1.0], i_index=0, j_index=1,
+                       eps_tilde=1e-12, c=2.0, dt=1e-3, n_paths=10,
+                       n_workers=1, out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "shorter than one substep" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_out_flag_redirects_stem(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()

@@ -16,6 +16,7 @@ from slelab.core import (
     normal_block,
     sample_increments,
     standard_normals,
+    sum_columns,
     validate_config,
 )
 
@@ -172,3 +173,19 @@ def test_make_report_pass_rule():
     assert r.passed  # boundary inclusive
     assert not make_report("x", 1.0, 0.1, 1.6, 0.5, 10).passed
     assert make_report("x", 0.0, 0.0, 0.0, 0.0, 1).passed
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 7, 8, 9, 15])
+def test_sum_columns_matches_numpy_row_sums(n_terms):
+    """The ensemble kernels add per-point columns with sum_columns where
+    they once summed x[:, indices] along axis 1; numpy adds that layout
+    left to right however many terms there are."""
+    rng = np.random.default_rng(n_terms)
+    x = rng.standard_normal((300, n_terms + 2)) * 10.0 ** rng.uniform(
+        -8, 8, (300, n_terms + 2))
+    idx = np.arange(1, n_terms + 1)
+    cols = [x[:, k] for k in idx]
+    np.testing.assert_array_equal(sum_columns(cols), np.sum(x[:, idx], axis=1))
+    if n_terms >= 3:
+        # a different order of the same terms gives other bits
+        assert not np.array_equal(sum_columns(cols[::-1]), sum_columns(cols))

@@ -60,11 +60,12 @@ def test_drift_s_kappa_free_combination():
 
 
 def test_run_leg_deterministic_single_step():
-    """Zero noise, no drift: companion moves by the exact slit map."""
+    """Zero noise, no drift: companion moves by the exact slit map (the
+    derivative is tracked by weighted calls only)."""
     x = np.array([[0.0, 1.0]])
     res = run_leg("backward", 4.0, -0.5, -1.25, x, 0,
                   np.zeros((1, 1)), np.array([0.01]),
-                  drifted=False, collision_guard=2.0)
+                  drifted=False, track_weight=True, collision_guard=2.0)
     np.testing.assert_allclose(res.x[0, 1], np.sqrt(0.96), rtol=1e-14)
     np.testing.assert_allclose(res.derivs[0, 1], 1.0 / np.sqrt(0.96), rtol=1e-14)
     assert res.active[0]
@@ -106,6 +107,30 @@ def test_run_leg_flow_continues_in_place():
     np.testing.assert_array_equal(second.x[stopped], frozen_x)
     np.testing.assert_array_equal(second.reason[stopped], frozen_reason)
     np.testing.assert_array_equal(x0, np.tile([0.0, 0.3], (2000, 1)))
+
+
+def test_flow_columns_contiguous():
+    """A Flow holds each point's column of all paths contiguously, fresh or
+    continued, and the start array's memory order changes no bit."""
+    spec = PartitionSpec("backward", 4.0, 3)
+    args = ("backward", 4.0, spec.exponent, spec.h_weight)
+    start = np.tile([0.0, 1.0, 3.0], (500, 1))
+    normals = normal_block(0, 0, 500, 60)
+    deltas = np.full(60, 1e-3)
+    kw = dict(drifted=True, track_weight=True, log_bound=np.log(5.0))
+    flows = []
+    for x0 in (start, np.asfortranarray(start)):
+        fresh = run_leg(*args, x0, 1, normals[:, :20], deltas[:20], **kw)
+        assert fresh.x.flags.f_contiguous and fresh.derivs.flags.f_contiguous
+        flows.append(run_leg(*args, fresh, 1, normals[:, 20:], deltas[20:],
+                             **kw))
+        assert flows[-1].x.flags.f_contiguous
+        assert flows[-1].derivs.flags.f_contiguous
+    c_flow, f_flow = flows
+    assert 0 < (~c_flow.active).sum() < 500
+    for field in ("x", "derivs", "active", "reason", "log_m"):
+        a, b = getattr(c_flow, field), getattr(f_flow, field)
+        assert a.tobytes(order="C") == b.tobytes(order="C"), field
 
 
 def test_martingale_mean_weight():

@@ -6,7 +6,7 @@ Run: python3 demos/field_coupling.py
 
 import numpy as np
 
-from slelab.core import Params, validate_config
+from slelab.core import validate_config
 from slelab.coupling import (
     boundary_u,
     coupling_martingale_check,
@@ -17,6 +17,7 @@ from slelab.coupling import (
     make_coupling_spec,
     q_charge,
 )
+from slelab.partition import PartitionSpec
 
 
 def main():
@@ -31,19 +32,21 @@ def main():
 
     cfg = validate_config((0.0, 1.0))
     print("\ndefining PDE residual at z = 1+2i:")
+    back = PartitionSpec("backward", 4.0, 2)
     rows = [
-        ("backward kappa=4 gamma=2", make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0)), 0),
-        ("backward kappa=1 gamma=4", make_coupling_spec(Params("backward", 1.0, 2, gamma=4.0)), 0),
-        ("forward  kappa=2        ", make_coupling_spec(Params("forward", 2.0, 2)), 1),
+        ("backward kappa=4 gamma=2", make_coupling_spec(back, gamma=2.0), 0),
+        ("backward kappa=1 gamma=4",
+         make_coupling_spec(PartitionSpec("backward", 1.0, 2), gamma=4.0), 0),
+        ("forward  kappa=2        ",
+         make_coupling_spec(PartitionSpec("forward", 2.0, 2)), 1),
     ]
     for label, cspec, i in rows:
         print(f"  {label}  {coupling_pde_residual(cspec, 1 + 2j, cfg, i):.2e}")
-    flipped = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0),
-                                 epsilon_signs=(1, 1))
+    flipped = make_coupling_spec(back, gamma=2.0, epsilon_signs=(1, 1))
     print(f"  flipped boundary signs    {coupling_pde_residual(flipped, 1 + 2j, cfg, 0):.2f}"
           "  <- control, must be large")
 
-    cspec = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0))
+    cspec = make_coupling_spec(back, gamma=2.0)
     bulk = [1 + 2j, -1 + 2j]
     print("\nh_T(z) - h_0(z) mean under the drifted measure (want 0):")
     for r in coupling_martingale_check(cspec, cfg, 0, bulk, 0.05, 1e-3,

@@ -14,7 +14,7 @@ from slelab.commutation import (
     commutator_residual,
     plan_schemes,
 )
-from slelab.core import Params, validate_config
+from slelab.core import validate_config
 from slelab.partition import PartitionSpec
 
 
@@ -36,9 +36,8 @@ def main():
     print(f"  drifts zeroed:       {bad:.2f}       (identity broken)")
 
     print("\nscheme1 vs scheme2 observable means, kappa=4, 20k paths:")
-    params = Params("backward", 4.0, 2)
-    reports = commutation_experiment(params, spec, cfg, 0, 1, 0.01, 1.0,
-                                     1e-4, 20_000, seed=0)
+    reports = commutation_experiment(spec, cfg, 0, 1, 0.01, 1.0, 1e-4, 20_000,
+                                     seed=0)
     print(f"{'observable':>16} {'scheme1':>10} {'scheme2':>10} {'tol':>9}  verdict")
     for r in reports:
         flag = "agree" if r.passed else "DIFFER"

@@ -9,7 +9,7 @@ Run: python3 demos/weight_martingale.py
 
 import math
 
-from slelab.core import Params, validate_config
+from slelab.core import validate_config
 from slelab.partition import PartitionSpec, grad_log_z
 from slelab.sampler import girsanov_check, martingale_check
 
@@ -33,19 +33,17 @@ def main():
     print("\nmean of M_T/M_0 under the base measure (want 1):")
     for kappa, pts in ((2.0, (0.0, 1.0)), (4.0, (0.0, 1.0)), (4.0, (0.0, 1.0, 3.0))):
         n = len(pts)
-        show(martingale_check(Params("backward", kappa, n),
-                              PartitionSpec("backward", kappa, n),
+        show(martingale_check(PartitionSpec("backward", kappa, n),
                               validate_config(pts), 0, 0.1, 1e-3, 5000, seed=0))
 
     print("\ndrifted-measure mean vs weight-reweighted mean of the companion:")
-    params = Params("backward", 4.0, 2)
     spec = PartitionSpec("backward", 4.0, 2)
     two = validate_config((0.0, 1.0))
-    show(girsanov_check(params, spec, two, 0, None, 0.05, 1e-3, 20_000, seed=0))
+    show(girsanov_check(spec, two, 0, None, 0.05, 1e-3, 20_000, seed=0))
     # with a tight stopping bound all paths freeze immediately but the
     # equality still holds (optional stopping)
-    show(girsanov_check(params, spec, two, 0, None, 0.05, 1e-3, 20_000,
-                        bound_n=0.5, seed=0))
+    show(girsanov_check(spec, two, 0, None, 0.05, 1e-3, 20_000, bound_n=0.5,
+                        seed=0))
 
 
 if __name__ == "__main__":

@@ -10,151 +10,4 @@ as: core (configurations, driving paths, reproducible noise), loewner
 field observables carried along the flow).
 """
 
-from .commutation import (
-    EpsilonTooLarge,
-    SchemeOutcome,
-    SchemePlan,
-    apply_generator,
-    arctan_sum,
-    commutation_experiment,
-    commutator_residual,
-    plan_schemes,
-    run_scheme,
-)
-from .core import (
-    BACKWARD,
-    FORWARD,
-    MODES,
-    DrivingPath,
-    DuplicatePoint,
-    McReport,
-    Params,
-    PointConfig,
-    RngSpec,
-    build_driving_path,
-    make_report,
-    normal_block,
-    sample_increments,
-    standard_normals,
-    validate_config,
-)
-from .coupling import (
-    DIRICHLET,
-    NEUMANN,
-    BadCouplingParameters,
-    CoincidentPoints,
-    CouplingSpec,
-    boundary_u,
-    coupling_martingale_check,
-    coupling_pde_residual,
-    cross_variation_experiment,
-    default_epsilon_signs,
-    forward_chi,
-    green,
-    green_increment_check,
-    green_increment_coefficient,
-    holo_u_tilde,
-    make_coupling_spec,
-    q_charge,
-)
-from .loewner import (
-    ChainState,
-    ProbeTooClose,
-    Swallowed,
-    SwallowedReference,
-    evolve,
-    extract_hcap,
-    initial_state,
-    reference_map_zero_driving,
-)
-from .partition import (
-    PartitionSpec,
-    StepTooLarge,
-    bpz_residual,
-    grad_log_z,
-    h_kappa,
-    kz_residual,
-    min_gap,
-    product_z_fn,
-    z_value,
-)
-from .sampler import (
-    EffectiveSampleCollapse,
-    NumericalBlowup,
-    SwallowedTooOften,
-    companion_observable,
-    girsanov_check,
-    inverse_law_check,
-    martingale_check,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BACKWARD",
-    "FORWARD",
-    "MODES",
-    "NEUMANN",
-    "DIRICHLET",
-    "Params",
-    "PointConfig",
-    "DrivingPath",
-    "RngSpec",
-    "McReport",
-    "ChainState",
-    "PartitionSpec",
-    "SchemePlan",
-    "SchemeOutcome",
-    "CouplingSpec",
-    "DuplicatePoint",
-    "Swallowed",
-    "SwallowedReference",
-    "ProbeTooClose",
-    "StepTooLarge",
-    "NumericalBlowup",
-    "EffectiveSampleCollapse",
-    "SwallowedTooOften",
-    "EpsilonTooLarge",
-    "CoincidentPoints",
-    "BadCouplingParameters",
-    "validate_config",
-    "build_driving_path",
-    "standard_normals",
-    "sample_increments",
-    "normal_block",
-    "make_report",
-    "initial_state",
-    "evolve",
-    "extract_hcap",
-    "reference_map_zero_driving",
-    "h_kappa",
-    "z_value",
-    "grad_log_z",
-    "min_gap",
-    "product_z_fn",
-    "bpz_residual",
-    "kz_residual",
-    "martingale_check",
-    "girsanov_check",
-    "inverse_law_check",
-    "companion_observable",
-    "plan_schemes",
-    "run_scheme",
-    "commutation_experiment",
-    "apply_generator",
-    "commutator_residual",
-    "arctan_sum",
-    "q_charge",
-    "forward_chi",
-    "default_epsilon_signs",
-    "make_coupling_spec",
-    "green",
-    "holo_u_tilde",
-    "boundary_u",
-    "coupling_pde_residual",
-    "coupling_martingale_check",
-    "cross_variation_experiment",
-    "green_increment_check",
-    "green_increment_coefficient",
-    "__version__",
-]

@@ -40,7 +40,6 @@ from .core import (
     MODES,
     DuplicatePoint,
     McReport,
-    Params,
     PointConfig,
     build_driving_path,
     make_report,
@@ -236,14 +235,13 @@ def resolve_workers(config: dict) -> int:
 
 
 def _flow(config: dict, check: str, min_points: int = 1):
-    """(Params, PartitionSpec, PointConfig) from mode, kappa and points."""
+    """(PartitionSpec, PointConfig) from mode, kappa and points."""
     mode = _mode(config)
     kappa = _number(config, "kappa", required=True, positive=True)
     cfg = _points(config)
     if len(cfg) < min_points:
         raise ConfigError(f"{check} check needs at least {min_points} points")
-    return (Params(mode=mode, kappa=kappa, n_points=len(cfg)),
-            PartitionSpec(mode, kappa, len(cfg)), cfg)
+    return PartitionSpec(mode, kappa, len(cfg)), cfg
 
 
 def _pair(config: dict, n_points: int) -> tuple[int, int]:
@@ -275,20 +273,15 @@ def _bound(config: dict, spec: PartitionSpec, cfg: PointConfig) -> Optional[floa
 
 
 def _coupling(config: dict):
-    """(PointConfig, Params, CouplingSpec) of a coupling check, with the
-    spec checked against the coupling theorems."""
-    cfg = _points(config)
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
+    """(PointConfig, CouplingSpec) of a coupling check, with the spec
+    checked against the coupling theorems."""
+    spec, cfg = _flow(config, "coupling")
     gamma = _number(config, "gamma")
-    chi = _number(config, "chi")
-    if mode == BACKWARD and gamma is None:
+    if spec.mode == BACKWARD and gamma is None:
         raise ConfigError("backward coupling checks need field 'gamma'")
-    params = Params(mode=mode, kappa=kappa, n_points=len(cfg),
-                    gamma=gamma, chi=chi)
-    cspec = make_coupling_spec(params)
+    cspec = make_coupling_spec(spec, gamma=gamma, chi=_number(config, "chi"))
     cspec.require_coupled()
-    return cfg, params, cspec
+    return cfg, cspec
 
 
 def _exact_row(name: str, estimate: float, tolerance: float,
@@ -334,7 +327,7 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
 
 def _residual_rows(config: dict, fn: Callable, label: str,
                    tolerance: float) -> List[McReport]:
-    _, spec, cfg = _flow(config, label)
+    spec, cfg = _flow(config, label)
     fd_step = _number(config, "fd_step", positive=True)
     return [_exact_row(f"{label}_i{i}", fn(spec, cfg, i, fd_step=fd_step),
                        tolerance)
@@ -350,7 +343,7 @@ def _run_kz(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_commutator(config: dict, workers: int) -> List[McReport]:
-    _, spec, cfg = _flow(config, "commutator", min_points=2)
+    spec, cfg = _flow(config, "commutator", min_points=2)
     i, j = _pair(config, len(cfg))
     fd_step = _number(config, "fd_step", positive=True)
     observables = [
@@ -364,28 +357,28 @@ def _run_commutator(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_schemes(config: dict, workers: int) -> List[McReport]:
-    params, spec, cfg = _flow(config, "schemes", min_points=2)
+    spec, cfg = _flow(config, "schemes", min_points=2)
     i, j = _pair(config, len(cfg))
     eps_tilde = _number(config, "eps_tilde", required=True, positive=True)
     c = _number(config, "c", required=True, positive=True)
     dt = _number(config, "dt", required=True, positive=True)
     n_paths = _integer(config, "n_paths", required=True, minimum=1)
     seed = _integer(config, "seed", default=0)
-    return commutation_experiment(params, spec, cfg, i, j, eps_tilde, c, dt,
-                                  n_paths, seed=seed, n_workers=workers)
+    return commutation_experiment(spec, cfg, i, j, eps_tilde, c, dt, n_paths,
+                                  seed=seed, n_workers=workers)
 
 
 def _run_martingale(config: dict, workers: int) -> List[McReport]:
-    params, spec, cfg = _flow(config, "martingale")
+    spec, cfg = _flow(config, "martingale")
     i = _index(config, "i_index", len(cfg), default=0)
     t_final, dt, n_paths, seed = _ensemble(config)
-    return [martingale_check(params, spec, cfg, i, t_final, dt, n_paths,
+    return [martingale_check(spec, cfg, i, t_final, dt, n_paths,
                              bound_n=_bound(config, spec, cfg), seed=seed,
                              n_workers=workers)]
 
 
 def _run_girsanov(config: dict, workers: int) -> List[McReport]:
-    params, spec, cfg = _flow(config, "girsanov", min_points=2)
+    spec, cfg = _flow(config, "girsanov", min_points=2)
     i = _index(config, "i_index", len(cfg), default=0)
     j = _index(config, "j_index", len(cfg))
     if j == i:
@@ -393,9 +386,8 @@ def _run_girsanov(config: dict, workers: int) -> List[McReport]:
     t_final, dt, n_paths, seed = _ensemble(config)
     bound = _bound(config, spec, cfg)
     observable = companion_observable(i, len(cfg), j)
-    return [girsanov_check(params, spec, cfg, i, observable, t_final, dt,
-                           n_paths, bound_n=bound, seed=seed,
-                           n_workers=workers)]
+    return [girsanov_check(spec, cfg, i, observable, t_final, dt, n_paths,
+                           bound_n=bound, seed=seed, n_workers=workers)]
 
 
 def _run_inverse(config: dict, workers: int) -> List[McReport]:
@@ -408,7 +400,7 @@ def _run_inverse(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_coupling_pde(config: dict, workers: int) -> List[McReport]:
-    cfg, _, cspec = _coupling(config)
+    cfg, cspec = _coupling(config)
     bulk = _bulk_points(config, required=True)
     fd_step = _number(config, "fd_step", positive=True)
     indices = _indices(config, len(cfg))
@@ -419,7 +411,7 @@ def _run_coupling_pde(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_coupling_mc(config: dict, workers: int) -> List[McReport]:
-    cfg, _, cspec = _coupling(config)
+    cfg, cspec = _coupling(config)
     i = _index(config, "i_index", len(cfg), default=0)
     bulk = _bulk_points(config, required=True)
     t_final, dt, n_paths, seed = _ensemble(config)
@@ -428,13 +420,13 @@ def _run_coupling_mc(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_crossvar(config: dict, workers: int) -> List[McReport]:
-    cfg, params, cspec = _coupling(config)
+    cfg, cspec = _coupling(config)
     i = _index(config, "i_index", len(cfg), default=0)
     bulk = _bulk_points(config, required=True, minimum=2)
     t_final, dt, n_paths, seed = _ensemble(config)
     rows = cross_variation_experiment(cspec, cfg, i, bulk, t_final, dt,
                                       n_paths, seed=seed, n_workers=workers)
-    worst = green_increment_check(params.mode, params.kappa, bulk[0], bulk[1],
+    worst = green_increment_check(cspec.mode, cspec.kappa, bulk[0], bulk[1],
                                   _GREEN_ID_T, _GREEN_ID_DT, seed=seed)
     rows.append(_exact_row("green_increment_identity", worst, 1e-6,
                            int(round(_GREEN_ID_T / _GREEN_ID_DT))))

@@ -31,11 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, Params, PointConfig, RngSpec,
-                   make_report, mean_var, normal_block)
-from .loewner import Swallowed
+from .core import (BACKWARD, McReport, PointConfig, make_report, mean_var,
+                   normal_block)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
-                        grad_log_z_cols)
+                        grad_log_z_cols, min_gap)
 from .sampler import (REASON_SWALLOWED, chunked, map_chunks, run_leg,
                       step_sizes, step_windows, sum_stats)
 
@@ -52,12 +51,6 @@ class SchemePlan:
     c: float
     eps: float
     eps_prime: float
-
-
-@dataclass(frozen=True)
-class SchemeOutcome:
-    final_config: PointConfig
-    observables: dict[str, float]
 
 
 def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
@@ -95,8 +88,8 @@ def _scheme_legs(order: str, plan: SchemePlan,
     return [(slot, step_sizes(T, dt)) for slot, T in legs]
 
 
-def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
-              x: np.ndarray, draw: Callable, drifted: bool):
+def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
+              drifted: bool):
     """Run the legs of a scheme on rows x, each leg on its own steps of the
     rows' streams; returns the final Flow.  `draw(n_steps, first_step)`
     gives the normals of steps first_step .. first_step + n_steps - 1 of
@@ -119,7 +112,8 @@ def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
             lo, hi = max(a, start), min(b, stop)
             if lo >= hi:
                 continue
-            flow = run_leg(mode, kappa, exponent, h_weight, flow, slot,
+            flow = run_leg(spec.mode, spec.kappa, spec.exponent,
+                           spec.h_weight, flow, slot,
                            normals[:, lo - a:hi - a],
                            deltas[lo - start:hi - start],
                            drifted=drifted, collision_guard=2.0)
@@ -127,49 +121,12 @@ def _run_legs(legs, mode: str, kappa: float, exponent: float, h_weight: float,
     return flow
 
 
-def run_scheme(
-    order: str,
-    plan: SchemePlan,
-    params: Params,
-    spec: PartitionSpec,
-    cfg: PointConfig,
-    dt: float,
-    rng: RngSpec,
-    noise: bool = True,
-    drifted: bool = True,
-    phi: Callable[[np.ndarray], np.ndarray] = arctan_sum,
-) -> SchemeOutcome:
-    """One realization of a scheme (two legs, fresh randomness per leg).
-
-    noise=False / drifted=False give the deterministic harness mode where
-    both legs reduce to pure companion slit flows.  Raises Swallowed if a
-    companion is absorbed; callers discard and count such paths.
-    """
-    legs = _scheme_legs(order, plan, dt)
-    if noise:
-        draw = functools.partial(normal_block, rng.seed, rng.path_index, 1)
-    else:
-        def draw(n_steps, first_step):
-            return np.zeros((1, n_steps))
-    flow = _run_legs(legs, params.mode, params.kappa, spec.exponent,
-                     spec.h_weight, cfg.as_array()[None, :], draw, drifted)
-    if not flow.active[0]:
-        raise Swallowed(f"a companion was swallowed in {order}")
-    x = flow.x
-    final = PointConfig(tuple(float(v) for v in x[0]))
-    obs = {f"x_{k}": float(x[0, k]) for k in range(x.shape[1])}
-    obs["phi"] = float(phi(x[0]))
-    return SchemeOutcome(final, obs)
-
-
 def _scheme_chunk(task: dict) -> dict:
-    plan = SchemePlan(*task["plan"])
-    legs = _scheme_legs(task["order"], plan, task["dt"])
+    legs = _scheme_legs(task["order"], task["plan"], task["dt"])
     draw = functools.partial(normal_block, task["seed"], task["first_path"],
                              task["count"])
     x = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    flow = _run_legs(legs, task["mode"], task["kappa"], task["exponent"],
-                     task["h_weight"], x, draw, drifted=True)
+    flow = _run_legs(legs, task["spec"], x, draw, drifted=True)
     x = flow.x
     keep = flow.reason != REASON_SWALLOWED
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum())}
@@ -182,19 +139,14 @@ def _scheme_chunk(task: dict) -> dict:
     return out
 
 
-def _scheme_tasks(order, plan, params, spec, cfg, dt, n_paths, seed,
+def _scheme_tasks(order, plan, spec, cfg, dt, n_paths, seed,
                   first_path) -> list[dict]:
-    task = {"order": order,
-            "plan": (plan.i, plan.j, plan.eps_tilde, plan.c, plan.eps,
-                     plan.eps_prime),
-            "mode": params.mode, "kappa": params.kappa,
-            "exponent": spec.exponent, "h_weight": spec.h_weight,
+    task = {"order": order, "plan": plan, "spec": spec,
             "points": tuple(cfg.points), "dt": dt, "seed": seed}
     return chunked(task, n_paths, first_path)
 
 
 def commutation_experiment(
-    params: Params,
     spec: PartitionSpec,
     cfg: PointConfig,
     i: int,
@@ -211,10 +163,9 @@ def commutation_experiment(
     max(3 * pooled SE, 10 * eps_tilde**2).  Both schemes share one
     map_chunks call (one pool)."""
     plan = plan_schemes(cfg, i, j, eps_tilde, c)
-    tasks1 = _scheme_tasks("scheme1", plan, params, spec, cfg, dt, n_paths,
-                           seed, 0)
-    tasks2 = _scheme_tasks("scheme2", plan, params, spec, cfg, dt, n_paths,
-                           seed, n_paths)
+    tasks1 = _scheme_tasks("scheme1", plan, spec, cfg, dt, n_paths, seed, 0)
+    tasks2 = _scheme_tasks("scheme2", plan, spec, cfg, dt, n_paths, seed,
+                           n_paths)
     parts = map_chunks(_scheme_chunk, tasks1 + tasks2, n_workers)
     s1 = sum_stats(parts[:len(tasks1)])
     s2 = sum_stats(parts[len(tasks1):])
@@ -250,22 +201,6 @@ def _generator_value(spec: PartitionSpec, phi: Callable, x: np.ndarray,
     return acc
 
 
-def apply_generator(
-    spec: PartitionSpec,
-    phi: Callable[[np.ndarray], float],
-    cfg: PointConfig,
-    k: int,
-    fd_step: float | None = None,
-    drift_fn: Callable | None = None,
-) -> float:
-    """(L_k phi) at cfg; drift_fn overrides the product-form drift (pass a
-    zero function for drift-free negative controls)."""
-    if not 0 <= k < len(cfg):
-        raise IndexError(f"index {k} out of range")
-    h = _resolve_step(cfg, fd_step, 1e-4)
-    return _generator_value(spec, phi, cfg.as_array(), k, h, drift_fn)
-
-
 def commutator_residual(
     spec: PartitionSpec,
     phi: Callable[[np.ndarray], float],
@@ -287,7 +222,7 @@ def commutator_residual(
     """
     if i == j:
         raise ValueError("i and j must differ")
-    h = _resolve_step(cfg, fd_step, 2e-3, scale=10.0)
+    h = _resolve_step(min_gap(cfg), fd_step, 2e-3, scale=10.0)
     x = cfg.as_array()
 
     def L(k: int, g: Callable) -> Callable:

@@ -61,30 +61,6 @@ def _check_mode(mode: str) -> str:
 
 
 @dataclass(frozen=True)
-class Params:
-    """Fixed scalars of an experiment: flow direction, kappa, point count
-    and the optional coupling constant (gamma for the backward coupling, chi
-    for the forward one)."""
-
-    mode: str
-    kappa: float
-    n_points: int
-    gamma: float | None = None
-    chi: float | None = None
-
-    def __post_init__(self):
-        _check_mode(self.mode)
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.n_points < 1:
-            raise ValueError("n_points must be a positive integer")
-        # gamma > 2 is allowed: gamma and 4/gamma parameterize the same
-        # coupling charge, and checks are run in both forms
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class PointConfig:
     """Ordered tuple of pairwise-distinct boundary points (kept in user
     order; nothing downstream depends on sortedness)."""
@@ -118,13 +94,12 @@ class DrivingPath:
     """Realized driving function on a uniform grid.
 
     values[k+1] = values[k] + sqrt(kappa)*increments[k] + drift[k]*dt, with
-    values[0] the seed point.  increments are the raw Brownian increments
-    (variance dt each), not yet scaled by sqrt(kappa).
+    values[0] the seed point and increments the raw Brownian increments
+    (variance dt each) it was built from.
     """
 
     dt: float
     n_steps: int
-    increments: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
@@ -132,8 +107,6 @@ class DrivingPath:
             raise ValueError("dt must be positive")
         if len(self.values) != self.n_steps + 1:
             raise ValueError("values must have length n_steps + 1")
-        if len(self.increments) != self.n_steps:
-            raise ValueError("increments must have length n_steps")
 
 
 def build_driving_path(
@@ -154,7 +127,7 @@ def build_driving_path(
     values[0] = w0
     np.cumsum(steps, out=values[1:])
     values[1:] += w0
-    return DrivingPath(dt=dt, n_steps=n, increments=increments, values=values)
+    return DrivingPath(dt=dt, n_steps=n, values=values)
 
 
 @dataclass(frozen=True)
@@ -165,18 +138,13 @@ class RngSpec:
     path_index: int = 0
 
 
-def standard_normals(rng: RngSpec, n: int) -> np.ndarray:
-    """n standard normals from the stream keyed by (seed, path_index)."""
-    return normal_block(rng.seed, rng.path_index, 1, n)[0]
-
-
 def sample_increments(rng: RngSpec, dt: float, n_steps: int) -> np.ndarray:
     """n_steps Brownian increments, each N(0, dt), deterministic in rng."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    return np.sqrt(dt) * standard_normals(rng, n_steps)
+    return np.sqrt(dt) * normal_block(rng.seed, rng.path_index, 1, n_steps)[0]
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,

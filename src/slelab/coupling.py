@@ -33,7 +33,6 @@ from .core import (
     BACKWARD,
     FORWARD,
     McReport,
-    Params,
     PointConfig,
     _check_mode,
     make_report,
@@ -44,8 +43,7 @@ from .core import (
 from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
     PartitionSpec,
-    StepTooLarge,
-    _check_square,
+    _resolve_step,
     fd_first,
     fd_second,
     log_z_cols,
@@ -75,6 +73,8 @@ class BadCouplingParameters(ValueError):
 
 
 def q_charge(gamma: float) -> float:
+    """2/gamma + gamma/2.  gamma > 2 is allowed: gamma and 4/gamma give the
+    same charge, and checks are run in both forms."""
     if gamma <= 0:
         raise BadCouplingParameters(f"gamma must be positive, got {gamma}")
     return 2.0 / gamma + gamma / 2.0
@@ -108,37 +108,38 @@ def check_backward_relation(kappa: float, gamma: float) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class CouplingSpec:
-    """Field side of a coupled flow: charges, signs, and which part of
-    the holomorphic sum is the field.
+    """A coupled flow: the flow's PartitionSpec plus the field side
+    (gamma, charges, signs, and which part of the holomorphic sum is the
+    field).
 
     epsilon_signs are stored as given (controls deliberately set wrong
     signs); the canonical values are enforced only by the checks that
     assume them, via `require_coupled`.
     """
 
-    params: Params
     pspec: PartitionSpec
+    gamma: Optional[float]
     epsilon_signs: Tuple[int, ...]
     q_charge: Optional[float] = None
     chi: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if len(self.epsilon_signs) != self.params.n_points:
+        if len(self.epsilon_signs) != self.pspec.n_points:
             raise ValueError("need one epsilon sign per boundary point")
         if any(abs(e) != 1 for e in self.epsilon_signs):
             raise ValueError("epsilon signs must be +1 or -1")
-        if self.params.mode == BACKWARD and self.q_charge is None:
+        if self.mode == BACKWARD and self.q_charge is None:
             raise ValueError("backward coupling needs q_charge")
-        if self.params.mode == FORWARD and self.chi is None:
+        if self.mode == FORWARD and self.chi is None:
             raise ValueError("forward coupling needs chi")
 
     @property
     def mode(self) -> str:
-        return self.params.mode
+        return self.pspec.mode
 
     @property
     def kappa(self) -> float:
-        return self.params.kappa
+        return self.pspec.kappa
 
     @property
     def curvature_constant(self) -> float:
@@ -147,10 +148,8 @@ class CouplingSpec:
     def require_coupled(self) -> None:
         """Reject parameter combinations outside the coupling theorems."""
         if self.mode == BACKWARD:
-            if self.params.gamma is None:
-                raise BadCouplingParameters("backward coupling needs gamma")
-            check_backward_relation(self.kappa, self.params.gamma)
-            want = q_charge(self.params.gamma)
+            check_backward_relation(self.kappa, self.gamma)
+            want = q_charge(self.gamma)
             if abs(self.q_charge - want) > _RELATION_TOL:
                 raise BadCouplingParameters(
                     f"q_charge {self.q_charge} != 2/gamma + gamma/2 = {want}"
@@ -162,7 +161,8 @@ class CouplingSpec:
                     f"chi {self.chi} does not match kappa={self.kappa} "
                     f"(expected {want})"
                 )
-        canonical = default_epsilon_signs(self.mode, self.kappa, self.params.n_points)
+        canonical = default_epsilon_signs(self.mode, self.kappa,
+                                          self.pspec.n_points)
         if tuple(self.epsilon_signs) != canonical:
             raise BadCouplingParameters(
                 f"epsilon signs {self.epsilon_signs} are not the coupled "
@@ -171,22 +171,23 @@ class CouplingSpec:
 
 
 def make_coupling_spec(
-    params: Params,
+    pspec: PartitionSpec,
+    gamma: Optional[float] = None,
+    chi: Optional[float] = None,
     epsilon_signs: Optional[Sequence[int]] = None,
 ) -> CouplingSpec:
-    pspec = PartitionSpec(params.mode, params.kappa, params.n_points)
+    """The coupling of the flow `pspec`: the backward one needs gamma, the
+    forward one takes chi from kappa unless it is given."""
     if epsilon_signs is None:
-        epsilon_signs = default_epsilon_signs(
-            params.mode, params.kappa, params.n_points
-        )
-    if params.mode == BACKWARD:
-        if params.gamma is None:
-            raise BadCouplingParameters("backward coupling needs gamma in Params")
-        return CouplingSpec(
-            params, pspec, tuple(epsilon_signs), q_charge=q_charge(params.gamma)
-        )
-    chi = params.chi if params.chi is not None else forward_chi(params.kappa)
-    return CouplingSpec(params, pspec, tuple(epsilon_signs), chi=chi)
+        epsilon_signs = default_epsilon_signs(pspec.mode, pspec.kappa,
+                                              pspec.n_points)
+    # q_charge refuses a nonpositive gamma in either mode
+    q = None if gamma is None else q_charge(gamma)
+    if pspec.mode == BACKWARD and q is None:
+        raise BadCouplingParameters("backward coupling needs gamma")
+    if pspec.mode == FORWARD and chi is None:
+        chi = forward_chi(pspec.kappa)
+    return CouplingSpec(pspec, gamma, tuple(epsilon_signs), q, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +280,7 @@ def coupling_pde_residual(
     spec = cspec.pspec
     eps = cspec.epsilon_signs
     kappa = cspec.kappa
-    scale = _coupling_scale(cfg, z)
-    h = 1e-4 * scale if fd_step is None else float(fd_step)
-    if h <= 0:
-        raise StepTooLarge("fd_step must be positive")
-    if h >= scale / 10.0:
-        raise StepTooLarge(
-            f"fd_step {h} too large for point scale {scale} (needs < scale/10)"
-        )
-    _check_square(h)
+    h = _resolve_step(_coupling_scale(cfg, z), fd_step, 1e-4)
     x0 = np.asarray(cfg.points, dtype=float)
     z_center = math.exp(log_z_cols(spec.exponent, x0))
 
@@ -571,12 +564,11 @@ def cross_variation_experiment(
     n_paths: int,
     seed: int = 0,
     n_workers: int = 1,
-    rel_tolerance: float = 0.05,
 ) -> List[McReport]:
     """Discrete cross variation of h(z), h(w) vs the Green function drop.
 
     Both sides are averaged over paths; they agree to O(dt) per path, so
-    the default tolerance is 5% of the reference magnitude (the drop is
+    the tolerance is 5% of the reference magnitude (the drop is
     deterministic for these couplings, which makes it a clean yardstick).
     """
     if len(bulk) < 2:
@@ -600,7 +592,7 @@ def cross_variation_experiment(
                 estimate=float(est),
                 std_error=float(se),
                 reference=float(ref),
-                tolerance=rel_tolerance * abs(ref),
+                tolerance=0.05 * abs(ref),
                 n_samples=n,
             )
         )
@@ -632,7 +624,6 @@ def green_increment_check(
     t_final: float,
     dt: float,
     seed: int = 0,
-    path_index: int = 0,
 ) -> float:
     """Per-substep check that dG/dt matches the rate coefficient.
 
@@ -647,7 +638,7 @@ def green_increment_check(
         raise ValueError("bulk points must satisfy Im z > 0")
     kind = MODE_GREEN[mode]
     deltas = step_sizes(t_final, dt)
-    normals = normal_block(seed, path_index, 1, deltas.size)[0]
+    normals = normal_block(seed, 0, 1, deltas.size)[0]
     pts = np.array([z, w], dtype=complex)
     u = 0.0
     worst = 0.0

@@ -106,8 +106,8 @@ class ChainState:
     """Snapshot of a chain: images and derivatives of the tracked points.
 
     marked_* are real boundary points, bulk_* complex interior points;
-    *_initial keep the time-zero locations so capacity probes and
-    finite-difference checks can find their points again.
+    bulk_initial keeps their time-zero locations so capacity probes can
+    find their points again.
     """
 
     time: float
@@ -116,8 +116,6 @@ class ChainState:
     marked_derivs: np.ndarray
     bulk_values: np.ndarray
     bulk_derivs: np.ndarray
-    hcap_accum: float
-    marked_initial: np.ndarray
     bulk_initial: np.ndarray
 
 
@@ -135,8 +133,6 @@ def initial_state(mode: str, marked=(), bulk=()) -> ChainState:
         marked_derivs=np.ones_like(mk),
         bulk_values=bk.copy(),
         bulk_derivs=np.ones_like(bk),
-        hcap_accum=0.0,
-        marked_initial=mk.copy(),
         bulk_initial=bk.copy(),
     )
 
@@ -152,7 +148,6 @@ def evolve(state: ChainState, path: DrivingPath) -> ChainState:
     mkd = state.marked_derivs.copy()
     bk = state.bulk_values.copy()
     bkd = state.bulk_derivs.copy()
-    hcap = state.hcap_accum
 
     for k in range(path.n_steps):
         U0 = path.values[k]
@@ -181,7 +176,6 @@ def evolve(state: ChainState, path: DrivingPath) -> ChainState:
                 )
             bk, bkd = new, bkd * mult
         t += dt
-        hcap += 2.0 * dt
 
     return replace(
         state,
@@ -190,7 +184,6 @@ def evolve(state: ChainState, path: DrivingPath) -> ChainState:
         marked_derivs=mkd,
         bulk_values=bk,
         bulk_derivs=bkd,
-        hcap_accum=hcap,
     )
 
 

@@ -143,11 +143,12 @@ def fd_first(f: Callable, x: np.ndarray, i: int, h: float) -> float:
     ) / (12.0 * h)
 
 
-def _resolve_step(cfg: PointConfig, fd_step: float | None, default_frac: float,
+def _resolve_step(gap: float, fd_step: float | None, default_frac: float,
                   scale: float = 1.0) -> float:
-    """The FD step (default: default_frac times the min gap); scale times it
-    must stay below a tenth of the min gap."""
-    gap = min_gap(cfg)
+    """The FD step for points whose length scale is `gap` (default:
+    default_frac times it); scale times it must stay below a tenth of the
+    gap, and its square, which the second-difference stencils divide by,
+    must not underflow (as it does for points 1e-300 apart)."""
     if fd_step is None:
         fd_step = default_frac * gap
     if not fd_step > 0:
@@ -155,18 +156,12 @@ def _resolve_step(cfg: PointConfig, fd_step: float | None, default_frac: float,
     if scale * fd_step >= gap / 10.0:
         raise StepTooLarge(
             f"{scale:g} * fd_step = {scale * fd_step:g} must stay below a "
-            f"tenth of the min gap {gap:g}"
+            f"tenth of the length scale {gap:g}"
         )
-    _check_square(fd_step)
-    return fd_step
-
-
-def _check_square(fd_step: float) -> None:
-    """The second-difference stencils divide by fd_step**2, which must not
-    underflow (as it does for points 1e-300 apart)."""
     if fd_step * fd_step < sys.float_info.min:
         raise StepTooLarge(
             f"fd_step {fd_step:g} is too small: its square underflows")
+    return fd_step
 
 
 def bpz_residual(
@@ -185,7 +180,7 @@ def bpz_residual(
     minimum pairwise gap; steps at or above a tenth of the gap are refused.
     """
     _check_index(cfg, i)
-    h = _resolve_step(cfg, fd_step, 1e-4)
+    h = _resolve_step(min_gap(cfg), fd_step, 1e-4)
     f = z_fn if z_fn is not None else product_z_fn(spec.exponent)
     x = cfg.as_array()
     sgn = -1.0 if spec.mode == BACKWARD else 1.0
@@ -203,7 +198,7 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
                 fd_step: float | None = None) -> float:
     """|FD d(log Z)/dx_i - closed form|; exact identity, FD truncation only."""
     _check_index(cfg, i)
-    h = _resolve_step(cfg, fd_step, 1e-5)
+    h = _resolve_step(min_gap(cfg), fd_step, 1e-5)
     x = cfg.as_array()
 
     def logz(y: np.ndarray) -> float:

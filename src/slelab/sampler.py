@@ -38,15 +38,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, Params, PointConfig, make_report,
-                   mean_var, normal_block, sum_columns)
+from .core import (BACKWARD, McReport, PointConfig, make_report, mean_var,
+                   normal_block, sum_columns)
 from .loewner import reference_map_zero_driving, slit_complex, slit_real
 from .partition import PartitionSpec, log_z_cols, z_value
 
-REASON_NONE = 0
+# why a path stopped; 0 while it runs
 REASON_BOUND = 1
 REASON_SWALLOWED = 2
-REASON_NAMES = {REASON_BOUND: "bound_n", REASON_SWALLOWED: "swallowed"}
 
 DERIV_CAP = 1e300
 DEFAULT_CHUNK = 20_000
@@ -123,7 +122,7 @@ class Flow:
     x: np.ndarray              # (n, N) configuration, driver in its slot
     derivs: np.ndarray | None  # (n, N) companion derivatives, driver slot 1
     active: np.ndarray         # (n,) bool
-    reason: np.ndarray         # (n,) int8, REASON_*
+    reason: np.ndarray         # (n,) int8, 0 or REASON_*
     log_m: np.ndarray | None   # (n,) log M at stop/terminal, if tracked
 
 
@@ -253,6 +252,7 @@ def map_chunks(fn: Callable, tasks: Sequence, n_workers: int = 1) -> list:
 
 def _ensemble_chunk(task: dict) -> dict:
     """Terminal sufficient statistics for one chunk of paths."""
+    spec: PartitionSpec = task["spec"]
     deltas = step_sizes(task["T"], task["dt"])
     x0 = np.tile(np.asarray(task["points"]), (task["count"], 1))
     flow = x0
@@ -260,13 +260,13 @@ def _ensemble_chunk(task: dict) -> dict:
         normals = normal_block(task["seed"], task["first_path"],
                                task["count"], b - a, a)
         flow = run_leg(
-            task["mode"], task["kappa"], task["exponent"], task["h_weight"],
+            spec.mode, spec.kappa, spec.exponent, spec.h_weight,
             flow, task["slot"], normals, deltas[a:b],
             drifted=task["drifted"], track_weight=True,
             log_bound=task["log_bound"],
         )
         del normals      # before the next window is drawn
-    w = np.exp(flow.log_m - log_z_cols(task["exponent"], x0))   # M / M_0
+    w = np.exp(flow.log_m - log_z_cols(spec.exponent, x0))   # M / M_0
     obs = task["observable"]
     f = obs(flow.x) if obs is not None else np.zeros(task["count"])
     return {
@@ -283,12 +283,10 @@ def _ensemble_chunk(task: dict) -> dict:
     }
 
 
-def _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
+def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
                     first_path, drifted, observable) -> list[dict]:
     task = {
-        "mode": params.mode, "kappa": params.kappa,
-        "exponent": spec.exponent, "h_weight": spec.h_weight,
-        "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
+        "spec": spec, "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
         "seed": seed, "drifted": drifted,
         "log_bound": None if bound_n is None else math.log(bound_n),
         "observable": observable,
@@ -297,7 +295,6 @@ def _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths, bound_n, seed,
 
 
 def martingale_check(
-    params: Params,
     spec: PartitionSpec,
     cfg: PointConfig,
     i: int,
@@ -311,20 +308,19 @@ def martingale_check(
     """Optional-stopping test: mean of M_{T and tau}/M_0 against 1."""
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
-    tasks = _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths, bound_n,
-                            seed, 0, drifted=False, observable=None)
+    tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed, 0,
+                            drifted=False, observable=None)
     st = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
     n = st["n"]
     mean, var = mean_var(st["sw"], st["sw2"], n)
     se = math.sqrt(var)
     return make_report(
-        f"martingale_mean_weight_k{params.kappa:g}_N{len(cfg)}",
+        f"martingale_mean_weight_k{spec.kappa:g}_N{len(cfg)}",
         mean, se, 1.0, 3.0 * se, n,
     )
 
 
 def girsanov_check(
-    params: Params,
     spec: PartitionSpec,
     cfg: PointConfig,
     i: int,
@@ -335,7 +331,6 @@ def girsanov_check(
     bound_n: float | None = None,
     seed: int = 0,
     n_workers: int = 1,
-    name: str = "girsanov",
 ) -> McReport:
     """Reweighted base-measure mean against the drifted-measure mean.
 
@@ -349,11 +344,11 @@ def girsanov_check(
         observable = companion_observable(i, len(cfg))
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
-    base_tasks = _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths,
-                                 bound_n, seed, 0, drifted=False,
+    base_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
+                                 seed, 0, drifted=False,
                                  observable=observable)
-    drift_tasks = _ensemble_tasks(params, spec, cfg, i, T, dt, n_paths,
-                                  bound_n, seed, n_paths, drifted=True,
+    drift_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
+                                  seed, n_paths, drifted=True,
                                   observable=observable)
     parts = map_chunks(_ensemble_chunk, base_tasks + drift_tasks, n_workers)
     base = sum_stats(parts[:len(base_tasks)])
@@ -369,7 +364,7 @@ def girsanov_check(
     est2, var2 = mean_var(drift["sf"], drift["sf2"], drift["n"])
     se2 = math.sqrt(var2)
     pooled = math.hypot(se1, se2)
-    return make_report(name, est1, pooled, est2, 3.0 * pooled, n)
+    return make_report("girsanov", est1, pooled, est2, 3.0 * pooled, n)
 
 
 def _column(x: np.ndarray, j: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from slelab.commutation import commutation_experiment, commutator_residual
-from slelab.core import Params, RngSpec, build_driving_path, sample_increments, validate_config
+from slelab.core import RngSpec, build_driving_path, sample_increments, validate_config
 from slelab.coupling import (
     boundary_u,
     coupling_martingale_check,
@@ -116,9 +116,9 @@ def test_criterion_04_generator_commutator():
 def test_criterion_05_coupling_pde():
     rng = np.random.default_rng(0)
     triples = [
-        make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0)),
-        make_coupling_spec(Params("backward", 1.0, 2, gamma=4.0)),
-        make_coupling_spec(Params("forward", 2.0, 2)),
+        make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0),
+        make_coupling_spec(PartitionSpec("backward", 1.0, 2), gamma=4.0),
+        make_coupling_spec(PartitionSpec("forward", 2.0, 2)),
     ]
     worst = 0.0
     for cspec in triples:
@@ -130,7 +130,7 @@ def test_criterion_05_coupling_pde():
                 if min(abs(z - xi) for xi in x) > 0.5:
                     break
             worst = max(worst, coupling_pde_residual(cspec, z, cfg, k % 2))
-    bad = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0),
+    bad = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0,
                              epsilon_signs=(1, 1))
     control = coupling_pde_residual(bad, 1 + 2j, validate_config((0.0, 1.0)), 0)
     ok = worst < 1e-4 and control > 1e-2
@@ -144,8 +144,7 @@ def test_criterion_06_martingale():
     for kappa in (2.0, 4.0):
         for pts in ((0.0, 1.0), (0.0, 1.0, 3.0)):
             n = len(pts)
-            rep = martingale_check(Params("backward", kappa, n),
-                                   PartitionSpec("backward", kappa, n),
+            rep = martingale_check(PartitionSpec("backward", kappa, n),
                                    validate_config(pts), 0, 0.1, 1e-3,
                                    10_000, seed=0)
             rows.append(rep)
@@ -157,11 +156,10 @@ def test_criterion_06_martingale():
 
 
 def test_criterion_07_girsanov():
-    params = Params("backward", 4.0, 2)
     spec = PartitionSpec("backward", 4.0, 2)
     cfg = validate_config((0.0, 1.0))
-    free = girsanov_check(params, spec, cfg, 0, None, 0.05, 1e-3, 100_000, seed=0)
-    bound = girsanov_check(params, spec, cfg, 0, None, 0.05, 1e-3, 100_000,
+    free = girsanov_check(spec, cfg, 0, None, 0.05, 1e-3, 100_000, seed=0)
+    bound = girsanov_check(spec, cfg, 0, None, 0.05, 1e-3, 100_000,
                            bound_n=0.5, seed=0)
     ok = free.passed and bound.passed
     _line(7, "girsanov equivalence", ok,
@@ -188,12 +186,11 @@ def test_criterion_08_commutation_experiment():
     diffs = {}
     for pts in ((0.0, 1.0), (0.0, 1.0, 3.0)):
         n = len(pts)
-        params = Params("backward", 4.0, n)
         spec = PartitionSpec("backward", 4.0, n)
         cfg = validate_config(pts)
         for eps_tilde in (0.01, 0.005):
             for c in (1.0, 2.0):
-                reports = commutation_experiment(params, spec, cfg, 0, 1,
+                reports = commutation_experiment(spec, cfg, 0, 1,
                                                  eps_tilde, c, dt, n_paths,
                                                  seed=0)
                 for r in reports:
@@ -227,12 +224,12 @@ def test_criterion_09_inverse_law():
 
 
 def test_criterion_10_coupling_martingale():
-    cspec = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0))
+    cspec = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
     cfg = validate_config((0.0, 1.0))
     bulk = [1 + 2j, -1 + 2j]
     reports = coupling_martingale_check(cspec, cfg, 0, bulk, 0.05, 1e-3,
                                         10_000, seed=0)
-    bad = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0),
+    bad = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0,
                              epsilon_signs=(1, 1))
     control = coupling_martingale_check(bad, cfg, 0, [1 + 2j], 0.05, 1e-3,
                                         100_000, seed=0)
@@ -244,7 +241,7 @@ def test_criterion_10_coupling_martingale():
 
 
 def test_criterion_11_cross_variation():
-    cspec = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0))
+    cspec = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
     cfg = validate_config((0.0, 1.0))
     reports = cross_variation_experiment(cspec, cfg, 0, [1 + 2j, -1 + 2j],
                                          0.05, 1e-4, 200, seed=0)

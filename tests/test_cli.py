@@ -205,6 +205,24 @@ def test_coupling_pde_underflowing_fd_step_exit_two(tmp_path, capsys):
     assert main(["check", cfg]) == 2
     assert "underflows" in _config_error_line(capsys)
     assert not (tmp_path / "r.csv").exists()
+    # the same guard refuses a step of half the length scale
+    cfg = write_config(tmp_path, check="coupling_pde", mode="forward",
+                       kappa=2.0, points=[0.0, 1.0],
+                       bulk_points=[[0.5, 1.0]], fd_step=0.5,
+                       out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "tenth of the length scale" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("gamma", [0, -1.0])
+def test_coupling_nonpositive_gamma_exit_two(tmp_path, capsys, gamma):
+    cfg = write_config(tmp_path, check="coupling_pde", mode="backward",
+                       kappa=4.0, gamma=gamma, points=[0.0, 1.0],
+                       bulk_points=[[0.5, 1.0]], out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "gamma must be positive" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_schemes_leg_shorter_than_substep_exit_two(tmp_path, capsys):

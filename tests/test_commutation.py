@@ -5,18 +5,20 @@ import pytest
 
 from slelab.commutation import (
     EpsilonTooLarge,
-    apply_generator,
+    _generator_value,
+    _run_legs,
+    _scheme_chunk,
+    _scheme_legs,
+    _scheme_tasks,
     arctan_sum,
     commutation_experiment,
     commutator_residual,
     plan_schemes,
-    run_scheme,
 )
-from slelab.core import Params, RngSpec, validate_config
+from slelab.core import validate_config
 from slelab.partition import PartitionSpec
 
 CFG = validate_config((0.0, 1.0))
-PARAMS = Params("backward", 4.0, 2)
 SPEC = PartitionSpec("backward", 4.0, 2)
 
 
@@ -51,17 +53,23 @@ def test_plan_schemes_role_swap_symmetry():
     np.testing.assert_allclose(a.eps_prime, b.eps, rtol=1e-14)
 
 
+def _apply_generator(phi):
+    """(L_0 phi) at CFG with the default single-level step, 1e-4 times
+    the gap."""
+    return _generator_value(SPEC, phi, CFG.as_array(), 0, 1e-4, None)
+
+
 def test_apply_generator_constant():
-    assert apply_generator(SPEC, lambda x: 1.0, CFG, 0) == 0.0
+    assert _apply_generator(lambda x: 1.0) == 0.0
 
 
 def test_apply_generator_drift_term():
-    got = apply_generator(SPEC, lambda x: float(x[0]), CFG, 0)
+    got = _apply_generator(lambda x: float(x[0]))
     np.testing.assert_allclose(got, 2.0, rtol=0, atol=1e-8)
 
 
 def test_apply_generator_transport_term():
-    got = apply_generator(SPEC, lambda x: float(x[1]), CFG, 0)
+    got = _apply_generator(lambda x: float(x[1]))
     np.testing.assert_allclose(got, -2.0, rtol=0, atol=1e-8)
 
 
@@ -96,18 +104,26 @@ def test_arctan_sum_default_observable():
                                [np.pi / 4], rtol=1e-14)
 
 
+def _final_noiseless(order, plan, dt, drifted):
+    """Final configuration of one path of a scheme with every normal zero:
+    both legs reduce to pure companion slit flows."""
+    flow = _run_legs(_scheme_legs(order, plan, dt), SPEC,
+                     CFG.as_array()[None, :],
+                     lambda n_steps, first_step: np.zeros((1, n_steps)),
+                     drifted)
+    assert flow.active.all()
+    return flow.x[0]
+
+
 def test_run_scheme_deterministic_drifted_flows_commute():
     """With noise off and the drift kept, the corrected leg times make the
     two orderings agree up to the O(dt) integrator error."""
     plan = plan_schemes(CFG, 0, 1, 0.01, 2.0)
     diffs = []
     for dt in (1e-4, 1e-5):
-        o1 = run_scheme("scheme1", plan, PARAMS, SPEC, CFG, dt, RngSpec(0, 0),
-                        noise=False, drifted=True)
-        o2 = run_scheme("scheme2", plan, PARAMS, SPEC, CFG, dt, RngSpec(0, 0),
-                        noise=False, drifted=True)
-        diffs.append(np.abs(o1.final_config.as_array()
-                            - o2.final_config.as_array()).max())
+        x1 = _final_noiseless("scheme1", plan, dt, drifted=True)
+        x2 = _final_noiseless("scheme2", plan, dt, drifted=True)
+        diffs.append(np.abs(x1 - x2).max())
     assert diffs[0] < 1e-6
     assert diffs[1] < diffs[0] / 5.0  # first-order in dt
 
@@ -118,33 +134,27 @@ def test_run_scheme_zero_drift_breaks_commutation():
     plan = plan_schemes(CFG, 0, 1, 0.01, 1.0)
     vals = []
     for dt in (1e-4, 1e-5):
-        o1 = run_scheme("scheme1", plan, PARAMS, SPEC, CFG, dt, RngSpec(0, 0),
-                        noise=False, drifted=False)
-        o2 = run_scheme("scheme2", plan, PARAMS, SPEC, CFG, dt, RngSpec(0, 0),
-                        noise=False, drifted=False)
-        vals.append(np.abs(o1.final_config.as_array()
-                           - o2.final_config.as_array()).max())
+        x1 = _final_noiseless("scheme1", plan, dt, drifted=False)
+        x2 = _final_noiseless("scheme2", plan, dt, drifted=False)
+        vals.append(np.abs(x1 - x2).max())
     assert vals[0] > 1e-3
     np.testing.assert_allclose(vals[0], vals[1], rtol=1e-3)
 
 
 def test_run_scheme_repeatable():
     plan = plan_schemes(CFG, 0, 1, 0.01, 2.0)
-    a = run_scheme("scheme1", plan, PARAMS, SPEC, CFG, 1e-4, RngSpec(3, 7))
-    b = run_scheme("scheme1", plan, PARAMS, SPEC, CFG, 1e-4, RngSpec(3, 7))
-    np.testing.assert_array_equal(a.final_config.as_array(),
-                                  b.final_config.as_array())
-    assert a.observables == b.observables
+    task, = _scheme_tasks("scheme1", plan, SPEC, CFG, 1e-4, 50, 3, 7)
+    assert _scheme_chunk(task) == _scheme_chunk(task)
 
 
 def test_run_scheme_rejects_unknown_order():
     plan = plan_schemes(CFG, 0, 1, 0.01, 1.0)
     with pytest.raises(ValueError):
-        run_scheme("scheme3", plan, PARAMS, SPEC, CFG, 1e-4, RngSpec(0, 0))
+        _scheme_legs("scheme3", plan, 1e-4)
 
 
 def test_commutation_experiment_small():
-    reports = commutation_experiment(PARAMS, SPEC, CFG, 0, 1, 0.02, 1.0,
+    reports = commutation_experiment(SPEC, CFG, 0, 1, 0.02, 1.0,
                                      1e-4, 2000, seed=0)
     names = [r.name for r in reports]
     assert names == ["scheme_diff_x_0", "scheme_diff_x_1", "scheme_diff_phi"]
@@ -153,9 +163,9 @@ def test_commutation_experiment_small():
 
 
 def test_commutation_experiment_seed_consistency():
-    a = commutation_experiment(PARAMS, SPEC, CFG, 0, 1, 0.005, 1.0,
+    a = commutation_experiment(SPEC, CFG, 0, 1, 0.005, 1.0,
                                1e-4, 2000, seed=0)
-    b = commutation_experiment(PARAMS, SPEC, CFG, 0, 1, 0.005, 1.0,
+    b = commutation_experiment(SPEC, CFG, 0, 1, 0.005, 1.0,
                                1e-4, 2000, seed=1)
     for ra, rb in zip(a, b):
         assert np.isfinite(ra.estimate) and np.isfinite(rb.estimate)
@@ -164,9 +174,9 @@ def test_commutation_experiment_seed_consistency():
 
 
 def test_commutation_experiment_worker_invariance():
-    a = commutation_experiment(PARAMS, SPEC, CFG, 0, 1, 0.01, 2.0,
+    a = commutation_experiment(SPEC, CFG, 0, 1, 0.01, 2.0,
                                1e-4, 1000, seed=2)
-    b = commutation_experiment(PARAMS, SPEC, CFG, 0, 1, 0.01, 2.0,
+    b = commutation_experiment(SPEC, CFG, 0, 1, 0.01, 2.0,
                                1e-4, 1000, seed=2, n_workers=2)
     for ra, rb in zip(a, b):
         assert ra.estimate == rb.estimate

@@ -15,7 +15,6 @@ from slelab.core import (
     make_report,
     normal_block,
     sample_increments,
-    standard_normals,
     sum_columns,
     validate_config,
 )
@@ -64,14 +63,13 @@ def test_sample_increments_deterministic():
 
 def test_sample_increments_paths_decorrelated():
     n = 100_000
-    a = standard_normals(RngSpec(3, 0), n)
-    b = standard_normals(RngSpec(3, 1), n)
+    a, b = normal_block(3, 0, 2, n)
     corr = float(np.mean(a * b))
     assert abs(corr) < 3.0 / np.sqrt(n)
 
 
 def test_standard_normals_moments():
-    x = standard_normals(RngSpec(11, 5), 200_000)
+    x = normal_block(11, 5, 1, 200_000)[0]
     assert abs(x.mean()) < 3.0 / np.sqrt(x.size)
     assert abs(x.var() - 1.0) < 0.02
 
@@ -79,7 +77,8 @@ def test_standard_normals_moments():
 def test_normal_block_matches_per_path_streams():
     block = normal_block(9, 0, 4, 32)
     for p in range(4):
-        np.testing.assert_array_equal(block[p], standard_normals(RngSpec(9, p), 32))
+        np.testing.assert_array_equal(block[p],
+                                      sample_increments(RngSpec(9, p), 1.0, 32))
 
 
 def test_normal_block_chunking_invariance():

@@ -4,7 +4,7 @@ the defining PDE, and the martingale/cross-variation experiments."""
 import numpy as np
 import pytest
 
-from slelab.core import Params, validate_config
+from slelab.core import validate_config
 from slelab.coupling import (
     BadCouplingParameters,
     CoincidentPoints,
@@ -23,11 +23,13 @@ from slelab.coupling import (
     make_coupling_spec,
     q_charge,
 )
+from slelab.partition import PartitionSpec
 from slelab.sampler import REASON_SWALLOWED, step_sizes
 
 CFG = validate_config((0.0, 1.0))
-CS_BACK = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0))
-CS_FWD = make_coupling_spec(Params("forward", 2.0, 2))
+SPEC_BACK = PartitionSpec("backward", 4.0, 2)
+CS_BACK = make_coupling_spec(SPEC_BACK, gamma=2.0)
+CS_FWD = make_coupling_spec(PartitionSpec("forward", 2.0, 2))
 
 
 def test_green_neumann_examples():
@@ -90,7 +92,7 @@ def test_default_epsilon_signs():
 
 def test_make_coupling_spec_requires_gamma_backward():
     with pytest.raises(BadCouplingParameters):
-        make_coupling_spec(Params("backward", 4.0, 2))
+        make_coupling_spec(SPEC_BACK)
 
 
 def test_boundary_u_backward_examples():
@@ -139,7 +141,7 @@ def test_coupling_pde_residual_forward():
 
 
 def test_coupling_pde_residual_flipped_sign_control():
-    bad = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0),
+    bad = make_coupling_spec(SPEC_BACK, gamma=2.0,
                              epsilon_signs=(1, 1))
     assert coupling_pde_residual(bad, 1 + 2j, CFG, 0) > 1e-2
 
@@ -220,7 +222,7 @@ def test_coupling_martingale_check_forward():
 
 
 def test_coupling_martingale_wrong_boundary_data_fails():
-    bad = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0),
+    bad = make_coupling_spec(SPEC_BACK, gamma=2.0,
                              epsilon_signs=(1, 1))
     rep = coupling_martingale_check(bad, CFG, 0, [1 + 2j], 0.05, 1e-3,
                                     4000, seed=0)

@@ -10,7 +10,7 @@ row-major kernels that preceded the column-major ensemble state.
 import pytest
 
 from slelab.commutation import commutation_experiment
-from slelab.core import McReport, Params, validate_config
+from slelab.core import McReport, validate_config
 from slelab.coupling import (coupling_martingale_check,
                              cross_variation_experiment, make_coupling_spec)
 from slelab.partition import PartitionSpec
@@ -31,22 +31,19 @@ def _run(case: str) -> list[McReport]:
     cfg = validate_config(pts)
     n = len(pts)
     if check in ("martingale", "girsanov", "schemes"):
-        params = Params(mode, 4.0, n)
         spec = PartitionSpec(mode, 4.0, n)
         if check == "martingale":
-            return [martingale_check(params, spec, cfg, I, T, DT, PATHS,
-                                     seed=SEED)]
+            return [martingale_check(spec, cfg, I, T, DT, PATHS, seed=SEED)]
         if check == "girsanov":
-            return [girsanov_check(params, spec, cfg, I, None, T, DT, PATHS,
+            return [girsanov_check(spec, cfg, I, None, T, DT, PATHS,
                                    seed=SEED)]
         i, j = SCHEME_PAIR[tag]
-        return commutation_experiment(params, spec, cfg, i, j, 0.01, 2.0, DT,
-                                      PATHS, seed=SEED)
+        return commutation_experiment(spec, cfg, i, j, 0.01, 2.0, DT, PATHS,
+                                      seed=SEED)
     if mode == "backward":
-        params = Params(mode=mode, kappa=4.0, gamma=2.0, n_points=n)
+        cspec = make_coupling_spec(PartitionSpec(mode, 4.0, n), gamma=2.0)
     else:
-        params = Params(mode=mode, kappa=2.0, n_points=n)
-    cspec = make_coupling_spec(params)
+        cspec = make_coupling_spec(PartitionSpec(mode, 2.0, n))
     if check.startswith("coupling_mc"):
         # coupling_mc1: one bulk point, whose field terms einsum adds
         bulk = BULK[:1] if check == "coupling_mc1" else BULK

@@ -1,6 +1,7 @@
-"""Static checks that need no linter: no dead imports in the package, and
-every package name the benchmark harness in perfbench/ hooks or imports
-still resolves.  perfbench/ is only read here, never changed."""
+"""Static checks that need no linter: no dead imports and no uncalled
+module-level names in the package, and every package name the benchmark
+harness in perfbench/ hooks or imports still resolves.  perfbench/ is only
+read here, never changed."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slelab"
 PERFBENCH = ROOT / "perfbench"
+DEMOS = ROOT / "demos"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -29,10 +31,59 @@ def _unused_imports(path: Path) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert _unused_imports(PACKAGE / module) == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _loads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names and attributes `tree` loads, outside the subtree `skip`."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_public_names_have_a_caller():
+    """Every module-level name of the package is loaded somewhere other
+    than its own definition: in another part of the package (not
+    __init__.py), in demos/ or in perfbench/.  A name only its own unit
+    test calls is API nothing needs."""
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    outside = set()
+    for path in [*DEMOS.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        outside |= _loads(ast.parse(path.read_text()))
+    uncalled = []
+    for module, tree in trees.items():
+        others = set(outside)
+        for name, other in trees.items():
+            if name != module:
+                others |= _loads(other)
+        for name, node in _definitions(tree):
+            if name not in others and name not in _loads(tree, skip=node):
+                uncalled.append(f"{module}:{name}")
+    assert uncalled == []
 
 
 def _load_perfbench(name: str):

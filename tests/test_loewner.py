@@ -221,7 +221,7 @@ def test_hcap_independent_of_driving():
     st = initial_state("backward", bulk=(1j * R, 2j * R))
     out = evolve(st, path)
     np.testing.assert_allclose(extract_hcap(out, R), 2 * T, rtol=0, atol=1e-5)
-    np.testing.assert_allclose(out.hcap_accum, 2 * T, rtol=1e-12)
+    np.testing.assert_allclose(out.time, T, rtol=1e-12)
 
 
 def test_hcap_probe_too_close():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slelab.core import Params, normal_block, validate_config
+from slelab.core import normal_block, validate_config
 from slelab.partition import PartitionSpec, grad_log_z
 from slelab.sampler import (
     RaggedGrid,
@@ -16,7 +16,6 @@ from slelab.sampler import (
 )
 
 CFG2 = validate_config((0.0, 1.0))
-P_BACK = Params("backward", 4.0, 2)
 SPEC_BACK = PartitionSpec("backward", 4.0, 2)
 
 
@@ -134,7 +133,7 @@ def test_flow_columns_contiguous():
 
 
 def test_martingale_mean_weight():
-    r = martingale_check(P_BACK, SPEC_BACK, CFG2, 0, 0.1, 1e-3, 4000, seed=0)
+    r = martingale_check(SPEC_BACK, CFG2, 0, 0.1, 1e-3, 4000, seed=0)
     assert r.reference == 1.0
     assert r.passed
     assert abs(r.estimate - 1.0) <= 3 * r.std_error
@@ -143,15 +142,14 @@ def test_martingale_mean_weight():
 def test_martingale_across_kappas():
     for kappa, pts in ((2.0, (0.0, 1.0)), (6.0, (0.0, 1.0, 3.0))):
         n = len(pts)
-        r = martingale_check(Params("backward", kappa, n),
-                             PartitionSpec("backward", kappa, n),
+        r = martingale_check(PartitionSpec("backward", kappa, n),
                              validate_config(pts), 0, 0.05, 1e-3, 2000, seed=1)
         assert r.passed, r
 
 
 def test_martingale_worker_count_does_not_change_results():
-    a = martingale_check(P_BACK, SPEC_BACK, CFG2, 0, 0.05, 1e-3, 1500, seed=0)
-    b = martingale_check(P_BACK, SPEC_BACK, CFG2, 0, 0.05, 1e-3, 1500, seed=0,
+    a = martingale_check(SPEC_BACK, CFG2, 0, 0.05, 1e-3, 1500, seed=0)
+    b = martingale_check(SPEC_BACK, CFG2, 0, 0.05, 1e-3, 1500, seed=0,
                          n_workers=3)
     assert a.estimate == b.estimate
     assert a.std_error == b.std_error
@@ -160,27 +158,27 @@ def test_martingale_worker_count_does_not_change_results():
 def test_martingale_stopped_immediately_is_exact():
     """Paths frozen at once keep M = M_0, so the mean is exactly one."""
     tight = validate_config((0.0, 0.02))
-    r = martingale_check(P_BACK, SPEC_BACK, tight, 0, 0.1, 1e-3, 200, seed=0)
+    r = martingale_check(SPEC_BACK, tight, 0, 0.1, 1e-3, 200, seed=0)
     assert r.estimate == 1.0
     assert r.std_error == 0.0
 
 
 def test_girsanov_default_observable():
-    r = girsanov_check(P_BACK, SPEC_BACK, CFG2, 0, None, 0.05, 1e-3, 4000, seed=1)
+    r = girsanov_check(SPEC_BACK, CFG2, 0, None, 0.05, 1e-3, 4000, seed=1)
     assert r.passed
     assert abs(r.estimate - r.reference) <= r.tolerance
 
 
 def test_girsanov_constant_observable_is_exact():
     one = lambda arr: np.ones(arr.shape[0])
-    r = girsanov_check(P_BACK, SPEC_BACK, CFG2, 0, one, 0.05, 1e-3, 500, seed=3)
+    r = girsanov_check(SPEC_BACK, CFG2, 0, one, 0.05, 1e-3, 500, seed=3)
     assert abs(r.estimate - r.reference) < 1e-12
 
 
 def test_girsanov_early_stopping_bound():
     """bound_n = 0.5 * M_0 stops every path at the first step; equality
     must survive optional stopping."""
-    r = girsanov_check(P_BACK, SPEC_BACK, CFG2, 0, None, 0.05, 1e-3, 500,
+    r = girsanov_check(SPEC_BACK, CFG2, 0, None, 0.05, 1e-3, 500,
                        bound_n=0.5, seed=1)
     assert r.passed
     assert abs(r.estimate - r.reference) <= 3 * max(r.std_error, 1e-300)

@@ -8,29 +8,28 @@ import pytest
 
 from slelab import coupling, sampler
 from slelab.commutation import commutation_experiment
-from slelab.core import Params, validate_config
+from slelab.core import validate_config
 from slelab.coupling import (coupling_martingale_check,
                              cross_variation_experiment, make_coupling_spec)
 from slelab.partition import PartitionSpec
 from slelab.sampler import girsanov_check, inverse_law_check, martingale_check
 
 CFG2 = validate_config((0.0, 1.0))
-P_BACK = Params("backward", 4.0, 2)
 SPEC_BACK = PartitionSpec("backward", 4.0, 2)
-CS_BACK = make_coupling_spec(Params("backward", 4.0, 2, gamma=2.0))
-CS_FWD = make_coupling_spec(Params("forward", 2.0, 2))
+CS_BACK = make_coupling_spec(SPEC_BACK, gamma=2.0)
+CS_FWD = make_coupling_spec(PartitionSpec("forward", 2.0, 2))
 N = 300
 
 # each check at tiny size; 50 steps, or scheme legs of 192 + 100 and
 # 92 + 200 steps, so 7-step windows cross leg boundaries and Philox's
 # 4-word groups
 CHECKS = {
-    "martingale": lambda: [martingale_check(P_BACK, SPEC_BACK, CFG2, 0, 0.05,
-                                            1e-3, N, seed=1)],
-    "girsanov": lambda: [girsanov_check(P_BACK, SPEC_BACK, CFG2, 0, None,
-                                        0.05, 1e-3, N, seed=1)],
-    "schemes": lambda: commutation_experiment(P_BACK, SPEC_BACK, CFG2, 0, 1,
-                                              0.01, 2.0, 1e-4, N, seed=1),
+    "martingale": lambda: [martingale_check(SPEC_BACK, CFG2, 0, 0.05, 1e-3,
+                                            N, seed=1)],
+    "girsanov": lambda: [girsanov_check(SPEC_BACK, CFG2, 0, None, 0.05, 1e-3,
+                                        N, seed=1)],
+    "schemes": lambda: commutation_experiment(SPEC_BACK, CFG2, 0, 1, 0.01,
+                                              2.0, 1e-4, N, seed=1),
     "inverse": lambda: inverse_law_check(4.0, 2j, 0.05, 1e-3, N, seed=1),
     "coupling_mc": lambda: coupling_martingale_check(
         CS_FWD, CFG2, 0, [-1 + 1j, 1 + 2j], 0.05, 1e-3, N, seed=1),
@@ -47,8 +46,7 @@ def test_step_block_does_not_change_rows(check, monkeypatch):
 
 
 def _ensemble_task(n_steps: int, dt: float) -> dict:
-    return {"mode": "backward", "kappa": 4.0, "exponent": SPEC_BACK.exponent,
-            "h_weight": SPEC_BACK.h_weight, "points": (0.0, 1.0), "slot": 0,
+    return {"spec": SPEC_BACK, "points": (0.0, 1.0), "slot": 0,
             "T": n_steps * dt, "dt": dt, "seed": 0, "drifted": True,
             "log_bound": math.log(10.0), "observable": None,
             "first_path": 0, "count": 2000}

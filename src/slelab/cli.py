@@ -8,8 +8,10 @@ Reports are byte-identical across reruns of the same (config, seed): no
 timestamps, floats written with repr, JSON keys sorted.  Exit codes:
 0 all rows pass, 1 some row failed, 2 config error (missing or invalid
 field, infeasible eps_tilde, duplicate points, a horizon shorter than one
-substep, an unusable finite-difference step), 3 numerical failure (blowup,
-excess swallowing, weight collapse, probe trouble).
+substep or with more substeps than an array can hold, a Z or squared gap
+outside the float range, an unusable finite-difference step), 3 numerical
+failure (blowup, overflowing power sums, excess swallowing or a scheme
+with no path left, weight collapse, probe trouble).
 
 Indices (i_index, j_index) are 0-based.  bound_n is a multiple of the
 initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
@@ -40,6 +42,7 @@ from .core import (
     MODES,
     DuplicatePoint,
     McReport,
+    OutOfFloatRange,
     PointConfig,
     build_driving_path,
     make_report,
@@ -73,10 +76,12 @@ from .partition import (
 )
 from .sampler import (
     EffectiveSampleCollapse,
+    HorizonTooLong,
     HorizonTooShort,
     NumericalBlowup,
     RaggedGrid,
     SwallowedTooOften,
+    check_horizon,
     companion_observable,
     girsanov_check,
     inverse_law_check,
@@ -91,7 +96,8 @@ EXIT_NUMERICS = 3
 ENV_WORKERS = "SLELAB_WORKERS"
 
 _CONFIG_ERRORS = (DuplicatePoint, EpsilonTooLarge, BadCouplingParameters,
-                  StepTooLarge, CoincidentPoints, RaggedGrid, HorizonTooShort)
+                  StepTooLarge, CoincidentPoints, RaggedGrid, HorizonTooShort,
+                  HorizonTooLong, OutOfFloatRange)
 _NUMERIC_ERRORS = (NumericalBlowup, EffectiveSampleCollapse, SwallowedTooOften,
                    Swallowed, SwallowedReference, ProbeTooClose)
 
@@ -217,6 +223,7 @@ def _times(config: dict) -> tuple[float, float]:
 
 def _uniform_steps(t_final: float, dt: float) -> tuple[int, float]:
     """Round to a whole number of equal substeps covering t_final exactly."""
+    check_horizon(t_final, dt)
     n = max(1, int(round(t_final / dt)))
     return n, t_final / n
 

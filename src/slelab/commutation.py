@@ -31,12 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, PointConfig, make_report, mean_var,
-                   normal_block)
+from .core import (BACKWARD, McReport, OutOfFloatRange, PointConfig,
+                   make_report, mean_var, normal_block)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
-                        grad_log_z_cols, min_gap)
-from .sampler import (REASON_SWALLOWED, chunked, map_chunks, run_leg,
-                      step_sizes, step_windows, sum_stats)
+                        grad_log_z_cols, min_gap, require_points)
+from .sampler import (REASON_SWALLOWED, SwallowedTooOften, chunked,
+                      map_chunks, run_leg, step_sizes, step_windows, sum_stats)
 
 
 class EpsilonTooLarge(ValueError):
@@ -61,7 +61,11 @@ def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
         raise ValueError("i and j must differ")
     if eps_tilde < 0 or c <= 0:
         raise ValueError("eps_tilde must be >= 0 and c > 0")
-    gap2 = (cfg.points[i] - cfg.points[j]) ** 2
+    try:
+        gap2 = (cfg.points[i] - cfg.points[j]) ** 2
+    except OverflowError:
+        raise OutOfFloatRange(f"the squared gap between points {i} and {j} "
+                              "overflows") from None
     if 4.0 * max(1.0, c) * eps_tilde >= gap2:
         raise EpsilonTooLarge(
             f"4*max(1,c)*eps_tilde = {4 * max(1.0, c) * eps_tilde:g} "
@@ -162,6 +166,7 @@ def commutation_experiment(
     (each final marked point and the arctan test function); tolerance
     max(3 * pooled SE, 10 * eps_tilde**2).  Both schemes share one
     map_chunks call (one pool)."""
+    require_points(spec, cfg)
     plan = plan_schemes(cfg, i, j, eps_tilde, c)
     tasks1 = _scheme_tasks("scheme1", plan, spec, cfg, dt, n_paths, seed, 0)
     tasks2 = _scheme_tasks("scheme2", plan, spec, cfg, dt, n_paths, seed,
@@ -169,6 +174,10 @@ def commutation_experiment(
     parts = map_chunks(_scheme_chunk, tasks1 + tasks2, n_workers)
     s1 = sum_stats(parts[:len(tasks1)])
     s2 = sum_stats(parts[len(tasks1):])
+    for order, st in (("scheme1", s1), ("scheme2", s2)):
+        if st["n"] == 0:
+            raise SwallowedTooOften(
+                f"{order} swallowed all {n_paths} paths; no mean is left")
     names = [f"x_{k}" for k in range(len(cfg))] + ["phi"]
     reports = []
     for name in names:
@@ -220,6 +229,7 @@ def commutator_residual(
     identity in noise while h ~ eps^(1/6) balances noise against the
     O(h^4) truncation of both levels.
     """
+    require_points(spec, cfg)
     if i == j:
         raise ValueError("i and j must differ")
     h = _resolve_step(min_gap(cfg), fd_step, 2e-3, scale=10.0)

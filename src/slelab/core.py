@@ -54,6 +54,12 @@ class DuplicatePoint(ValueError):
         super().__init__(f"points {i} and {j} coincide (x = {value!r})")
 
 
+class OutOfFloatRange(ValueError):
+    """A quantity fixed by the configuration alone leaves the float range:
+    Z or a weight bound built from it (2/kappa is the exponent, so tiny
+    kappa does it), or a squared gap between points."""
+
+
 def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

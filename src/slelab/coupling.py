@@ -33,6 +33,7 @@ from .core import (
     BACKWARD,
     FORWARD,
     McReport,
+    OutOfFloatRange,
     PointConfig,
     _check_mode,
     make_report,
@@ -48,6 +49,7 @@ from .partition import (
     fd_second,
     log_z_cols,
     min_gap,
+    require_points,
 )
 from .sampler import (REASON_SWALLOWED, chunked, map_chunks, step_sizes,
                       step_windows, sum_stats)
@@ -61,6 +63,7 @@ GREEN_KINDS = (NEUMANN, DIRICHLET)
 MODE_GREEN = {BACKWARD: NEUMANN, FORWARD: DIRICHLET}
 
 _RELATION_TOL = 1e-9
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _COINCIDENT_TOL = 1e-14
 
 
@@ -109,8 +112,9 @@ def check_backward_relation(kappa: float, gamma: float) -> None:
 @dataclasses.dataclass(frozen=True)
 class CouplingSpec:
     """A coupled flow: the flow's PartitionSpec plus the field side
-    (gamma, charges, signs, and which part of the holomorphic sum is the
-    field).
+    (gamma, signs, chi, and which part of the holomorphic sum is the
+    field).  The charge Q is a function of gamma, so chi is the one
+    curvature constant a control may set.
 
     epsilon_signs are stored as given (controls deliberately set wrong
     signs); the canonical values are enforced only by the checks that
@@ -120,7 +124,6 @@ class CouplingSpec:
     pspec: PartitionSpec
     gamma: Optional[float]
     epsilon_signs: Tuple[int, ...]
-    q_charge: Optional[float] = None
     chi: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -128,8 +131,10 @@ class CouplingSpec:
             raise ValueError("need one epsilon sign per boundary point")
         if any(abs(e) != 1 for e in self.epsilon_signs):
             raise ValueError("epsilon signs must be +1 or -1")
-        if self.mode == BACKWARD and self.q_charge is None:
-            raise ValueError("backward coupling needs q_charge")
+        if self.gamma is not None:
+            q_charge(self.gamma)     # refuses a nonpositive gamma
+        elif self.mode == BACKWARD:
+            raise BadCouplingParameters("backward coupling needs gamma")
         if self.mode == FORWARD and self.chi is None:
             raise ValueError("forward coupling needs chi")
 
@@ -142,6 +147,11 @@ class CouplingSpec:
         return self.pspec.kappa
 
     @property
+    def q_charge(self) -> Optional[float]:
+        """2/gamma + gamma/2, or None without gamma."""
+        return None if self.gamma is None else q_charge(self.gamma)
+
+    @property
     def curvature_constant(self) -> float:
         return self.q_charge if self.mode == BACKWARD else self.chi
 
@@ -149,11 +159,6 @@ class CouplingSpec:
         """Reject parameter combinations outside the coupling theorems."""
         if self.mode == BACKWARD:
             check_backward_relation(self.kappa, self.gamma)
-            want = q_charge(self.gamma)
-            if abs(self.q_charge - want) > _RELATION_TOL:
-                raise BadCouplingParameters(
-                    f"q_charge {self.q_charge} != 2/gamma + gamma/2 = {want}"
-                )
         else:
             want = forward_chi(self.kappa)
             if abs(self.chi - want) > _RELATION_TOL:
@@ -181,13 +186,9 @@ def make_coupling_spec(
     if epsilon_signs is None:
         epsilon_signs = default_epsilon_signs(pspec.mode, pspec.kappa,
                                               pspec.n_points)
-    # q_charge refuses a nonpositive gamma in either mode
-    q = None if gamma is None else q_charge(gamma)
-    if pspec.mode == BACKWARD and q is None:
-        raise BadCouplingParameters("backward coupling needs gamma")
     if pspec.mode == FORWARD and chi is None:
         chi = forward_chi(pspec.kappa)
-    return CouplingSpec(pspec, gamma, tuple(epsilon_signs), q, chi)
+    return CouplingSpec(pspec, gamma, tuple(epsilon_signs), chi)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,7 @@ def coupling_pde_residual(
               - (2/(z-x_i)) X_z + 2 Q Z/(z-x_i)^2       = 0
     forward:  same with both interior signs flipped and chi for Q.
     """
+    require_points(cspec.pspec, cfg)
     validate_config(cfg.points)
     if not (0 <= i < len(cfg.points)):
         raise IndexError(f"slot {i} out of range for {len(cfg.points)} points")
@@ -282,11 +284,20 @@ def coupling_pde_residual(
     kappa = cspec.kappa
     h = _resolve_step(_coupling_scale(cfg, z), fd_step, 1e-4)
     x0 = np.asarray(cfg.points, dtype=float)
-    z_center = math.exp(log_z_cols(spec.exponent, x0))
+
+    def z_of(x: np.ndarray) -> float:
+        log_z = log_z_cols(spec.exponent, x)
+        if not log_z < _LOG_FLOAT_MAX:
+            raise OutOfFloatRange(f"Z overflows at kappa {kappa!r}")
+        zval = math.exp(log_z)
+        if zval == 0.0:
+            raise OutOfFloatRange(f"Z underflows at kappa {kappa!r}")
+        return zval
+
+    z_center = z_of(x0)
 
     def x_fn(x: np.ndarray) -> complex:
-        zval = math.exp(log_z_cols(spec.exponent, x))
-        return complex(holo_u_tilde(z, x, kappa, eps)) * zval
+        return complex(holo_u_tilde(z, x, kappa, eps)) * z_of(x)
 
     def x_of_z(shift: np.ndarray) -> complex:
         # real-direction shift of z; enough for d/dz of a holomorphic factor
@@ -534,6 +545,7 @@ def coupling_martingale_check(
     has mean h_0.  Unlike the path weight, h(z) for bulk z has no
     singularity at a companion collision, so no collision layer is needed.
     """
+    require_points(cspec.pspec, cfg)
     stats = _run_h_ensemble(cspec, cfg, i, bulk, t_final, dt, n_paths, seed, n_workers)
     n = stats["n"]
     reports = []
@@ -571,6 +583,7 @@ def cross_variation_experiment(
     the tolerance is 5% of the reference magnitude (the drop is
     deterministic for these couplings, which makes it a clean yardstick).
     """
+    require_points(cspec.pspec, cfg)
     if len(bulk) < 2:
         raise ValueError("cross variation needs at least two bulk points")
     pairs = [(a, b) for a in range(len(bulk)) for b in range(a + 1, len(bulk))]

@@ -55,34 +55,46 @@ def sqrt_him(q):
 # Vectorized substeps for path-ensemble engines.  No exceptions: swallowed
 # entries keep their incoming value/deriv and are reported through the mask.
 
-def slit_real(x, U0, delta, mode: str):
-    """(new_x, multiplier, swallowed) for arrays of real boundary points."""
-    d = x - U0
+def slit_gap(d, d2, U0, delta, mode: str):
+    """(new_x, multiplier) of the real substep from the gap d = x - U0 and
+    its square d2 = d * d, which becomes new_x.  No swallow patch: a
+    swallowed entry (backward, d2 <= 4 * delta) gets NaN or inf, which the
+    caller masks, so the caller also sets np.errstate for them."""
     if mode == BACKWARD:
-        arg = d * d
-        arg -= 4.0 * delta
-        bad = arg <= 0.0
-        # swallowed entries get a NaN root here and are patched below; d
-        # is 0 only there, so copysign gives the sign of d everywhere else
-        with np.errstate(invalid="ignore", divide="ignore"):
-            root = np.sqrt(arg, out=arg)
-            mult = np.abs(d)
-            mult /= root
-            new = np.copysign(root, d, out=root)
-        new += U0
-        if bad.any():
-            new = np.where(bad, x, new)
-            mult = np.where(bad, 1.0, mult)
-        return new, mult, bad
-    root = d * d
-    root += 4.0 * delta
-    np.sqrt(root, out=root)
-    mult = np.abs(d)
-    mult /= root
-    new = np.sign(d)
-    new *= root
+        # d is 0 only where swallowed, so copysign gives the sign of d
+        # everywhere else
+        d2 -= 4.0 * delta
+        root = np.sqrt(d2, out=d2)
+        mult = np.abs(d)
+        mult /= root
+        new = np.copysign(root, d, out=root)
+    else:
+        d2 += 4.0 * delta
+        root = np.sqrt(d2, out=d2)
+        mult = np.abs(d)
+        mult /= root
+        new = np.sign(d)
+        new *= root
     new += U0
-    return new, mult, np.zeros(new.shape, dtype=bool)
+    return new, mult
+
+
+def slit_real(x, U0, delta, mode: str):
+    """(new_x, multiplier, swallowed) for arrays of real boundary points;
+    swallowed entries keep their incoming value and a multiplier of 1."""
+    d = x - U0
+    d2 = d * d
+    if mode != BACKWARD:
+        new, mult = slit_gap(d, d2, U0, delta, mode)
+        return new, mult, np.zeros(new.shape, dtype=bool)
+    # d2 - 4 delta <= 0 exactly when d2 <= 4 delta (gradual underflow)
+    bad = d2 <= 4.0 * delta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        new, mult = slit_gap(d, d2, U0, delta, mode)
+    if bad.any():
+        new = np.where(bad, x, new)
+        mult = np.where(bad, 1.0, mult)
+    return new, mult, bad
 
 
 def slit_complex(z, U0, delta, mode: str):

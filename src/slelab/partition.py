@@ -51,6 +51,14 @@ class PartitionSpec:
         object.__setattr__(self, "homogeneity_degree", expo * n * (n - 1) / 2.0)
 
 
+def require_points(spec: PartitionSpec, cfg: PointConfig) -> None:
+    """Refuse a configuration whose point count is not the spec's: the
+    flow would run silently on the wrong number of points."""
+    if len(cfg) != spec.n_points:
+        raise ValueError(f"the spec is for {spec.n_points} points but the "
+                         f"configuration has {len(cfg)}")
+
+
 def h_kappa(mode: str, kappa: float) -> float:
     """Conformal weight: -(kappa+6)/(2 kappa) backward, (6-kappa)/(2 kappa)
     forward."""
@@ -179,6 +187,7 @@ def bpz_residual(
     (upper sign backward, lower forward).  Default fd_step is 1e-4 times the
     minimum pairwise gap; steps at or above a tenth of the gap are refused.
     """
+    require_points(spec, cfg)
     _check_index(cfg, i)
     h = _resolve_step(min_gap(cfg), fd_step, 1e-4)
     f = z_fn if z_fn is not None else product_z_fn(spec.exponent)
@@ -197,6 +206,7 @@ def bpz_residual(
 def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
                 fd_step: float | None = None) -> float:
     """|FD d(log Z)/dx_i - closed form|; exact identity, FD truncation only."""
+    require_points(spec, cfg)
     _check_index(cfg, i)
     h = _resolve_step(min_gap(cfg), fd_step, 1e-5)
     x = cfg.as_array()

@@ -15,13 +15,15 @@ the first substep boundary (after at least one completed substep) where
 frozen and are retained in Monte Carlo averages.
 
 All indices are 0-based.  Paths are chunked for memory and optional
-process-level parallelism, and a chunk draws its normals one window of at
-most STEP_BLOCK steps at a time, so its memory does not grow with the
-horizon.  Every path owns the stream keyed by (seed, path_index) and a
-window resumes it at its first step, so no split changes a path.  Reports
-are byte-identical across worker counts and STEP_BLOCK at the fixed chunk
-size DEFAULT_CHUNK; another chunk size adds the per-chunk sums in another
-order, which can change the last bits.
+process-level parallelism, and a chunk draws its normals one window at a
+time: step_windows splits the horizon into ceil(n / STEP_BLOCK) windows of
+equal length (up to one step), so a chunk holds at most STEP_BLOCK steps of
+normals however long the horizon, and often fewer.  Every path owns the
+stream keyed by (seed, path_index) and a window resumes it at its first
+step, so no split changes a path.  Reports are byte-identical across
+worker counts and STEP_BLOCK at the fixed chunk size DEFAULT_CHUNK;
+another chunk size adds the per-chunk sums in another order, which can
+change the last bits.
 
 The ensemble state (Flow) is column-major: each point's column of all
 paths is contiguous, and the kernel works one column at a time.
@@ -38,21 +40,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, PointConfig, make_report, mean_var,
-                   normal_block, sum_columns)
-from .loewner import reference_map_zero_driving, slit_complex, slit_real
-from .partition import PartitionSpec, log_z_cols, z_value
+from .core import (BACKWARD, McReport, OutOfFloatRange, PointConfig,
+                   make_report, mean_var, normal_block, sum_columns)
+from .loewner import reference_map_zero_driving, slit_complex, slit_gap
+from .partition import PartitionSpec, log_z_cols, require_points, z_value
 
 # why a path stopped; 0 while it runs
 REASON_BOUND = 1
 REASON_SWALLOWED = 2
 
 DERIV_CAP = 1e300
+# substeps of one horizon: an array of them must be addressable in bytes
+MAX_STEPS = np.iinfo(np.intp).max // 8
 DEFAULT_CHUNK = 20_000
-# steps per window of normals: a chunk holds DEFAULT_CHUNK * STEP_BLOCK * 8
-# bytes of them (41 MB).  Each window costs one Philox reset per path:
-# 500 steps of 20000 paths took 0.50 s in one block, 0.53 s in 256-step
-# windows, 0.58 s in 128-step and 0.88 s in 64-step windows (2-vCPU host).
+# the longest window of normals: a chunk holds at most DEFAULT_CHUNK *
+# STEP_BLOCK * 8 bytes of them (41 MB), and a horizon of n steps is split
+# into ceil(n / STEP_BLOCK) even windows, so a 292-step scheme holds 146
+# steps (23 MB).  Each window costs one Philox reset per path: 500 steps of
+# 20000 paths took 0.50 s in one block, 0.53 s in 256-step windows, 0.58 s
+# in 128-step and 0.88 s in 64-step windows (2-vCPU host).
 STEP_BLOCK = 256
 
 # Paths stop when a companion gap enters the collision layer
@@ -67,7 +73,7 @@ COLLISION_GUARD = 12.0
 
 
 class NumericalBlowup(RuntimeError):
-    """A companion derivative left (0, 1e300)."""
+    """A companion derivative left (0, 1e300), or power sums overflowed."""
 
 
 class EffectiveSampleCollapse(RuntimeError):
@@ -75,7 +81,8 @@ class EffectiveSampleCollapse(RuntimeError):
 
 
 class SwallowedTooOften(RuntimeError):
-    """More than 1% of inverse-construction paths failed."""
+    """More than 1% of inverse-construction paths failed, or a scheme lost
+    every path."""
 
 
 class RaggedGrid(ValueError):
@@ -86,11 +93,25 @@ class HorizonTooShort(ValueError):
     """The horizon is shorter than one substep."""
 
 
+class HorizonTooLong(ValueError):
+    """The horizon has more substeps than an array can hold."""
+
+
+def check_horizon(T: float, dt: float) -> None:
+    """Refuse a horizon of MAX_STEPS substeps or more (T / dt may be inf)
+    before anything is allocated for it."""
+    if not T / dt < MAX_STEPS:
+        raise HorizonTooLong(
+            f"horizon {T!r} is {T / dt:g} substeps of {dt!r}, more than an "
+            "array can hold")
+
+
 def step_sizes(T: float, dt: float) -> np.ndarray:
     """Uniform substeps of size dt, plus one shorter remainder step if T is
     not a multiple of dt."""
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
+    check_horizon(T, dt)
     n_full = int(math.floor(T / dt + 1e-9))
     rem = T - n_full * dt
     out = np.full(n_full, dt)
@@ -103,10 +124,16 @@ def step_sizes(T: float, dt: float) -> np.ndarray:
 
 
 def step_windows(n_steps: int) -> list[tuple[int, int]]:
-    """Bounds [a, b) of the consecutive windows of at most STEP_BLOCK steps
-    that cover n_steps steps."""
-    return [(a, min(a + STEP_BLOCK, n_steps))
-            for a in range(0, n_steps, STEP_BLOCK)]
+    """Bounds [a, b) of ceil(n_steps / STEP_BLOCK) consecutive windows that
+    cover n_steps steps, with lengths that differ by at most one step.
+    As many windows as full STEP_BLOCK ones plus a remainder, so as many
+    Philox resets, but none longer than it has to be."""
+    count = -(-n_steps // STEP_BLOCK)
+    if count == 0:
+        return []
+    size, extra = divmod(n_steps, count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 @dataclass
@@ -170,59 +197,64 @@ def run_leg(
     kb = kappa * exponent
 
     guard2 = max(collision_guard, 2.0) ** 2
-    for k, delta in enumerate(deltas):
-        if comps:
-            lim = guard2 * delta
-            layer = np.zeros_like(active)
-            for xc in comps:
-                gap2 = xc - U0
-                gap2 *= gap2
-                layer |= gap2 <= lim
-            layer &= active
-            if layer.any():
-                reason[layer] = REASON_SWALLOWED
-                active[layer] = False
-            if drifted:
-                # b * delta, b = kappa * exponent * sum of 1 / (U0 - xc)
-                inv = [np.subtract(U0, xc) for xc in comps]
-                for t in inv:
-                    np.divide(1.0, t, out=t)
-                b_delta = sum_columns(inv)
-                b_delta *= kb
-                b_delta *= delta
-            # active paths sit outside the layer, so no active row is
-            # swallowed by the substep itself
-            for j, xc in enumerate(comps):
-                new, mult, _ = slit_real(xc, U0, delta, mode)
-                np.copyto(xc, new, where=active)
-                if track_weight:
-                    np.multiply(dcols[j], mult, out=dcols[j], where=active)
-        # the bits of U0 + sqk * sqrt(delta) * normal + b * delta
-        step = normals[:, k] * (sqk * math.sqrt(delta))
-        step += U0
-        if drifted and comps:
-            step += b_delta
-        np.copyto(U0, step, where=active)
+    # a stopped row may hold a zero gap, so an inf drift and a NaN slit
+    # value, but no stopped row is ever copied back
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, delta in enumerate(deltas):
+            if comps:
+                # each gap d = xc - U0 and d^2 once, for the layer test,
+                # the drift and the slit map
+                gaps = [xc - U0 for xc in comps]
+                sqs = [d * d for d in gaps]
+                lim = guard2 * delta
+                layer = sqs[0] <= lim
+                for d2 in sqs[1:]:
+                    layer |= d2 <= lim
+                layer &= active
+                if layer.any():
+                    reason[layer] = REASON_SWALLOWED
+                    active[layer] = False
+                if drifted:
+                    # b * delta, b = kappa * exponent * sum of 1 / (U0 - xc),
+                    # and 1 / (U0 - xc) is -1 / d bit for bit where d != 0
+                    b_delta = sum_columns([np.divide(-1.0, d) for d in gaps])
+                    b_delta *= kb
+                    b_delta *= delta
+                # active rows sit outside the layer (guard2 >= 4), so the
+                # substep swallows none of them
+                for j, (xc, d, d2) in enumerate(zip(comps, gaps, sqs)):
+                    new, mult = slit_gap(d, d2, U0, delta, mode)
+                    np.copyto(xc, new, where=active)
+                    if track_weight:
+                        np.multiply(dcols[j], mult, out=dcols[j],
+                                    where=active)
+            # the bits of U0 + sqk * sqrt(delta) * normal + b * delta
+            step = normals[:, k] * (sqk * math.sqrt(delta))
+            step += U0
+            if drifted and comps:
+                step += b_delta
+            np.copyto(U0, step, where=active)
 
-        if track_weight:
-            # every row: a stopped row passed this on its last active step
-            for dc in dcols:
-                if np.any(dc <= 0.0) or np.any(dc >= DERIV_CAP):
-                    raise NumericalBlowup(
-                        "companion derivative left (0, 1e300)")
-            new_m = log_z_cols(exponent, x)
-            if dcols:
-                # h_weight * sum log f' + log Z
-                logs = sum_columns([np.log(dc) for dc in dcols])
-                logs *= h_weight
-                logs += new_m
-                new_m = logs
-            np.copyto(log_m, new_m, where=active)
-            if log_bound is not None:
-                hit = active & (log_m > log_bound)
-                if hit.any():
-                    reason[hit] = REASON_BOUND
-                    active[hit] = False
+            if track_weight:
+                # every row: a stopped row passed this on its last active
+                # step
+                for dc in dcols:
+                    if np.any(dc <= 0.0) or np.any(dc >= DERIV_CAP):
+                        raise NumericalBlowup(
+                            "companion derivative left (0, 1e300)")
+                new_m = log_z_cols(exponent, x)
+                if dcols:
+                    # h_weight * sum log f' + log Z
+                    logs = sum_columns([np.log(dc) for dc in dcols])
+                    logs *= h_weight
+                    logs += new_m
+                    new_m = logs
+                np.copyto(log_m, new_m, where=active)
+                if log_bound is not None:
+                    hit = active & (log_m > log_bound)
+                    if hit.any():
+                        reason[hit] = REASON_BOUND
+                        active[hit] = False
     return flow
 
 
@@ -285,6 +317,9 @@ def _ensemble_chunk(task: dict) -> dict:
 
 def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
                     first_path, drifted, observable) -> list[dict]:
+    if bound_n is not None and not bound_n > 0:
+        raise OutOfFloatRange(f"stopping bound {bound_n!r} is not positive "
+                              "(a multiple of a Z that underflows is 0)")
     task = {
         "spec": spec, "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
         "seed": seed, "drifted": drifted,
@@ -306,6 +341,7 @@ def martingale_check(
     n_workers: int = 1,
 ) -> McReport:
     """Optional-stopping test: mean of M_{T and tau}/M_0 against 1."""
+    require_points(spec, cfg)
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
     tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed, 0,
@@ -340,6 +376,7 @@ def girsanov_check(
     use disjoint path_index ranges, hence independent streams, and share
     one map_chunks call (one pool).
     """
+    require_points(spec, cfg)
     if observable is None:
         observable = companion_observable(i, len(cfg))
     if bound_n is None:
@@ -462,6 +499,8 @@ def inverse_law_check(
         if st["n_failed"] > 0.01 * n_paths:
             raise SwallowedTooOften(
                 f"{st['n_failed']} of {n_paths} inverse paths failed")
+        if not all(map(math.isfinite, st.values())):
+            raise NumericalBlowup("inverse-law power sums overflowed")
 
     reports = []
     for tag, label, c in (("re", "real", shift.real),

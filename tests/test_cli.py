@@ -1,10 +1,16 @@
 """End-to-end tests for the CLI: configs in, reports out, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slelab.cli import main, resolve_workers
 
@@ -290,3 +296,145 @@ def test_commutator_check_runs_both_orders(tmp_path):
     rows = read_rows(str(tmp_path / "r"))
     assert len(rows) == 2
     assert all(r["pass"] == "true" for r in rows)
+
+
+# configs the fuzz test below found escaping with a traceback, and the
+# documented exit code each now gets
+ESCAPES = {
+    "horizon_of_1e298_substeps": (2, dict(
+        check="girsanov", kappa=2.0, points=[0.0, 1.0], i_index=0,
+        j_index=1, t_final=0.01, dt=1e-300, n_paths=1)),
+    "horizon_of_inf_substeps": (2, dict(
+        check="hcap", kappa=6.0, t_final=1e308, dt=0.03)),
+    "uniform_grid_of_1e298_substeps": (2, dict(
+        check="zip", mode="forward", t_final=0.01, dt=1e-300,
+        bulk_points=[[0.5, 1.0]])),
+    "stopping_bound_underflows": (2, dict(
+        check="martingale", kappa=1e-300, points=[0.0, 1.0, 2.5],
+        i_index=0, t_final=0.05, dt=0.03, n_paths=50)),
+    "z_overflows_near_points": (2, dict(
+        check="coupling_pde", mode="forward", kappa=1e-300, gamma=1.3,
+        points=[0.0, 1.0], bulk_points=[[0.5, 1.0]])),
+    "squared_gap_overflows": (2, dict(
+        check="schemes", kappa=2.0, points=[0.0, 1e300], i_index=0,
+        j_index=1, eps_tilde=0.01, c=1e-300, dt=1e-3, n_paths=10)),
+    "every_scheme_path_swallowed": (3, dict(
+        check="schemes", kappa=1e300, points=[0.0, 1.0, 2.5], i_index=0,
+        j_index=1, eps_tilde=0.005, c=1.0, dt=1e-3, n_paths=1)),
+    "inverse_power_sums_overflow": (3, dict(
+        check="inverse", kappa=1e300, bulk_points=[[0.5, 1.0]],
+        t_final=0.01, dt=1e-3, n_paths=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPES))
+def test_found_escape_exits_with_one_line(tmp_path, capsys, case):
+    code, fields = ESCAPES[case]
+    cfg = write_config(tmp_path, n_workers=1, out_path=str(tmp_path / "r"),
+                       **fields)
+    assert main(["check", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "r.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any config built from a check's documented fields exits with a
+# documented code and never raises.
+
+MISSING = object()
+NAN = float("nan")
+HUGE = (1e300, -1e300, 1e308)
+# wrong types, NaN, zero and negatives, shared by the numeric fields
+BAD_NUMBER = (MISSING, "1", None, True, [1.0], NAN, 0, -1, -0.5, *HUGE)
+BAD_INDEX = (MISSING, -1, 7, 0.5, "0", None, True, NAN, 1e300)
+# Sizes stay at 50 paths and 50 steps or below, except where t_final / dt
+# is 1e298 or more, which the CLI must refuse before allocating: no huge
+# dt below the largest t_final, since 1e308 / 1e300 is a valid horizon of
+# 1e8 substeps.
+BAD_DT = (MISSING, "1", None, True, [1.0], NAN, 0, -1, -0.5, -1e300, 1e308)
+# field: (valid and boundary values, invalid values)
+FIELDS = {
+    "mode": (["backward"] * 3 + ["forward"] * 2,
+             ["sideways", 1, None, MISSING]),
+    "kappa": ([2.0, 4.0, 4.0, 6.0, 8.0 / 3.0, 1e-300], BAD_NUMBER),
+    "points": ([[0.0, 1.0]] * 3 + [[0.0, 1.0, 2.5], [-1.0, 0.5, 2.0], [0.0],
+                [0.0, 1e-300], [0.0, 1e300], [1e308, -1e308], [0.0, 0.0]],
+               [MISSING, [], "x", [NAN, 1.0], [0.0, "a"], None, 5]),
+    "i_index": ([0, 0, 1], BAD_INDEX),
+    "j_index": ([1, 1, 0, 2], BAD_INDEX),
+    "t_final": ([0.01, 0.02, 0.05], BAD_NUMBER),
+    "dt": ([1e-3, 1e-3, 2e-3, 0.01, 0.03, 0.05, 1e-300], BAD_DT),
+    "n_paths": ([1, 10, 50, 50],
+                [MISSING, 0, -1, 1.5, "10", None, True, NAN, 1e300]),
+    "seed": ([0, 3, 2**64, -1, 10**30],
+             [MISSING, 1.5, "s", None, NAN, 1e300]),
+    "bound_n": ([0.5, 10.0, 1e-300, 1e300], BAD_NUMBER),
+    "eps_tilde": ([0.005, 0.01, 0.01, 0.3, 1e-12], BAD_NUMBER),
+    "c": ([1.0, 2.0, 2.0, 1e-300], BAD_NUMBER),
+    "gamma": ([2.0, 2.0, 1.0, 1.3], BAD_NUMBER),
+    "chi": ([0.5], BAD_NUMBER),
+    "fd_step": ([1e-4, 1e-3, 0.5, 1e-300], BAD_NUMBER),
+    "bulk_points": ([[[0.5, 1.0]], [[1.0, 2.0], [-1.0, 2.0]],
+                     [[1.0, 2.0], [-1.0, 2.0]], [[0.0, 1e-300]],
+                     [[1.0, 2.0], [1.0, 2.0]], [[1e300, 1.0]]],
+                    [MISSING, [], "x", [[1.0]], [[NAN, 1.0]], [1.0, 2.0],
+                     [[0.5, 0.0]], [[0.5, -1.0]], [[True, 1.0]]]),
+}
+ENSEMBLE = ("t_final", "dt", "n_paths", "seed")
+COUPLING = ("mode", "kappa", "gamma", "chi", "points", "bulk_points")
+CHECK_FIELDS = {
+    "zip": ("mode", "t_final", "dt", "bulk_points"),
+    "hcap": ("mode", "kappa", "t_final", "dt", "seed"),
+    "bpz": ("mode", "kappa", "points", "i_index", "fd_step"),
+    "kz": ("mode", "kappa", "points", "i_index", "fd_step"),
+    "commutator": ("mode", "kappa", "points", "i_index", "j_index", "fd_step"),
+    "schemes": ("mode", "kappa", "points", "i_index", "j_index", "eps_tilde",
+                "c", "dt", "n_paths", "seed"),
+    "martingale": ("mode", "kappa", "points", "i_index", "bound_n", *ENSEMBLE),
+    "girsanov": ("mode", "kappa", "points", "i_index", "j_index", "bound_n",
+                 *ENSEMBLE),
+    "inverse": ("kappa", "bulk_points", *ENSEMBLE),
+    "coupling_pde": (*COUPLING, "i_index", "fd_step"),
+    "coupling_mc": (*COUPLING, "i_index", *ENSEMBLE),
+    "crossvar": (*COUPLING, "i_index", *ENSEMBLE),
+}
+
+
+def _field_value(field):
+    valid, bad = FIELDS[field]
+    # each valid value weighs three times a bad one, so most configs
+    # get past validation
+    return st.sampled_from(list(valid) * 3 + list(bad))
+
+
+@st.composite
+def _configs(draw, check):
+    config = {"check": check}
+    for field in CHECK_FIELDS[check]:
+        value = draw(_field_value(field))
+        if value is not MISSING:
+            config[field] = value
+    return config
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_FIELDS))
+def test_fuzzed_config_exits_with_a_documented_code(check):
+    @settings(max_examples=40, deadline=None)
+    @given(config=_configs(check))
+    def run(config):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = dict(config, n_workers=1,
+                          out_path=os.path.join(tmp, "r"))
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            err = io.StringIO()
+            with mock.patch.dict(os.environ, {"SLELAB_WORKERS": "1"}), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["check", path])
+        assert code in (0, 1, 2, 3), (code, config)
+        if code in (2, 3):
+            assert err.getvalue().count("\n") == 1, (err.getvalue(), config)
+    run()

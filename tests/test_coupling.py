@@ -1,6 +1,8 @@
 """Tests for the field-coupling checks: Green functions, boundary data,
 the defining PDE, and the martingale/cross-variation experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ def test_default_epsilon_signs():
 def test_make_coupling_spec_requires_gamma_backward():
     with pytest.raises(BadCouplingParameters):
         make_coupling_spec(SPEC_BACK)
+
+
+def test_q_charge_follows_gamma():
+    """Q is read from gamma, not stored next to it, so no spec can carry
+    a charge that disagrees with its gamma."""
+    assert "q_charge" not in {f.name for f in dataclasses.fields(CS_BACK)}
+    assert CS_BACK.q_charge == q_charge(2.0)
+    assert CS_BACK.curvature_constant == q_charge(2.0)
+    assert CS_FWD.q_charge is None
+    assert make_coupling_spec(SPEC_BACK, gamma=1.0).q_charge == q_charge(1.0)
+    with pytest.raises(BadCouplingParameters, match="gamma must be positive"):
+        dataclasses.replace(CS_BACK, gamma=-2.0)
 
 
 def test_boundary_u_backward_examples():

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from slelab.commutation import (arctan_sum, commutation_experiment,
+                                commutator_residual)
 from slelab.core import validate_config
+from slelab.coupling import (coupling_martingale_check, coupling_pde_residual,
+                             cross_variation_experiment, make_coupling_spec)
 from slelab.partition import (
     PartitionSpec,
     StepTooLarge,
@@ -17,6 +21,7 @@ from slelab.partition import (
     product_z_fn,
     z_value,
 )
+from slelab.sampler import girsanov_check, martingale_check
 
 
 def test_h_kappa_values():
@@ -177,3 +182,35 @@ def test_product_z_fn_matches_z_value():
     cfg = validate_config((0.0, 0.5, 2.0))
     fn = product_z_fn(spec.exponent)
     np.testing.assert_allclose(fn(cfg.as_array()), z_value(spec, cfg), rtol=1e-14)
+
+
+# a three-point flow next to a two-point configuration, at every entry
+# point that takes both
+SPEC3 = PartitionSpec("backward", 4.0, 3)
+CS3 = make_coupling_spec(SPEC3, gamma=2.0)
+CFG2 = validate_config((0.0, 1.0))
+BULK = [1 + 2j, -1 + 2j]
+MISMATCHED = {
+    "bpz_residual": lambda: bpz_residual(SPEC3, CFG2, 0),
+    "kz_residual": lambda: kz_residual(SPEC3, CFG2, 0),
+    "commutator_residual": lambda: commutator_residual(SPEC3, arctan_sum,
+                                                       CFG2, 0, 1),
+    "commutation_experiment": lambda: commutation_experiment(
+        SPEC3, CFG2, 0, 1, 0.01, 2.0, 1e-3, 10),
+    "martingale_check": lambda: martingale_check(SPEC3, CFG2, 0, 0.01, 1e-3,
+                                                 100),
+    "girsanov_check": lambda: girsanov_check(SPEC3, CFG2, 0, None, 0.01,
+                                             1e-3, 100),
+    "coupling_pde_residual": lambda: coupling_pde_residual(CS3, 1 + 2j, CFG2,
+                                                           0),
+    "coupling_martingale_check": lambda: coupling_martingale_check(
+        CS3, CFG2, 0, BULK, 0.01, 1e-3, 10),
+    "cross_variation_experiment": lambda: cross_variation_experiment(
+        CS3, CFG2, 0, BULK, 0.01, 1e-3, 10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MISMATCHED))
+def test_point_count_mismatch_is_refused(entry):
+    with pytest.raises(ValueError, match="spec is for 3 points"):
+        MISMATCHED[entry]()

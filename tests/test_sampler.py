@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slelab.core import normal_block, validate_config
+from slelab.loewner import slit_real
 from slelab.partition import PartitionSpec, grad_log_z
 from slelab.sampler import (
+    REASON_BOUND,
+    REASON_SWALLOWED,
     RaggedGrid,
     companion_observable,
     girsanov_check,
@@ -106,6 +111,59 @@ def test_run_leg_flow_continues_in_place():
     np.testing.assert_array_equal(second.x[stopped], frozen_x)
     np.testing.assert_array_equal(second.reason[stopped], frozen_reason)
     np.testing.assert_array_equal(x0, np.tile([0.0, 0.3], (2000, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(("backward", "forward")),
+       n_points=st.integers(1, 4), weighted=st.booleans(),
+       drifted=st.booleans(), guard=st.sampled_from((2.0, 12.0)),
+       delta=st.floats(1e-6, 1e-2), data=st.data())
+def test_run_leg_substep_is_the_slit_map(mode, n_points, weighted, drifted,
+                                         guard, delta, data):
+    """One substep moves every row that stays active to exactly
+    slit_real's value and multiplier, stops exactly the active rows whose
+    smallest gap entered the layer, and writes no stopped row."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    slot = data.draw(st.integers(0, n_points - 1))
+    n = 40
+    spec = PartitionSpec(mode, 4.0, n_points)
+    args = (mode, spec.kappa, spec.exponent, spec.h_weight)
+    # points spread over a few layer widths, so some rows start in it
+    x0 = rng.uniform(-1.0, 1.0, (n, n_points)) * 30.0 * np.sqrt(delta)
+    flow = run_leg(*args, x0, slot, np.zeros((n, 0)), np.zeros(0),
+                   drifted=drifted, track_weight=weighted)
+    stopped = rng.random(n) < 0.3
+    flow.active[stopped] = False
+    flow.reason[stopped] = REASON_BOUND
+    if weighted:
+        flow.derivs[:] = rng.uniform(0.5, 2.0, flow.derivs.shape)
+        flow.log_m[:] = rng.standard_normal(n)
+    before = {f: getattr(flow, f).copy()
+              for f in ("x", "derivs", "active", "reason", "log_m")
+              if getattr(flow, f) is not None}
+    run_leg(*args, flow, slot, rng.standard_normal((n, 1)),
+            np.array([delta]), drifted=drifted, track_weight=weighted,
+            collision_guard=guard)
+
+    u0 = before["x"][:, slot]
+    others = [c for c in range(n_points) if c != slot]
+    gap2 = np.array([(before["x"][:, c] - u0) ** 2 for c in others])
+    entered = (gap2 <= guard**2 * delta).any(axis=0) & before["active"]
+    np.testing.assert_array_equal(flow.active, before["active"] & ~entered)
+    np.testing.assert_array_equal(flow.reason[entered], REASON_SWALLOWED)
+    moved = flow.active
+    for c in others:
+        new, mult, _ = slit_real(before["x"][:, c], u0, delta, mode)
+        np.testing.assert_array_equal(flow.x[moved, c], new[moved])
+        if weighted:
+            np.testing.assert_array_equal(flow.derivs[moved, c],
+                                          before["derivs"][moved, c]
+                                          * mult[moved])
+    for field, old in before.items():
+        if field not in ("active", "reason"):
+            np.testing.assert_array_equal(getattr(flow, field)[~moved],
+                                          old[~moved])
+    np.testing.assert_array_equal(flow.reason[stopped], REASON_BOUND)
 
 
 def test_flow_columns_contiguous():

@@ -3,8 +3,11 @@ and a chunk's memory does not grow with the horizon."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slelab import coupling, sampler
 from slelab.commutation import commutation_experiment
@@ -36,6 +39,23 @@ CHECKS = {
     "crossvar": lambda: cross_variation_experiment(
         CS_BACK, CFG2, 0, [1 + 2j, -1 + 2j], 0.05, 1e-3, N, seed=1),
 }
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_steps=st.integers(0, 5000), block=st.integers(1, 600))
+def test_step_windows_split_evenly(n_steps, block):
+    """The windows tile [0, n_steps) in order, as many as full blocks plus
+    a remainder would be, none longer than a block, and their lengths
+    differ by at most one step."""
+    with mock.patch.object(sampler, "STEP_BLOCK", block):
+        windows = sampler.step_windows(n_steps)
+    assert len(windows) == -(-n_steps // block)
+    bounds = [0] + [b for _, b in windows]
+    assert windows == list(zip(bounds, bounds[1:]))
+    assert bounds[-1] == n_steps
+    sizes = [b - a for a, b in windows]
+    assert all(0 < size <= block for size in sizes)
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
@@ -78,3 +98,16 @@ def test_chunk_memory_does_not_grow_with_horizon(fn, make_task):
     short, long = (_peak_bytes(fn, make_task(k * sampler.STEP_BLOCK, dt))
                    for k in (2, 8))
     assert abs(long - short) < 2 * 2**20, (short, long)
+
+
+def test_chunk_memory_does_not_exceed_an_even_window():
+    """STEP_BLOCK + 36 steps split into two even windows of half that
+    horizon, so a 2000-path chunk peaks within 1 MiB of its peak at that
+    half; a full block plus a remainder would hold 110 more steps of
+    normals, 1.7 MiB."""
+    dt = 1e-5
+    n_steps = sampler.STEP_BLOCK + 36
+    half, whole = (_peak_bytes(sampler._ensemble_chunk,
+                               _ensemble_task(k, dt))
+                   for k in (n_steps // 2, n_steps))
+    assert whole - half < 2**20, (half, whole)

@@ -40,11 +40,11 @@ from .commutation import (
 from .core import (
     BACKWARD,
     MODES,
+    DrivingPath,
     DuplicatePoint,
     McReport,
     OutOfFloatRange,
     PointConfig,
-    build_driving_path,
     make_report,
     normal_block,
     validate_config,
@@ -59,6 +59,7 @@ from .coupling import (
     make_coupling_spec,
 )
 from .loewner import (
+    ChainState,
     ProbeTooClose,
     Swallowed,
     SwallowedReference,
@@ -86,6 +87,7 @@ from .sampler import (
     girsanov_check,
     inverse_law_check,
     martingale_check,
+    step_windows,
 )
 
 EXIT_PASS = 0
@@ -303,13 +305,32 @@ def _exact_row(name: str, estimate: float, tolerance: float,
 # Check runners (config dict -> McReport rows)
 
 
+def _evolve_windows(state: ChainState, n: int, dt: float,
+                    steps: Callable[[int, int], np.ndarray]) -> ChainState:
+    """Evolve `state` by n substeps of dt driven from 0, one step window at
+    a time, so memory does not grow with the horizon; steps(a, b) gives
+    the driving increments of steps a .. b - 1.  The last driving value is
+    carried into each window's cumsum, so the values keep the bits of one
+    sequential sum."""
+    value = 0.0
+    for a, b in step_windows(n):
+        inc = steps(a, b)
+        inc[0] += value
+        values = np.empty(b - a + 1)
+        values[0] = value
+        np.cumsum(inc, out=values[1:])
+        state = evolve(state, DrivingPath(dt, b - a, values), first_step=a)
+        value = values[-1]
+    return state
+
+
 def _run_zip(config: dict, workers: int) -> List[McReport]:
     mode = _mode(config)
     t_final, dt = _times(config)
     bulk = _bulk_points(config) or list(_DEFAULT_ZIP_GRID)
     n, dt_eff = _uniform_steps(t_final, dt)
-    path = build_driving_path(1.0, 0.0, np.zeros(n), dt_eff)
-    final = evolve(initial_state(mode, bulk=bulk), path)
+    final = _evolve_windows(initial_state(mode, bulk=bulk), n, dt_eff,
+                            lambda a, b: np.zeros(b - a))
     return [_exact_row(f"zip_z_re{z.real:g}_im{z.imag:g}",
                        abs(final.bulk_values[k]
                            - reference_map_zero_driving(z, t_final, mode)),
@@ -323,10 +344,15 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
     t_final, dt = _times(config)
     seed = _integer(config, "seed", default=0)
     n, dt_eff = _uniform_steps(t_final, dt)
-    incs = normal_block(seed, 0, 1, n)[0] * math.sqrt(dt_eff)
-    path = build_driving_path(kappa, 0.0, incs, dt_eff)
+
+    def steps(a: int, b: int) -> np.ndarray:
+        incs = normal_block(seed, 0, 1, b - a, a)[0] * math.sqrt(dt_eff)
+        return np.sqrt(kappa) * incs
+
     radius = 1e4
-    final = evolve(initial_state(mode, bulk=(1j * radius, 2j * radius)), path)
+    final = _evolve_windows(
+        initial_state(mode, bulk=(1j * radius, 2j * radius)), n, dt_eff,
+        steps)
     return [_exact_row(f"hcap_k{kappa:g}_t{t_final:g}",
                        extract_hcap(final, probe_radius=radius), 1e-4, n,
                        reference=2.0 * t_final)]

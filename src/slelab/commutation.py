@@ -36,7 +36,8 @@ from .core import (BACKWARD, McReport, OutOfFloatRange, PointConfig,
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         grad_log_z_cols, min_gap, require_points)
 from .sampler import (REASON_SWALLOWED, SwallowedTooOften, chunked,
-                      map_chunks, run_leg, step_sizes, step_windows, sum_stats)
+                      map_chunks, run_leg, step_sizes, step_windows, sum_stats,
+                      tiled)
 
 
 class EpsilonTooLarge(ValueError):
@@ -127,12 +128,18 @@ def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
 
 def _scheme_chunk(task: dict) -> dict:
     legs = _scheme_legs(task["order"], task["plan"], task["dt"])
-    draw = functools.partial(normal_block, task["seed"], task["first_path"],
-                             task["count"])
-    x = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    flow = _run_legs(legs, task["spec"], x, draw, drifted=True)
-    x = flow.x
-    keep = flow.reason != REASON_SWALLOWED
+    points = np.asarray(task["points"])
+
+    def run_tile(t0: int, t1: int) -> dict:
+        draw = functools.partial(normal_block, task["seed"],
+                                 task["first_path"] + t0, t1 - t0)
+        flow = _run_legs(legs, task["spec"], np.tile(points, (t1 - t0, 1)),
+                         draw, drifted=True)
+        return {"x": flow.x, "reason": flow.reason}
+
+    flow = tiled(task["count"], run_tile)
+    x = flow["x"]
+    keep = flow["reason"] != REASON_SWALLOWED
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum())}
     n_pts = x.shape[1]
     cols = {f"x_{k}": x[keep, k] for k in range(n_pts)}

@@ -43,6 +43,7 @@ from .core import (
 )
 from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
+    LOG_FLOAT_MAX,
     PartitionSpec,
     _resolve_step,
     fd_first,
@@ -52,7 +53,7 @@ from .partition import (
     require_points,
 )
 from .sampler import (REASON_SWALLOWED, chunked, map_chunks, step_sizes,
-                      step_windows, sum_stats)
+                      step_windows, sum_stats, tiled)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -63,7 +64,6 @@ GREEN_KINDS = (NEUMANN, DIRICHLET)
 MODE_GREEN = {BACKWARD: NEUMANN, FORWARD: DIRICHLET}
 
 _RELATION_TOL = 1e-9
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _COINCIDENT_TOL = 1e-14
 
 
@@ -287,7 +287,7 @@ def coupling_pde_residual(
 
     def z_of(x: np.ndarray) -> float:
         log_z = log_z_cols(spec.exponent, x)
-        if not log_z < _LOG_FLOAT_MAX:
+        if not log_z < LOG_FLOAT_MAX:
             raise OutOfFloatRange(f"Z overflows at kappa {kappa!r}")
         zval = math.exp(log_z)
         if zval == 0.0:
@@ -491,8 +491,13 @@ def _h_run(
 
 def _h_chunk(task: dict) -> dict:
     cspec: CouplingSpec = task["cspec"]
-    run = _h_run(cspec, task["cfg"], task["i"], task["bulk"], task["deltas"],
-                 task["seed"], task["first_path"], task["count"])
+
+    def run_tile(t0: int, t1: int) -> dict:
+        return _h_run(cspec, task["cfg"], task["i"], task["bulk"],
+                      task["deltas"], task["seed"], task["first_path"] + t0,
+                      t1 - t0)
+
+    run = tiled(task["count"], run_tile)
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
     return {

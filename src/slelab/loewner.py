@@ -149,10 +149,13 @@ def initial_state(mode: str, marked=(), bulk=()) -> ChainState:
     )
 
 
-def evolve(state: ChainState, path: DrivingPath) -> ChainState:
+def evolve(state: ChainState, path: DrivingPath,
+           first_step: int = 0) -> ChainState:
     """Apply one exact substep per path step (driving frozen at the step
-    start).  Raises Swallowed with the step index and the substep-local
-    analytic swallowing time when a tracked point is absorbed."""
+    start).  Raises Swallowed with the step index (counted from
+    `first_step`, the index of the path's first step in a longer chain)
+    and the substep-local analytic swallowing time when a tracked point is
+    absorbed."""
     mode = state.mode
     t = state.time
     dt = path.dt
@@ -163,28 +166,29 @@ def evolve(state: ChainState, path: DrivingPath) -> ChainState:
 
     for k in range(path.n_steps):
         U0 = path.values[k]
+        step = first_step + k
         if mk.size:
             new, mult, bad = slit_real(mk, U0, dt, mode)
             if bad.any():
                 j = int(np.argmax(bad))
                 ts = (mk[j] - U0) ** 2 / 4.0
                 raise Swallowed(
-                    f"marked point {j} absorbed during step {k}",
-                    step=k, time=t + ts,
+                    f"marked point {j} absorbed during step {step}",
+                    step=step, time=t + ts,
                 )
             mk, mkd = new, mkd * mult
         if bk.size:
             if mode == FORWARD and np.any(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD):
                 j = int(np.argmax(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD))
-                raise Swallowed(f"bulk point {j} within swallow guard at step {k}",
-                                step=k, time=t)
+                raise Swallowed(f"bulk point {j} within swallow guard at step {step}",
+                                step=step, time=t)
             new, mult, bad = slit_complex(bk, U0, dt, mode)
             if bad.any():
                 j = int(np.argmax(bad))
                 ts = (bk[j] - U0).imag ** 2 / 4.0
                 raise Swallowed(
-                    f"bulk point {j} absorbed during step {k}",
-                    step=k, time=t + ts,
+                    f"bulk point {j} absorbed during step {step}",
+                    step=step, time=t + ts,
                 )
             bk, bkd = new, bkd * mult
         t += dt

@@ -13,13 +13,17 @@ All indices are 0-based.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import BACKWARD, PointConfig, _check_mode, sum_columns
+from .core import (BACKWARD, OutOfFloatRange, PointConfig, _check_mode,
+                   sum_columns)
+
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class StepTooLarge(ValueError):
@@ -125,10 +129,18 @@ def min_gap(cfg: PointConfig) -> float:
 
 def product_z_fn(exponent: float) -> Callable[[np.ndarray], float]:
     """Function handle form of the product partition function (used both for
-    the real thing and for wrong-exponent negative controls)."""
+    the real thing and for wrong-exponent negative controls).  A Z that
+    overflows or underflows (tiny kappa makes the exponent huge) raises
+    OutOfFloatRange instead of turning a residual into nan."""
 
     def zfn(x: np.ndarray) -> float:
-        return float(np.exp(log_z_cols(exponent, x)))
+        log_z = log_z_cols(exponent, x)
+        if not log_z < LOG_FLOAT_MAX:
+            raise OutOfFloatRange(f"Z overflows at exponent {exponent!r}")
+        z = float(np.exp(log_z))
+        if z == 0.0:
+            raise OutOfFloatRange(f"Z underflows at exponent {exponent!r}")
+        return z
 
     return zfn
 

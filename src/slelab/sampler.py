@@ -14,16 +14,18 @@ the first substep boundary (after at least one completed substep) where
 |M| exceeds bound_n, or when a companion is swallowed; stopped paths stay
 frozen and are retained in Monte Carlo averages.
 
-All indices are 0-based.  Paths are chunked for memory and optional
-process-level parallelism, and a chunk draws its normals one window at a
-time: step_windows splits the horizon into ceil(n / STEP_BLOCK) windows of
-equal length (up to one step), so a chunk holds at most STEP_BLOCK steps of
-normals however long the horizon, and often fewer.  Every path owns the
-stream keyed by (seed, path_index) and a window resumes it at its first
-step, so no split changes a path.  Reports are byte-identical across
-worker counts and STEP_BLOCK at the fixed chunk size DEFAULT_CHUNK;
-another chunk size adds the per-chunk sums in another order, which can
-change the last bits.
+All indices are 0-based.  Paths are chunked for the sums and optional
+process-level parallelism.  Inside a chunk the kernels run one path tile
+(at most TILE paths) at a time, and a tile draws its normals one window at
+a time: step_windows splits the horizon into ceil(n / STEP_BLOCK) windows
+of equal length (up to one step), so a chunk holds at most TILE *
+STEP_BLOCK * 8 bytes of normals (20.5 MB) however long the horizon, and
+often less.  Every path owns the stream keyed by (seed, path_index) and a
+window resumes it at its first step, so no split changes a path; the
+tiles' per-path arrays are joined in path order before the chunk sums
+them.  Reports are byte-identical across worker counts, STEP_BLOCK and
+TILE at the fixed chunk size DEFAULT_CHUNK; another chunk size adds the
+per-chunk sums in another order, which can change the last bits.
 
 The ensemble state (Flow) is column-major: each point's column of all
 paths is contiguous, and the kernel works one column at a time.
@@ -53,13 +55,20 @@ DERIV_CAP = 1e300
 # substeps of one horizon: an array of them must be addressable in bytes
 MAX_STEPS = np.iinfo(np.intp).max // 8
 DEFAULT_CHUNK = 20_000
-# the longest window of normals: a chunk holds at most DEFAULT_CHUNK *
-# STEP_BLOCK * 8 bytes of them (41 MB), and a horizon of n steps is split
-# into ceil(n / STEP_BLOCK) even windows, so a 292-step scheme holds 146
-# steps (23 MB).  Each window costs one Philox reset per path: 500 steps of
+# the longest window of normals: a chunk holds at most TILE * STEP_BLOCK *
+# 8 bytes of them (20.5 MB), and a horizon of n steps is split into
+# ceil(n / STEP_BLOCK) even windows, so a 292-step scheme holds 146 steps
+# (11.7 MB).  Each window costs one Philox reset per path: 500 steps of
 # 20000 paths took 0.50 s in one block, 0.53 s in 256-step windows, 0.58 s
 # in 128-step and 0.88 s in 64-step windows (2-vCPU host).
 STEP_BLOCK = 256
+# the most paths one kernel call works on: a chunk runs its paths in
+# ceil(count / TILE) even tiles.  Measured on a 2-vCPU host: at 5000 rows
+# a weighted run_leg costs about 20% more per path-step (numpy's per-call
+# overhead), _h_run gains nothing more below 10000 rows, and at 20000 rows
+# (one tile per chunk) _h_run took more CPU time than at 10000 in 9 of 12
+# interleaved pairs.
+TILE = 10_000
 
 # Paths stop when a companion gap enters the collision layer
 # gap^2 <= COLLISION_GUARD^2 * dt.  The slit substep itself only swallows at
@@ -123,17 +132,37 @@ def step_sizes(T: float, dt: float) -> np.ndarray:
     return out
 
 
+def _even_split(n: int, block: int) -> list[tuple[int, int]]:
+    """Bounds [a, b) of ceil(n / block) consecutive ranges that cover
+    0 .. n - 1, with lengths that differ by at most one."""
+    count = -(-n // block)
+    if count == 0:
+        return []
+    size, extra = divmod(n, count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def step_windows(n_steps: int) -> list[tuple[int, int]]:
     """Bounds [a, b) of ceil(n_steps / STEP_BLOCK) consecutive windows that
     cover n_steps steps, with lengths that differ by at most one step.
     As many windows as full STEP_BLOCK ones plus a remainder, so as many
     Philox resets, but none longer than it has to be."""
-    count = -(-n_steps // STEP_BLOCK)
-    if count == 0:
-        return []
-    size, extra = divmod(n_steps, count)
-    bounds = [k * size + min(k, extra) for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return _even_split(n_steps, STEP_BLOCK)
+
+
+def path_tiles(count: int) -> list[tuple[int, int]]:
+    """Bounds [a, b) of the ceil(count / TILE) even path tiles of a chunk
+    of `count` paths, relative to its first path."""
+    return _even_split(count, TILE)
+
+
+def tiled(count: int, run_tile: Callable[[int, int], dict]) -> dict:
+    """run_tile(a, b) on each path tile of a chunk; its per-path arrays
+    joined in path order.  np.concatenate keeps the tiles' memory layout,
+    so the chunk's sums over paths read what one call would have built."""
+    parts = [run_tile(a, b) for a, b in path_tiles(count)]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
 @dataclass
@@ -286,21 +315,27 @@ def _ensemble_chunk(task: dict) -> dict:
     """Terminal sufficient statistics for one chunk of paths."""
     spec: PartitionSpec = task["spec"]
     deltas = step_sizes(task["T"], task["dt"])
-    x0 = np.tile(np.asarray(task["points"]), (task["count"], 1))
-    flow = x0
-    for a, b in step_windows(deltas.size):
-        normals = normal_block(task["seed"], task["first_path"],
-                               task["count"], b - a, a)
-        flow = run_leg(
-            spec.mode, spec.kappa, spec.exponent, spec.h_weight,
-            flow, task["slot"], normals, deltas[a:b],
-            drifted=task["drifted"], track_weight=True,
-            log_bound=task["log_bound"],
-        )
-        del normals      # before the next window is drawn
-    w = np.exp(flow.log_m - log_z_cols(spec.exponent, x0))   # M / M_0
+    points = np.asarray(task["points"])
+
+    def run_tile(t0: int, t1: int) -> dict:
+        flow = np.tile(points, (t1 - t0, 1))
+        for a, b in step_windows(deltas.size):
+            normals = normal_block(task["seed"], task["first_path"] + t0,
+                                   t1 - t0, b - a, a)
+            flow = run_leg(
+                spec.mode, spec.kappa, spec.exponent, spec.h_weight,
+                flow, task["slot"], normals, deltas[a:b],
+                drifted=task["drifted"], track_weight=True,
+                log_bound=task["log_bound"],
+            )
+            del normals      # before the next window is drawn
+        return {"x": flow.x, "log_m": flow.log_m, "reason": flow.reason}
+
+    flow = tiled(task["count"], run_tile)
+    x0 = np.tile(points, (task["count"], 1))
+    w = np.exp(flow["log_m"] - log_z_cols(spec.exponent, x0))   # M / M_0
     obs = task["observable"]
-    f = obs(flow.x) if obs is not None else np.zeros(task["count"])
+    f = obs(flow["x"]) if obs is not None else np.zeros(task["count"])
     return {
         "n": task["count"],
         "sw": float(np.sum(w)),
@@ -310,8 +345,8 @@ def _ensemble_chunk(task: dict) -> dict:
         "sw2f2": float(np.sum(w * w * f * f)),
         "sf": float(np.sum(f)),
         "sf2": float(np.sum(f * f)),
-        "n_swallowed": int(np.sum(flow.reason == REASON_SWALLOWED)),
-        "n_bound": int(np.sum(flow.reason == REASON_BOUND)),
+        "n_swallowed": int(np.sum(flow["reason"] == REASON_SWALLOWED)),
+        "n_bound": int(np.sum(flow["reason"] == REASON_BOUND)),
     }
 
 
@@ -425,20 +460,25 @@ def _inverse_chunk(task: dict) -> dict:
     """Backward chains tracking one bulk point, driven from 0 by the
     chunk's increments; the reversed arm reads its windows from the last
     step back, each reversed and negated."""
-    n, dt = task["count"], task["dt"]
+    dt = task["dt"]
     sq = math.sqrt(task["kappa"] * dt)
-    W = np.zeros(n)
-    Z = np.full(n, task["z0"], dtype=complex)
     windows = step_windows(task["n_steps"])
-    for a, b in windows[::-1] if task["reversed"] else windows:
-        normals = normal_block(task["seed"], task["first_path"], n, b - a, a)
-        if task["reversed"]:
-            normals = np.negative(normals, out=normals)[:, ::-1]
-        for k in range(b - a):
-            Z = slit_complex(Z, W, dt, BACKWARD)[0]
-            W = W + sq * normals[:, k]
-        del normals      # before the next window is drawn
-    val = Z - W
+
+    def run_tile(t0: int, t1: int) -> dict:
+        W = np.zeros(t1 - t0)
+        Z = np.full(t1 - t0, task["z0"], dtype=complex)
+        for a, b in windows[::-1] if task["reversed"] else windows:
+            normals = normal_block(task["seed"], task["first_path"] + t0,
+                                   t1 - t0, b - a, a)
+            if task["reversed"]:
+                normals = np.negative(normals, out=normals)[:, ::-1]
+            for k in range(b - a):
+                Z = slit_complex(Z, W, dt, BACKWARD)[0]
+                W = W + sq * normals[:, k]
+            del normals      # before the next window is drawn
+        return {"val": Z - W}
+
+    val = tiled(task["count"], run_tile)["val"]
     bad = ~(val.imag > 0.0) | ~np.isfinite(val.real) | ~np.isfinite(val.imag)
     shifted = val[~bad] - task["shift"]
     re, im = shifted.real, shifted.imag

@@ -312,6 +312,8 @@ ESCAPES = {
     "stopping_bound_underflows": (2, dict(
         check="martingale", kappa=1e-300, points=[0.0, 1.0, 2.5],
         i_index=0, t_final=0.05, dt=0.03, n_paths=50)),
+    "bpz_z_overflows": (2, dict(
+        check="bpz", mode="forward", kappa=1e-300, points=[0.0, 2.0])),
     "z_overflows_near_points": (2, dict(
         check="coupling_pde", mode="forward", kappa=1e-300, gamma=1.3,
         points=[0.0, 1.0], bulk_points=[[0.5, 1.0]])),

@@ -1,19 +1,23 @@
-"""Time-blocking of the normals: the window size never changes a number,
-and a chunk's memory does not grow with the horizon."""
+"""Time-blocking of the normals and path tiles inside a chunk: neither the
+window size nor the tile size changes a number, a chunk's memory does not
+grow with the horizon, and it follows the tile."""
 
 import math
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab import coupling, sampler
+from slelab import cli, coupling, sampler
 from slelab.commutation import commutation_experiment
-from slelab.core import validate_config
+from slelab.core import (DrivingPath, build_driving_path, normal_block,
+                         validate_config)
 from slelab.coupling import (coupling_martingale_check,
                              cross_variation_experiment, make_coupling_spec)
+from slelab.loewner import Swallowed, evolve, initial_state
 from slelab.partition import PartitionSpec
 from slelab.sampler import girsanov_check, inverse_law_check, martingale_check
 
@@ -58,10 +62,15 @@ def test_step_windows_split_evenly(n_steps, block):
     assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
-@pytest.mark.parametrize("check", sorted(CHECKS))
-def test_step_block_does_not_change_rows(check, monkeypatch):
+# 7-path tiles split the 300 paths of a chunk 43 ways, unevenly
+@pytest.mark.parametrize("check, knob", [
+    *(pytest.param(check, "STEP_BLOCK", id=check) for check in sorted(CHECKS)),
+    *(pytest.param(check, "TILE", id=f"{check}-tile")
+      for check in sorted(CHECKS)),
+])
+def test_step_block_does_not_change_rows(check, knob, monkeypatch):
     rows = CHECKS[check]()
-    monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
+    monkeypatch.setattr(sampler, knob, 7)
     assert CHECKS[check]() == rows
 
 
@@ -111,3 +120,67 @@ def test_chunk_memory_does_not_exceed_an_even_window():
                                _ensemble_task(k, dt))
                    for k in (n_steps // 2, n_steps))
     assert whole - half < 2**20, (half, whole)
+
+
+@pytest.mark.parametrize("fn, make_task", [
+    (sampler._ensemble_chunk, _ensemble_task),
+    (coupling._h_chunk, _coupling_task),
+], ids=["ensemble", "coupling"])
+def test_chunk_memory_follows_the_tile(fn, make_task, monkeypatch):
+    """At 256 steps a 500-path window of normals is 1 MiB and a 2000-path
+    one 4 MiB.  A 2000-path chunk in 500-path tiles peaked 2.9-3.0 MiB
+    below the same chunk in one tile (1.5-1.6 against 4.4-4.7 MiB), so it
+    must stay at least 2 MiB below it."""
+    task = make_task(sampler.STEP_BLOCK, 1e-5)
+    monkeypatch.setattr(sampler, "TILE", 2000)
+    whole = _peak_bytes(fn, task)
+    monkeypatch.setattr(sampler, "TILE", 500)
+    tiles = _peak_bytes(fn, task)
+    assert whole - tiles > 2 * 2**20, (tiles, whole)
+
+
+CHAINS = {"hcap": (cli._run_hcap, {"mode": "backward", "kappa": 4.0}),
+          "zip": (cli._run_zip, {"mode": "forward"})}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_runner_memory_does_not_grow_with_horizon(chain):
+    """The hcap and zip runners evolve one step window at a time, so their
+    peaks at 2 and at 8 windows agree within 8 KiB; a whole horizon of
+    normals and driving values added 36 KiB from 2 to 8 windows."""
+    run, fields = CHAINS[chain]
+    dt = 1e-5
+    short, long = (
+        _peak_bytes(lambda c: run(c, 1),
+                    dict(fields, t_final=k * sampler.STEP_BLOCK * dt, dt=dt))
+        for k in (2, 8))
+    assert abs(long - short) < 8 * 2**10, (short, long)
+
+
+def test_windowed_chain_keeps_the_driving_bits(monkeypatch):
+    """Carrying the last driving value into each window's cumsum gives
+    the values of one sequential sum, so bulk points near the driver end
+    where one evolve call puts them, bit for bit."""
+    inc = normal_block(3, 0, 1, 300)[0] * math.sqrt(1e-3)
+    state = initial_state("backward", bulk=(0.3 + 0.5j, -0.2 + 1j))
+    whole = evolve(state, build_driving_path(4.0, 0.0, inc, 1e-3))
+    monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
+    windows = cli._evolve_windows(state, 300, 1e-3,
+                                  lambda a, b: math.sqrt(4.0) * inc[a:b])
+    assert windows.bulk_values.tolist() == whole.bulk_values.tolist()
+    assert windows.time == whole.time
+
+
+def test_windowed_chain_reports_the_global_swallow_step(monkeypatch):
+    """A marked point at 1 is swallowed near step 250 of a zero-driven
+    backward chain; evolved in 7-step windows, the chain reports the same
+    step, time and message as one evolve call."""
+    state = initial_state("backward", marked=(1.0,))
+    with pytest.raises(Swallowed) as whole:
+        evolve(state, DrivingPath(1e-3, 300, np.zeros(301)))
+    monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
+    with pytest.raises(Swallowed) as windows:
+        cli._evolve_windows(state, 300, 1e-3, lambda a, b: np.zeros(b - a))
+    assert whole.value.step > 7
+    assert (windows.value.step, windows.value.time, str(windows.value)) == (
+        whole.value.step, whole.value.time, str(whole.value))

@@ -6,7 +6,7 @@ product, writes one report per cell plus a summary CSV.
 
 Reports are byte-identical across reruns of the same (config, seed): no
 timestamps, floats written with repr, JSON keys sorted.  Exit codes:
-0 all rows pass, 1 some row failed, 2 config error (missing or invalid
+0 all rows pass, 1 some row failed, 2 config error (missing, unknown or invalid
 field, infeasible eps_tilde, duplicate points, a horizon shorter than one
 substep or with more substeps than an array can hold, a Z or squared gap
 outside the float range, an unusable finite-difference step), 3 numerical
@@ -119,55 +119,44 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Field access with diagnostics naming the field
+# Config fields: _READERS maps each field to reader(field, value), which
+# checks the value's type and bounds and returns it; runners read via _get
 
 
-def _require(config: dict, field: str):
-    if field not in config:
-        raise ConfigError(f"missing required field {field!r}")
-    return config[field]
-
-
-def _number(config: dict, field: str, required: bool = False,
-            default: Optional[float] = None, positive: bool = False) -> Optional[float]:
-    if field not in config:
-        if required:
-            raise ConfigError(f"missing required field {field!r}")
-        return default
-    val = config[field]
+def _real(field: str, val) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {val!r}")
     val = float(val)
     if not math.isfinite(val):
         raise ConfigError(f"field {field!r} must be finite, got {val!r}")
-    if positive and val <= 0:
+    return val
+
+
+def _positive(field: str, val) -> float:
+    if (val := _real(field, val)) <= 0:
         raise ConfigError(f"field {field!r} must be positive, got {val!r}")
     return val
 
 
-def _integer(config: dict, field: str, required: bool = False,
-             default: Optional[int] = None, minimum: Optional[int] = None) -> Optional[int]:
-    if field not in config:
-        if required:
-            raise ConfigError(f"missing required field {field!r}")
-        return default
-    val = config[field]
+def _integer(field: str, val) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"field {field!r} must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"field {field!r} must be >= {minimum}, got {val}")
     return val
 
 
-def _mode(config: dict) -> str:
-    mode = config.get("mode", BACKWARD)
+def _count(field: str, val) -> int:
+    if (val := _integer(field, val)) < 1:
+        raise ConfigError(f"field {field!r} must be >= 1, got {val}")
+    return val
+
+
+def _mode(field: str, mode) -> str:
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
     return mode
 
 
-def _points(config: dict) -> PointConfig:
-    raw = _require(config, "points")
+def _points(field: str, raw) -> PointConfig:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("field 'points' must be a non-empty array of reals")
     try:
@@ -176,20 +165,13 @@ def _points(config: dict) -> PointConfig:
         raise ConfigError(f"field 'points' must contain only reals, got {raw!r}")
     if not all(math.isfinite(p) for p in pts):
         raise ConfigError("field 'points' must contain only finite reals")
-    validate_config(pts)
-    return PointConfig(pts)
+    return validate_config(pts)
 
 
-def _bulk_points(config: dict, required: bool = False,
-                 minimum: int = 1) -> Optional[List[complex]]:
-    if "bulk_points" not in config:
-        if required:
-            raise ConfigError("missing required field 'bulk_points'")
-        return None
-    raw = config["bulk_points"]
-    if not isinstance(raw, list) or len(raw) < minimum:
+def _bulk_points(field: str, raw) -> List[complex]:
+    if not isinstance(raw, list) or not raw:
         raise ConfigError(
-            f"field 'bulk_points' must be an array of at least {minimum} [re, im] pairs")
+            "field 'bulk_points' must be an array of at least 1 [re, im] pairs")
     out = []
     for entry in raw:
         if (not isinstance(entry, list) or len(entry) != 2
@@ -206,9 +188,28 @@ def _bulk_points(config: dict, required: bool = False,
     return out
 
 
-def _index(config: dict, field: str, n_points: int, required: bool = False,
-           default: Optional[int] = None) -> Optional[int]:
-    val = _integer(config, field, required=required, default=default)
+_READERS: dict[str, Callable] = {
+    "mode": _mode, "points": _points, "bulk_points": _bulk_points,
+    **dict.fromkeys(("kappa", "t_final", "dt", "eps_tilde", "c", "bound_n",
+                     "fd_step"), _positive),
+    **dict.fromkeys(("gamma", "chi"), _real),
+    **dict.fromkeys(("n_paths", "n_workers"), _count),
+    **dict.fromkeys(("seed", "i_index", "j_index"), _integer),
+}
+_REQUIRED = object()
+
+
+def _get(config: dict, field: str, default=_REQUIRED):
+    """The checked value of `field`, or `default` where it is absent."""
+    if field in config:
+        return _READERS[field](field, config[field])
+    if default is _REQUIRED:
+        raise ConfigError(f"missing required field {field!r}")
+    return default
+
+
+def _index(config: dict, field: str, n_points: int, default=_REQUIRED):
+    val = _get(config, field, default)
     if val is not None and not 0 <= val < n_points:
         raise ConfigError(
             f"field {field!r} must be a 0-based index below {n_points}, got {val}")
@@ -216,8 +217,8 @@ def _index(config: dict, field: str, n_points: int, required: bool = False,
 
 
 def _times(config: dict) -> tuple[float, float]:
-    t_final = _number(config, "t_final", required=True, positive=True)
-    dt = _number(config, "dt", required=True, positive=True)
+    t_final = _get(config, "t_final")
+    dt = _get(config, "dt")
     if not dt < t_final:
         raise ConfigError(f"dt ({dt!r}) must be smaller than t_final ({t_final!r})")
     return t_final, dt
@@ -237,25 +238,23 @@ def resolve_workers(config: dict) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"{ENV_WORKERS} must be an integer, got {env!r}")
-    val = _integer(config, "n_workers", default=None, minimum=1)
-    if val is not None:
-        return val
-    return os.cpu_count() or 1
+    return _get(config, "n_workers", None) or os.cpu_count() or 1
 
 
 def _flow(config: dict, check: str, min_points: int = 1):
     """(PartitionSpec, PointConfig) from mode, kappa and points."""
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
-    cfg = _points(config)
+    mode = _get(config, "mode", BACKWARD)
+    kappa = _get(config, "kappa")
+    cfg = _get(config, "points")
     if len(cfg) < min_points:
         raise ConfigError(f"{check} check needs at least {min_points} points")
     return PartitionSpec(mode, kappa, len(cfg)), cfg
 
 
-def _pair(config: dict, n_points: int) -> tuple[int, int]:
-    i = _index(config, "i_index", n_points, required=True)
-    j = _index(config, "j_index", n_points, required=True)
+def _pair(config: dict, n_points: int,
+          defaults=(_REQUIRED, _REQUIRED)) -> tuple[int, Optional[int]]:
+    i = _index(config, "i_index", n_points, defaults[0])
+    j = _index(config, "j_index", n_points, defaults[1])
     if i == j:
         raise ConfigError("i_index and j_index must differ")
     return i, j
@@ -263,21 +262,19 @@ def _pair(config: dict, n_points: int) -> tuple[int, int]:
 
 def _indices(config: dict, n_points: int) -> Sequence[int]:
     """The optional i_index, or every index when it is absent."""
-    i_index = _index(config, "i_index", n_points)
+    i_index = _index(config, "i_index", n_points, None)
     return range(n_points) if i_index is None else [i_index]
 
 
 def _ensemble(config: dict) -> tuple[float, float, int, int]:
     """(t_final, dt, n_paths, seed) of a Monte Carlo check."""
     t_final, dt = _times(config)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
-    return t_final, dt, n_paths, seed
+    return t_final, dt, _get(config, "n_paths"), _get(config, "seed", 0)
 
 
 def _bound(config: dict, spec: PartitionSpec, cfg: PointConfig) -> Optional[float]:
     """bound_n times the initial weight, or None for the check's default."""
-    bound_mult = _number(config, "bound_n", positive=True)
+    bound_mult = _get(config, "bound_n", None)
     return None if bound_mult is None else bound_mult * z_value(spec, cfg)
 
 
@@ -285,10 +282,10 @@ def _coupling(config: dict):
     """(PointConfig, CouplingSpec) of a coupling check, with the spec
     checked against the coupling theorems."""
     spec, cfg = _flow(config, "coupling")
-    gamma = _number(config, "gamma")
+    gamma = _get(config, "gamma", None)
     if spec.mode == BACKWARD and gamma is None:
         raise ConfigError("backward coupling checks need field 'gamma'")
-    cspec = make_coupling_spec(spec, gamma=gamma, chi=_number(config, "chi"))
+    cspec = make_coupling_spec(spec, gamma=gamma, chi=_get(config, "chi", None))
     cspec.require_coupled()
     return cfg, cspec
 
@@ -325,9 +322,9 @@ def _evolve_windows(state: ChainState, n: int, dt: float,
 
 
 def _run_zip(config: dict, workers: int) -> List[McReport]:
-    mode = _mode(config)
+    mode = _get(config, "mode", BACKWARD)
     t_final, dt = _times(config)
-    bulk = _bulk_points(config) or list(_DEFAULT_ZIP_GRID)
+    bulk = _get(config, "bulk_points", list(_DEFAULT_ZIP_GRID))
     n, dt_eff = _uniform_steps(t_final, dt)
     final = _evolve_windows(initial_state(mode, bulk=bulk), n, dt_eff,
                             lambda a, b: np.zeros(b - a))
@@ -339,10 +336,10 @@ def _run_zip(config: dict, workers: int) -> List[McReport]:
 
 
 def _run_hcap(config: dict, workers: int) -> List[McReport]:
-    mode = _mode(config)
-    kappa = _number(config, "kappa", required=True, positive=True)
+    mode = _get(config, "mode", BACKWARD)
+    kappa = _get(config, "kappa")
     t_final, dt = _times(config)
-    seed = _integer(config, "seed", default=0)
+    seed = _get(config, "seed", 0)
     n, dt_eff = _uniform_steps(t_final, dt)
 
     def steps(a: int, b: int) -> np.ndarray:
@@ -358,31 +355,22 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
                        reference=2.0 * t_final)]
 
 
-def _residual_rows(config: dict, fn: Callable, label: str,
-                   tolerance: float) -> List[McReport]:
-    spec, cfg = _flow(config, label)
-    fd_step = _number(config, "fd_step", positive=True)
-    return [_exact_row(f"{label}_i{i}", fn(spec, cfg, i, fd_step=fd_step),
-                       tolerance)
-            for i in _indices(config, len(cfg))]
-
-
-def _run_bpz(config: dict, workers: int) -> List[McReport]:
-    return _residual_rows(config, bpz_residual, "bpz", 1e-5)
-
-
-def _run_kz(config: dict, workers: int) -> List[McReport]:
-    return _residual_rows(config, kz_residual, "kz", 1e-7)
+def _residual_check(fn: Callable, label: str, tolerance: float) -> Callable:
+    """Runner of the FD residual `fn`: one row per index."""
+    def run(config: dict, workers: int) -> List[McReport]:
+        spec, cfg = _flow(config, label)
+        fd_step = _get(config, "fd_step", None)
+        return [_exact_row(f"{label}_i{i}", fn(spec, cfg, i, fd_step=fd_step),
+                           tolerance)
+                for i in _indices(config, len(cfg))]
+    return run
 
 
 def _run_commutator(config: dict, workers: int) -> List[McReport]:
     spec, cfg = _flow(config, "commutator", min_points=2)
     i, j = _pair(config, len(cfg))
-    fd_step = _number(config, "fd_step", positive=True)
-    observables = [
-        ("x0x1", lambda x: x[0] * x[1]),
-        ("arctan_sum", arctan_sum),
-    ]
+    fd_step = _get(config, "fd_step", None)
+    observables = [("x0x1", lambda x: x[0] * x[1]), ("arctan_sum", arctan_sum)]
     return [_exact_row(f"commutator_{obs_name}",
                        commutator_residual(spec, phi, cfg, i, j,
                                            fd_step=fd_step), 1e-4)
@@ -392,18 +380,15 @@ def _run_commutator(config: dict, workers: int) -> List[McReport]:
 def _run_schemes(config: dict, workers: int) -> List[McReport]:
     spec, cfg = _flow(config, "schemes", min_points=2)
     i, j = _pair(config, len(cfg))
-    eps_tilde = _number(config, "eps_tilde", required=True, positive=True)
-    c = _number(config, "c", required=True, positive=True)
-    dt = _number(config, "dt", required=True, positive=True)
-    n_paths = _integer(config, "n_paths", required=True, minimum=1)
-    seed = _integer(config, "seed", default=0)
-    return commutation_experiment(spec, cfg, i, j, eps_tilde, c, dt, n_paths,
-                                  seed=seed, n_workers=workers)
+    return commutation_experiment(
+        spec, cfg, i, j, _get(config, "eps_tilde"), _get(config, "c"),
+        _get(config, "dt"), _get(config, "n_paths"),
+        seed=_get(config, "seed", 0), n_workers=workers)
 
 
 def _run_martingale(config: dict, workers: int) -> List[McReport]:
     spec, cfg = _flow(config, "martingale")
-    i = _index(config, "i_index", len(cfg), default=0)
+    i = _index(config, "i_index", len(cfg), 0)
     t_final, dt, n_paths, seed = _ensemble(config)
     return [martingale_check(spec, cfg, i, t_final, dt, n_paths,
                              bound_n=_bound(config, spec, cfg), seed=seed,
@@ -412,30 +397,25 @@ def _run_martingale(config: dict, workers: int) -> List[McReport]:
 
 def _run_girsanov(config: dict, workers: int) -> List[McReport]:
     spec, cfg = _flow(config, "girsanov", min_points=2)
-    i = _index(config, "i_index", len(cfg), default=0)
-    j = _index(config, "j_index", len(cfg))
-    if j == i:
-        raise ConfigError("i_index and j_index must differ")
+    i, j = _pair(config, len(cfg), defaults=(0, None))
     t_final, dt, n_paths, seed = _ensemble(config)
-    bound = _bound(config, spec, cfg)
-    observable = companion_observable(i, len(cfg), j)
-    return [girsanov_check(spec, cfg, i, observable, t_final, dt, n_paths,
-                           bound_n=bound, seed=seed, n_workers=workers)]
+    return [girsanov_check(spec, cfg, i, companion_observable(i, len(cfg), j),
+                           t_final, dt, n_paths, bound_n=_bound(config, spec, cfg),
+                           seed=seed, n_workers=workers)]
 
 
 def _run_inverse(config: dict, workers: int) -> List[McReport]:
-    kappa = _number(config, "kappa", required=True, positive=True)
+    kappa = _get(config, "kappa")
     t_final, dt, n_paths, seed = _ensemble(config)
-    bulk = _bulk_points(config)
-    z0 = bulk[0] if bulk else 2j
+    z0 = _get(config, "bulk_points", [2j])[0]
     return inverse_law_check(kappa, z0, t_final, dt, n_paths, seed=seed,
                              n_workers=workers)
 
 
 def _run_coupling_pde(config: dict, workers: int) -> List[McReport]:
     cfg, cspec = _coupling(config)
-    bulk = _bulk_points(config, required=True)
-    fd_step = _number(config, "fd_step", positive=True)
+    bulk = _get(config, "bulk_points")
+    fd_step = _get(config, "fd_step", None)
     indices = _indices(config, len(cfg))
     return [_exact_row(f"coupling_pde_z{m}_i{i}",
                        coupling_pde_residual(cspec, z, cfg, i, fd_step=fd_step),
@@ -445,8 +425,8 @@ def _run_coupling_pde(config: dict, workers: int) -> List[McReport]:
 
 def _run_coupling_mc(config: dict, workers: int) -> List[McReport]:
     cfg, cspec = _coupling(config)
-    i = _index(config, "i_index", len(cfg), default=0)
-    bulk = _bulk_points(config, required=True)
+    i = _index(config, "i_index", len(cfg), 0)
+    bulk = _get(config, "bulk_points")
     t_final, dt, n_paths, seed = _ensemble(config)
     return coupling_martingale_check(cspec, cfg, i, bulk, t_final, dt,
                                      n_paths, seed=seed, n_workers=workers)
@@ -454,8 +434,11 @@ def _run_coupling_mc(config: dict, workers: int) -> List[McReport]:
 
 def _run_crossvar(config: dict, workers: int) -> List[McReport]:
     cfg, cspec = _coupling(config)
-    i = _index(config, "i_index", len(cfg), default=0)
-    bulk = _bulk_points(config, required=True, minimum=2)
+    i = _index(config, "i_index", len(cfg), 0)
+    bulk = _get(config, "bulk_points")
+    if len(bulk) < 2:
+        raise ConfigError(
+            "field 'bulk_points' must be an array of at least 2 [re, im] pairs")
     t_final, dt, n_paths, seed = _ensemble(config)
     rows = cross_variation_experiment(cspec, cfg, i, bulk, t_final, dt,
                                       n_paths, seed=seed, n_workers=workers)
@@ -469,8 +452,8 @@ def _run_crossvar(config: dict, workers: int) -> List[McReport]:
 CHECKS: dict[str, Callable[[dict, int], List[McReport]]] = {
     "zip": _run_zip,
     "hcap": _run_hcap,
-    "bpz": _run_bpz,
-    "kz": _run_kz,
+    "bpz": _residual_check(bpz_residual, "bpz", 1e-5),
+    "kz": _residual_check(kz_residual, "kz", 1e-7),
     "commutator": _run_commutator,
     "schemes": _run_schemes,
     "martingale": _run_martingale,
@@ -565,14 +548,21 @@ def _load_config(path: str) -> dict:
 
 
 def _check_name(config: dict) -> str:
-    check = _require(config, "check")
-    if check not in CHECKS:
+    """The config's check; a field no reader knows (a typo) is refused."""
+    if "check" not in config:
+        raise ConfigError("missing required field 'check'")
+    check = config["check"]
+    if not isinstance(check, str) or check not in CHECKS:
         raise ConfigError(
             f"field 'check' must be one of {sorted(CHECKS)}, got {check!r}")
+    unknown = sorted(set(config) - set(_READERS) - {"check", "out_path"})
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r}")
     return check
 
 
-def run_check(config: dict, out_dir: Optional[str] = None) -> int:
+def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
+    """Run the config's check, write its report and print its summary."""
     check = _check_name(config)
     workers = resolve_workers(config)
     rows = CHECKS[check](config, workers)
@@ -584,7 +574,7 @@ def run_check(config: dict, out_dir: Optional[str] = None) -> int:
         if not r.passed:
             print(f"  FAIL {r.name}: estimate {r.estimate!r} vs "
                   f"reference {r.reference!r} (tolerance {r.tolerance!r})")
-    return EXIT_PASS if n_pass == len(rows) else EXIT_FAILED_ROW
+    return rows
 
 
 _SWEEPABLE = ("kappa", "points", "eps_tilde")
@@ -594,16 +584,12 @@ def _sweep_values(config: dict) -> tuple[list[str], list[list]]:
     fields, values = [], []
     for field in _SWEEPABLE:
         val = config.get(field)
-        if field == "points":
-            # an array of arrays means a sweep; a flat array is one config
-            if isinstance(val, list) and val and all(isinstance(v, list) for v in val):
-                fields.append(field)
-                values.append(val)
-            elif isinstance(val, list) and not val:
-                raise ConfigError("sweep field 'points' is empty")
-        elif isinstance(val, list):
-            if not val:
-                raise ConfigError(f"sweep field {field!r} is empty")
+        if not isinstance(val, list):
+            continue
+        if not val:
+            raise ConfigError(f"sweep field {field!r} is empty")
+        # an array of arrays sweeps points; a flat array is one config
+        if field != "points" or all(isinstance(v, list) for v in val):
             fields.append(field)
             values.append(val)
     if not fields:
@@ -627,12 +613,10 @@ def run_sweep(config: dict, out_dir: Optional[str] = None) -> int:
         for field, val in zip(fields, combo):
             cell_config[field] = val
         cell_config["out_path"] = f"{base}_cell{cell:03d}"
-        code = run_check(cell_config, out_dir=None)
-        worst = max(worst, code)
-        rows_file = Path(f"{base}_cell{cell:03d}.json")
-        data = json.loads(rows_file.read_text())
-        n_rows = len(data["rows"])
-        n_pass = sum(1 for r in data["rows"] if r["pass"])
+        rows = run_check(cell_config, out_dir=None)
+        n_rows, n_pass = len(rows), sum(1 for r in rows if r.passed)
+        if n_pass < n_rows:
+            worst = EXIT_FAILED_ROW
         cells = [json.dumps(v, separators=(",", ":")).replace(",", ";")
                  for v in combo]
         summary.append(
@@ -659,7 +643,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _load_config(args.config)
         if args.command == "check":
-            return run_check(config, out_dir=args.out)
+            rows = run_check(config, out_dir=args.out)
+            return EXIT_PASS if all(r.passed for r in rows) else EXIT_FAILED_ROW
         return run_sweep(config, out_dir=args.out)
     except (ConfigError, *_CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)

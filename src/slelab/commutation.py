@@ -31,10 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, OutOfFloatRange, PointConfig,
-                   make_report, mean_var, normal_block)
+from .core import (BACKWARD, McReport, PointConfig, make_report, mean_var,
+                   normal_block)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
-                        grad_log_z_cols, min_gap, require_points)
+                        grad_log_z_cols, min_gap, require_points,
+                        require_square)
 from .sampler import (REASON_SWALLOWED, SwallowedTooOften, chunked,
                       map_chunks, run_leg, step_sizes, step_windows, sum_stats,
                       tiled)
@@ -62,11 +63,9 @@ def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
         raise ValueError("i and j must differ")
     if eps_tilde < 0 or c <= 0:
         raise ValueError("eps_tilde must be >= 0 and c > 0")
-    try:
-        gap2 = (cfg.points[i] - cfg.points[j]) ** 2
-    except OverflowError:
-        raise OutOfFloatRange(f"the squared gap between points {i} and {j} "
-                              "overflows") from None
+    require_square(cfg.points[i] - cfg.points[j],
+                   f"gap between points {i} and {j}")
+    gap2 = (cfg.points[i] - cfg.points[j]) ** 2
     if 4.0 * max(1.0, c) * eps_tilde >= gap2:
         raise EpsilonTooLarge(
             f"4*max(1,c)*eps_tilde = {4 * max(1.0, c) * eps_tilde:g} "
@@ -239,6 +238,8 @@ def commutator_residual(
     require_points(spec, cfg)
     if i == j:
         raise ValueError("i and j must differ")
+    require_square(cfg.points[i] - cfg.points[j],
+                   f"gap between points {i} and {j}")
     h = _resolve_step(min_gap(cfg), fd_step, 2e-3, scale=10.0)
     x = cfg.as_array()
 

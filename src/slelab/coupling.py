@@ -51,6 +51,7 @@ from .partition import (
     log_z_cols,
     min_gap,
     require_points,
+    require_square,
 )
 from .sampler import (REASON_SWALLOWED, chunked, map_chunks, step_sizes,
                       step_windows, sum_stats, tiled)
@@ -200,6 +201,9 @@ def green(kind: str, z: complex, w: complex) -> float:
 
     neumann:   -log|z-w| - log|z-conj(w)|
     dirichlet: -log|z-w| + log|z-conj(w)|
+
+    A scalar pair at z == w or z == conj(w) raises CoincidentPoints;
+    arrays (one entry per path) give inf there.
     """
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green kind {kind!r}")
@@ -207,13 +211,12 @@ def green(kind: str, z: complex, w: complex) -> float:
     wa = np.asarray(w, dtype=complex)
     direct = np.abs(za - wa)
     mirror = np.abs(za - np.conj(wa))
-    if np.any(direct < _COINCIDENT_TOL) or np.any(mirror < _COINCIDENT_TOL):
+    scalar = np.isscalar(z) and np.isscalar(w)
+    if scalar and min(direct, mirror) < _COINCIDENT_TOL:
         raise CoincidentPoints(f"Green function singular at z={z}, w={w}")
     sign = -1.0 if kind == NEUMANN else 1.0
     out = -np.log(direct) + sign * np.log(mirror)
-    if np.isscalar(z) and np.isscalar(w):
-        return float(out)
-    return out
+    return float(out) if scalar else out
 
 
 def holo_u_tilde(
@@ -279,6 +282,9 @@ def coupling_pde_residual(
         raise IndexError(f"slot {i} out of range for {len(cfg.points)} points")
     if np.imag(z) <= 0:
         raise ValueError("bulk point must satisfy Im z > 0")
+    for k, x in enumerate(cfg.points):
+        require_square(z - x, f"distance from bulk point {z} to point {k}")
+        require_square(x - cfg.points[i], f"gap between points {i} and {k}")
     spec = cspec.pspec
     eps = cspec.epsilon_signs
     kappa = cspec.kappa
@@ -375,13 +381,7 @@ def _field_values(
 
 def _pair_green(kind: str, zb: np.ndarray, pairs: List[Tuple[int, int]]) -> np.ndarray:
     """Green function per path for each tracked pair; zb (n,M) -> (n,P)."""
-    cols = []
-    sign = 1.0 if kind == DIRICHLET else -1.0
-    for a, b in pairs:
-        za = zb[:, a]
-        wb = zb[:, b]
-        cols.append(-np.log(np.abs(za - wb)) + sign * np.log(np.abs(za - np.conj(wb))))
-    return _stack(cols, zb.shape[0])
+    return _stack([green(kind, zb[:, a], zb[:, b]) for a, b in pairs], zb.shape[0])
 
 
 def _stack(cols: List[np.ndarray], n: int) -> np.ndarray:

@@ -119,12 +119,22 @@ def grad_log_z(spec: PartitionSpec, cfg: PointConfig, i: int) -> float:
 
 
 def min_gap(cfg: PointConfig) -> float:
+    """Smallest gap; OutOfFloatRange where the span overflows (±1e308)."""
+    if math.isinf(max(cfg.points) - min(cfg.points)):
+        raise OutOfFloatRange("the gap between the outermost points overflows")
     x = cfg.as_array()
     n = len(x)
     if n < 2:
         return np.inf
     iu, ju = np.triu_indices(n, k=1)
     return float(np.min(np.abs(x[iu] - x[ju])))
+
+
+def require_square(d: complex, what: str) -> None:
+    """Refuse a distance d set by the config whose |d|**2 overflows."""
+    d = complex(d)
+    if math.isinf(d.real * d.real + d.imag * d.imag):
+        raise OutOfFloatRange(f"the squared {what} overflows")
 
 
 def product_z_fn(exponent: float) -> Callable[[np.ndarray], float]:
@@ -211,13 +221,16 @@ def bpz_residual(
         if j == i:
             continue
         gap = x[j] - x[i]
-        acc += sgn * 2.0 * (fd_first(f, x, j, h) / gap - spec.h_weight * z0 / gap**2)
+        with np.errstate(over="ignore"):     # a squared gap of inf: term 0
+            gap2 = gap**2
+        acc += sgn * 2.0 * (fd_first(f, x, j, h) / gap - spec.h_weight * z0 / gap2)
     return abs(acc) / abs(z0)
 
 
 def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
                 fd_step: float | None = None) -> float:
-    """|FD d(log Z)/dx_i - closed form|; exact identity, FD truncation only."""
+    """|FD d(log Z)/dx_i - closed form| / max(1, |closed form|): an exact
+    identity, so FD truncation and rounding, which grows with it, remain."""
     require_points(spec, cfg)
     _check_index(cfg, i)
     h = _resolve_step(min_gap(cfg), fd_step, 1e-5)
@@ -226,4 +239,5 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
     def logz(y: np.ndarray) -> float:
         return float(log_z_cols(spec.exponent, y))
 
-    return abs(fd_first(logz, x, i, h) - grad_log_z(spec, cfg, i))
+    exact = grad_log_z(spec, cfg, i)
+    return abs(fd_first(logz, x, i, h) - exact) / max(1.0, abs(exact))

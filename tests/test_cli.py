@@ -6,13 +6,14 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab.cli import main, resolve_workers
+from slelab.cli import _READERS, main, resolve_workers
 
 CSV_COLUMNS = ["check", "name", "estimate", "std_error", "reference",
                "tolerance", "n_samples", "pass"]
@@ -242,6 +243,64 @@ def test_schemes_leg_shorter_than_substep_exit_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+MISSPELLED = {"mdoe": "forward", "sed": 3, "boundn": 0.5}
+
+
+@pytest.mark.parametrize("typo", sorted(MISSPELLED))
+def test_misspelled_field_exit_two(tmp_path, capsys, typo):
+    # an optional field under a wrong name used to be ignored: the run
+    # went backward, or with seed 0, and exited 0
+    cfg = write_config(tmp_path, check="martingale", kappa=4.0,
+                       points=[0.0, 1.0], t_final=0.01, dt=0.001, n_paths=100,
+                       out_path=str(tmp_path / "r"),
+                       **{typo: MISSPELLED[typo]})
+    assert main(["check", cfg]) == 2
+    assert f"unknown field {typo!r}" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_sweep_refuses_misspelled_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, check="kz", kappa=[2.0, 4.0],
+                       points=[0.0, 1.0], sed=3, out_path=str(tmp_path / "s"))
+    assert main(["sweep", cfg]) == 2
+    assert "unknown field 'sed'" in _config_error_line(capsys)
+    assert list(tmp_path.glob("s_*")) == []
+
+
+def test_kz_residual_is_relative_at_tiny_kappa(tmp_path):
+    # |d log Z/dx_i| is 1e300 here; the FD residual is 3e-12 of it
+    cfg = write_config(tmp_path, check="kz", mode="forward", kappa=1e-300,
+                       points=[0.0, 2.0], out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 0
+    assert all(r["pass"] == "true" for r in read_rows(str(tmp_path / "r")))
+
+
+# residual checks at points whose gaps or squared gaps leave the float
+# range: bpz still passes, the others are refused, and none warns
+HUGE_GAP = dict(kappa=4.0, points=[1e308, -1e308])
+FAR_APART = {
+    "bpz_squared_gap": (0, dict(check="bpz", kappa=4.0, points=[0.0, 1e300])),
+    "bpz_gap": (2, dict(check="bpz", **HUGE_GAP)),
+    "kz_gap": (2, dict(check="kz", **HUGE_GAP)),
+    "kz_gap_given_step": (2, dict(check="kz", fd_step=1e-3, **HUGE_GAP)),
+    "commutator_gap": (2, dict(check="commutator", i_index=0, j_index=1,
+                               **HUGE_GAP)),
+    "coupling_pde_gap": (2, dict(check="coupling_pde", gamma=2.0,
+                                 bulk_points=[[0.5, 1.0]], **HUGE_GAP)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_APART))
+def test_far_apart_points_run_without_warnings(tmp_path, capsys, case):
+    code, fields = FAR_APART[case]
+    cfg = write_config(tmp_path, out_path=str(tmp_path / "r"), **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (code != 0), err
+
+
 def test_out_flag_redirects_stem(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()
@@ -320,6 +379,18 @@ ESCAPES = {
     "squared_gap_overflows": (2, dict(
         check="schemes", kappa=2.0, points=[0.0, 1e300], i_index=0,
         j_index=1, eps_tilde=0.01, c=1e-300, dt=1e-3, n_paths=10)),
+    "commutator_squared_gap_overflows": (2, dict(
+        check="commutator", kappa=4.0, points=[0.0, 1e300], i_index=0,
+        j_index=1)),
+    "coupling_pde_squared_gap_overflows_backward": (2, dict(
+        check="coupling_pde", mode="backward", kappa=4.0, gamma=2.0,
+        points=[0.0, 1e300], bulk_points=[[0.5, 1.0]])),
+    "coupling_pde_squared_gap_overflows_forward": (2, dict(
+        check="coupling_pde", mode="forward", kappa=2.0,
+        points=[0.0, 1e300], bulk_points=[[0.5, 1.0]])),
+    "coupling_pde_squared_bulk_distance_overflows": (2, dict(
+        check="coupling_pde", mode="backward", kappa=4.0, gamma=2.0,
+        points=[0.0, 1.0], bulk_points=[[1e300, 1.0]])),
     "every_scheme_path_swallowed": (3, dict(
         check="schemes", kappa=1e300, points=[0.0, 1.0, 2.5], i_index=0,
         j_index=1, eps_tilde=0.005, c=1.0, dt=1e-3, n_paths=1)),
@@ -403,6 +474,15 @@ CHECK_FIELDS = {
 }
 
 
+def test_fuzz_covers_every_config_field():
+    # the fuzz run sets n_workers itself
+    assert set(FIELDS) == set(_READERS) - {"n_workers"}
+
+
+# misspelled field names; about one fuzzed config in ten gets one
+TYPOS = ("mdoe", "sed", "boundn", "kapa", "n_path", "fdstep")
+
+
 def _field_value(field):
     valid, bad = FIELDS[field]
     # each valid value weighs three times a bad one, so most configs
@@ -417,6 +497,9 @@ def _configs(draw, check):
         value = draw(_field_value(field))
         if value is not MISSING:
             config[field] = value
+    typo = draw(st.sampled_from((None,) * 9 + TYPOS))
+    if typo is not None:
+        config[typo] = 1
     return config
 
 
@@ -437,6 +520,8 @@ def test_fuzzed_config_exits_with_a_documented_code(check):
                     contextlib.redirect_stderr(err):
                 code = main(["check", path])
         assert code in (0, 1, 2, 3), (code, config)
+        if set(config) & set(TYPOS):
+            assert code == 2 and "unknown field" in err.getvalue(), config
         if code in (2, 3):
             assert err.getvalue().count("\n") == 1, (err.getvalue(), config)
     run()

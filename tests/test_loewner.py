@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slelab.core import RngSpec, build_driving_path, sample_increments
 from slelab.loewner import (
@@ -102,6 +104,29 @@ def test_substep_shift_covariance():
     zb, mzb, _ = slit_complex(np.array([1.9 + 0.7j]), 1.5, 0.1, "forward")
     np.testing.assert_allclose(zb - 1.5, za, rtol=0, atol=1e-12)
     np.testing.assert_allclose(mzb, mza, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(("backward", "forward")), k=st.integers(-30, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_substep_scale_covariance(mode, k, seed):
+    """Scaling x and U0 by lambda = 2**k and delta by lambda**2 scales
+    every image by lambda bit for bit, and keeps every multiplier and
+    swallow mask: powers of two scale each operation of a substep
+    exactly."""
+    rng = np.random.default_rng(seed)
+    lam = 2.0**k
+    u0, delta = rng.uniform(-3.0, 3.0), rng.uniform(1e-4, 1.0)
+    x = rng.uniform(-3.0, 3.0, 64)
+    z = rng.uniform(-3.0, 3.0, 64) + 1j * rng.uniform(1e-3, 3.0, 64)
+    # straight above U0 the forward map swallows points below 2 sqrt(delta)
+    z[:4] = u0 + 1j * rng.uniform(1e-3, 3.0, 4)
+    for slit, w in ((slit_real, x), (slit_complex, z)):
+        new, mult, bad = slit(w, u0, delta, mode)
+        new_s, mult_s, bad_s = slit(lam * w, lam * u0, lam * lam * delta, mode)
+        np.testing.assert_array_equal(new_s, lam * new)
+        np.testing.assert_array_equal(mult_s, mult)
+        np.testing.assert_array_equal(bad_s, bad)
 
 
 def test_evolve_zero_driving_bulk():

@@ -7,6 +7,7 @@ import numpy as np
 
 from slelab.core import RngSpec, build_driving_path, sample_increments
 from slelab.loewner import (
+    SwallowedReference,
     evolve,
     extract_hcap,
     initial_state,
@@ -54,5 +55,5 @@ if __name__ == "__main__":
     # the forward reference has a swallowing region; show the guard
     try:
         reference_map_zero_driving(1j, 1.0, "forward")
-    except ValueError as exc:
+    except SwallowedReference as exc:
         print(f"\nforward closed form refuses absorbed points: {exc}")

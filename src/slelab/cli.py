@@ -6,12 +6,9 @@ product, writes one report per cell plus a summary CSV.
 
 Reports are byte-identical across reruns of the same (config, seed): no
 timestamps, floats written with repr, JSON keys sorted.  Exit codes:
-0 all rows pass, 1 some row failed, 2 config error (missing, unknown or invalid
-field, infeasible eps_tilde, duplicate points, a horizon shorter than one
-substep or with more substeps than an array can hold, a Z or squared gap
-outside the float range, an unusable finite-difference step), 3 numerical
-failure (blowup, overflowing power sums, excess swallowing or a scheme
-with no path left, weight collapse, probe trouble).
+0 all rows pass, 1 some row failed, 2 any core.ConfigError (an unknown or
+invalid field, duplicate points, a squared gap that overflows), 3 any
+core.NumericalFailure (a blowup, excess swallowing, weight collapse).
 
 Indices (i_index, j_index) are 0-based.  bound_n is a multiple of the
 initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
@@ -32,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .commutation import (
-    EpsilonTooLarge,
     arctan_sum,
     commutation_experiment,
     commutator_residual,
@@ -40,18 +36,16 @@ from .commutation import (
 from .core import (
     BACKWARD,
     MODES,
+    ConfigError,
     DrivingPath,
-    DuplicatePoint,
     McReport,
-    OutOfFloatRange,
+    NumericalFailure,
     PointConfig,
     make_report,
     normal_block,
     validate_config,
 )
 from .coupling import (
-    BadCouplingParameters,
-    CoincidentPoints,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
@@ -60,9 +54,6 @@ from .coupling import (
 )
 from .loewner import (
     ChainState,
-    ProbeTooClose,
-    Swallowed,
-    SwallowedReference,
     evolve,
     extract_hcap,
     initial_state,
@@ -70,18 +61,11 @@ from .loewner import (
 )
 from .partition import (
     PartitionSpec,
-    StepTooLarge,
     bpz_residual,
     kz_residual,
     z_value,
 )
 from .sampler import (
-    EffectiveSampleCollapse,
-    HorizonTooLong,
-    HorizonTooShort,
-    NumericalBlowup,
-    RaggedGrid,
-    SwallowedTooOften,
     check_horizon,
     companion_observable,
     girsanov_check,
@@ -97,12 +81,6 @@ EXIT_NUMERICS = 3
 
 ENV_WORKERS = "SLELAB_WORKERS"
 
-_CONFIG_ERRORS = (DuplicatePoint, EpsilonTooLarge, BadCouplingParameters,
-                  StepTooLarge, CoincidentPoints, RaggedGrid, HorizonTooShort,
-                  HorizonTooLong, OutOfFloatRange)
-_NUMERIC_ERRORS = (NumericalBlowup, EffectiveSampleCollapse, SwallowedTooOften,
-                   Swallowed, SwallowedReference, ProbeTooClose)
-
 # identity check runs at its own fine step so the 1e-6 target is meaningful
 _GREEN_ID_T = 0.01
 _GREEN_ID_DT = 1e-5
@@ -114,10 +92,6 @@ _DEFAULT_ZIP_GRID = tuple(
 )
 
 
-class ConfigError(ValueError):
-    """Bad or missing experiment-config field."""
-
-
 # ---------------------------------------------------------------------------
 # Config fields: _READERS maps each field to reader(field, value), which
 # checks the value's type and bounds and returns it; runners read via _get
@@ -126,10 +100,12 @@ class ConfigError(ValueError):
 def _real(field: str, val) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {val!r}")
-    val = float(val)
-    if not math.isfinite(val):
-        raise ConfigError(f"field {field!r} must be finite, got {val!r}")
-    return val
+    try:
+        if math.isfinite(out := float(val)):
+            return out
+    except OverflowError:     # an integer beyond the float range
+        pass
+    raise ConfigError(f"field {field!r} must be finite, got {val!r}")
 
 
 def _positive(field: str, val) -> float:
@@ -159,13 +135,7 @@ def _mode(field: str, mode) -> str:
 def _points(field: str, raw) -> PointConfig:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("field 'points' must be a non-empty array of reals")
-    try:
-        pts = tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field 'points' must contain only reals, got {raw!r}")
-    if not all(math.isfinite(p) for p in pts):
-        raise ConfigError("field 'points' must contain only finite reals")
-    return validate_config(pts)
+    return validate_config([_real(field, v) for v in raw])
 
 
 def _bulk_points(field: str, raw) -> List[complex]:
@@ -174,14 +144,10 @@ def _bulk_points(field: str, raw) -> List[complex]:
             "field 'bulk_points' must be an array of at least 1 [re, im] pairs")
     out = []
     for entry in raw:
-        if (not isinstance(entry, list) or len(entry) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in entry)):
+        if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError(
                 f"each bulk point must be a [re, im] pair of reals, got {entry!r}")
-        z = complex(float(entry[0]), float(entry[1]))
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ConfigError(f"bulk point {entry!r} must be finite")
+        z = complex(*(_real(field, v) for v in entry))
         if z.imag <= 0:
             raise ConfigError(f"bulk point {entry!r} must have positive imaginary part")
         out.append(z)
@@ -436,9 +402,6 @@ def _run_crossvar(config: dict, workers: int) -> List[McReport]:
     cfg, cspec = _coupling(config)
     i = _index(config, "i_index", len(cfg), 0)
     bulk = _get(config, "bulk_points")
-    if len(bulk) < 2:
-        raise ConfigError(
-            "field 'bulk_points' must be an array of at least 2 [re, im] pairs")
     t_final, dt, n_paths, seed = _ensemble(config)
     rows = cross_variation_experiment(cspec, cfg, i, bulk, t_final, dt,
                                       n_paths, seed=seed, n_workers=workers)
@@ -540,7 +503,7 @@ def _load_config(path: str) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # also an integer of over 4300 digits
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -646,10 +609,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows = run_check(config, out_dir=args.out)
             return EXIT_PASS if all(r.passed for r in rows) else EXIT_FAILED_ROW
         return run_sweep(config, out_dir=args.out)
-    except (ConfigError, *_CONFIG_ERRORS) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

@@ -31,17 +31,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, PointConfig, make_report, mean_var,
-                   normal_block)
+from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
+                   PointConfig, make_report, mean_var, normal_block,
+                   require_gaps, require_square)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
-                        grad_log_z_cols, min_gap, require_points,
-                        require_square)
-from .sampler import (REASON_SWALLOWED, SwallowedTooOften, chunked,
-                      map_chunks, run_leg, step_sizes, step_windows, sum_stats,
-                      tiled)
+                        grad_log_z_cols, min_gap, require_points)
+from .sampler import (REASON_SWALLOWED, chunked, map_chunks, run_leg,
+                      step_sizes, step_windows, sum_stats, tiled)
 
 
-class EpsilonTooLarge(ValueError):
+class EpsilonTooLarge(ConfigError):
     """eps_tilde too large for the gap: first-leg time would go nonpositive."""
 
 
@@ -58,13 +57,13 @@ class SchemePlan:
 def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
                  c: float) -> SchemePlan:
     """Fill the truncated first-leg times; refuses eps_tilde too large for
-    the (i, j) gap."""
+    the (i, j) gap, or a squared gap to i or j that overflows."""
     if i == j:
         raise ValueError("i and j must differ")
     if eps_tilde < 0 or c <= 0:
         raise ValueError("eps_tilde must be >= 0 and c > 0")
-    require_square(cfg.points[i] - cfg.points[j],
-                   f"gap between points {i} and {j}")
+    require_gaps(cfg, i)
+    require_gaps(cfg, j)
     gap2 = (cfg.points[i] - cfg.points[j]) ** 2
     if 4.0 * max(1.0, c) * eps_tilde >= gap2:
         raise EpsilonTooLarge(
@@ -182,7 +181,7 @@ def commutation_experiment(
     s2 = sum_stats(parts[len(tasks1):])
     for order, st in (("scheme1", s1), ("scheme2", s2)):
         if st["n"] == 0:
-            raise SwallowedTooOften(
+            raise NumericalFailure(
                 f"{order} swallowed all {n_paths} paths; no mean is left")
     names = [f"x_{k}" for k in range(len(cfg))] + ["phi"]
     reports = []
@@ -240,7 +239,7 @@ def commutator_residual(
         raise ValueError("i and j must differ")
     require_square(cfg.points[i] - cfg.points[j],
                    f"gap between points {i} and {j}")
-    h = _resolve_step(min_gap(cfg), fd_step, 2e-3, scale=10.0)
+    h = _resolve_step(cfg, min_gap(cfg), fd_step, 2e-3, scale=10.0)
     x = cfg.as_array()
 
     def L(k: int, g: Callable) -> Callable:
@@ -249,10 +248,16 @@ def commutator_residual(
     li_phi = L(i, phi)
     lj_phi = L(j, phi)
     outer = 10.0 * h
-    lij = _generator_value(spec, lj_phi, x, i, outer, drift_fn)
-    lji = _generator_value(spec, li_phi, x, j, outer, drift_fn)
     # forward generators flip every first-order coefficient, which flips
     # the sign of the right-hand side as well
     sgn = 1.0 if spec.mode == BACKWARD else -1.0
-    rhs = sgn * 4.0 / (x[i] - x[j]) ** 2 * (li_phi(x) - lj_phi(x))
-    return abs(lij - lji - rhs)
+    # kappa scales the stencils' rounding noise, past the floats if huge
+    with np.errstate(over="ignore", invalid="ignore"):
+        lij = _generator_value(spec, lj_phi, x, i, outer, drift_fn)
+        lji = _generator_value(spec, li_phi, x, j, outer, drift_fn)
+        rhs = sgn * 4.0 / (x[i] - x[j]) ** 2 * (li_phi(x) - lj_phi(x))
+        out = abs(lij - lji - rhs)
+    if not math.isfinite(out):
+        raise NumericalFailure(
+            f"the commutator terms overflow at kappa {spec.kappa!r}")
+    return out

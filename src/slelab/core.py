@@ -31,6 +31,7 @@ in windows of steps and never hold more than one window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,7 +47,18 @@ _MASK64 = (1 << 64) - 1
 _GROUP = 256       # rows per conversion group of normal_block
 
 
-class DuplicatePoint(ValueError):
+class ConfigError(ValueError):
+    """The configuration cannot be run: a bad field, or a quantity it fixes
+    (Z, a squared gap, a substep count) outside the float range.  The CLI
+    exits 2 on it, as on any subclass."""
+
+
+class NumericalFailure(RuntimeError):
+    """A valid configuration's run went numerically wrong.  The CLI exits
+    3 on it, as on any subclass."""
+
+
+class DuplicatePoint(ConfigError):
     """Two marked points coincide (violates the distinctness requirement)."""
 
     def __init__(self, i: int, j: int, value: float):
@@ -54,10 +66,21 @@ class DuplicatePoint(ValueError):
         super().__init__(f"points {i} and {j} coincide (x = {value!r})")
 
 
-class OutOfFloatRange(ValueError):
-    """A quantity fixed by the configuration alone leaves the float range:
-    Z or a weight bound built from it (2/kappa is the exponent, so tiny
-    kappa does it), or a squared gap between points."""
+def require_square(d: complex, what: str) -> None:
+    """Refuse a distance d set by the config whose |d|**2 overflows; a
+    check calls it before any kernel squares d."""
+    d = complex(d)
+    if math.isinf(d.real * d.real + d.imag * d.imag):
+        raise ConfigError(f"the squared {what} overflows")
+
+
+def require_gaps(cfg: PointConfig, i: int, bulk: Sequence[complex] = ()) -> None:
+    """Refuse points whose squared gap to the driving point i, or bulk
+    points whose squared distance to a point, overflows."""
+    for k, x in enumerate(cfg.points):
+        require_square(x - cfg.points[i], f"gap between points {i} and {k}")
+        for z in bulk:
+            require_square(z - x, f"distance from bulk point {z} to point {k}")
 
 
 def _check_mode(mode: str) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,12 +33,14 @@ import numpy as np
 from .core import (
     BACKWARD,
     FORWARD,
+    ConfigError,
     McReport,
-    OutOfFloatRange,
+    NumericalFailure,
     PointConfig,
     _check_mode,
     make_report,
     normal_block,
+    require_gaps,
     sum_columns,
     validate_config,
 )
@@ -51,7 +54,6 @@ from .partition import (
     log_z_cols,
     min_gap,
     require_points,
-    require_square,
 )
 from .sampler import (REASON_SWALLOWED, chunked, map_chunks, step_sizes,
                       step_windows, sum_stats, tiled)
@@ -68,11 +70,11 @@ _RELATION_TOL = 1e-9
 _COINCIDENT_TOL = 1e-14
 
 
-class CoincidentPoints(ValueError):
+class CoincidentPoints(ConfigError):
     """Green function evaluated at z == w (or z == conj(w))."""
 
 
-class BadCouplingParameters(ValueError):
+class BadCouplingParameters(ConfigError):
     """Field/curve parameters outside the coupled regime."""
 
 
@@ -282,22 +284,20 @@ def coupling_pde_residual(
         raise IndexError(f"slot {i} out of range for {len(cfg.points)} points")
     if np.imag(z) <= 0:
         raise ValueError("bulk point must satisfy Im z > 0")
-    for k, x in enumerate(cfg.points):
-        require_square(z - x, f"distance from bulk point {z} to point {k}")
-        require_square(x - cfg.points[i], f"gap between points {i} and {k}")
+    require_gaps(cfg, i, [z])
     spec = cspec.pspec
     eps = cspec.epsilon_signs
     kappa = cspec.kappa
-    h = _resolve_step(_coupling_scale(cfg, z), fd_step, 1e-4)
+    h = _resolve_step(cfg, _coupling_scale(cfg, z), fd_step, 1e-4)
     x0 = np.asarray(cfg.points, dtype=float)
 
     def z_of(x: np.ndarray) -> float:
         log_z = log_z_cols(spec.exponent, x)
         if not log_z < LOG_FLOAT_MAX:
-            raise OutOfFloatRange(f"Z overflows at kappa {kappa!r}")
+            raise ConfigError(f"Z overflows at kappa {kappa!r}")
         zval = math.exp(log_z)
         if zval == 0.0:
-            raise OutOfFloatRange(f"Z underflows at kappa {kappa!r}")
+            raise ConfigError(f"Z underflows at kappa {kappa!r}")
         return zval
 
     z_center = z_of(x0)
@@ -500,16 +500,19 @@ def _h_chunk(task: dict) -> dict:
     run = tiled(task["count"], run_tile)
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
-    return {
-        "n": diff.shape[0],
-        "sh": diff.sum(axis=0),
-        "sh2": (diff**2).sum(axis=0),
-        "sx": run["accum"].sum(axis=0),
-        "sg": run["g_drop"].sum(axis=0),
-        "sd": xv_err.sum(axis=0),
-        "sd2": (xv_err**2).sum(axis=0),
-        "n_swallowed": int(np.sum(run["reason"] == REASON_SWALLOWED)),
-    }
+    # h scales as 1/sqrt(kappa): at tiny kappa the sums of squares leave
+    # the floats, which _run_h_ensemble refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            "n": diff.shape[0],
+            "sh": diff.sum(axis=0),
+            "sh2": (diff**2).sum(axis=0),
+            "sx": run["accum"].sum(axis=0),
+            "sg": run["g_drop"].sum(axis=0),
+            "sd": xv_err.sum(axis=0),
+            "sd2": (xv_err**2).sum(axis=0),
+            "n_swallowed": int(np.sum(run["reason"] == REASON_SWALLOWED)),
+        }
 
 
 def _run_h_ensemble(
@@ -526,9 +529,15 @@ def _run_h_ensemble(
     validate_config(cfg.points)
     if any(np.imag(zz) <= 0 for zz in bulk):
         raise ValueError("bulk points must satisfy Im z > 0")
+    require_gaps(cfg, i, bulk)
+    for z, w in itertools.combinations(bulk, 2):
+        green(MODE_GREEN[cspec.mode], z, w)      # raises CoincidentPoints
     task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
             "deltas": step_sizes(t_final, dt), "seed": seed}
-    return sum_stats(map_chunks(_h_chunk, chunked(task, n_paths), n_workers))
+    stats = sum_stats(map_chunks(_h_chunk, chunked(task, n_paths), n_workers))
+    if not all(np.all(np.isfinite(v)) for v in stats.values()):
+        raise NumericalFailure("the field sums overflowed")
+    return stats
 
 
 def coupling_martingale_check(
@@ -590,11 +599,8 @@ def cross_variation_experiment(
     """
     require_points(cspec.pspec, cfg)
     if len(bulk) < 2:
-        raise ValueError("cross variation needs at least two bulk points")
+        raise ConfigError("cross variation needs at least two bulk points")
     pairs = [(a, b) for a in range(len(bulk)) for b in range(a + 1, len(bulk))]
-    for a, b in pairs:
-        # raises CoincidentPoints before any path is run
-        green(MODE_GREEN[cspec.mode], bulk[a], bulk[b])
     stats = _run_h_ensemble(cspec, cfg, i, bulk, t_final, dt, n_paths, seed, n_workers)
     n = stats["n"]
     reports = []

@@ -21,13 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BACKWARD, FORWARD, DrivingPath, _check_mode
+from .core import (BACKWARD, FORWARD, DrivingPath, NumericalFailure,
+                   _check_mode, require_square)
 
 FORWARD_SWALLOW_GUARD = 1e-6
 DEFAULT_PROBE_RADIUS = 1e4
 
 
-class Swallowed(RuntimeError):
+class Swallowed(NumericalFailure):
     """A tracked point was absorbed by the hull within a substep."""
 
     def __init__(self, msg: str, step: int | None = None, time: float | None = None):
@@ -36,11 +37,11 @@ class Swallowed(RuntimeError):
         self.time = time
 
 
-class SwallowedReference(ValueError):
+class SwallowedReference(NumericalFailure):
     """Closed-form reference requested at a point the forward flow absorbs."""
 
 
-class ProbeTooClose(RuntimeError):
+class ProbeTooClose(NumericalFailure):
     """Capacity probe is not far enough from the hull for the 1/z expansion."""
 
 
@@ -138,6 +139,8 @@ def initial_state(mode: str, marked=(), bulk=()) -> ChainState:
     bk = np.asarray(list(bulk), dtype=complex)
     if bk.size and not np.all(bk.imag > 0):
         raise ValueError("bulk points must have positive imaginary part")
+    for p in (*mk, *bk):     # a substep squares its distance from 0
+        require_square(p, f"modulus of point {p}")
     return ChainState(
         time=0.0,
         mode=mode,

@@ -20,15 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BACKWARD, OutOfFloatRange, PointConfig, _check_mode,
+from .core import (BACKWARD, ConfigError, PointConfig, _check_mode,
                    sum_columns)
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-class StepTooLarge(ValueError):
-    """Finite-difference step unusable for the closest pair of points: too
-    large for the gap, or so small that its square underflows."""
+class StepTooLarge(ConfigError):
+    """Finite-difference step unusable for the points: too large for the
+    gap or the floats, or so small that its square underflows."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
     """log Z along the last axis: exponent * sum_{i<j} log|x_i - x_j|.
 
     x has shape (..., N); returns shape (...).  Coinciding pairs give -inf
-    (backward) which downstream code treats as a collision.
+    (backward) which downstream code treats as a collision; a gap that
+    overflows gives inf.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -86,7 +87,7 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
         return np.zeros(x.shape[:-1])
     # one pair of columns at a time (contiguous for a column-major x),
     # pairs in np.triu_indices order
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         logs = [np.log(np.abs(x[..., i] - x[..., j]))
                 for i in range(n) for j in range(i + 1, n)]
     if x.ndim == 1:
@@ -108,8 +109,8 @@ def _check_index(cfg: PointConfig, i: int) -> None:
 
 
 def z_value(spec: PartitionSpec, cfg: PointConfig) -> float:
-    """prod_{i<j} |x_i - x_j|**exponent, evaluated in log space."""
-    return float(np.exp(log_z_cols(spec.exponent, cfg.as_array())))
+    """prod_{i<j} |x_i - x_j|**exponent via log space, as product_z_fn."""
+    return product_z_fn(spec.exponent)(cfg.as_array())
 
 
 def grad_log_z(spec: PartitionSpec, cfg: PointConfig, i: int) -> float:
@@ -119,9 +120,9 @@ def grad_log_z(spec: PartitionSpec, cfg: PointConfig, i: int) -> float:
 
 
 def min_gap(cfg: PointConfig) -> float:
-    """Smallest gap; OutOfFloatRange where the span overflows (±1e308)."""
+    """Smallest gap; ConfigError where the span overflows (±1e308)."""
     if math.isinf(max(cfg.points) - min(cfg.points)):
-        raise OutOfFloatRange("the gap between the outermost points overflows")
+        raise ConfigError("the gap between the outermost points overflows")
     x = cfg.as_array()
     n = len(x)
     if n < 2:
@@ -130,26 +131,19 @@ def min_gap(cfg: PointConfig) -> float:
     return float(np.min(np.abs(x[iu] - x[ju])))
 
 
-def require_square(d: complex, what: str) -> None:
-    """Refuse a distance d set by the config whose |d|**2 overflows."""
-    d = complex(d)
-    if math.isinf(d.real * d.real + d.imag * d.imag):
-        raise OutOfFloatRange(f"the squared {what} overflows")
-
-
 def product_z_fn(exponent: float) -> Callable[[np.ndarray], float]:
     """Function handle form of the product partition function (used both for
     the real thing and for wrong-exponent negative controls).  A Z that
     overflows or underflows (tiny kappa makes the exponent huge) raises
-    OutOfFloatRange instead of turning a residual into nan."""
+    ConfigError instead of turning a residual into nan."""
 
     def zfn(x: np.ndarray) -> float:
         log_z = log_z_cols(exponent, x)
         if not log_z < LOG_FLOAT_MAX:
-            raise OutOfFloatRange(f"Z overflows at exponent {exponent!r}")
+            raise ConfigError(f"Z overflows at exponent {exponent!r}")
         z = float(np.exp(log_z))
         if z == 0.0:
-            raise OutOfFloatRange(f"Z underflows at exponent {exponent!r}")
+            raise ConfigError(f"Z underflows at exponent {exponent!r}")
         return z
 
     return zfn
@@ -173,12 +167,13 @@ def fd_first(f: Callable, x: np.ndarray, i: int, h: float) -> float:
     ) / (12.0 * h)
 
 
-def _resolve_step(gap: float, fd_step: float | None, default_frac: float,
-                  scale: float = 1.0) -> float:
-    """The FD step for points whose length scale is `gap` (default:
+def _resolve_step(cfg: PointConfig, gap: float, fd_step: float | None,
+                  default_frac: float, scale: float = 1.0) -> float:
+    """The FD step for points cfg whose length scale is `gap` (default:
     default_frac times it); scale times it must stay below a tenth of the
-    gap, and its square, which the second-difference stencils divide by,
-    must not underflow (as it does for points 1e-300 apart)."""
+    gap, the stencil points x ± 2 * scale * step must stay finite, and its
+    square, which the second-difference stencils divide by, must not
+    underflow (as it does for points 1e-300 apart)."""
     if fd_step is None:
         fd_step = default_frac * gap
     if not fd_step > 0:
@@ -188,6 +183,9 @@ def _resolve_step(gap: float, fd_step: float | None, default_frac: float,
             f"{scale:g} * fd_step = {scale * fd_step:g} must stay below a "
             f"tenth of the length scale {gap:g}"
         )
+    if math.isinf(max(map(abs, cfg.points)) + 2.0 * scale * fd_step):
+        raise StepTooLarge(f"fd_step {fd_step:g} puts the stencil points "
+                           f"x ± {2 * scale:g} * fd_step outside the floats")
     if fd_step * fd_step < sys.float_info.min:
         raise StepTooLarge(
             f"fd_step {fd_step:g} is too small: its square underflows")
@@ -211,7 +209,7 @@ def bpz_residual(
     """
     require_points(spec, cfg)
     _check_index(cfg, i)
-    h = _resolve_step(min_gap(cfg), fd_step, 1e-4)
+    h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-4)
     f = z_fn if z_fn is not None else product_z_fn(spec.exponent)
     x = cfg.as_array()
     sgn = -1.0 if spec.mode == BACKWARD else 1.0
@@ -233,7 +231,7 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
     identity, so FD truncation and rounding, which grows with it, remain."""
     require_points(spec, cfg)
     _check_index(cfg, i)
-    h = _resolve_step(min_gap(cfg), fd_step, 1e-5)
+    h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-5)
     x = cfg.as_array()
 
     def logz(y: np.ndarray) -> float:

@@ -42,8 +42,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BACKWARD, McReport, OutOfFloatRange, PointConfig,
-                   make_report, mean_var, normal_block, sum_columns)
+from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
+                   PointConfig, make_report, mean_var, normal_block,
+                   require_gaps, require_square, sum_columns)
 from .loewner import reference_map_zero_driving, slit_complex, slit_gap
 from .partition import PartitionSpec, log_z_cols, require_points, z_value
 
@@ -81,36 +82,15 @@ TILE = 10_000
 COLLISION_GUARD = 12.0
 
 
-class NumericalBlowup(RuntimeError):
-    """A companion derivative left (0, 1e300), or power sums overflowed."""
-
-
-class EffectiveSampleCollapse(RuntimeError):
-    """Importance-weight effective sample size fell below 1% of n_paths."""
-
-
-class SwallowedTooOften(RuntimeError):
-    """More than 1% of inverse-construction paths failed, or a scheme lost
-    every path."""
-
-
-class RaggedGrid(ValueError):
+class RaggedGrid(ConfigError):
     """The horizon is not a whole number of equal substeps."""
-
-
-class HorizonTooShort(ValueError):
-    """The horizon is shorter than one substep."""
-
-
-class HorizonTooLong(ValueError):
-    """The horizon has more substeps than an array can hold."""
 
 
 def check_horizon(T: float, dt: float) -> None:
     """Refuse a horizon of MAX_STEPS substeps or more (T / dt may be inf)
     before anything is allocated for it."""
     if not T / dt < MAX_STEPS:
-        raise HorizonTooLong(
+        raise ConfigError(
             f"horizon {T!r} is {T / dt:g} substeps of {dt!r}, more than an "
             "array can hold")
 
@@ -127,7 +107,7 @@ def step_sizes(T: float, dt: float) -> np.ndarray:
     if rem > 1e-6 * dt:
         out = np.append(out, rem)
     if out.size == 0:
-        raise HorizonTooShort(
+        raise ConfigError(
             f"horizon {T!r} is shorter than one substep of {dt!r}")
     return out
 
@@ -269,7 +249,7 @@ def run_leg(
                 # step
                 for dc in dcols:
                     if np.any(dc <= 0.0) or np.any(dc >= DERIV_CAP):
-                        raise NumericalBlowup(
+                        raise NumericalFailure(
                             "companion derivative left (0, 1e300)")
                 new_m = log_z_cols(exponent, x)
                 if dcols:
@@ -333,7 +313,8 @@ def _ensemble_chunk(task: dict) -> dict:
 
     flow = tiled(task["count"], run_tile)
     x0 = np.tile(points, (task["count"], 1))
-    w = np.exp(flow["log_m"] - log_z_cols(spec.exponent, x0))   # M / M_0
+    with np.errstate(over="ignore"):     # inf fails the caller's tests
+        w = np.exp(flow["log_m"] - log_z_cols(spec.exponent, x0))   # M / M_0
     obs = task["observable"]
     f = obs(flow["x"]) if obs is not None else np.zeros(task["count"])
     return {
@@ -353,8 +334,8 @@ def _ensemble_chunk(task: dict) -> dict:
 def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
                     first_path, drifted, observable) -> list[dict]:
     if bound_n is not None and not bound_n > 0:
-        raise OutOfFloatRange(f"stopping bound {bound_n!r} is not positive "
-                              "(a multiple of a Z that underflows is 0)")
+        raise ConfigError(f"stopping bound {bound_n!r} is not positive "
+                          "(a multiple of a Z that underflows is 0)")
     task = {
         "spec": spec, "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
         "seed": seed, "drifted": drifted,
@@ -377,6 +358,7 @@ def martingale_check(
 ) -> McReport:
     """Optional-stopping test: mean of M_{T and tau}/M_0 against 1."""
     require_points(spec, cfg)
+    require_gaps(cfg, i)
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
     tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed, 0,
@@ -412,6 +394,7 @@ def girsanov_check(
     one map_chunks call (one pool).
     """
     require_points(spec, cfg)
+    require_gaps(cfg, i)
     if observable is None:
         observable = companion_observable(i, len(cfg))
     if bound_n is None:
@@ -427,8 +410,8 @@ def girsanov_check(
     drift = sum_stats(parts[len(base_tasks):])
     n = base["n"]
     ess = base["sw"] ** 2 / max(base["sw2"], 1e-300)
-    if ess < 0.01 * n:
-        raise EffectiveSampleCollapse(
+    if not ess >= 0.01 * n:     # nan where the weights overflowed
+        raise NumericalFailure(
             f"effective sample size {ess:.1f} below 1% of {n} paths")
     est1 = base["swf"] / base["sw"]
     var1 = (base["sw2f2"] - 2.0 * est1 * base["sw2f"] + est1**2 * base["sw2"])
@@ -483,9 +466,11 @@ def _inverse_chunk(task: dict) -> dict:
     shifted = val[~bad] - task["shift"]
     re, im = shifted.real, shifted.imag
     out = {"n": int((~bad).sum()), "n_failed": int(bad.sum())}
-    for tag, arr in (("re", re), ("im", im)):
-        for p in (1, 2, 3, 4):
-            out[f"{tag}{p}"] = float(np.sum(arr**p))
+    # a sum that overflows (inf, or inf - inf) fails the caller's test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tag, arr in (("re", re), ("im", im)):
+            for p in (1, 2, 3, 4):
+                out[f"{tag}{p}"] = float(np.sum(arr**p))
     return out
 
 
@@ -522,6 +507,7 @@ def inverse_law_check(
     """
     if not complex(z0).imag > 0:
         raise ValueError("z0 must lie in the upper half-plane")
+    require_square(z0, f"modulus of bulk point {z0}")
     deltas = step_sizes(T, dt)
     if not np.allclose(deltas, deltas[0]):
         raise RaggedGrid("inverse check needs T to be a multiple of dt")
@@ -537,10 +523,10 @@ def inverse_law_check(
     b = sum_stats(parts[len(tasks):])
     for st in (a, b):
         if st["n_failed"] > 0.01 * n_paths:
-            raise SwallowedTooOften(
+            raise NumericalFailure(
                 f"{st['n_failed']} of {n_paths} inverse paths failed")
         if not all(map(math.isfinite, st.values())):
-            raise NumericalBlowup("inverse-law power sums overflowed")
+            raise NumericalFailure("inverse-law power sums overflowed")
 
     reports = []
     for tag, label, c in (("re", "real", shift.real),

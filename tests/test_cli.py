@@ -357,8 +357,10 @@ def test_commutator_check_runs_both_orders(tmp_path):
     assert all(r["pass"] == "true" for r in rows)
 
 
-# configs the fuzz test below found escaping with a traceback, and the
-# documented exit code each now gets
+# configs the fuzz test below found escaping with a traceback or a numpy
+# warning, and the documented exit code each now gets
+FIELD_FLOW = dict(mode="backward", kappa=4.0, gamma=2.0)
+SMALL_RUN = dict(t_final=0.01, dt=1e-3, n_paths=10)
 ESCAPES = {
     "horizon_of_1e298_substeps": (2, dict(
         check="girsanov", kappa=2.0, points=[0.0, 1.0], i_index=0,
@@ -397,6 +399,65 @@ ESCAPES = {
     "inverse_power_sums_overflow": (3, dict(
         check="inverse", kappa=1e300, bulk_points=[[0.5, 1.0]],
         t_final=0.01, dt=1e-3, n_paths=1)),
+    "inverse_power_sums_cancel_to_nan": (3, dict(
+        check="inverse", kappa=1e308, t_final=0.05, dt=1e-3, n_paths=10)),
+    "integer_kappa_beyond_floats": (2, dict(
+        check="kz", kappa=10**400, points=[0.0, 1.0])),
+    "integer_point_beyond_floats": (2, dict(
+        check="kz", kappa=4.0, points=[0.0, -10**400])),
+    "integer_bulk_point_beyond_floats": (2, dict(
+        check="zip", t_final=0.01, dt=1e-3, bulk_points=[[10**400, 1.0]])),
+    "zip_squared_bulk_modulus_overflows": (2, dict(
+        check="zip", t_final=0.01, dt=1e-3, bulk_points=[[1e300, 1.0]])),
+    "inverse_squared_bulk_modulus_overflows": (2, dict(
+        check="inverse", kappa=2.0, bulk_points=[[1e300, 1.0]],
+        t_final=0.01, dt=1e-3, n_paths=10)),
+    "coupling_mc_squared_bulk_distance_overflows": (2, dict(
+        check="coupling_mc", **FIELD_FLOW, points=[0.0, 1.0],
+        bulk_points=[[1e300, 1.0]], **SMALL_RUN)),
+    "crossvar_squared_bulk_distance_overflows": (2, dict(
+        check="crossvar", **FIELD_FLOW, points=[0.0, 1.0],
+        bulk_points=[[1e300, 1.0], [1.0, 2.0]], **SMALL_RUN)),
+    "coupling_mc_squared_gap_overflows": (2, dict(
+        check="coupling_mc", **FIELD_FLOW, points=[0.0, 1e300],
+        bulk_points=[[0.5, 1.0]], **SMALL_RUN)),
+    "coupling_mc_coincident_bulk_points": (2, dict(
+        check="coupling_mc", **FIELD_FLOW, points=[0.0, 1.0],
+        bulk_points=[[1.0, 2.0], [1.0, 2.0]], **SMALL_RUN)),
+    "martingale_squared_gap_overflows": (2, dict(
+        check="martingale", kappa=2.0, points=[0.0, 1e300], **SMALL_RUN)),
+    "girsanov_squared_gap_overflows": (2, dict(
+        check="girsanov", kappa=2.0, points=[0.0, 1e300], **SMALL_RUN)),
+    "martingale_gap_overflows": (2, dict(
+        check="martingale", bound_n=10.0, **HUGE_GAP,
+        **SMALL_RUN)),
+    "girsanov_gap_overflows": (2, dict(
+        check="girsanov", **HUGE_GAP, **SMALL_RUN)),
+    "schemes_squared_gap_to_third_point_overflows": (2, dict(
+        check="schemes", kappa=2.0, points=[0.0, 1e300, 2.0], i_index=0,
+        j_index=2, eps_tilde=0.01, c=1.0, dt=1e-3, n_paths=10)),
+    "bpz_stencil_overflows": (2, dict(
+        check="bpz", kappa=4.0, points=[0.0], fd_step=1e308)),
+    "kz_stencil_overflows": (2, dict(
+        check="kz", kappa=4.0, points=[0.0], fd_step=1e308)),
+    "martingale_z_overflows": (2, dict(
+        check="martingale", mode="forward", kappa=1e-300,
+        points=[0.0, 1.0, 2.5], **SMALL_RUN)),
+    "girsanov_bound_z_overflows": (2, dict(
+        check="girsanov", kappa=1e-300, points=[0.0, 1e-300], bound_n=0.5,
+        **SMALL_RUN)),
+    "girsanov_weights_overflow": (3, dict(
+        check="girsanov", kappa=1e-300, points=[0.0, 1.0], bound_n=0.5,
+        **SMALL_RUN)),
+    "commutator_terms_overflow": (3, dict(
+        check="commutator", kappa=1e300, points=[0.0, 1.0], i_index=0,
+        j_index=1, fd_step=1e-4)),
+    "coupling_mc_field_sums_overflow": (3, dict(
+        check="coupling_mc", mode="forward", kappa=1e-300, points=[0.0, 1.0],
+        bulk_points=[[1.0, 2.0], [-1.0, 2.0]], **SMALL_RUN)),
+    "crossvar_field_sums_overflow": (3, dict(
+        check="crossvar", mode="forward", kappa=1e-300, points=[0.0, 1.0],
+        bulk_points=[[1.0, 2.0], [-1.0, 2.0]], **SMALL_RUN)),
 }
 
 
@@ -405,10 +466,21 @@ def test_found_escape_exits_with_one_line(tmp_path, capsys, case):
     code, fields = ESCAPES[case]
     cfg = write_config(tmp_path, n_workers=1, out_path=str(tmp_path / "r"),
                        **fields)
-    assert main(["check", cfg]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", cfg]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_integer_too_long_to_parse_exit_two(tmp_path, capsys):
+    # json refuses integers of more than 4300 digits with a ValueError
+    path = tmp_path / "c.json"
+    path.write_text('{"check": "kz", "kappa": 1' + "0" * 5000
+                    + ', "points": [0.0, 1.0]}')
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +587,12 @@ def test_fuzzed_config_exits_with_a_documented_code(check):
             with open(path, "w") as fh:
                 json.dump(config, fh)
             err = io.StringIO()
+            # a numpy warning would print lines of its own
             with mock.patch.dict(os.environ, {"SLELAB_WORKERS": "1"}), \
+                    warnings.catch_warnings(), \
                     contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
                 code = main(["check", path])
         assert code in (0, 1, 2, 3), (code, config)
         if set(config) & set(TYPOS):

@@ -86,6 +86,23 @@ def test_public_names_have_a_caller():
     assert uncalled == []
 
 
+def test_every_exception_has_one_exit_code():
+    """Each exception class of the package derives from exactly one of
+    core.ConfigError (exit 2) and core.NumericalFailure (exit 3): the CLI
+    catches these two bases and no list of classes."""
+    from slelab.core import ConfigError, NumericalFailure
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "slelab" if path.stem == "__init__" else f"slelab.{path.stem}"
+        for obj in vars(importlib.import_module(name)).values():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == name
+                    and issubclass(obj, ConfigError)
+                    == issubclass(obj, NumericalFailure)):
+                stray.append(f"{name}.{obj.__name__}")
+    assert stray == []
+
+
 def _load_perfbench(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")

@@ -5,7 +5,7 @@ Run: python3 demos/zipper_map.py
 
 import numpy as np
 
-from slelab.core import RngSpec, build_driving_path, sample_increments
+from slelab.core import build_driving_path, normal_block
 from slelab.loewner import (
     SwallowedReference,
     evolve,
@@ -34,7 +34,7 @@ def capacity_demo():
     # hcap(K_t) = 2t no matter what the driver does
     R = 1e4
     dt, T = 1e-4, 0.5
-    inc = sample_increments(RngSpec(0, 0), dt, int(T / dt))
+    inc = np.sqrt(dt) * normal_block(0, 0, 1, int(T / dt))[0]
     path = build_driving_path(4.0, 0.0, inc, dt)
     state = evolve(initial_state("backward", bulk=(1j * R, 2j * R)), path)
     print(f"\nstochastic driving, kappa=4, T={T}:"

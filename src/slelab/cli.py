@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,9 @@ from .coupling import (
     make_coupling_spec,
 )
 from .loewner import (
+    DEFAULT_PROBE_RADIUS,
     ChainState,
+    ProbeTooClose,
     evolve,
     extract_hcap,
     initial_state,
@@ -269,13 +271,14 @@ def _exact_row(name: str, estimate: float, tolerance: float,
 
 
 def _evolve_windows(state: ChainState, n: int, dt: float,
-                    steps: Callable[[int, int], np.ndarray]) -> ChainState:
-    """Evolve `state` by n substeps of dt driven from 0, one step window at
-    a time, so memory does not grow with the horizon; steps(a, b) gives
-    the driving increments of steps a .. b - 1.  The last driving value is
-    carried into each window's cumsum, so the values keep the bits of one
-    sequential sum."""
-    value = 0.0
+                    steps: Callable[[int, int], np.ndarray]
+                    ) -> Tuple[ChainState, float]:
+    """(final state, max |W|) of evolving `state` by n substeps of dt
+    driven from W = 0, one step window at a time, so memory does not grow
+    with the horizon; steps(a, b) gives the driving increments of steps
+    a .. b - 1.  The last driving value is carried into each window's
+    cumsum, so the values keep the bits of one sequential sum."""
+    value = reach = 0.0
     for a, b in step_windows(n):
         inc = steps(a, b)
         inc[0] += value
@@ -284,7 +287,8 @@ def _evolve_windows(state: ChainState, n: int, dt: float,
         np.cumsum(inc, out=values[1:])
         state = evolve(state, DrivingPath(dt, b - a, values), first_step=a)
         value = values[-1]
-    return state
+        reach = max(reach, float(np.max(np.abs(values))))
+    return state, reach
 
 
 def _run_zip(config: dict, workers: int) -> List[McReport]:
@@ -292,8 +296,8 @@ def _run_zip(config: dict, workers: int) -> List[McReport]:
     t_final, dt = _times(config)
     bulk = _get(config, "bulk_points", list(_DEFAULT_ZIP_GRID))
     n, dt_eff = _uniform_steps(t_final, dt)
-    final = _evolve_windows(initial_state(mode, bulk=bulk), n, dt_eff,
-                            lambda a, b: np.zeros(b - a))
+    final, _ = _evolve_windows(initial_state(mode, bulk=bulk), n, dt_eff,
+                               lambda a, b: np.zeros(b - a))
     return [_exact_row(f"zip_z_re{z.real:g}_im{z.imag:g}",
                        abs(final.bulk_values[k]
                            - reference_map_zero_driving(z, t_final, mode)),
@@ -312,10 +316,14 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
         incs = normal_block(seed, 0, 1, b - a, a)[0] * math.sqrt(dt_eff)
         return np.sqrt(kappa) * incs
 
-    radius = 1e4
-    final = _evolve_windows(
+    radius = DEFAULT_PROBE_RADIUS
+    final, reach = _evolve_windows(
         initial_state(mode, bulk=(1j * radius, 2j * radius)), n, dt_eff,
         steps)
+    # the capacity is read off the 1/z expansion about 0
+    if not reach < radius / 100:
+        raise ProbeTooClose(f"the driving reaches |W| = {reach:g}, not small "
+                            f"against the probe radius {radius:g}")
     return [_exact_row(f"hcap_k{kappa:g}_t{t_final:g}",
                        extract_hcap(final, probe_radius=radius), 1e-4, n,
                        reference=2.0 * t_final)]

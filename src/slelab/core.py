@@ -120,12 +120,8 @@ def validate_config(points: Sequence[float]) -> PointConfig:
 
 @dataclass(frozen=True)
 class DrivingPath:
-    """Realized driving function on a uniform grid.
-
-    values[k+1] = values[k] + sqrt(kappa)*increments[k] + drift[k]*dt, with
-    values[0] the seed point and increments the raw Brownian increments
-    (variance dt each) it was built from.
-    """
+    """Realized driving function on a uniform grid: values[k] at time k*dt,
+    values[0] the start point."""
 
     dt: float
     n_steps: int
@@ -138,50 +134,25 @@ class DrivingPath:
             raise ValueError("values must have length n_steps + 1")
 
 
-def build_driving_path(
-    kappa: float,
-    w0: float,
-    increments: np.ndarray,
-    dt: float,
-    drifts: np.ndarray | None = None,
-) -> DrivingPath:
-    """Assemble a DrivingPath from Brownian increments and optional per-step
-    drifts (drift is in value units per unit time)."""
+def build_driving_path(kappa: float, w0: float, increments: np.ndarray,
+                       dt: float) -> DrivingPath:
+    """values[k+1] = values[k] + sqrt(kappa)*increments[k], values[0] = w0,
+    from Brownian increments of variance dt each."""
     increments = np.asarray(increments, dtype=float)
     n = len(increments)
-    steps = np.sqrt(kappa) * increments
-    if drifts is not None:
-        steps = steps + np.asarray(drifts, dtype=float) * dt
     values = np.empty(n + 1)
     values[0] = w0
-    np.cumsum(steps, out=values[1:])
+    np.cumsum(np.sqrt(kappa) * increments, out=values[1:])
     values[1:] += w0
     return DrivingPath(dt=dt, n_steps=n, values=values)
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """Key of one reproducible stream: (seed, path_index)."""
-
-    seed: int
-    path_index: int = 0
-
-
-def sample_increments(rng: RngSpec, dt: float, n_steps: int) -> np.ndarray:
-    """n_steps Brownian increments, each N(0, dt), deterministic in rng."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return np.sqrt(dt) * normal_block(rng.seed, rng.path_index, 1, n_steps)[0]
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
                  first_step: int = 0) -> np.ndarray:
     """(n_paths, n_steps) standard normals, laid out step-major; row p is
-    steps first_step .. first_step + n_steps - 1 of the stream of
-    RngSpec(seed, first_path + p), so batching along paths or steps never
-    changes results."""
+    steps first_step .. first_step + n_steps - 1 of the stream keyed by
+    (seed, first_path + p), so batching along paths or steps never changes
+    results.  Brownian increments of variance dt are sqrt(dt) times it."""
     # one Philox for the block: per row, reset it under that row's key to
     # the counter before first_step's 4-word group, with an empty buffer
     counter, skip = divmod(first_step, 4)

@@ -48,15 +48,16 @@ from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
     LOG_FLOAT_MAX,
     PartitionSpec,
+    _check_index,
     _resolve_step,
+    bpz_operator,
     fd_first,
-    fd_second,
     log_z_cols,
     min_gap,
     require_points,
 )
-from .sampler import (REASON_SWALLOWED, chunked, map_chunks, step_sizes,
-                      step_windows, sum_stats, tiled)
+from .sampler import (REASON_SWALLOWED, Flow, chunked, map_chunks,
+                      step_sizes, step_windows, sum_stats, tiled)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -272,16 +273,15 @@ def coupling_pde_residual(
     i: int,
     fd_step: Optional[float] = None,
 ) -> float:
-    """Relative residual of the defining relation for X = u_tilde * Z.
+    """Relative residual of the defining relation for X = u_tilde * Z:
+    partition.bpz_operator's D_i X plus two bulk terms,
 
-    backward: (k/2) X_ii - 2 sum_j (X_j/(x_j-x_i) - h X/(x_j-x_i)^2)
-              - (2/(z-x_i)) X_z + 2 Q Z/(z-x_i)^2       = 0
-    forward:  same with both interior signs flipped and chi for Q.
+    backward: D_i X - (2/(z-x_i)) X_z + 2 Q Z/(z-x_i)^2 = 0
+    forward:  D_i X + (2/(z-x_i)) X_z + 2 chi Z/(z-x_i)^2 = 0
     """
     require_points(cspec.pspec, cfg)
     validate_config(cfg.points)
-    if not (0 <= i < len(cfg.points)):
-        raise IndexError(f"slot {i} out of range for {len(cfg.points)} points")
+    _check_index(cfg, i)
     if np.imag(z) <= 0:
         raise ValueError("bulk point must satisfy Im z > 0")
     require_gaps(cfg, i, [z])
@@ -309,15 +309,9 @@ def coupling_pde_residual(
         # real-direction shift of z; enough for d/dz of a holomorphic factor
         return complex(holo_u_tilde(z + shift[0], x0, kappa, eps)) * z_center
 
+    # the flow's operator on X, plus the bulk transport and curvature terms
+    acc, _ = bpz_operator(spec, x_fn, x0, i, h)
     sgn = -1.0 if cspec.mode == BACKWARD else 1.0
-    hk = spec.h_weight
-    x_center = x_fn(x0)
-    acc = 0.5 * kappa * fd_second(x_fn, x0, i, h)
-    for j in range(len(x0)):
-        if j == i:
-            continue
-        gap = x0[j] - x0[i]
-        acc += sgn * 2.0 * (fd_first(x_fn, x0, j, h) / gap - hk * x_center / gap**2)
     acc += sgn * (2.0 / (z - x0[i])) * fd_first(x_of_z, np.zeros(1), 0, h)
     acc += 2.0 * cspec.curvature_constant * z_center / (z - x0[i]) ** 2
     return float(abs(acc) / abs(z_center))
@@ -417,25 +411,21 @@ def _h_run(
     curvature = cspec.curvature_constant
     kb = kappa * cspec.pspec.exponent
     kind = MODE_GREEN[mode]
-    n_pts = len(cfg.points)
+    flow = Flow.start(np.broadcast_to(cfg.as_array(), (n_paths, len(cfg))))
     m_bulk = len(bulk)
-    x = np.empty((n_paths, n_pts), order="F")
-    x[:] = np.asarray(cfg.points, dtype=float)
     zb = np.empty((n_paths, m_bulk), dtype=complex, order="F")
     zb[:] = np.asarray(bulk, dtype=complex)
     db = np.ones_like(zb)
     pairs = [(a, b) for a in range(m_bulk) for b in range(a + 1, m_bulk)]
-    active = np.ones(n_paths, dtype=bool)
-    reason = np.zeros(n_paths, dtype=np.int8)
 
-    h_prev = _field_values(mode, kappa, eps, curvature, x, zb, db)
+    h_prev = _field_values(mode, kappa, eps, curvature, flow.x, zb, db)
     h0 = _stack(h_prev, n_paths)
     g0 = _pair_green(kind, zb, pairs)
     accum = [np.zeros(n_paths) for _ in pairs]
 
     # column views, written in place; frozen rows are never written
-    u0 = x[:, i]
-    comps = [x[:, k] for k in range(n_pts) if k != i]
+    u0 = flow.x[:, i]
+    comps = [flow.x[:, k] for k in range(len(cfg)) if k != i]
     z_cols = [zb[:, m] for m in range(m_bulk)]
     d_cols = [db[:, m] for m in range(m_bulk)]
     for first, stop in step_windows(deltas.size):
@@ -455,9 +445,9 @@ def _h_run(
                 bad.append(swallowed)
             # most steps swallow nothing: test the whole masks first
             if any(b.any() for b in bad):
-                stop_now = active & functools.reduce(np.logical_or, bad)
-                reason[stop_now] = REASON_SWALLOWED
-                active[stop_now] = False
+                stop_now = flow.active & functools.reduce(np.logical_or, bad)
+                flow.reason[stop_now] = REASON_SWALLOWED
+                flow.active[stop_now] = False
             # the same bits as u0 + sqrt(kappa) * sqrt(delta) * normal
             # + drift * delta
             w_new = normals[:, k] * (math.sqrt(kappa) * math.sqrt(delta))
@@ -468,12 +458,12 @@ def _h_run(
                        for gap in gaps]
                 w_new += kb * sum_columns(inv) * delta
             for xc, new in zip(comps, new_c):
-                np.copyto(xc, new, where=active)
-            np.copyto(u0, w_new, where=active)
+                np.copyto(xc, new, where=flow.active)
+            np.copyto(u0, w_new, where=flow.active)
             for zc, dc, new, mult in zip(z_cols, d_cols, new_b, mult_b):
-                np.copyto(zc, new, where=active)
-                np.multiply(dc, mult, out=dc, where=active)
-            h_new = _field_values(mode, kappa, eps, curvature, x, zb, db)
+                np.copyto(zc, new, where=flow.active)
+                np.multiply(dc, mult, out=dc, where=flow.active)
+            h_new = _field_values(mode, kappa, eps, curvature, flow.x, zb, db)
             for p, (a, b) in enumerate(pairs):
                 accum[p] += (h_new[a] - h_prev[a]) * (h_new[b] - h_prev[b])
             h_prev = h_new
@@ -484,8 +474,7 @@ def _h_run(
         "ht": _stack(h_prev, n_paths),
         "accum": _stack(accum, n_paths),
         "g_drop": g0 - gt,
-        "active": active,
-        "reason": reason,
+        "reason": flow.reason,
     }
 
 

@@ -40,7 +40,6 @@ class PartitionSpec:
     n_points: int
     h_weight: float = field(init=False)
     exponent: float = field(init=False)
-    homogeneity_degree: float = field(init=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -51,8 +50,6 @@ class PartitionSpec:
         object.__setattr__(self, "h_weight", h_kappa(self.mode, self.kappa))
         expo = (-2.0 if self.mode == BACKWARD else 2.0) / self.kappa
         object.__setattr__(self, "exponent", expo)
-        n = self.n_points
-        object.__setattr__(self, "homogeneity_degree", expo * n * (n - 1) / 2.0)
 
 
 def require_points(spec: PartitionSpec, cfg: PointConfig) -> None:
@@ -192,28 +189,18 @@ def _resolve_step(cfg: PointConfig, gap: float, fd_step: float | None,
     return fd_step
 
 
-def bpz_residual(
-    spec: PartitionSpec,
-    cfg: PointConfig,
-    i: int,
-    fd_step: float | None = None,
-    z_fn: Callable[[np.ndarray], float] | None = None,
-) -> float:
-    """|D_i Z| / |Z| by central finite differences, where
+def bpz_operator(spec: PartitionSpec, f: Callable, x: np.ndarray, i: int,
+                 h: float):
+    """(D_i f(x), f(x)) by central finite differences of step h, where
 
         D_i = (kappa/2) d^2/dx_i^2 -+ 2 sum_{j != i} ( 1/(x_j-x_i) d/dx_j
-                                                      - h/(x_j-x_i)^2 )
+                                                      - h_weight/(x_j-x_i)^2 )
 
-    (upper sign backward, lower forward).  Default fd_step is 1e-4 times the
-    minimum pairwise gap; steps at or above a tenth of the gap are refused.
-    """
-    require_points(spec, cfg)
-    _check_index(cfg, i)
-    h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-4)
-    f = z_fn if z_fn is not None else product_z_fn(spec.exponent)
-    x = cfg.as_array()
+    (upper sign backward, lower forward); the h_weight term multiplies
+    f(x) itself.  bpz_residual applies it to Z, the coupling PDE to
+    u_tilde * Z."""
     sgn = -1.0 if spec.mode == BACKWARD else 1.0
-    z0 = f(x)
+    f0 = f(x)
     acc = 0.5 * spec.kappa * fd_second(f, x, i, h)
     for j in range(len(x)):
         if j == i:
@@ -221,14 +208,34 @@ def bpz_residual(
         gap = x[j] - x[i]
         with np.errstate(over="ignore"):     # a squared gap of inf: term 0
             gap2 = gap**2
-        acc += sgn * 2.0 * (fd_first(f, x, j, h) / gap - spec.h_weight * z0 / gap2)
+        acc += sgn * 2.0 * (fd_first(f, x, j, h) / gap - spec.h_weight * f0 / gap2)
+    return acc, f0
+
+
+def bpz_residual(
+    spec: PartitionSpec,
+    cfg: PointConfig,
+    i: int,
+    fd_step: float | None = None,
+    z_fn: Callable[[np.ndarray], float] | None = None,
+) -> float:
+    """|D_i Z| / |Z| with D_i the operator of bpz_operator.  Default
+    fd_step is 1e-4 times the minimum pairwise gap; steps at or above a
+    tenth of the gap are refused.
+    """
+    require_points(spec, cfg)
+    _check_index(cfg, i)
+    h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-4)
+    f = z_fn if z_fn is not None else product_z_fn(spec.exponent)
+    acc, z0 = bpz_operator(spec, f, cfg.as_array(), i, h)
     return abs(acc) / abs(z0)
 
 
 def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
                 fd_step: float | None = None) -> float:
-    """|FD d(log Z)/dx_i - closed form| / max(1, |closed form|): an exact
-    identity, so FD truncation and rounding, which grows with it, remain."""
+    """|FD d(log Z)/dx_i - closed form| / max(1, |exponent| sum_{j != i}
+    1/|x_i - x_j|): an exact identity, so FD truncation and rounding, which
+    grow with the size of the closed form's terms, remain."""
     require_points(spec, cfg)
     _check_index(cfg, i)
     h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-5)
@@ -238,4 +245,5 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
         return float(log_z_cols(spec.exponent, y))
 
     exact = grad_log_z(spec, cfg, i)
-    return abs(fd_first(logz, x, i, h) - exact) / max(1.0, abs(exact))
+    size = abs(spec.exponent) * float(np.sum(1.0 / np.abs(np.delete(x, i) - x[i])))
+    return abs(fd_first(logz, x, i, h) - exact) / max(1.0, size)

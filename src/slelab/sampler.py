@@ -55,6 +55,8 @@ REASON_SWALLOWED = 2
 DERIV_CAP = 1e300
 # substeps of one horizon: an array of them must be addressable in bytes
 MAX_STEPS = np.iinfo(np.intp).max // 8
+# paths of one run: 2**31 is about 107,000 chunk tasks
+MAX_PATHS = 2**31
 DEFAULT_CHUNK = 20_000
 # the longest window of normals: a chunk holds at most TILE * STEP_BLOCK *
 # 8 bytes of them (20.5 MB), and a horizon of n steps is split into
@@ -93,6 +95,13 @@ def check_horizon(T: float, dt: float) -> None:
         raise ConfigError(
             f"horizon {T!r} is {T / dt:g} substeps of {dt!r}, more than an "
             "array can hold")
+
+
+def check_paths(n_paths: int) -> None:
+    """Refuse more than MAX_PATHS paths before a task list is built."""
+    if n_paths > MAX_PATHS:
+        raise ConfigError(f"{n_paths} paths are more than the {MAX_PATHS} "
+                          "a run may have")
 
 
 def step_sizes(T: float, dt: float) -> np.ndarray:
@@ -161,6 +170,15 @@ class Flow:
     reason: np.ndarray         # (n,) int8, 0 or REASON_*
     log_m: np.ndarray | None   # (n,) log M at stop/terminal, if tracked
 
+    @classmethod
+    def start(cls, x: np.ndarray) -> Flow:
+        """A column-major copy of the (n, N) start array x, every row
+        active, no weights."""
+        xs = np.array(x, dtype=float, order="F")
+        n = xs.shape[0]
+        return cls(xs, None, np.ones(n, dtype=bool), np.zeros(n, dtype=np.int8),
+                   None)
+
 
 def run_leg(
     mode: str,
@@ -186,12 +204,7 @@ def run_leg(
     the collision layer (gap^2 <= collision_guard^2 * dt, checked at the
     substep start) freeze there with reason `swallowed`; bound-stopped
     paths freeze at the boundary where |M| first exceeded the bound."""
-    if isinstance(x, Flow):
-        flow = x
-    else:
-        xs = np.array(x, dtype=float, order="F")
-        flow = Flow(xs, None, np.ones(xs.shape[0], dtype=bool),
-                    np.zeros(xs.shape[0], dtype=np.int8), None)
+    flow = x if isinstance(x, Flow) else Flow.start(x)
     if track_weight and flow.derivs is None:
         flow.derivs = np.ones_like(flow.x)
     if track_weight and flow.log_m is None:
@@ -270,6 +283,7 @@ def run_leg(
 def chunked(task: dict, n_paths: int, first_path: int = 0) -> list[dict]:
     """One copy of `task` per DEFAULT_CHUNK paths, keyed by its first path
     index and path count."""
+    check_paths(n_paths)
     return [dict(task, first_path=first_path + a,
                  count=min(DEFAULT_CHUNK, n_paths - a))
             for a in range(0, n_paths, DEFAULT_CHUNK)]
@@ -314,7 +328,8 @@ def _ensemble_chunk(task: dict) -> dict:
     flow = tiled(task["count"], run_tile)
     x0 = np.tile(points, (task["count"], 1))
     with np.errstate(over="ignore"):     # inf fails the caller's tests
-        w = np.exp(flow["log_m"] - log_z_cols(spec.exponent, x0))   # M / M_0
+        log_w = flow["log_m"] - log_z_cols(spec.exponent, x0)
+        w = np.exp(log_w)   # M / M_0
     obs = task["observable"]
     f = obs(flow["x"]) if obs is not None else np.zeros(task["count"])
     return {
@@ -328,6 +343,7 @@ def _ensemble_chunk(task: dict) -> dict:
         "sf2": float(np.sum(f * f)),
         "n_swallowed": int(np.sum(flow["reason"] == REASON_SWALLOWED)),
         "n_bound": int(np.sum(flow["reason"] == REASON_BOUND)),
+        "n_underflow": int(np.sum((w == 0.0) & np.isfinite(log_w))),
     }
 
 
@@ -356,7 +372,8 @@ def martingale_check(
     seed: int = 0,
     n_workers: int = 1,
 ) -> McReport:
-    """Optional-stopping test: mean of M_{T and tau}/M_0 against 1."""
+    """Optional-stopping test: mean of M_{T and tau}/M_0 against 1.  A
+    weight whose finite log underflows exp to 0 raises NumericalFailure."""
     require_points(spec, cfg)
     require_gaps(cfg, i)
     if bound_n is None:
@@ -365,6 +382,9 @@ def martingale_check(
                             drifted=False, observable=None)
     st = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
     n = st["n"]
+    if st["n_underflow"]:
+        raise NumericalFailure(
+            f"{st['n_underflow']} of {n} weights M/M_0 underflow to 0")
     mean, var = mean_var(st["sw"], st["sw2"], n)
     se = math.sqrt(var)
     return make_report(

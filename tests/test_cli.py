@@ -146,6 +146,11 @@ POOL_CHECKS = {
     "inverse": dict(kappa=4.0, **SHORT),
     "coupling_mc": dict(mode="backward", kappa=4.0, gamma=2.0,
                         points=[0.0, 1.0], bulk_points=[[0.5, 1.0]], **SHORT),
+    "martingale": dict(mode="backward", kappa=4.0, points=[0.0, 1.0],
+                       **SHORT),
+    "crossvar": dict(mode="backward", kappa=4.0, gamma=2.0,
+                     points=[0.0, 1.0], bulk_points=[[1.0, 2.0], [-1.0, 2.0]],
+                     **SHORT),
 }
 
 
@@ -271,6 +276,15 @@ def test_kz_residual_is_relative_at_tiny_kappa(tmp_path):
     # |d log Z/dx_i| is 1e300 here; the FD residual is 3e-12 of it
     cfg = write_config(tmp_path, check="kz", mode="forward", kappa=1e-300,
                        points=[0.0, 2.0], out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 0
+    assert all(r["pass"] == "true" for r in read_rows(str(tmp_path / "r")))
+
+
+def test_kz_residual_is_relative_to_cancelling_terms(tmp_path):
+    # d log Z/dx_1 cancels to about 0 while its terms are 1e300
+    cfg = write_config(tmp_path, check="kz", kappa=1e-300,
+                       points=[-1.0, 0.5, 2.0], i_index=1,
+                       out_path=str(tmp_path / "r"))
     assert main(["check", cfg]) == 0
     assert all(r["pass"] == "true" for r in read_rows(str(tmp_path / "r")))
 
@@ -458,6 +472,14 @@ ESCAPES = {
     "crossvar_field_sums_overflow": (3, dict(
         check="crossvar", mode="forward", kappa=1e-300, points=[0.0, 1.0],
         bulk_points=[[1.0, 2.0], [-1.0, 2.0]], **SMALL_RUN)),
+    "more_paths_than_a_run_may_have": (2, dict(
+        check="martingale", kappa=2.0, points=[0.0, 1.0], t_final=0.01,
+        dt=0.001, n_paths=10**15)),
+    "hcap_driving_beyond_the_probe": (3, dict(
+        check="hcap", kappa=1e308, t_final=0.05, dt=1e-3)),
+    "martingale_weights_underflow": (3, dict(
+        check="martingale", kappa=1e-300, points=[0.0, 1.0], bound_n=0.5,
+        t_final=0.01, dt=1e-3, n_paths=1000)),
 }
 
 

@@ -10,11 +10,9 @@ from scipy.special import ndtri
 from slelab.core import (
     DuplicatePoint,
     McReport,
-    RngSpec,
     build_driving_path,
     make_report,
     normal_block,
-    sample_increments,
     sum_columns,
     validate_config,
 )
@@ -46,18 +44,18 @@ def test_validate_config_near_duplicates_rejected():
 
 def test_sample_increments_mean():
     """Mean of 10^6 unit-dt increments within the 3/sqrt(n) LLN band."""
-    inc = sample_increments(RngSpec(0, 0), 1.0, 1_000_000)
+    inc = normal_block(0, 0, 1, 1_000_000)[0]
     assert abs(inc.mean()) < 3e-3
 
 
 def test_sample_increments_variance():
-    inc = sample_increments(RngSpec(1, 0), 0.01, 1_000_000)
+    inc = np.sqrt(0.01) * normal_block(1, 0, 1, 1_000_000)[0]
     assert abs(inc.var() / 0.01 - 1.0) < 0.05
 
 
 def test_sample_increments_deterministic():
-    a = sample_increments(RngSpec(7, 0), 0.5, 64)
-    b = sample_increments(RngSpec(7, 0), 0.5, 64)
+    a = np.sqrt(0.5) * normal_block(7, 0, 1, 64)[0]
+    b = np.sqrt(0.5) * normal_block(7, 0, 1, 64)[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -77,8 +75,7 @@ def test_standard_normals_moments():
 def test_normal_block_matches_per_path_streams():
     block = normal_block(9, 0, 4, 32)
     for p in range(4):
-        np.testing.assert_array_equal(block[p],
-                                      sample_increments(RngSpec(9, p), 1.0, 32))
+        np.testing.assert_array_equal(block[p], normal_block(9, p, 1, 32)[0])
 
 
 def test_normal_block_chunking_invariance():
@@ -150,19 +147,12 @@ def test_normal_block_split_invariance(seed, first_path, n_paths, n_steps,
 
 
 def test_build_driving_path_scaling():
-    inc = sample_increments(RngSpec(7, 0), 0.01, 5)
+    inc = np.sqrt(0.01) * normal_block(7, 0, 1, 5)[0]
     path = build_driving_path(4.0, 1.0, inc, 0.01)
     assert path.n_steps == 5
     assert path.dt == 0.01
     np.testing.assert_allclose(path.values[0], 1.0)
     np.testing.assert_allclose(path.values[1:], 1.0 + 2.0 * np.cumsum(inc),
-                               rtol=0, atol=1e-14)
-
-
-def test_build_driving_path_drift_term():
-    inc = np.zeros(4)
-    path = build_driving_path(4.0, 0.0, inc, 0.1, drifts=np.full(4, 3.0))
-    np.testing.assert_allclose(path.values, [0.0, 0.3, 0.6, 0.9, 1.2],
                                rtol=0, atol=1e-14)
 
 

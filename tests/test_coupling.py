@@ -199,14 +199,13 @@ def test_simulate_h_process_initial_values(cspec):
             boundary_u(cspec.mode, z, [0.0, 1.0], cspec.kappa,
                        cspec.epsilon_signs),
             rtol=1e-14)
-    assert run["active"].all()
+    assert (run["reason"] == 0).all()
     assert run["accum"].shape == (3, 1)
 
 
 def test_simulate_h_process_forward_bulk_swallowed():
     # a bulk point right above the driven slot dies almost immediately
     run = _short_run(CS_FWD, [0.02j], n_paths=1)
-    assert not run["active"][0]
     assert run["reason"][0] == REASON_SWALLOWED
     # the frozen path keeps its starting field value, so it froze before
     # its first step

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab.core import RngSpec, build_driving_path, sample_increments
+from slelab.core import build_driving_path, normal_block
 from slelab.loewner import (
     ProbeTooClose,
     Swallowed,
@@ -129,6 +129,62 @@ def test_substep_scale_covariance(mode, k, seed):
         np.testing.assert_array_equal(bad_s, bad)
 
 
+def _clear_points(seed, u0, delta):
+    """64 real and 64 bulk points that no substep of size delta at u0
+    swallows, none within rounding of the swallow set: real gaps of at
+    least 2.2 sqrt(delta), bulk points at least 0.01 off the vertical
+    line above u0."""
+    rng = np.random.default_rng(seed)
+    side = rng.choice([-1.0, 1.0], 64)
+    x = u0 + side * 2.0 * np.sqrt(delta) * rng.uniform(1.1, 10.0, 64)
+    z = u0 + side * rng.uniform(0.01, 3.0, 64) + 1j * rng.uniform(1e-3, 3.0, 64)
+    return x, z
+
+
+SUBSTEP = dict(mode=st.sampled_from(("backward", "forward")),
+               u0=st.floats(-3.0, 3.0), delta=st.floats(1e-4, 1.0),
+               seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shift=st.floats(-10.0, 10.0), **SUBSTEP)
+def test_substep_shift_covariance_property(mode, u0, delta, seed, shift):
+    """Shifting the points and U0 by s shifts every image by s and keeps
+    every multiplier, to within the rounding of the shifted gaps."""
+    for slit, w in zip((slit_real, slit_complex), _clear_points(seed, u0, delta)):
+        new, mult, bad = slit(w, u0, delta, mode)
+        new_s, mult_s, bad_s = slit(w + shift, u0 + shift, delta, mode)
+        assert not bad.any() and not bad_s.any()
+        np.testing.assert_allclose(new_s - shift, new, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mult_s, mult, rtol=1e-11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SUBSTEP)
+def test_substep_moves_im_z_monotonically(mode, u0, delta, seed):
+    """A backward substep raises Im z of every bulk point, a forward one
+    lowers it."""
+    z = _clear_points(seed, u0, delta)[1]
+    new = slit_complex(z, u0, delta, mode)[0]
+    if mode == "backward":
+        assert (new.imag > z.imag).all()
+    else:
+        assert (new.imag < z.imag).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SUBSTEP)
+def test_substep_semigroup_property(mode, u0, delta, seed):
+    """Two half substeps at the same U0 are one full substep, and their
+    multipliers compose, to within rounding."""
+    for slit, w in zip((slit_real, slit_complex), _clear_points(seed, u0, delta)):
+        one, m_one, _ = slit(w, u0, delta, mode)
+        half, m1, _ = slit(w, u0, delta / 2, mode)
+        two, m2, _ = slit(half, u0, delta / 2, mode)
+        np.testing.assert_allclose(two, one, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m1 * m2, m_one, rtol=1e-11)
+
+
 def test_evolve_zero_driving_bulk():
     st = initial_state("backward", bulk=(1 + 1j,))
     out = evolve(st, zero_path(25, 0.01))
@@ -180,7 +236,7 @@ def test_evolve_semigroup_constant_driving():
 def test_evolve_deriv_against_finite_difference():
     h = 1e-6
     z = 0.8 + 1.1j
-    inc = sample_increments(RngSpec(2, 0), 1e-3, 200)
+    inc = np.sqrt(1e-3) * normal_block(2, 0, 1, 200)[0]
     path = build_driving_path(4.0, 0.0, inc, 1e-3)
     st = initial_state("backward", bulk=(z, z + h))
     out = evolve(st, path)
@@ -189,11 +245,10 @@ def test_evolve_deriv_against_finite_difference():
 
 
 def test_evolve_backward_im_nondecreasing():
-    inc = sample_increments(RngSpec(4, 1), 1e-3, 1)
     st = initial_state("backward", bulk=(0.3 + 0.4j,))
     ims = [st.bulk_values[0].imag]
     for k in range(60):
-        inc = sample_increments(RngSpec(4, 1), 1e-3, 60)
+        inc = np.sqrt(1e-3) * normal_block(4, 1, 1, 60)[0]
         st = evolve(st, build_driving_path(4.0, 0.0, inc[k:k + 1], 1e-3))
         ims.append(st.bulk_values[0].imag)
     assert all(b >= a for a, b in zip(ims, ims[1:]))
@@ -241,7 +296,7 @@ def test_hcap_independent_of_driving():
     """hcap(K_t) = 2t whatever the driver does."""
     R = 1e4
     T, dt = 0.2, 1e-3
-    inc = sample_increments(RngSpec(13, 2), dt, int(T / dt))
+    inc = np.sqrt(dt) * normal_block(13, 2, 1, int(T / dt))[0]
     path = build_driving_path(6.0, 0.0, inc, dt)
     st = initial_state("backward", bulk=(1j * R, 2j * R))
     out = evolve(st, path)

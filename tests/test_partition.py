@@ -34,7 +34,6 @@ def test_spec_derived_fields():
     s = PartitionSpec("backward", 4.0, 2)
     np.testing.assert_allclose(s.exponent, -0.5)
     np.testing.assert_allclose(s.h_weight, -1.25)
-    np.testing.assert_allclose(s.homogeneity_degree, -0.5)
 
 
 def test_z_value_examples():
@@ -60,7 +59,8 @@ def test_z_value_homogeneous():
     spec = PartitionSpec("backward", 4.0, 3)
     lam = 2.0
     a = z_value(spec, validate_config((0, 2, 6)))
-    b = lam**spec.homogeneity_degree * z_value(spec, validate_config((0, 1, 3)))
+    # Z has degree exponent * N(N-1)/2 = 3 * exponent for N = 3
+    b = lam**(spec.exponent * 3) * z_value(spec, validate_config((0, 1, 3)))
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab.core import normal_block, validate_config
+from slelab.core import ConfigError, normal_block, validate_config
 from slelab.loewner import slit_real
 from slelab.partition import PartitionSpec, grad_log_z
 from slelab.sampler import (
+    MAX_PATHS,
     REASON_BOUND,
     REASON_SWALLOWED,
     RaggedGrid,
@@ -282,3 +283,15 @@ def test_inverse_law_rejects_ragged_grid():
     # time reversal needs a uniform grid
     with pytest.raises(RaggedGrid):
         inverse_law_check(2.0, 2j, 0.1, 0.03, 10, seed=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: martingale_check(SPEC_BACK, CFG2, 0, 0.01, 1e-3, n),
+    lambda n: girsanov_check(SPEC_BACK, CFG2, 0, None, 0.01, 1e-3, n),
+    lambda n: inverse_law_check(4.0, 2j, 0.01, 1e-3, n),
+], ids=["martingale", "girsanov", "inverse"])
+def test_more_paths_than_a_run_may_have_are_refused(run):
+    """The path count is refused before one task per chunk is built, so a
+    huge count costs no memory."""
+    with pytest.raises(ConfigError, match="paths are more than"):
+        run(MAX_PATHS + 1)

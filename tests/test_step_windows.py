@@ -165,8 +165,8 @@ def test_windowed_chain_keeps_the_driving_bits(monkeypatch):
     state = initial_state("backward", bulk=(0.3 + 0.5j, -0.2 + 1j))
     whole = evolve(state, build_driving_path(4.0, 0.0, inc, 1e-3))
     monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
-    windows = cli._evolve_windows(state, 300, 1e-3,
-                                  lambda a, b: math.sqrt(4.0) * inc[a:b])
+    windows, _ = cli._evolve_windows(state, 300, 1e-3,
+                                     lambda a, b: math.sqrt(4.0) * inc[a:b])
     assert windows.bulk_values.tolist() == whole.bulk_values.tolist()
     assert windows.time == whole.time
 

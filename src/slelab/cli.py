@@ -55,7 +55,6 @@ from .coupling import (
 from .loewner import (
     DEFAULT_PROBE_RADIUS,
     ChainState,
-    ProbeTooClose,
     evolve,
     extract_hcap,
     initial_state,
@@ -69,7 +68,6 @@ from .partition import (
 )
 from .sampler import (
     check_horizon,
-    companion_observable,
     girsanov_check,
     inverse_law_check,
     martingale_check,
@@ -322,8 +320,8 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
         steps)
     # the capacity is read off the 1/z expansion about 0
     if not reach < radius / 100:
-        raise ProbeTooClose(f"the driving reaches |W| = {reach:g}, not small "
-                            f"against the probe radius {radius:g}")
+        raise NumericalFailure(f"the driving reaches |W| = {reach:g}, not "
+                               f"small against the probe radius {radius:g}")
     return [_exact_row(f"hcap_k{kappa:g}_t{t_final:g}",
                        extract_hcap(final, probe_radius=radius), 1e-4, n,
                        reference=2.0 * t_final)]
@@ -373,9 +371,9 @@ def _run_girsanov(config: dict, workers: int) -> List[McReport]:
     spec, cfg = _flow(config, "girsanov", min_points=2)
     i, j = _pair(config, len(cfg), defaults=(0, None))
     t_final, dt, n_paths, seed = _ensemble(config)
-    return [girsanov_check(spec, cfg, i, companion_observable(i, len(cfg), j),
-                           t_final, dt, n_paths, bound_n=_bound(config, spec, cfg),
-                           seed=seed, n_workers=workers)]
+    return [girsanov_check(spec, cfg, i, j, t_final, dt, n_paths,
+                           bound_n=_bound(config, spec, cfg), seed=seed,
+                           n_workers=workers)]
 
 
 def _run_inverse(config: dict, workers: int) -> List[McReport]:

@@ -36,12 +36,8 @@ from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    require_gaps, require_square)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         grad_log_z_cols, min_gap, require_points)
-from .sampler import (REASON_SWALLOWED, chunked, map_chunks, run_leg,
+from .sampler import (REASON_SWALLOWED, chunked, horizon, map_chunks, run_leg,
                       step_sizes, step_windows, sum_stats, tiled)
-
-
-class EpsilonTooLarge(ConfigError):
-    """eps_tilde too large for the gap: first-leg time would go nonpositive."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
     require_gaps(cfg, j)
     gap2 = (cfg.points[i] - cfg.points[j]) ** 2
     if 4.0 * max(1.0, c) * eps_tilde >= gap2:
-        raise EpsilonTooLarge(
+        raise ConfigError(
             f"4*max(1,c)*eps_tilde = {4 * max(1.0, c) * eps_tilde:g} "
             f"must stay below the squared gap {gap2:g}")
     eps = (1.0 - 4.0 * eps_tilde / gap2) * c * eps_tilde
@@ -80,15 +76,15 @@ def arctan_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _scheme_legs(order: str, plan: SchemePlan,
-                 dt: float) -> list[tuple[int, np.ndarray]]:
-    """(driving slot, substep sizes) of each leg of a scheme."""
+                 dt: float) -> list[tuple[int, float, float]]:
+    """(driving slot, leg time, substep) of each leg of a scheme."""
     if order == "scheme1":
         legs = [(plan.i, plan.eps), (plan.j, plan.eps_tilde)]
     elif order == "scheme2":
         legs = [(plan.j, plan.eps_prime), (plan.i, plan.c * plan.eps_tilde)]
     else:
         raise ValueError("order must be 'scheme1' or 'scheme2'")
-    return [(slot, step_sizes(T, dt)) for slot, T in legs]
+    return [(slot, T, dt) for slot, T in legs]
 
 
 def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
@@ -107,18 +103,18 @@ def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
     the law of the swallow events is not established: with three points
     they swallow at different rates (ROADMAP item 4d).
     """
-    starts = np.cumsum([0] + [deltas.size for _, deltas in legs])
+    starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T, dt in legs])
     flow = x
     for a, b in step_windows(int(starts[-1])):
         normals = draw(b - a, a)
-        for (slot, deltas), start, stop in zip(legs, starts, starts[1:]):
+        for (slot, T, dt), start, stop in zip(legs, starts, starts[1:]):
             lo, hi = max(a, start), min(b, stop)
             if lo >= hi:
                 continue
             flow = run_leg(spec.mode, spec.kappa, spec.exponent,
                            spec.h_weight, flow, slot,
                            normals[:, lo - a:hi - a],
-                           deltas[lo - start:hi - start],
+                           step_sizes(T, dt, lo - start, hi - start),
                            drifted=drifted, collision_guard=2.0)
         del normals      # before the next window is drawn
     return flow
@@ -138,7 +134,9 @@ def _scheme_chunk(task: dict) -> dict:
     flow = tiled(task["count"], run_tile)
     x = flow["x"]
     keep = flow["reason"] != REASON_SWALLOWED
-    out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum())}
+    steps = task["count"] * sum(horizon(T, dt)[0] for _, T, dt in legs)
+    out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum()),
+           "path_steps": steps, "draws": steps}
     n_pts = x.shape[1]
     cols = {f"x_{k}": x[keep, k] for k in range(n_pts)}
     cols["phi"] = arctan_sum(x[keep])

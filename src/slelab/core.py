@@ -58,14 +58,6 @@ class NumericalFailure(RuntimeError):
     3 on it, as on any subclass."""
 
 
-class DuplicatePoint(ConfigError):
-    """Two marked points coincide (violates the distinctness requirement)."""
-
-    def __init__(self, i: int, j: int, value: float):
-        self.i, self.j, self.value = i, j, value
-        super().__init__(f"points {i} and {j} coincide (x = {value!r})")
-
-
 def require_square(d: complex, what: str) -> None:
     """Refuse a distance d set by the config whose |d|**2 overflows; a
     check calls it before any kernel squares d."""
@@ -106,7 +98,7 @@ class PointConfig:
 def validate_config(points: Sequence[float]) -> PointConfig:
     """Build a PointConfig, rejecting exactly the diagonal.
 
-    Raises DuplicatePoint with 1-based indices of the first coinciding pair.
+    Raises ConfigError with 1-based indices of the first coinciding pair.
     """
     pts = tuple(float(x) for x in points)
     if not pts:
@@ -114,7 +106,8 @@ def validate_config(points: Sequence[float]) -> PointConfig:
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
             if pts[a] == pts[b]:
-                raise DuplicatePoint(a + 1, b + 1, pts[a])
+                raise ConfigError(
+                    f"points {a + 1} and {b + 1} coincide (x = {pts[a]!r})")
     return PointConfig(pts)
 
 

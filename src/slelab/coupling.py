@@ -41,7 +41,6 @@ from .core import (
     make_report,
     normal_block,
     require_gaps,
-    sum_columns,
     validate_config,
 )
 from .loewner import Swallowed, slit_complex, slit_real
@@ -56,8 +55,8 @@ from .partition import (
     min_gap,
     require_points,
 )
-from .sampler import (REASON_SWALLOWED, Flow, chunked, map_chunks,
-                      step_sizes, step_windows, sum_stats, tiled)
+from .sampler import (REASON_SWALLOWED, Flow, chunked, driver_step, horizon,
+                      map_chunks, step_sizes, step_windows, sum_stats, tiled)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -71,27 +70,19 @@ _RELATION_TOL = 1e-9
 _COINCIDENT_TOL = 1e-14
 
 
-class CoincidentPoints(ConfigError):
-    """Green function evaluated at z == w (or z == conj(w))."""
-
-
-class BadCouplingParameters(ConfigError):
-    """Field/curve parameters outside the coupled regime."""
-
-
 def q_charge(gamma: float) -> float:
     """2/gamma + gamma/2.  gamma > 2 is allowed: gamma and 4/gamma give the
     same charge, and checks are run in both forms."""
     if gamma <= 0:
-        raise BadCouplingParameters(f"gamma must be positive, got {gamma}")
+        raise ConfigError(f"gamma must be positive, got {gamma}")
     return 2.0 / gamma + gamma / 2.0
 
 
 def forward_chi(kappa: float) -> float:
     if kappa <= 0:
-        raise BadCouplingParameters(f"kappa must be positive, got {kappa}")
+        raise ConfigError(f"kappa must be positive, got {kappa}")
     if kappa == 4.0:
-        raise BadCouplingParameters("forward coupling is degenerate at kappa = 4")
+        raise ConfigError("forward coupling is degenerate at kappa = 4")
     rk = math.sqrt(kappa)
     return 2.0 / rk - rk / 2.0 if kappa < 4.0 else rk / 2.0 - 2.0 / rk
 
@@ -107,7 +98,7 @@ def check_backward_relation(kappa: float, gamma: float) -> None:
     """sqrt(kappa) must equal gamma or 4/gamma for the backward coupling."""
     rk = math.sqrt(kappa)
     if abs(rk - gamma) > _RELATION_TOL and abs(rk - 4.0 / gamma) > _RELATION_TOL:
-        raise BadCouplingParameters(
+        raise ConfigError(
             f"backward coupling needs sqrt(kappa) = gamma or 4/gamma; "
             f"got kappa={kappa}, gamma={gamma}"
         )
@@ -138,7 +129,7 @@ class CouplingSpec:
         if self.gamma is not None:
             q_charge(self.gamma)     # refuses a nonpositive gamma
         elif self.mode == BACKWARD:
-            raise BadCouplingParameters("backward coupling needs gamma")
+            raise ConfigError("backward coupling needs gamma")
         if self.mode == FORWARD and self.chi is None:
             raise ValueError("forward coupling needs chi")
 
@@ -166,14 +157,14 @@ class CouplingSpec:
         else:
             want = forward_chi(self.kappa)
             if abs(self.chi - want) > _RELATION_TOL:
-                raise BadCouplingParameters(
+                raise ConfigError(
                     f"chi {self.chi} does not match kappa={self.kappa} "
                     f"(expected {want})"
                 )
         canonical = default_epsilon_signs(self.mode, self.kappa,
                                           self.pspec.n_points)
         if tuple(self.epsilon_signs) != canonical:
-            raise BadCouplingParameters(
+            raise ConfigError(
                 f"epsilon signs {self.epsilon_signs} are not the coupled "
                 f"choice {canonical} for this mode/kappa"
             )
@@ -205,8 +196,8 @@ def green(kind: str, z: complex, w: complex) -> float:
     neumann:   -log|z-w| - log|z-conj(w)|
     dirichlet: -log|z-w| + log|z-conj(w)|
 
-    A scalar pair at z == w or z == conj(w) raises CoincidentPoints;
-    arrays (one entry per path) give inf there.
+    A scalar pair at z == w or z == conj(w) raises ConfigError; arrays
+    (one entry per path) give inf there.
     """
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green kind {kind!r}")
@@ -216,7 +207,7 @@ def green(kind: str, z: complex, w: complex) -> float:
     mirror = np.abs(za - np.conj(wa))
     scalar = np.isscalar(z) and np.isscalar(w)
     if scalar and min(direct, mirror) < _COINCIDENT_TOL:
-        raise CoincidentPoints(f"Green function singular at z={z}, w={w}")
+        raise ConfigError(f"Green function singular at z={z}, w={w}")
     sign = -1.0 if kind == NEUMANN else 1.0
     out = -np.log(direct) + sign * np.log(mirror)
     return float(out) if scalar else out
@@ -389,26 +380,28 @@ def _h_run(
     cfg: PointConfig,
     i: int,
     bulk: Sequence[complex],
-    deltas: np.ndarray,
+    T: float,
+    dt: float,
     seed: int,
     first_path: int,
     n_paths: int,
 ) -> Dict[str, np.ndarray]:
     """Drifted-measure flow of paths first_path .. first_path + n_paths - 1
-    under `seed`, carrying field observables; their normals are drawn one
-    window of step_windows at a time.
+    under `seed` over T in substeps of dt, carrying field observables;
+    normals and substep sizes are built one step window at a time.
 
-    Companions move by exact slit maps; the driver by Euler steps of
-    dW = sqrt(kappa) dB + kappa (d/dW) log Z dt with the drift frozen at
-    each substep start.  Paths whose companion or tracked bulk point is
-    swallowed are frozen at the start of the offending substep and kept
-    (their h increments vanish from then on).  The state is column-major
-    and every step works one point's column at a time.
+    Companions move by exact slit maps; the driver by driver_step, Euler
+    steps of dW = sqrt(kappa) dB + kappa (d/dW) log Z dt.  Paths whose
+    companion or tracked bulk point is swallowed are frozen at the start
+    of the offending substep and kept (their h increments vanish from then
+    on).  The state is column-major and every step works one point's
+    column at a time.
     """
     mode = cspec.mode
     kappa = cspec.kappa
     eps = np.asarray(cspec.epsilon_signs, dtype=float)
     curvature = cspec.curvature_constant
+    sqk = math.sqrt(kappa)
     kb = kappa * cspec.pspec.exponent
     kind = MODE_GREEN[mode]
     flow = Flow.start(np.broadcast_to(cfg.as_array(), (n_paths, len(cfg))))
@@ -428,46 +421,43 @@ def _h_run(
     comps = [flow.x[:, k] for k in range(len(cfg)) if k != i]
     z_cols = [zb[:, m] for m in range(m_bulk)]
     d_cols = [db[:, m] for m in range(m_bulk)]
-    for first, stop in step_windows(deltas.size):
-        normals = normal_block(seed, first_path, n_paths, stop - first,
-                               first)
-        for k, delta in enumerate(deltas[first:stop]):
-            new_c, bad = [], []
-            for xc in comps:
-                new, _, swallowed = slit_real(xc, u0, delta, mode)
-                new_c.append(new)
-                bad.append(swallowed)
-            new_b, mult_b = [], []
-            for zc in z_cols:
-                new, mult, swallowed = slit_complex(zc, u0, delta, mode)
-                new_b.append(new)
-                mult_b.append(mult)
-                bad.append(swallowed)
-            # most steps swallow nothing: test the whole masks first
-            if any(b.any() for b in bad):
-                stop_now = flow.active & functools.reduce(np.logical_or, bad)
-                flow.reason[stop_now] = REASON_SWALLOWED
-                flow.active[stop_now] = False
-            # the same bits as u0 + sqrt(kappa) * sqrt(delta) * normal
-            # + drift * delta
-            w_new = normals[:, k] * (math.sqrt(kappa) * math.sqrt(delta))
-            w_new += u0
-            if comps:
-                gaps = [u0 - xc for xc in comps]
-                inv = [np.where(np.abs(gap) > 0, 1.0 / gap, 0.0)
-                       for gap in gaps]
-                w_new += kb * sum_columns(inv) * delta
-            for xc, new in zip(comps, new_c):
-                np.copyto(xc, new, where=flow.active)
-            np.copyto(u0, w_new, where=flow.active)
-            for zc, dc, new, mult in zip(z_cols, d_cols, new_b, mult_b):
-                np.copyto(zc, new, where=flow.active)
-                np.multiply(dc, mult, out=dc, where=flow.active)
-            h_new = _field_values(mode, kappa, eps, curvature, flow.x, zb, db)
-            for p, (a, b) in enumerate(pairs):
-                accum[p] += (h_new[a] - h_prev[a]) * (h_new[b] - h_prev[b])
-            h_prev = h_new
-        del normals      # before the next window is drawn
+    # a frozen row may hold a zero gap, so an inf driver step, but no
+    # frozen row is ever copied back
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first, stop in step_windows(horizon(T, dt)[0]):
+            normals = normal_block(seed, first_path, n_paths, stop - first,
+                                   first)
+            for k, delta in enumerate(step_sizes(T, dt, first, stop)):
+                new_c, bad = [], []
+                for xc in comps:
+                    new, _, swallowed = slit_real(xc, u0, delta, mode)
+                    new_c.append(new)
+                    bad.append(swallowed)
+                new_b, mult_b = [], []
+                for zc in z_cols:
+                    new, mult, swallowed = slit_complex(zc, u0, delta, mode)
+                    new_b.append(new)
+                    mult_b.append(mult)
+                    bad.append(swallowed)
+                # most steps swallow nothing: test the whole masks first
+                if any(b.any() for b in bad):
+                    flow.stop(functools.reduce(np.logical_or, bad),
+                              REASON_SWALLOWED)
+                w_new = driver_step(u0, [xc - u0 for xc in comps],
+                                    normals[:, k], delta, sqk, kb)
+                for xc, new in zip(comps, new_c):
+                    np.copyto(xc, new, where=flow.active)
+                np.copyto(u0, w_new, where=flow.active)
+                for zc, dc, new, mult in zip(z_cols, d_cols, new_b, mult_b):
+                    np.copyto(zc, new, where=flow.active)
+                    np.multiply(dc, mult, out=dc, where=flow.active)
+                h_new = _field_values(mode, kappa, eps, curvature, flow.x,
+                                      zb, db)
+                for p, (a, b) in enumerate(pairs):
+                    accum[p] += ((h_new[a] - h_prev[a])
+                                 * (h_new[b] - h_prev[b]))
+                h_prev = h_new
+            del normals      # before the next window is drawn
     gt = _pair_green(kind, zb, pairs)
     return {
         "h0": h0,
@@ -480,15 +470,16 @@ def _h_run(
 
 def _h_chunk(task: dict) -> dict:
     cspec: CouplingSpec = task["cspec"]
+    T, dt = task["T"], task["dt"]
 
     def run_tile(t0: int, t1: int) -> dict:
-        return _h_run(cspec, task["cfg"], task["i"], task["bulk"],
-                      task["deltas"], task["seed"], task["first_path"] + t0,
-                      t1 - t0)
+        return _h_run(cspec, task["cfg"], task["i"], task["bulk"], T, dt,
+                      task["seed"], task["first_path"] + t0, t1 - t0)
 
     run = tiled(task["count"], run_tile)
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
+    steps = task["count"] * horizon(T, dt)[0]
     # h scales as 1/sqrt(kappa): at tiny kappa the sums of squares leave
     # the floats, which _run_h_ensemble refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -501,6 +492,7 @@ def _h_chunk(task: dict) -> dict:
             "sd": xv_err.sum(axis=0),
             "sd2": (xv_err**2).sum(axis=0),
             "n_swallowed": int(np.sum(run["reason"] == REASON_SWALLOWED)),
+            "path_steps": steps, "draws": steps,
         }
 
 
@@ -520,9 +512,10 @@ def _run_h_ensemble(
         raise ValueError("bulk points must satisfy Im z > 0")
     require_gaps(cfg, i, bulk)
     for z, w in itertools.combinations(bulk, 2):
-        green(MODE_GREEN[cspec.mode], z, w)      # raises CoincidentPoints
+        green(MODE_GREEN[cspec.mode], z, w)      # refuses coincident points
+    horizon(t_final, dt)     # refuses a horizon before any task is built
     task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
-            "deltas": step_sizes(t_final, dt), "seed": seed}
+            "T": t_final, "dt": dt, "seed": seed}
     stats = sum_stats(map_chunks(_h_chunk, chunked(task, n_paths), n_workers))
     if not all(np.all(np.isfinite(v)) for v in stats.values()):
         raise NumericalFailure("the field sums overflowed")

@@ -41,10 +41,6 @@ class SwallowedReference(NumericalFailure):
     """Closed-form reference requested at a point the forward flow absorbs."""
 
 
-class ProbeTooClose(NumericalFailure):
-    """Capacity probe is not far enough from the hull for the 1/z expansion."""
-
-
 def sqrt_him(q):
     """Square root with branch Im >= 0 (array-safe)."""
     q = np.asarray(q, dtype=complex)
@@ -232,7 +228,7 @@ def extract_hcap(state: ChainState, probe_radius: float = DEFAULT_PROBE_RADIUS) 
     m2 = abs(f2 - z2) * abs(z2)
     scale = max(abs(m1), abs(m2), 1e-300)
     if state.time > 0 and abs(m1 - m2) > 0.01 * scale:
-        raise ProbeTooClose(
+        raise NumericalFailure(
             f"|f(z)-z|*|z| varies by {abs(m1 - m2) / scale:.2%} "
             f"between radius {probe_radius:g} and {2 * probe_radius:g}"
         )

@@ -26,11 +26,6 @@ from .core import (BACKWARD, ConfigError, PointConfig, _check_mode,
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-class StepTooLarge(ConfigError):
-    """Finite-difference step unusable for the points: too large for the
-    gap or the floats, or so small that its square underflows."""
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """Mode/kappa plus the derived exponents (filled automatically)."""
@@ -176,15 +171,15 @@ def _resolve_step(cfg: PointConfig, gap: float, fd_step: float | None,
     if not fd_step > 0:
         raise ValueError("fd_step must be positive")
     if scale * fd_step >= gap / 10.0:
-        raise StepTooLarge(
+        raise ConfigError(
             f"{scale:g} * fd_step = {scale * fd_step:g} must stay below a "
             f"tenth of the length scale {gap:g}"
         )
     if math.isinf(max(map(abs, cfg.points)) + 2.0 * scale * fd_step):
-        raise StepTooLarge(f"fd_step {fd_step:g} puts the stencil points "
-                           f"x ± {2 * scale:g} * fd_step outside the floats")
+        raise ConfigError(f"fd_step {fd_step:g} puts the stencil points "
+                          f"x ± {2 * scale:g} * fd_step outside the floats")
     if fd_step * fd_step < sys.float_info.min:
-        raise StepTooLarge(
+        raise ConfigError(
             f"fd_step {fd_step:g} is too small: its square underflows")
     return fd_step
 

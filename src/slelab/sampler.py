@@ -38,7 +38,7 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +53,8 @@ REASON_BOUND = 1
 REASON_SWALLOWED = 2
 
 DERIV_CAP = 1e300
-# substeps of one horizon: an array of them must be addressable in bytes
+# substeps of one horizon: as many as an array of their sizes could hold,
+# though none is built
 MAX_STEPS = np.iinfo(np.intp).max // 8
 # paths of one run: 2**31 is about 107,000 chunk tasks
 MAX_PATHS = 2**31
@@ -84,10 +85,6 @@ TILE = 10_000
 COLLISION_GUARD = 12.0
 
 
-class RaggedGrid(ConfigError):
-    """The horizon is not a whole number of equal substeps."""
-
-
 def check_horizon(T: float, dt: float) -> None:
     """Refuse a horizon of MAX_STEPS substeps or more (T / dt may be inf)
     before anything is allocated for it."""
@@ -97,42 +94,46 @@ def check_horizon(T: float, dt: float) -> None:
             "array can hold")
 
 
-def check_paths(n_paths: int) -> None:
-    """Refuse more than MAX_PATHS paths before a task list is built."""
-    if n_paths > MAX_PATHS:
-        raise ConfigError(f"{n_paths} paths are more than the {MAX_PATHS} "
-                          "a run may have")
-
-
-def step_sizes(T: float, dt: float) -> np.ndarray:
-    """Uniform substeps of size dt, plus one shorter remainder step if T is
-    not a multiple of dt."""
+def horizon(T: float, dt: float) -> tuple[int, float]:
+    """(substep count, size of the last substep) of the horizon T: uniform
+    substeps of size dt, plus one shorter remainder step if T is not a
+    multiple of dt."""
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
     check_horizon(T, dt)
     n_full = int(math.floor(T / dt + 1e-9))
     rem = T - n_full * dt
-    out = np.full(n_full, dt)
     if rem > 1e-6 * dt:
-        out = np.append(out, rem)
-    if out.size == 0:
+        return n_full + 1, rem
+    if n_full == 0:
         raise ConfigError(
             f"horizon {T!r} is shorter than one substep of {dt!r}")
+    return n_full, dt
+
+
+def step_sizes(T: float, dt: float, a: int = 0,
+               b: int | None = None) -> np.ndarray:
+    """Sizes of substeps a .. b - 1 of the horizon T (default: all of
+    them), so a step window never builds the whole horizon's sizes."""
+    n, last = horizon(T, dt)
+    b = n if b is None else b
+    out = np.full(b - a, dt, dtype=float)
+    if b == n and a < b:
+        out[-1] = last
     return out
 
 
-def _even_split(n: int, block: int) -> list[tuple[int, int]]:
+def _even_split(n: int, block: int) -> Iterator[tuple[int, int]]:
     """Bounds [a, b) of ceil(n / block) consecutive ranges that cover
-    0 .. n - 1, with lengths that differ by at most one."""
+    0 .. n - 1, with lengths that differ by at most one; made one at a
+    time, so their number costs no memory."""
     count = -(-n // block)
-    if count == 0:
-        return []
-    size, extra = divmod(n, count)
-    bounds = [k * size + min(k, extra) for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
+    size, extra = divmod(n, max(count, 1))
+    for k in range(count):
+        yield k * size + min(k, extra), (k + 1) * size + min(k + 1, extra)
 
 
-def step_windows(n_steps: int) -> list[tuple[int, int]]:
+def step_windows(n_steps: int) -> Iterator[tuple[int, int]]:
     """Bounds [a, b) of ceil(n_steps / STEP_BLOCK) consecutive windows that
     cover n_steps steps, with lengths that differ by at most one step.
     As many windows as full STEP_BLOCK ones plus a remainder, so as many
@@ -140,7 +141,7 @@ def step_windows(n_steps: int) -> list[tuple[int, int]]:
     return _even_split(n_steps, STEP_BLOCK)
 
 
-def path_tiles(count: int) -> list[tuple[int, int]]:
+def path_tiles(count: int) -> Iterator[tuple[int, int]]:
     """Bounds [a, b) of the ceil(count / TILE) even path tiles of a chunk
     of `count` paths, relative to its first path."""
     return _even_split(count, TILE)
@@ -179,6 +180,31 @@ class Flow:
         return cls(xs, None, np.ones(n, dtype=bool), np.zeros(n, dtype=np.int8),
                    None)
 
+    def stop(self, mask: np.ndarray, reason: int) -> None:
+        """Freeze the active rows of `mask` with `reason`."""
+        hit = mask & self.active
+        if hit.any():
+            self.reason[hit] = reason
+            self.active[hit] = False
+
+
+def driver_step(u0: np.ndarray, gaps: Sequence[np.ndarray],
+                normal: np.ndarray, delta: float, sqk: float,
+                kb: float) -> np.ndarray:
+    """The driver after one Euler substep, drift frozen at its start, as
+    normal * (sqk * sqrt(delta)) + u0 + (sum_c -1 / gap_c) * kb * delta
+    with the gaps x_c - u0 added left to right; no gaps, no drift.  A zero
+    gap gives an inf for the caller to mask under its np.errstate."""
+    step = normal * (sqk * math.sqrt(delta))
+    step += u0
+    if gaps:
+        # 1 / (u0 - x_c) is -1 / gap bit for bit where the gap is not 0
+        drift = sum_columns([np.divide(-1.0, d) for d in gaps])
+        drift *= kb
+        drift *= delta
+        step += drift
+    return step
+
 
 def run_leg(
     mode: str,
@@ -209,7 +235,7 @@ def run_leg(
         flow.derivs = np.ones_like(flow.x)
     if track_weight and flow.log_m is None:
         flow.log_m = log_z_cols(exponent, flow.x)
-    x, active, reason, log_m = flow.x, flow.active, flow.reason, flow.log_m
+    x, active, log_m = flow.x, flow.active, flow.log_m
     others = [c for c in range(x.shape[1]) if c != slot]
     # column views: U0 and comps are written in place below
     U0 = x[:, slot]
@@ -223,25 +249,16 @@ def run_leg(
     # value, but no stopped row is ever copied back
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, delta in enumerate(deltas):
+            # each gap d = xc - U0 and d^2 once, for the layer test, the
+            # slit map and the drift
+            gaps = [xc - U0 for xc in comps]
             if comps:
-                # each gap d = xc - U0 and d^2 once, for the layer test,
-                # the drift and the slit map
-                gaps = [xc - U0 for xc in comps]
                 sqs = [d * d for d in gaps]
                 lim = guard2 * delta
                 layer = sqs[0] <= lim
                 for d2 in sqs[1:]:
                     layer |= d2 <= lim
-                layer &= active
-                if layer.any():
-                    reason[layer] = REASON_SWALLOWED
-                    active[layer] = False
-                if drifted:
-                    # b * delta, b = kappa * exponent * sum of 1 / (U0 - xc),
-                    # and 1 / (U0 - xc) is -1 / d bit for bit where d != 0
-                    b_delta = sum_columns([np.divide(-1.0, d) for d in gaps])
-                    b_delta *= kb
-                    b_delta *= delta
+                flow.stop(layer, REASON_SWALLOWED)
                 # active rows sit outside the layer (guard2 >= 4), so the
                 # substep swallows none of them
                 for j, (xc, d, d2) in enumerate(zip(comps, gaps, sqs)):
@@ -250,11 +267,8 @@ def run_leg(
                     if track_weight:
                         np.multiply(dcols[j], mult, out=dcols[j],
                                     where=active)
-            # the bits of U0 + sqk * sqrt(delta) * normal + b * delta
-            step = normals[:, k] * (sqk * math.sqrt(delta))
-            step += U0
-            if drifted and comps:
-                step += b_delta
+            step = driver_step(U0, gaps if drifted else (), normals[:, k],
+                               delta, sqk, kb)
             np.copyto(U0, step, where=active)
 
             if track_weight:
@@ -273,17 +287,16 @@ def run_leg(
                     new_m = logs
                 np.copyto(log_m, new_m, where=active)
                 if log_bound is not None:
-                    hit = active & (log_m > log_bound)
-                    if hit.any():
-                        reason[hit] = REASON_BOUND
-                        active[hit] = False
+                    flow.stop(log_m > log_bound, REASON_BOUND)
     return flow
 
 
 def chunked(task: dict, n_paths: int, first_path: int = 0) -> list[dict]:
     """One copy of `task` per DEFAULT_CHUNK paths, keyed by its first path
-    index and path count."""
-    check_paths(n_paths)
+    index and path count; more than MAX_PATHS paths are refused first."""
+    if n_paths > MAX_PATHS:
+        raise ConfigError(f"{n_paths} paths are more than the {MAX_PATHS} "
+                          "a run may have")
     return [dict(task, first_path=first_path + a,
                  count=min(DEFAULT_CHUNK, n_paths - a))
             for a in range(0, n_paths, DEFAULT_CHUNK)]
@@ -306,34 +319,38 @@ def map_chunks(fn: Callable, tasks: Sequence, n_workers: int = 1) -> list:
 
 
 def _ensemble_chunk(task: dict) -> dict:
-    """Terminal sufficient statistics for one chunk of paths."""
+    """Terminal sufficient statistics for one chunk of paths; the
+    observable is the terminal position of companion task["j"], or 0
+    where j is None."""
     spec: PartitionSpec = task["spec"]
-    deltas = step_sizes(task["T"], task["dt"])
+    T, dt = task["T"], task["dt"]
+    n_steps = horizon(T, dt)[0]
     points = np.asarray(task["points"])
 
     def run_tile(t0: int, t1: int) -> dict:
         flow = np.tile(points, (t1 - t0, 1))
-        for a, b in step_windows(deltas.size):
+        for a, b in step_windows(n_steps):
             normals = normal_block(task["seed"], task["first_path"] + t0,
                                    t1 - t0, b - a, a)
             flow = run_leg(
                 spec.mode, spec.kappa, spec.exponent, spec.h_weight,
-                flow, task["slot"], normals, deltas[a:b],
+                flow, task["slot"], normals, step_sizes(T, dt, a, b),
                 drifted=task["drifted"], track_weight=True,
                 log_bound=task["log_bound"],
             )
             del normals      # before the next window is drawn
         return {"x": flow.x, "log_m": flow.log_m, "reason": flow.reason}
 
-    flow = tiled(task["count"], run_tile)
-    x0 = np.tile(points, (task["count"], 1))
+    count = task["count"]
+    flow = tiled(count, run_tile)
+    x0 = np.tile(points, (count, 1))
     with np.errstate(over="ignore"):     # inf fails the caller's tests
         log_w = flow["log_m"] - log_z_cols(spec.exponent, x0)
         w = np.exp(log_w)   # M / M_0
-    obs = task["observable"]
-    f = obs(flow["x"]) if obs is not None else np.zeros(task["count"])
+    j = task["j"]
+    f = flow["x"][:, j] if j is not None else np.zeros(count)
     return {
-        "n": task["count"],
+        "n": count,
         "sw": float(np.sum(w)),
         "sw2": float(np.sum(w * w)),
         "swf": float(np.sum(w * f)),
@@ -344,19 +361,19 @@ def _ensemble_chunk(task: dict) -> dict:
         "n_swallowed": int(np.sum(flow["reason"] == REASON_SWALLOWED)),
         "n_bound": int(np.sum(flow["reason"] == REASON_BOUND)),
         "n_underflow": int(np.sum((w == 0.0) & np.isfinite(log_w))),
+        "path_steps": count * n_steps, "draws": count * n_steps,
     }
 
 
 def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
-                    first_path, drifted, observable) -> list[dict]:
+                    first_path, drifted, j) -> list[dict]:
     if bound_n is not None and not bound_n > 0:
         raise ConfigError(f"stopping bound {bound_n!r} is not positive "
                           "(a multiple of a Z that underflows is 0)")
     task = {
         "spec": spec, "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
         "seed": seed, "drifted": drifted,
-        "log_bound": None if bound_n is None else math.log(bound_n),
-        "observable": observable,
+        "log_bound": None if bound_n is None else math.log(bound_n), "j": j,
     }
     return chunked(task, n_paths, first_path)
 
@@ -379,7 +396,7 @@ def martingale_check(
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
     tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed, 0,
-                            drifted=False, observable=None)
+                            drifted=False, j=None)
     st = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
     n = st["n"]
     if st["n_underflow"]:
@@ -397,7 +414,7 @@ def girsanov_check(
     spec: PartitionSpec,
     cfg: PointConfig,
     i: int,
-    observable: Callable[[np.ndarray], np.ndarray] | None,
+    j: int | None,
     T: float,
     dt: float,
     n_paths: int,
@@ -405,7 +422,8 @@ def girsanov_check(
     seed: int = 0,
     n_workers: int = 1,
 ) -> McReport:
-    """Reweighted base-measure mean against the drifted-measure mean.
+    """Reweighted base-measure mean against the drifted-measure mean of
+    the terminal position of companion j (None: the first index != i).
 
     Arm 1 simulates driftless paths and weights the observable by the
     terminal M/M_0 (self-normalized); arm 2 simulates drifted paths stopped
@@ -415,16 +433,16 @@ def girsanov_check(
     """
     require_points(spec, cfg)
     require_gaps(cfg, i)
-    if observable is None:
-        observable = companion_observable(i, len(cfg))
+    if j is None:
+        j = 0 if i != 0 else 1
+    if j == i or not 0 <= j < len(cfg):
+        raise IndexError(f"companion index {j} invalid for driver {i}")
     if bound_n is None:
         bound_n = 10.0 * z_value(spec, cfg)
     base_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
-                                 seed, 0, drifted=False,
-                                 observable=observable)
+                                 seed, 0, drifted=False, j=j)
     drift_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
-                                  seed, n_paths, drifted=True,
-                                  observable=observable)
+                                  seed, n_paths, drifted=True, j=j)
     parts = map_chunks(_ensemble_chunk, base_tasks + drift_tasks, n_workers)
     base = sum_stats(parts[:len(base_tasks)])
     drift = sum_stats(parts[len(base_tasks):])
@@ -442,35 +460,19 @@ def girsanov_check(
     return make_report("girsanov", est1, pooled, est2, 3.0 * pooled, n)
 
 
-def _column(x: np.ndarray, j: int) -> np.ndarray:
-    return x[:, j]
-
-
-def companion_observable(i: int, n_points: int, j: int | None = None):
-    """Terminal position of companion j (default: first index != i).
-
-    The result is a partial of a module-level function, so it pickles into
-    the process pool that map_chunks uses for more than one worker.
-    """
-    if j is None:
-        j = 0 if i != 0 else 1
-    if j == i or not 0 <= j < n_points:
-        raise IndexError(f"companion index {j} invalid for driver {i}")
-    return functools.partial(_column, j=j)
-
-
 def _inverse_chunk(task: dict) -> dict:
     """Backward chains tracking one bulk point, driven from 0 by the
-    chunk's increments; the reversed arm reads its windows from the last
-    step back, each reversed and negated."""
-    dt = task["dt"]
+    chunk's increments; the reversed arm reads the steps from the last one
+    back, in mirrored windows, each reversed and negated."""
+    dt, n = task["dt"], task["n_steps"]
     sq = math.sqrt(task["kappa"] * dt)
-    windows = step_windows(task["n_steps"])
 
     def run_tile(t0: int, t1: int) -> dict:
         W = np.zeros(t1 - t0)
         Z = np.full(t1 - t0, task["z0"], dtype=complex)
-        for a, b in windows[::-1] if task["reversed"] else windows:
+        for a, b in step_windows(n):
+            if task["reversed"]:
+                a, b = n - b, n - a
             normals = normal_block(task["seed"], task["first_path"] + t0,
                                    t1 - t0, b - a, a)
             if task["reversed"]:
@@ -485,7 +487,8 @@ def _inverse_chunk(task: dict) -> dict:
     bad = ~(val.imag > 0.0) | ~np.isfinite(val.real) | ~np.isfinite(val.imag)
     shifted = val[~bad] - task["shift"]
     re, im = shifted.real, shifted.imag
-    out = {"n": int((~bad).sum()), "n_failed": int(bad.sum())}
+    out = {"n": int((~bad).sum()), "n_failed": int(bad.sum()),
+           "path_steps": task["count"] * n, "draws": task["count"] * n}
     # a sum that overflows (inf, or inf - inf) fails the caller's test
     with np.errstate(over="ignore", invalid="ignore"):
         for tag, arr in (("re", re), ("im", im)):
@@ -528,13 +531,14 @@ def inverse_law_check(
     if not complex(z0).imag > 0:
         raise ValueError("z0 must lie in the upper half-plane")
     require_square(z0, f"modulus of bulk point {z0}")
-    deltas = step_sizes(T, dt)
-    if not np.allclose(deltas, deltas[0]):
-        raise RaggedGrid("inverse check needs T to be a multiple of dt")
+    n_steps, last = horizon(T, dt)
+    first = float(dt if n_steps > 1 else last)
+    if not np.isclose(last, first):
+        raise ConfigError("inverse check needs T to be a multiple of dt")
     # a constant known before any path runs keeps the sums additive
     shift = complex(reference_map_zero_driving(z0, T, BACKWARD))
-    task = {"z0": complex(z0), "kappa": kappa, "dt": float(deltas[0]),
-            "n_steps": deltas.size, "seed": seed, "shift": shift}
+    task = {"z0": complex(z0), "kappa": kappa, "dt": first,
+            "n_steps": n_steps, "seed": seed, "shift": shift}
 
     tasks = chunked(dict(task, reversed=False), n_paths)
     rev_tasks = chunked(dict(task, reversed=True), n_paths, n_paths)

@@ -160,6 +160,14 @@ def test_girsanov_on_worker_pool_matches_one_worker(tmp_path, monkeypatch):
                              i_index=0, **SHORT)
 
 
+def test_girsanov_explicit_companion_on_worker_pool(tmp_path, monkeypatch):
+    """The companion travels to the pool as its index j."""
+    _pool_matches_one_worker(tmp_path, monkeypatch, check="girsanov",
+                             mode="backward", kappa=4.0,
+                             points=[0.0, 1.0, 3.0], i_index=0, j_index=2,
+                             **SHORT)
+
+
 @pytest.mark.parametrize("check", sorted(POOL_CHECKS))
 def test_ensemble_on_worker_pool_matches_one_worker(tmp_path, monkeypatch,
                                                     check):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from slelab.commutation import (
-    EpsilonTooLarge,
     _generator_value,
     _run_legs,
     _scheme_chunk,
@@ -15,7 +14,7 @@ from slelab.commutation import (
     commutator_residual,
     plan_schemes,
 )
-from slelab.core import validate_config
+from slelab.core import ConfigError, validate_config
 from slelab.partition import PartitionSpec
 
 CFG = validate_config((0.0, 1.0))
@@ -40,7 +39,7 @@ def test_plan_schemes_zero_budget():
 
 
 def test_plan_schemes_epsilon_too_large():
-    with pytest.raises(EpsilonTooLarge):
+    with pytest.raises(ConfigError, match="must stay below the squared gap"):
         plan_schemes(CFG, 0, 1, 0.3, 1.0)
 
 

@@ -8,7 +8,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from slelab.core import (
-    DuplicatePoint,
+    ConfigError,
     McReport,
     build_driving_path,
     make_report,
@@ -26,7 +26,7 @@ def test_validate_config_accepts_distinct():
 
 
 def test_validate_config_rejects_diagonal():
-    with pytest.raises(DuplicatePoint) as exc:
+    with pytest.raises(ConfigError, match="coincide") as exc:
         validate_config((0.0, 0.0))
     # indices reported 1-based
     assert "1" in str(exc.value) and "2" in str(exc.value)
@@ -38,7 +38,7 @@ def test_validate_config_negative_and_float():
 
 
 def test_validate_config_near_duplicates_rejected():
-    with pytest.raises(DuplicatePoint):
+    with pytest.raises(ConfigError, match="points 2 and 3 coincide"):
         validate_config((0.0, 1.0, 1.0))
 
 

@@ -6,10 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slelab.core import validate_config
+from slelab.core import ConfigError, validate_config
 from slelab.coupling import (
-    BadCouplingParameters,
-    CoincidentPoints,
     _h_run,
     boundary_u,
     check_backward_relation,
@@ -26,7 +24,7 @@ from slelab.coupling import (
     q_charge,
 )
 from slelab.partition import PartitionSpec
-from slelab.sampler import REASON_SWALLOWED, step_sizes
+from slelab.sampler import REASON_SWALLOWED
 
 CFG = validate_config((0.0, 1.0))
 SPEC_BACK = PartitionSpec("backward", 4.0, 2)
@@ -50,7 +48,7 @@ def test_green_symmetric():
 
 
 def test_green_coincident_points():
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(ConfigError, match="Green function singular"):
         green("neumann", 1j, 1j)
 
 
@@ -75,14 +73,14 @@ def test_forward_chi():
                                2 / np.sqrt(2) - np.sqrt(2) / 2, rtol=1e-14)
     np.testing.assert_allclose(forward_chi(6.0),
                                np.sqrt(6) / 2 - 2 / np.sqrt(6), rtol=1e-14)
-    with pytest.raises(BadCouplingParameters):
+    with pytest.raises(ConfigError, match="degenerate at kappa = 4"):
         forward_chi(4.0)
 
 
 def test_check_backward_relation():
     check_backward_relation(4.0, 2.0)       # sqrt(kappa) = gamma
     check_backward_relation(16.0, 1.0)      # sqrt(kappa) = 4/gamma
-    with pytest.raises(BadCouplingParameters):
+    with pytest.raises(ConfigError, match="gamma or 4/gamma"):
         check_backward_relation(4.0, 1.3)
 
 
@@ -93,7 +91,7 @@ def test_default_epsilon_signs():
 
 
 def test_make_coupling_spec_requires_gamma_backward():
-    with pytest.raises(BadCouplingParameters):
+    with pytest.raises(ConfigError, match="backward coupling needs gamma"):
         make_coupling_spec(SPEC_BACK)
 
 
@@ -105,7 +103,7 @@ def test_q_charge_follows_gamma():
     assert CS_BACK.curvature_constant == q_charge(2.0)
     assert CS_FWD.q_charge is None
     assert make_coupling_spec(SPEC_BACK, gamma=1.0).q_charge == q_charge(1.0)
-    with pytest.raises(BadCouplingParameters, match="gamma must be positive"):
+    with pytest.raises(ConfigError, match="gamma must be positive"):
         dataclasses.replace(CS_BACK, gamma=-2.0)
 
 
@@ -183,8 +181,7 @@ def test_green_increment_identity_pathwise():
 
 
 def _short_run(cspec, bulk, n_paths=3):
-    deltas = step_sizes(0.05, 1e-3)
-    return _h_run(cspec, CFG, 0, bulk, deltas, 0, 0, n_paths)
+    return _h_run(cspec, CFG, 0, bulk, 0.05, 1e-3, 0, 0, n_paths)
 
 
 @pytest.mark.parametrize("cspec", [CS_BACK, CS_FWD], ids=["backward", "forward"])

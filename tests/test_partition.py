@@ -5,12 +5,11 @@ import pytest
 
 from slelab.commutation import (arctan_sum, commutation_experiment,
                                 commutator_residual)
-from slelab.core import validate_config
+from slelab.core import ConfigError, validate_config
 from slelab.coupling import (coupling_martingale_check, coupling_pde_residual,
                              cross_variation_experiment, make_coupling_spec)
 from slelab.partition import (
     PartitionSpec,
-    StepTooLarge,
     bpz_residual,
     fd_first,
     fd_second,
@@ -142,7 +141,7 @@ def test_bpz_wrong_exponent_control():
 
 def test_bpz_step_too_large():
     spec = PartitionSpec("backward", 4.0, 2)
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ConfigError, match="tenth of the length scale"):
         bpz_residual(spec, validate_config((0, 1)), 0, 0.2)
 
 

@@ -1,10 +1,21 @@
 """Tests for path sampling, weights, and the measure-equality checks."""
 
+import json
+import math
+import os
+import pickle
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slelab import commutation, coupling, sampler
 from slelab.core import ConfigError, normal_block, validate_config
 from slelab.loewner import slit_real
 from slelab.partition import PartitionSpec, grad_log_z
@@ -12,13 +23,13 @@ from slelab.sampler import (
     MAX_PATHS,
     REASON_BOUND,
     REASON_SWALLOWED,
-    RaggedGrid,
-    companion_observable,
     girsanov_check,
+    horizon,
     inverse_law_check,
     martingale_check,
     run_leg,
     step_sizes,
+    step_windows,
 )
 
 CFG2 = validate_config((0.0, 1.0))
@@ -228,12 +239,6 @@ def test_girsanov_default_observable():
     assert abs(r.estimate - r.reference) <= r.tolerance
 
 
-def test_girsanov_constant_observable_is_exact():
-    one = lambda arr: np.ones(arr.shape[0])
-    r = girsanov_check(SPEC_BACK, CFG2, 0, one, 0.05, 1e-3, 500, seed=3)
-    assert abs(r.estimate - r.reference) < 1e-12
-
-
 def test_girsanov_early_stopping_bound():
     """bound_n = 0.5 * M_0 stops every path at the first step; equality
     must survive optional stopping."""
@@ -243,12 +248,29 @@ def test_girsanov_early_stopping_bound():
     assert abs(r.estimate - r.reference) <= 3 * max(r.std_error, 1e-300)
 
 
-def test_companion_observable_slices():
-    obs = companion_observable(0, 2)
-    np.testing.assert_array_equal(obs(np.array([[0.0, 1.0], [2.0, 5.0]])),
-                                  [1.0, 5.0])
-    obs13 = companion_observable(1, 3, j=2)
-    np.testing.assert_array_equal(obs13(np.array([[0.0, 1.0, 3.0]])), [3.0])
+def test_girsanov_companion_default_and_explicit():
+    """The observable is the terminal position of companion j: by default
+    the first index other than i, else the j given."""
+    cfg3 = validate_config((0.0, 1.0, 3.0))
+    spec3 = PartitionSpec("backward", 4.0, 3)
+    args = (0.01, 1e-3, 300)
+    for i, default in ((0, 1), (1, 0), (2, 0)):
+        assert (girsanov_check(spec3, cfg3, i, None, *args, seed=2)
+                == girsanov_check(spec3, cfg3, i, default, *args, seed=2))
+    rows = {j: girsanov_check(spec3, cfg3, 1, j, *args, seed=2)
+            for j in (0, 2)}
+    # the drifted arm's mean is the mean terminal position of point j,
+    # which moves about 2 * T / gap = 0.02 from its start
+    assert abs(rows[0].reference - 0.0) < 0.1
+    assert abs(rows[2].reference - 3.0) < 0.1
+
+
+@pytest.mark.parametrize("j", [0, 2, -1])
+def test_girsanov_refuses_bad_companion(j):
+    """A companion equal to the driver or outside the points is refused
+    before any path runs."""
+    with pytest.raises(IndexError, match=f"companion index {j} invalid"):
+        girsanov_check(SPEC_BACK, CFG2, 0, j, 0.01, 1e-3, 10)
 
 
 def test_inverse_law_check():
@@ -281,7 +303,7 @@ def test_inverse_law_rejects_lower_half_plane_start():
 
 def test_inverse_law_rejects_ragged_grid():
     # time reversal needs a uniform grid
-    with pytest.raises(RaggedGrid):
+    with pytest.raises(ConfigError, match="multiple of dt"):
         inverse_law_check(2.0, 2j, 0.1, 0.03, 10, seed=0)
 
 
@@ -295,3 +317,146 @@ def test_more_paths_than_a_run_may_have_are_refused(run):
     huge count costs no memory."""
     with pytest.raises(ConfigError, match="paths are more than"):
         run(MAX_PATHS + 1)
+
+
+def _whole_horizon_sizes(T, dt):
+    """Every substep size of the horizon as one array: dt each, plus one
+    shorter remainder step; each window's sizes must be its slices."""
+    n_full = int(math.floor(T / dt + 1e-9))
+    out = np.full(n_full, dt)
+    if T - n_full * dt > 1e-6 * dt:
+        out = np.append(out, T - n_full * dt)
+    return out
+
+
+@pytest.mark.parametrize("T, dt", [
+    (0.1, 0.03), (0.09, 0.03), (0.01, 0.03), (0.05, 1e-3), (0.0505, 1e-3),
+    (0.0192, 1e-4), (1.0, 1.0 / 3.0), (2.5, 1.0),
+], ids=["ragged", "exact", "one-short-step", "exact-50", "ragged-51",
+        "ragged-192", "thirds", "ragged-2.5"])
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_window_step_sizes_are_the_whole_horizon_slices(T, dt, block,
+                                                          monkeypatch):
+    """Each window's substep sizes are bit for bit the slice of the whole
+    horizon's sizes, for ragged and exact horizons alike."""
+    whole = _whole_horizon_sizes(T, dt)
+    assert horizon(T, dt) == (whole.size, whole[-1])
+    monkeypatch.setattr(sampler, "STEP_BLOCK", block)
+    for a, b in step_windows(whole.size):
+        assert step_sizes(T, dt, a, b).tobytes() == whole[a:b].tobytes()
+    assert step_sizes(T, dt).tobytes() == whole.tobytes()
+
+
+CFG3 = validate_config((0.0, 1.0, 3.0))
+CS_BACK = coupling.make_coupling_spec(SPEC_BACK, gamma=2.0)
+# (module whose map_chunks the check calls, the check, substeps per path):
+# a horizon of 10.5 substeps is 11; scheme 1 runs legs of 19.2 -> 20 and
+# 10 substeps, scheme 2 legs of 9.2 -> 10 and 20
+ENSEMBLE_CHECKS = {
+    "martingale": (sampler, lambda: martingale_check(
+        SPEC_BACK, CFG2, 0, 0.0105, 1e-3, 30, seed=1), 11),
+    "girsanov": (sampler, lambda: girsanov_check(
+        PartitionSpec("backward", 4.0, 3), CFG3, 1, 2, 0.0105, 1e-3, 30,
+        seed=1), 11),
+    "schemes": (commutation, lambda: commutation.commutation_experiment(
+        SPEC_BACK, CFG2, 0, 1, 0.01, 2.0, 1e-3, 30, seed=1), 30),
+    "inverse": (sampler, lambda: inverse_law_check(
+        4.0, 2j, 0.01, 1e-3, 30, seed=1), 10),
+    "coupling": (coupling, lambda: coupling.cross_variation_experiment(
+        CS_BACK, CFG2, 0, [1 + 2j, -1 + 2j], 0.0105, 1e-3, 30, seed=1), 11),
+}
+
+
+def _chunk_calls(check, monkeypatch):
+    """(chunk function, task list) of the one map_chunks call the check
+    makes, run in this process."""
+    module, run, _ = ENSEMBLE_CHECKS[check]
+    calls = []
+
+    def recording(fn, tasks, n_workers=1):
+        calls.append((fn, list(tasks)))
+        return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(module, "map_chunks", recording)
+    run()
+    (fn, tasks), = calls
+    return fn, tasks
+
+
+@pytest.mark.parametrize("check", sorted(ENSEMBLE_CHECKS))
+def test_chunk_tasks_are_plain_data(check, monkeypatch):
+    """A task holds no callable, so it and the chunk function pickle into
+    the process pool that map_chunks starts for more than one worker."""
+    fn, tasks = _chunk_calls(check, monkeypatch)
+    for task in tasks:
+        assert not [k for k, v in task.items() if callable(v)], task
+    assert pickle.loads(pickle.dumps(tasks)) == tasks
+    assert pickle.loads(pickle.dumps(fn)) is fn
+
+
+@pytest.mark.parametrize("check", sorted(ENSEMBLE_CHECKS))
+def test_chunk_work_counts(check, monkeypatch):
+    """Each chunk returns its path-steps, count x substeps, and the normals
+    it drew, as a counting wrapper on its module's normal_block sees them;
+    sum_stats adds both up.  4-step windows make several draws a tile."""
+    fn, tasks = _chunk_calls(check, monkeypatch)
+    substeps = ENSEMBLE_CHECKS[check][2]
+    module = sys.modules[fn.__module__]
+    monkeypatch.setattr(sampler, "STEP_BLOCK", 4)
+    drawn = []
+    draw = module.normal_block
+
+    def counting(*args):
+        out = draw(*args)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(module, "normal_block", counting)
+    parts = []
+    for task in tasks:
+        drawn.clear()
+        parts.append(fn(task))
+        assert len(drawn) >= 3
+        assert parts[-1]["path_steps"] == task["count"] * substeps
+        assert parts[-1]["draws"] == sum(drawn) == task["count"] * substeps
+    total = sampler.sum_stats(parts)
+    assert total["draws"] == total["path_steps"] == 30 * len(tasks) * substeps
+
+
+HUGE_HORIZON = {"kappa": 4.0, "points": [0.0, 1.0], "t_final": 1e9,
+                "dt": 1.0, "n_paths": 1, "n_workers": 1}
+
+
+@pytest.mark.parametrize("fields", [
+    {"check": "martingale"},
+    {"check": "crossvar", "gamma": 2.0, "bulk_points": [[1.0, 2.0],
+                                                        [-1.0, 2.0]]},
+], ids=["martingale", "crossvar"])
+def test_huge_horizon_allocates_no_array_of_it(fields, tmp_path):
+    """10^9 substeps under a 1.5 GB address-space limit: a check that
+    built every substep size (8 GB) failed to allocate within a second;
+    one that builds a window's sizes at a time is still running after 2 s."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(dict(HUGE_HORIZON, **fields,
+                                      out_path=str(tmp_path / "r"))))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # one BLAS thread: per-thread buffers must not eat the address space
+    env = dict(os.environ, SLELAB_WORKERS="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   src, os.environ.get("PYTHONPATH")))))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000,) * 2)
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slelab.cli", "check", str(config)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=limit)
+    try:
+        time.sleep(2.0)
+        running = proc.poll() is None
+    finally:
+        proc.kill()
+        _, err = proc.communicate()
+    assert running, err.decode()

@@ -52,7 +52,7 @@ def test_step_windows_split_evenly(n_steps, block):
     a remainder would be, none longer than a block, and their lengths
     differ by at most one step."""
     with mock.patch.object(sampler, "STEP_BLOCK", block):
-        windows = sampler.step_windows(n_steps)
+        windows = list(sampler.step_windows(n_steps))
     assert len(windows) == -(-n_steps // block)
     bounds = [0] + [b for _, b in windows]
     assert windows == list(zip(bounds, bounds[1:]))
@@ -77,13 +77,13 @@ def test_step_block_does_not_change_rows(check, knob, monkeypatch):
 def _ensemble_task(n_steps: int, dt: float) -> dict:
     return {"spec": SPEC_BACK, "points": (0.0, 1.0), "slot": 0,
             "T": n_steps * dt, "dt": dt, "seed": 0, "drifted": True,
-            "log_bound": math.log(10.0), "observable": None,
+            "log_bound": math.log(10.0), "j": None,
             "first_path": 0, "count": 2000}
 
 
 def _coupling_task(n_steps: int, dt: float) -> dict:
     return {"cspec": CS_BACK, "cfg": CFG2, "i": 0, "bulk": (1 + 2j, -1 + 2j),
-            "deltas": sampler.step_sizes(n_steps * dt, dt), "seed": 0,
+            "T": n_steps * dt, "dt": dt, "seed": 0,
             "first_path": 0, "count": 2000}
 
 

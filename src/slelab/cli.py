@@ -6,9 +6,10 @@ product, writes one report per cell plus a summary CSV.
 
 Reports are byte-identical across reruns of the same (config, seed): no
 timestamps, floats written with repr, JSON keys sorted.  Exit codes:
-0 all rows pass, 1 some row failed, 2 any core.ConfigError (an unknown or
-invalid field, duplicate points, a squared gap that overflows), 3 any
-core.NumericalFailure (a blowup, excess swallowing, weight collapse).
+0 all rows pass, 1 some row failed, 2 any core.ConfigError (a field
+outside the check's list in CHECKS, an invalid value, duplicate points, a
+squared gap that overflows), 3 any core.NumericalFailure (a blowup,
+excess swallowing, weight collapse).  Either prints one stderr line.
 
 Indices (i_index, j_index) are 0-based.  bound_n is a multiple of the
 initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
@@ -64,7 +65,6 @@ from .partition import (
     PartitionSpec,
     bpz_residual,
     kz_residual,
-    z_value,
 )
 from .sampler import (
     check_horizon,
@@ -158,7 +158,7 @@ _READERS: dict[str, Callable] = {
     "mode": _mode, "points": _points, "bulk_points": _bulk_points,
     **dict.fromkeys(("kappa", "t_final", "dt", "eps_tilde", "c", "bound_n",
                      "fd_step"), _positive),
-    **dict.fromkeys(("gamma", "chi"), _real),
+    "gamma": _real,
     **dict.fromkeys(("n_paths", "n_workers"), _count),
     **dict.fromkeys(("seed", "i_index", "j_index"), _integer),
 }
@@ -238,20 +238,11 @@ def _ensemble(config: dict) -> tuple[float, float, int, int]:
     return t_final, dt, _get(config, "n_paths"), _get(config, "seed", 0)
 
 
-def _bound(config: dict, spec: PartitionSpec, cfg: PointConfig) -> Optional[float]:
-    """bound_n times the initial weight, or None for the check's default."""
-    bound_mult = _get(config, "bound_n", None)
-    return None if bound_mult is None else bound_mult * z_value(spec, cfg)
-
-
 def _coupling(config: dict):
     """(PointConfig, CouplingSpec) of a coupling check, with the spec
     checked against the coupling theorems."""
     spec, cfg = _flow(config, "coupling")
-    gamma = _get(config, "gamma", None)
-    if spec.mode == BACKWARD and gamma is None:
-        raise ConfigError("backward coupling checks need field 'gamma'")
-    cspec = make_coupling_spec(spec, gamma=gamma, chi=_get(config, "chi", None))
+    cspec = make_coupling_spec(spec, gamma=_get(config, "gamma", None))
     cspec.require_coupled()
     return cfg, cspec
 
@@ -363,7 +354,7 @@ def _run_martingale(config: dict, workers: int) -> List[McReport]:
     i = _index(config, "i_index", len(cfg), 0)
     t_final, dt, n_paths, seed = _ensemble(config)
     return [martingale_check(spec, cfg, i, t_final, dt, n_paths,
-                             bound_n=_bound(config, spec, cfg), seed=seed,
+                             bound_n=_get(config, "bound_n", 10.0), seed=seed,
                              n_workers=workers)]
 
 
@@ -372,14 +363,17 @@ def _run_girsanov(config: dict, workers: int) -> List[McReport]:
     i, j = _pair(config, len(cfg), defaults=(0, None))
     t_final, dt, n_paths, seed = _ensemble(config)
     return [girsanov_check(spec, cfg, i, j, t_final, dt, n_paths,
-                           bound_n=_bound(config, spec, cfg), seed=seed,
+                           bound_n=_get(config, "bound_n", 10.0), seed=seed,
                            n_workers=workers)]
 
 
 def _run_inverse(config: dict, workers: int) -> List[McReport]:
     kappa = _get(config, "kappa")
     t_final, dt, n_paths, seed = _ensemble(config)
-    z0 = _get(config, "bulk_points", [2j])[0]
+    z0, *rest = _get(config, "bulk_points", [2j])
+    if rest:
+        raise ConfigError("inverse check takes one bulk point, got "
+                          f"{len(rest) + 1}")
     return inverse_law_check(kappa, z0, t_final, dt, n_paths, seed=seed,
                              n_workers=workers)
 
@@ -418,19 +412,31 @@ def _run_crossvar(config: dict, workers: int) -> List[McReport]:
     return rows
 
 
-CHECKS: dict[str, Callable[[dict, int], List[McReport]]] = {
-    "zip": _run_zip,
-    "hcap": _run_hcap,
-    "bpz": _residual_check(bpz_residual, "bpz", 1e-5),
-    "kz": _residual_check(kz_residual, "kz", 1e-7),
-    "commutator": _run_commutator,
-    "schemes": _run_schemes,
-    "martingale": _run_martingale,
-    "girsanov": _run_girsanov,
-    "inverse": _run_inverse,
-    "coupling_pde": _run_coupling_pde,
-    "coupling_mc": _run_coupling_mc,
-    "crossvar": _run_crossvar,
+# Each check's runner and the fields it reads; a config may also carry
+# "check", "out_path", "seed" (echoed in the report header) and "n_workers"
+_FLOW = ("mode", "kappa", "points")
+_RESIDUAL = (*_FLOW, "i_index", "fd_step")
+_TIMES = ("t_final", "dt")
+_ENSEMBLE = (*_TIMES, "n_paths")
+_COUPLING = (*_FLOW, "gamma", "bulk_points", "i_index")
+_UNIVERSAL = ("check", "out_path", "seed", "n_workers")
+CHECKS: dict[str, tuple[Callable[[dict, int], List[McReport]],
+                        tuple[str, ...]]] = {
+    "zip": (_run_zip, ("mode", *_TIMES, "bulk_points")),
+    "hcap": (_run_hcap, ("mode", "kappa", *_TIMES)),
+    "bpz": (_residual_check(bpz_residual, "bpz", 1e-5), _RESIDUAL),
+    "kz": (_residual_check(kz_residual, "kz", 1e-7), _RESIDUAL),
+    "commutator": (_run_commutator, (*_RESIDUAL, "j_index")),
+    "schemes": (_run_schemes, (*_FLOW, "i_index", "j_index", "eps_tilde",
+                               "c", "dt", "n_paths")),
+    "martingale": (_run_martingale, (*_FLOW, "i_index", "bound_n",
+                                     *_ENSEMBLE)),
+    "girsanov": (_run_girsanov, (*_FLOW, "i_index", "j_index", "bound_n",
+                                 *_ENSEMBLE)),
+    "inverse": (_run_inverse, ("kappa", "bulk_points", *_ENSEMBLE)),
+    "coupling_pde": (_run_coupling_pde, (*_COUPLING, "fd_step")),
+    "coupling_mc": (_run_coupling_mc, (*_COUPLING, *_ENSEMBLE)),
+    "crossvar": (_run_crossvar, (*_COUPLING, *_ENSEMBLE)),
 }
 
 
@@ -517,16 +523,16 @@ def _load_config(path: str) -> dict:
 
 
 def _check_name(config: dict) -> str:
-    """The config's check; a field no reader knows (a typo) is refused."""
+    """The config's check; a field the check does not read is refused."""
     if "check" not in config:
         raise ConfigError("missing required field 'check'")
     check = config["check"]
     if not isinstance(check, str) or check not in CHECKS:
         raise ConfigError(
             f"field 'check' must be one of {sorted(CHECKS)}, got {check!r}")
-    unknown = sorted(set(config) - set(_READERS) - {"check", "out_path"})
+    unknown = sorted(set(config) - set(CHECKS[check][1]) - set(_UNIVERSAL))
     if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r}")
+        raise ConfigError(f"unknown field {unknown[0]!r} for check {check!r}")
     return check
 
 
@@ -534,7 +540,7 @@ def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
     """Run the config's check, write its report and print its summary."""
     check = _check_name(config)
     workers = resolve_workers(config)
-    rows = CHECKS[check](config, workers)
+    rows = CHECKS[check][0](config, workers)
     base = _out_base(config, check, out_dir)
     write_report(base, check, config, rows)
     n_pass = sum(1 for r in rows if r.passed)

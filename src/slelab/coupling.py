@@ -4,7 +4,7 @@ A harmonic observable is attached to every bulk point z: the field value
 u at the flowed point plus a curvature term built from the map derivative,
 
     backward:  h_t(z) = u(f_t(z); x_1..x_N with W_t in slot i) + Q log|f'_t(z)|
-    forward:   h_t(z) = u(g_t(z); ...)                         - chi arg g'_t(z)
+    forward:   h_t(z) = u(g_t(z); ...)                         - K arg g'_t(z)
 
 where u is the real (backward) or imaginary (forward) part of the
 holomorphic sum  -(2/sqrt(kappa)) sum_k eps_k log(z - x_k).  Under the
@@ -16,8 +16,10 @@ via finite differences.
 
 Sign conventions are load bearing: the backward coupling needs every
 eps_k = -1 and sqrt(kappa) in {gamma, 4/gamma}; the forward one needs
-eps_k = +1 with chi = 2/sqrt(kappa) - sqrt(kappa)/2 for kappa < 4 and
-the mirrored pair for kappa > 4.  Controls flip a sign and must fail.
+eps_k = +1 with K = forward_chi(kappa) = 2/sqrt(kappa) - sqrt(kappa)/2 for
+kappa < 4 and the mirrored pair for kappa > 4.  Both constants are fixed
+by the flow (and gamma), so no spec can set another.  Controls flip a sign
+and must fail.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ def check_backward_relation(kappa: float, gamma: float) -> None:
 @dataclasses.dataclass(frozen=True)
 class CouplingSpec:
     """A coupled flow: the flow's PartitionSpec plus the field side
-    (gamma, signs, chi, and which part of the holomorphic sum is the
-    field).  The charge Q is a function of gamma, so chi is the one
-    curvature constant a control may set.
+    (gamma, signs, and which part of the holomorphic sum is the field).
+    The curvature constant is computed here: the charge Q(gamma) backward,
+    forward_chi(kappa) forward.
 
     epsilon_signs are stored as given (controls deliberately set wrong
     signs); the canonical values are enforced only by the checks that
@@ -119,7 +121,7 @@ class CouplingSpec:
     pspec: PartitionSpec
     gamma: Optional[float]
     epsilon_signs: Tuple[int, ...]
-    chi: Optional[float] = None
+    curvature_constant: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.epsilon_signs) != self.pspec.n_points:
@@ -130,8 +132,9 @@ class CouplingSpec:
             q_charge(self.gamma)     # refuses a nonpositive gamma
         elif self.mode == BACKWARD:
             raise ConfigError("backward coupling needs gamma")
-        if self.mode == FORWARD and self.chi is None:
-            raise ValueError("forward coupling needs chi")
+        object.__setattr__(self, "curvature_constant",
+                           self.q_charge if self.mode == BACKWARD
+                           else forward_chi(self.kappa))
 
     @property
     def mode(self) -> str:
@@ -146,21 +149,10 @@ class CouplingSpec:
         """2/gamma + gamma/2, or None without gamma."""
         return None if self.gamma is None else q_charge(self.gamma)
 
-    @property
-    def curvature_constant(self) -> float:
-        return self.q_charge if self.mode == BACKWARD else self.chi
-
     def require_coupled(self) -> None:
         """Reject parameter combinations outside the coupling theorems."""
         if self.mode == BACKWARD:
             check_backward_relation(self.kappa, self.gamma)
-        else:
-            want = forward_chi(self.kappa)
-            if abs(self.chi - want) > _RELATION_TOL:
-                raise ConfigError(
-                    f"chi {self.chi} does not match kappa={self.kappa} "
-                    f"(expected {want})"
-                )
         canonical = default_epsilon_signs(self.mode, self.kappa,
                                           self.pspec.n_points)
         if tuple(self.epsilon_signs) != canonical:
@@ -173,17 +165,13 @@ class CouplingSpec:
 def make_coupling_spec(
     pspec: PartitionSpec,
     gamma: Optional[float] = None,
-    chi: Optional[float] = None,
     epsilon_signs: Optional[Sequence[int]] = None,
 ) -> CouplingSpec:
-    """The coupling of the flow `pspec`: the backward one needs gamma, the
-    forward one takes chi from kappa unless it is given."""
+    """The coupling of the flow `pspec`; the backward one needs gamma."""
     if epsilon_signs is None:
         epsilon_signs = default_epsilon_signs(pspec.mode, pspec.kappa,
                                               pspec.n_points)
-    if pspec.mode == FORWARD and chi is None:
-        chi = forward_chi(pspec.kappa)
-    return CouplingSpec(pspec, gamma, tuple(epsilon_signs), chi)
+    return CouplingSpec(pspec, gamma, tuple(epsilon_signs))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +256,7 @@ def coupling_pde_residual(
     partition.bpz_operator's D_i X plus two bulk terms,
 
     backward: D_i X - (2/(z-x_i)) X_z + 2 Q Z/(z-x_i)^2 = 0
-    forward:  D_i X + (2/(z-x_i)) X_z + 2 chi Z/(z-x_i)^2 = 0
+    forward:  D_i X + (2/(z-x_i)) X_z + 2 K Z/(z-x_i)^2 = 0
     """
     require_points(cspec.pspec, cfg)
     validate_config(cfg.points)
@@ -350,7 +338,7 @@ def _field_values(
                 else:
                     h -= part
         h *= scale
-        # plus Q log|db| backward, minus chi arg db forward
+        # plus Q log|db| backward, minus K arg db forward
         if mode == BACKWARD:
             curv = np.abs(db[:, m])
             np.log(curv, out=curv)

@@ -11,8 +11,8 @@ Weight process along a path, in log space:
 with the running configuration holding W_t in the driving slot.  M_0 is
 Z(initial configuration) because all derivatives start at 1.  Paths stop at
 the first substep boundary (after at least one completed substep) where
-|M| exceeds bound_n, or when a companion is swallowed; stopped paths stay
-frozen and are retained in Monte Carlo averages.
+|M| exceeds bound_n * M_0, or when a companion is swallowed; stopped paths
+stay frozen and are retained in Monte Carlo averages.
 
 All indices are 0-based.  Paths are chunked for the sums and optional
 process-level parallelism.  Inside a chunk the kernels run one path tile
@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -310,9 +311,11 @@ def sum_stats(parts: list[dict]) -> dict:
 
 
 def map_chunks(fn: Callable, tasks: Sequence, n_workers: int = 1) -> list:
-    """Run chunk tasks sequentially or on a process pool; aggregation by the
-    caller must be associative so the worker count never changes results."""
-    if n_workers <= 1 or len(tasks) <= 1:
+    """Run chunk tasks sequentially or on a pool of at most one process
+    per task and per CPU; aggregation by the caller must be associative so
+    the worker count never changes results."""
+    n_workers = min(n_workers, len(tasks), os.cpu_count() or 1)
+    if n_workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
         return list(ex.map(fn, tasks))
@@ -367,13 +370,14 @@ def _ensemble_chunk(task: dict) -> dict:
 
 def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
                     first_path, drifted, j) -> list[dict]:
-    if bound_n is not None and not bound_n > 0:
-        raise ConfigError(f"stopping bound {bound_n!r} is not positive "
+    """Chunk tasks of one arm; bound_n is a multiple of M_0 = Z(initial)."""
+    bound = bound_n * z_value(spec, cfg)
+    if not bound > 0:
+        raise ConfigError(f"stopping bound {bound!r} is not positive "
                           "(a multiple of a Z that underflows is 0)")
     task = {
         "spec": spec, "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
-        "seed": seed, "drifted": drifted,
-        "log_bound": None if bound_n is None else math.log(bound_n), "j": j,
+        "seed": seed, "drifted": drifted, "log_bound": math.log(bound), "j": j,
     }
     return chunked(task, n_paths, first_path)
 
@@ -385,7 +389,7 @@ def martingale_check(
     T: float,
     dt: float,
     n_paths: int,
-    bound_n: float | None = None,
+    bound_n: float = 10.0,
     seed: int = 0,
     n_workers: int = 1,
 ) -> McReport:
@@ -393,8 +397,6 @@ def martingale_check(
     weight whose finite log underflows exp to 0 raises NumericalFailure."""
     require_points(spec, cfg)
     require_gaps(cfg, i)
-    if bound_n is None:
-        bound_n = 10.0 * z_value(spec, cfg)
     tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed, 0,
                             drifted=False, j=None)
     st = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
@@ -418,7 +420,7 @@ def girsanov_check(
     T: float,
     dt: float,
     n_paths: int,
-    bound_n: float | None = None,
+    bound_n: float = 10.0,
     seed: int = 0,
     n_workers: int = 1,
 ) -> McReport:
@@ -437,8 +439,6 @@ def girsanov_check(
         j = 0 if i != 0 else 1
     if j == i or not 0 <= j < len(cfg):
         raise IndexError(f"companion index {j} invalid for driver {i}")
-    if bound_n is None:
-        bound_n = 10.0 * z_value(spec, cfg)
     base_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
                                  seed, 0, drifted=False, j=j)
     drift_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab.cli import _READERS, main, resolve_workers
+from slelab import cli, sampler
+from slelab.cli import _READERS, CHECKS, main, resolve_workers
+from slelab.core import validate_config
+from slelab.partition import PartitionSpec, z_value
+from slelab.sampler import girsanov_check, map_chunks, martingale_check
 
 CSV_COLUMNS = ["check", "name", "estimate", "std_error", "reference",
                "tolerance", "n_samples", "pass"]
@@ -96,9 +100,9 @@ def test_check_epsilon_too_large_exit_two(tmp_path):
 
 def test_check_numerical_failure_exit_three(tmp_path):
     # forward zip sweeps the tracked point into the hull
-    cfg = write_config(tmp_path, check="zip", mode="forward", kappa=4.0,
-                       points=[0.0, 1.0], t_final=1.0, dt=1e-3,
-                       bulk_points=[[0.0, 0.05]], out_path=str(tmp_path / "r"))
+    cfg = write_config(tmp_path, check="zip", mode="forward", t_final=1.0,
+                       dt=1e-3, bulk_points=[[0.0, 0.05]],
+                       out_path=str(tmp_path / "r"))
     assert main(["check", cfg]) == 3
 
 
@@ -187,6 +191,16 @@ def test_inverse_ragged_grid_exit_two(tmp_path, capsys):
                        dt=0.03, n_paths=10, out_path=str(tmp_path / "r"))
     assert main(["check", cfg]) == 2
     assert "multiple of dt" in _config_error_line(capsys)
+
+
+def test_inverse_refuses_more_than_one_bulk_point(tmp_path, capsys):
+    # the check tracks one start point z0; a second one used to be dropped
+    cfg = write_config(tmp_path, check="inverse", kappa=4.0,
+                       bulk_points=[[0.0, 2.0], [1.0, 1.0]], n_paths=10,
+                       out_path=str(tmp_path / "r"), **SHORT)
+    assert main(["check", cfg]) == 2
+    assert "one bulk point, got 2" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_crossvar_coincident_bulk_points_exit_two(tmp_path, capsys):
@@ -344,6 +358,63 @@ def test_resolve_workers_precedence(monkeypatch):
     assert resolve_workers({"n_workers": 3}) == 3
     monkeypatch.setenv("SLELAB_WORKERS", "5")
     assert resolve_workers({"n_workers": 3}) == 5
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the process count it is
+    asked for and runs the tasks in this process."""
+
+    def __init__(self, asked, max_workers):
+        asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool map_chunks starts; none is started."""
+    asked = []
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(asked, max_workers))
+    return asked
+
+
+def test_map_chunks_starts_one_process_per_task_and_cpu(monkeypatch,
+                                                         pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert map_chunks(abs, [1, -2, 3], n_workers=100_000) == [1, 2, 3]
+    assert map_chunks(abs, [-1] * 10, n_workers=100_000) == [1] * 10
+    assert map_chunks(abs, [1, -2, 3], n_workers=2) == [1, 2, 3]
+    assert pool_sizes == [3, 4, 2]
+    # one worker, one task or one CPU run in this process
+    assert map_chunks(abs, [-1, -2], n_workers=1) == [1, 2]
+    assert map_chunks(abs, [-1], n_workers=100_000) == [1]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert map_chunks(abs, [-1, -2], n_workers=100_000) == [1, 2]
+    assert pool_sizes == [3, 4, 2]
+
+
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_cli_worker_count_is_capped_by_tasks(tmp_path, monkeypatch,
+                                             pool_sizes, source):
+    # 20001 paths make two chunk tasks, so at most two processes start
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    fields = dict(check="martingale", kappa=4.0, points=[0.0, 1.0],
+                  n_paths=20_001, out_path=str(tmp_path / "r"), **SHORT)
+    if source == "env":
+        monkeypatch.setenv("SLELAB_WORKERS", "100000")
+    else:
+        monkeypatch.delenv("SLELAB_WORKERS", raising=False)
+        fields["n_workers"] = 100_000
+    assert main(["check", write_config(tmp_path, **fields)]) == 0
+    assert pool_sizes == [2]
 
 
 def test_sweep_cells_and_summary(tmp_path):
@@ -548,7 +619,6 @@ FIELDS = {
     "eps_tilde": ([0.005, 0.01, 0.01, 0.3, 1e-12], BAD_NUMBER),
     "c": ([1.0, 2.0, 2.0, 1e-300], BAD_NUMBER),
     "gamma": ([2.0, 2.0, 1.0, 1.3], BAD_NUMBER),
-    "chi": ([0.5], BAD_NUMBER),
     "fd_step": ([1e-4, 1e-3, 0.5, 1e-300], BAD_NUMBER),
     "bulk_points": ([[[0.5, 1.0]], [[1.0, 2.0], [-1.0, 2.0]],
                      [[1.0, 2.0], [-1.0, 2.0]], [[0.0, 1e-300]],
@@ -556,29 +626,122 @@ FIELDS = {
                     [MISSING, [], "x", [[1.0]], [[NAN, 1.0]], [1.0, 2.0],
                      [[0.5, 0.0]], [[0.5, -1.0]], [[True, 1.0]]]),
 }
-ENSEMBLE = ("t_final", "dt", "n_paths", "seed")
-COUPLING = ("mode", "kappa", "gamma", "chi", "points", "bulk_points")
-CHECK_FIELDS = {
-    "zip": ("mode", "t_final", "dt", "bulk_points"),
-    "hcap": ("mode", "kappa", "t_final", "dt", "seed"),
-    "bpz": ("mode", "kappa", "points", "i_index", "fd_step"),
-    "kz": ("mode", "kappa", "points", "i_index", "fd_step"),
-    "commutator": ("mode", "kappa", "points", "i_index", "j_index", "fd_step"),
-    "schemes": ("mode", "kappa", "points", "i_index", "j_index", "eps_tilde",
-                "c", "dt", "n_paths", "seed"),
-    "martingale": ("mode", "kappa", "points", "i_index", "bound_n", *ENSEMBLE),
-    "girsanov": ("mode", "kappa", "points", "i_index", "j_index", "bound_n",
-                 *ENSEMBLE),
-    "inverse": ("kappa", "bulk_points", *ENSEMBLE),
-    "coupling_pde": (*COUPLING, "i_index", "fd_step"),
-    "coupling_mc": (*COUPLING, "i_index", *ENSEMBLE),
-    "crossvar": (*COUPLING, "i_index", *ENSEMBLE),
-}
 
 
 def test_fuzz_covers_every_config_field():
     # the fuzz run sets n_workers itself
     assert set(FIELDS) == set(_READERS) - {"n_workers"}
+    assert set(FIELDS) == {"seed"}.union(*(f for _, f in CHECKS.values()))
+
+
+# ---------------------------------------------------------------------------
+# Each check accepts the fields of its list in CHECKS, plus "check",
+# "out_path", "seed" and "n_workers"; any other field exits 2.
+
+TINY_RUN = dict(t_final=0.005, dt=1e-3, n_paths=10)
+VALID = {
+    "zip": dict(mode="backward", t_final=0.01, dt=1e-3),
+    "hcap": dict(kappa=4.0, t_final=0.01, dt=1e-3),
+    "bpz": dict(kappa=4.0, points=[0.0, 1.0]),
+    "kz": dict(kappa=4.0, points=[0.0, 1.0]),
+    "commutator": dict(kappa=4.0, points=[0.0, 1.0], i_index=0, j_index=1),
+    "schemes": dict(kappa=4.0, points=[0.0, 1.0], i_index=0, j_index=1,
+                    eps_tilde=0.01, c=2.0, dt=1e-3, n_paths=10),
+    "martingale": dict(kappa=4.0, points=[0.0, 1.0], bound_n=5.0,
+                       **TINY_RUN),
+    "girsanov": dict(kappa=4.0, points=[0.0, 1.0], **TINY_RUN),
+    "inverse": dict(kappa=4.0, bulk_points=[[0.0, 2.0]], **TINY_RUN),
+    "coupling_pde": dict(kappa=4.0, gamma=2.0, points=[0.0, 1.0],
+                         bulk_points=[[0.5, 1.0]]),
+    "coupling_mc": dict(kappa=4.0, gamma=2.0, points=[0.0, 1.0],
+                        bulk_points=[[0.5, 1.0]], **TINY_RUN),
+    "crossvar": dict(kappa=4.0, gamma=2.0, points=[0.0, 1.0],
+                     bulk_points=[[1.0, 2.0], [-1.0, 2.0]], **TINY_RUN),
+}
+
+
+def _run_with(tmp_path, check, **extra) -> int:
+    cfg = write_config(tmp_path, check=check, seed=1, n_workers=1,
+                       out_path=str(tmp_path / "r"), **VALID[check], **extra)
+    return main(["check", cfg])
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_config_of_check_fields_runs(tmp_path, check):
+    assert set(VALID[check]) <= set(CHECKS[check][1])
+    assert _run_with(tmp_path, check) in (0, 1)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_check_reads_exactly_its_fields(tmp_path, monkeypatch, check):
+    # a field the runner reads but the list lacks could never be set
+    read = set()
+
+    def recording_get(config, field, *default):
+        read.add(field)
+        return get(config, field, *default)
+
+    get = cli._get
+    monkeypatch.setattr(cli, "_get", recording_get)
+    assert _run_with(tmp_path, check) in (0, 1)
+    assert read - {"seed", "n_workers"} == set(CHECKS[check][1])
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_field_of_another_check_exit_two(tmp_path, capsys, check):
+    every = set().union(*(fields for _, fields in CHECKS.values()))
+    foreign = sorted(every - set(CHECKS[check][1]))
+    assert foreign
+    for field in foreign:
+        assert _run_with(tmp_path, check, **{field: FIELDS[field][0][0]}) == 2
+        assert f"unknown field {field!r}" in _config_error_line(capsys)
+        assert not (tmp_path / "r.csv").exists()
+
+
+# a foreign field used to pass with any value: zip never read kappa, and
+# inverse ran backward whatever mode said
+@pytest.mark.parametrize("check, field, value", [
+    ("zip", "kappa", -1), ("inverse", "mode", "forward"),
+    ("kz", "n_paths", 0), ("hcap", "points", [0.0, 0.0])])
+def test_foreign_field_with_any_value_exit_two(tmp_path, capsys, check,
+                                               field, value):
+    assert _run_with(tmp_path, check, **{field: value}) == 2
+    assert f"unknown field {field!r}" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_chi_is_no_field(tmp_path, capsys, check):
+    # the coupling fixes the forward curvature from kappa alone
+    assert _run_with(tmp_path, check, chi=0.5) == 2
+    assert "unknown field 'chi'" in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("check", ["martingale", "girsanov"])
+def test_bound_n_is_a_multiple_of_z_in_cli_and_library(tmp_path, check):
+    # at points (0, 2) Z is 2^-1/2, so a multiple and an absolute bound differ
+    spec, cfg = PartitionSpec("backward", 4.0, 2), validate_config([0.0, 2.0])
+    z = z_value(spec, cfg)
+    assert z != 1.0
+    run = dict(t_final=0.05, dt=1e-3, n_paths=400)
+    path = write_config(tmp_path, check=check, kappa=4.0, points=[0.0, 2.0],
+                        i_index=0, bound_n=1.1, seed=3,
+                        out_path=str(tmp_path / "r"), **run)
+    assert main(["check", path]) in (0, 1)
+    (row,) = read_rows(str(tmp_path / "r"))
+
+    def library(bound_n, t_final=run["t_final"]):
+        fn, j = ((girsanov_check, (None,)) if check == "girsanov"
+                 else (martingale_check, ()))
+        rep = fn(spec, cfg, 0, *j, t_final, run["dt"], run["n_paths"],
+                 bound_n=bound_n, seed=3)
+        return [repr(float(v)) for v in
+                (rep.estimate, rep.std_error, rep.reference)]
+
+    assert [row["estimate"], row["std_error"], row["reference"]] \
+        == library(1.1) != library(1.1 / z)
+    # 0.9 M_0 stops every path after one step; an absolute 0.9 would not,
+    # since M_0 = Z < 0.9
+    assert library(0.9) == library(0.9, t_final=run["dt"]) != library(0.9 / z)
 
 
 # misspelled field names; about one fuzzed config in ten gets one
@@ -595,7 +758,7 @@ def _field_value(field):
 @st.composite
 def _configs(draw, check):
     config = {"check": check}
-    for field in CHECK_FIELDS[check]:
+    for field in (*CHECKS[check][1], "seed"):
         value = draw(_field_value(field))
         if value is not MISSING:
             config[field] = value
@@ -605,7 +768,7 @@ def _configs(draw, check):
     return config
 
 
-@pytest.mark.parametrize("check", sorted(CHECK_FIELDS))
+@pytest.mark.parametrize("check", sorted(CHECKS))
 def test_fuzzed_config_exits_with_a_documented_code(check):
     @settings(max_examples=40, deadline=None)
     @given(config=_configs(check))

@@ -107,6 +107,18 @@ def test_q_charge_follows_gamma():
         dataclasses.replace(CS_BACK, gamma=-2.0)
 
 
+def test_forward_curvature_follows_kappa():
+    """The forward curvature constant is forward_chi(kappa), set when the
+    spec is built; no argument or field can give it another value."""
+    assert CS_FWD.curvature_constant == forward_chi(2.0)
+    six = dataclasses.replace(CS_FWD, pspec=PartitionSpec("forward", 6.0, 2))
+    assert six.curvature_constant == forward_chi(6.0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(CS_FWD, curvature_constant=0.5)
+    with pytest.raises(ConfigError, match="degenerate at kappa = 4"):
+        make_coupling_spec(PartitionSpec("forward", 4.0, 2))
+
+
 def test_boundary_u_backward_examples():
     np.testing.assert_allclose(boundary_u("backward", 2j, [0.0], 4.0, (-1,)),
                                np.log(2.0), rtol=1e-14)

@@ -128,10 +128,13 @@ class CouplingSpec:
             raise ValueError("need one epsilon sign per boundary point")
         if any(abs(e) != 1 for e in self.epsilon_signs):
             raise ValueError("epsilon signs must be +1 or -1")
-        if self.gamma is not None:
+        if self.mode == BACKWARD:
+            if self.gamma is None:
+                raise ConfigError("backward coupling needs gamma")
             q_charge(self.gamma)     # refuses a nonpositive gamma
-        elif self.mode == BACKWARD:
-            raise ConfigError("backward coupling needs gamma")
+        elif self.gamma is not None:
+            raise ConfigError("forward coupling takes no gamma: kappa alone "
+                              "fixes its signs and curvature")
         object.__setattr__(self, "curvature_constant",
                            self.q_charge if self.mode == BACKWARD
                            else forward_chi(self.kappa))
@@ -167,7 +170,8 @@ def make_coupling_spec(
     gamma: Optional[float] = None,
     epsilon_signs: Optional[Sequence[int]] = None,
 ) -> CouplingSpec:
-    """The coupling of the flow `pspec`; the backward one needs gamma."""
+    """The coupling of the flow `pspec`; the backward one needs gamma and
+    the forward one refuses it."""
     if epsilon_signs is None:
         epsilon_signs = default_epsilon_signs(pspec.mode, pspec.kappa,
                                               pspec.n_points)

@@ -259,6 +259,16 @@ def test_coupling_nonpositive_gamma_exit_two(tmp_path, capsys, gamma):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_forward_coupling_gamma_exit_two(tmp_path, capsys):
+    # kappa alone fixes the forward coupling; a gamma would be ignored
+    cfg = write_config(tmp_path, check="coupling_pde", mode="forward",
+                       kappa=2.0, gamma=123.0, points=[0.0, 1.0],
+                       bulk_points=[[0.5, 1.0]], out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "forward coupling takes no gamma" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_schemes_leg_shorter_than_substep_exit_two(tmp_path, capsys):
     # the first leg lasts about 2e-12, far less than one substep of dt
     cfg = write_config(tmp_path, check="schemes", mode="backward", kappa=4.0,
@@ -469,7 +479,7 @@ ESCAPES = {
     "bpz_z_overflows": (2, dict(
         check="bpz", mode="forward", kappa=1e-300, points=[0.0, 2.0])),
     "z_overflows_near_points": (2, dict(
-        check="coupling_pde", mode="forward", kappa=1e-300, gamma=1.3,
+        check="coupling_pde", mode="forward", kappa=1e-300,
         points=[0.0, 1.0], bulk_points=[[0.5, 1.0]])),
     "squared_gap_overflows": (2, dict(
         check="schemes", kappa=2.0, points=[0.0, 1e300], i_index=0,

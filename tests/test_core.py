@@ -1,5 +1,7 @@
 """Tests for configurations, driving paths, and the RNG plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from slelab.core import (
+    _GROUP,
     ConfigError,
     McReport,
     build_driving_path,
@@ -88,6 +91,15 @@ def test_normal_block_chunking_invariance():
 MASK64 = (1 << 64) - 1
 
 
+def _recipe(seed, path, first_step, n_steps):
+    """Steps first_step.. of the stream of `path`, built independently of
+    core from Generator(Philox(key)).integers(0, 2^53)."""
+    key = (seed << 64) | (path & MASK64)
+    k = Generator(Philox(key=key)).integers(
+        0, 2**53, size=first_step + n_steps, dtype=np.uint64)[first_step:]
+    return ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**63 + 7])
 @pytest.mark.parametrize("first_path", [0, 2**64 - 2])
 def test_normal_block_matches_generator_recipe(seed, first_path):
@@ -98,11 +110,64 @@ def test_normal_block_matches_generator_recipe(seed, first_path):
     for n_steps in (1, 3, 4, 5, 37):
         block = normal_block(seed, first_path, 4, n_steps)
         for p in range(4):
-            key = (seed << 64) | ((first_path + p) & MASK64)
-            k = Generator(Philox(key=key)).integers(0, 2**53, size=n_steps,
-                                                    dtype=np.uint64)
-            ref = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
-            np.testing.assert_array_equal(block[p], ref)
+            np.testing.assert_array_equal(
+                block[p], _recipe(seed, first_path + p, 0, n_steps))
+
+
+@pytest.mark.parametrize("first_step", [0, 1, 2, 3, 6])
+def test_normal_block_matches_generator_recipe_across_groups(first_step):
+    """Blocks of several row groups match the recipe row by row, with the
+    path index wrapping past 2^64 inside the second group."""
+    n_paths = 2 * _GROUP + 3
+    first_path = 2**64 - _GROUP - 1
+    block = normal_block(7, first_path, n_paths, 9, first_step)
+    for p in range(n_paths):
+        np.testing.assert_array_equal(
+            block[p], _recipe(7, first_path + p, first_step, 9))
+
+
+# words at the edges of the conversion: k = w >> 11 at 0 and near 2^52 and
+# 2^53, and low bits all clear or all set
+_EDGE_WORDS = [0, 2**11 - 1, 2**11, 2**63, 2**64 - 1] + [
+    k << 11 | low for k in (2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1)
+    for low in (0, 2**11 - 1)]
+
+
+def test_one_pass_uniforms_equal_the_definition():
+    """float((w >> 10) | 1) 2^-54, as normal_block computes the uniform, is
+    (k + 0.5) 2^-53 with k = w >> 11 bit for bit, on raw Philox words and
+    on the edge words."""
+    words = np.concatenate([Philox(key=3).random_raw(10**6),
+                            np.array(_EDGE_WORDS, dtype=np.uint64)])
+    one_pass = ((words >> 10) | 1).astype(np.float64) * 2.0**-54
+    definition = ((words >> 11).astype(np.float64) + 0.5) * 2.0**-53
+    assert one_pass.tobytes() == definition.tobytes()
+
+
+def test_top_word_gives_uniform_one_and_infinite_normal():
+    """The uniform argument lies in (0, 1], not inside (0, 1): k = 2^53 - 1
+    rounds k + 0.5 to 2^53, so u = 1.0 and the normal is +inf (probability
+    2^-53 per draw); the next k down stays below 1."""
+    for w in (2**64 - 1, (2**53 - 1) << 11):
+        u = float((w >> 10) | 1) * 2.0**-54
+        assert u == ((w >> 11) + 0.5) * 2.0**-53 == 1.0
+        assert ndtri(u) == np.inf
+    below = ((2**53 - 2) + 0.5) * 2.0**-53
+    assert below < 1.0 and np.isfinite(ndtri(below))
+
+
+def test_normal_block_holds_at_most_two_groups_of_raw_words():
+    """Beyond its output, a block holds at most two row groups of raw
+    words (a group's rows and their join), each row with 256 bytes for its
+    array object; a whole-block uint64 buffer would add 20 MB here."""
+    n_paths, n_steps = 10_000, 250
+    tracemalloc.start()
+    try:
+        out = normal_block(0, 0, n_paths, n_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * _GROUP * (8 * n_steps + 256)
 
 
 @pytest.mark.parametrize("first_step", [0, 1, 3, 4, 5, 255, 257])

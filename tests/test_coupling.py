@@ -95,6 +95,11 @@ def test_make_coupling_spec_requires_gamma_backward():
         make_coupling_spec(SPEC_BACK)
 
 
+def test_make_coupling_spec_refuses_gamma_forward():
+    with pytest.raises(ConfigError, match="forward coupling takes no gamma"):
+        make_coupling_spec(PartitionSpec("forward", 2.0, 2), gamma=2.0)
+
+
 def test_q_charge_follows_gamma():
     """Q is read from gamma, not stored next to it, so no spec can carry
     a charge that disagrees with its gamma."""

@@ -8,13 +8,13 @@ import numpy as np
 
 from slelab.core import validate_config
 from slelab.coupling import (
+    CouplingSpec,
     boundary_u,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
     green,
     green_increment_check,
-    make_coupling_spec,
     q_charge,
 )
 from slelab.partition import PartitionSpec
@@ -34,19 +34,19 @@ def main():
     print("\ndefining PDE residual at z = 1+2i:")
     back = PartitionSpec("backward", 4.0, 2)
     rows = [
-        ("backward kappa=4 gamma=2", make_coupling_spec(back, gamma=2.0), 0),
+        ("backward kappa=4 gamma=2", CouplingSpec(back, gamma=2.0), 0),
         ("backward kappa=1 gamma=4",
-         make_coupling_spec(PartitionSpec("backward", 1.0, 2), gamma=4.0), 0),
+         CouplingSpec(PartitionSpec("backward", 1.0, 2), gamma=4.0), 0),
         ("forward  kappa=2        ",
-         make_coupling_spec(PartitionSpec("forward", 2.0, 2)), 1),
+         CouplingSpec(PartitionSpec("forward", 2.0, 2)), 1),
     ]
     for label, cspec, i in rows:
         print(f"  {label}  {coupling_pde_residual(cspec, 1 + 2j, cfg, i):.2e}")
-    flipped = make_coupling_spec(back, gamma=2.0, epsilon_signs=(1, 1))
+    flipped = CouplingSpec(back, gamma=2.0, epsilon_signs=(1, 1))
     print(f"  flipped boundary signs    {coupling_pde_residual(flipped, 1 + 2j, cfg, 0):.2f}"
           "  <- control, must be large")
 
-    cspec = make_coupling_spec(back, gamma=2.0)
+    cspec = CouplingSpec(back, gamma=2.0)
     bulk = [1 + 2j, -1 + 2j]
     print("\nh_T(z) - h_0(z) mean under the drifted measure (want 0):")
     for r in coupling_martingale_check(cspec, cfg, 0, bulk, 0.05, 1e-3,

@@ -38,7 +38,8 @@ def capacity_demo():
     path = build_driving_path(4.0, 0.0, inc, dt)
     state = evolve(initial_state("backward", bulk=(1j * R, 2j * R)), path)
     print(f"\nstochastic driving, kappa=4, T={T}:"
-          f" hcap = {extract_hcap(state, R):.8f} (want {2 * T})")
+          f" hcap = {extract_hcap('backward', *state.bulk_values, R):.8f}"
+          f" (want {2 * T})")
 
 
 def inverse_demo():

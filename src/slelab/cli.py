@@ -47,11 +47,11 @@ from .core import (
     validate_config,
 )
 from .coupling import (
+    CouplingSpec,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
     green_increment_check,
-    make_coupling_spec,
 )
 from .loewner import (
     DEFAULT_PROBE_RADIUS,
@@ -198,13 +198,16 @@ def _uniform_steps(t_final: float, dt: float) -> tuple[int, float]:
 
 
 def resolve_workers(config: dict) -> int:
+    """SLELAB_WORKERS, else n_workers, else the CPU count (1 if unknown);
+    n_workers is checked also where the environment overrides it."""
+    n_workers = _get(config, "n_workers", None)
     env = os.environ.get(ENV_WORKERS)
     if env is not None:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"{ENV_WORKERS} must be an integer, got {env!r}")
-    return _get(config, "n_workers", None) or os.cpu_count() or 1
+    return n_workers or os.cpu_count() or 1
 
 
 def _flow(config: dict, check: str, min_points: int = 1):
@@ -242,7 +245,7 @@ def _coupling(config: dict):
     """(PointConfig, CouplingSpec) of a coupling check, with the spec
     checked against the coupling theorems."""
     spec, cfg = _flow(config, "coupling")
-    cspec = make_coupling_spec(spec, gamma=_get(config, "gamma", None))
+    cspec = CouplingSpec(spec, gamma=_get(config, "gamma", None))
     cspec.require_coupled()
     return cfg, cspec
 
@@ -274,7 +277,7 @@ def _evolve_windows(state: ChainState, n: int, dt: float,
         values = np.empty(b - a + 1)
         values[0] = value
         np.cumsum(inc, out=values[1:])
-        state = evolve(state, DrivingPath(dt, b - a, values), first_step=a)
+        state = evolve(state, DrivingPath(dt, values), first_step=a)
         value = values[-1]
         reach = max(reach, float(np.max(np.abs(values))))
     return state, reach
@@ -314,7 +317,7 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
         raise NumericalFailure(f"the driving reaches |W| = {reach:g}, not "
                                f"small against the probe radius {radius:g}")
     return [_exact_row(f"hcap_k{kappa:g}_t{t_final:g}",
-                       extract_hcap(final, probe_radius=radius), 1e-4, n,
+                       extract_hcap(mode, *final.bulk_values, radius), 1e-4, n,
                        reference=2.0 * t_final)]
 
 
@@ -540,6 +543,7 @@ def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
     """Run the config's check, write its report and print its summary."""
     check = _check_name(config)
     workers = resolve_workers(config)
+    _get(config, "seed", 0)     # echoed in the report, read or not
     rows = CHECKS[check][0](config, workers)
     base = _out_base(config, check, out_dir)
     write_report(base, check, config, rows)

@@ -129,14 +129,11 @@ class DrivingPath:
     values[0] the start point."""
 
     dt: float
-    n_steps: int
     values: np.ndarray
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if len(self.values) != self.n_steps + 1:
-            raise ValueError("values must have length n_steps + 1")
 
 
 def build_driving_path(kappa: float, w0: float, increments: np.ndarray,
@@ -144,12 +141,11 @@ def build_driving_path(kappa: float, w0: float, increments: np.ndarray,
     """values[k+1] = values[k] + sqrt(kappa)*increments[k], values[0] = w0,
     from Brownian increments of variance dt each."""
     increments = np.asarray(increments, dtype=float)
-    n = len(increments)
-    values = np.empty(n + 1)
+    values = np.empty(len(increments) + 1)
     values[0] = w0
     np.cumsum(np.sqrt(kappa) * increments, out=values[1:])
     values[1:] += w0
-    return DrivingPath(dt=dt, n_steps=n, values=values)
+    return DrivingPath(dt=dt, values=values)
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,

@@ -89,55 +89,44 @@ def forward_chi(kappa: float) -> float:
     return 2.0 / rk - rk / 2.0 if kappa < 4.0 else rk / 2.0 - 2.0 / rk
 
 
-def default_epsilon_signs(mode: str, kappa: float, n_points: int) -> Tuple[int, ...]:
-    _check_mode(mode)
-    if mode == BACKWARD:
-        return (-1,) * n_points
-    return ((1,) if kappa < 4.0 else (-1,)) * n_points
-
-
-def check_backward_relation(kappa: float, gamma: float) -> None:
-    """sqrt(kappa) must equal gamma or 4/gamma for the backward coupling."""
-    rk = math.sqrt(kappa)
-    if abs(rk - gamma) > _RELATION_TOL and abs(rk - 4.0 / gamma) > _RELATION_TOL:
-        raise ConfigError(
-            f"backward coupling needs sqrt(kappa) = gamma or 4/gamma; "
-            f"got kappa={kappa}, gamma={gamma}"
-        )
-
-
 @dataclasses.dataclass(frozen=True)
 class CouplingSpec:
     """A coupled flow: the flow's PartitionSpec plus the field side
     (gamma, signs, and which part of the holomorphic sum is the field).
     The curvature constant is computed here: the charge Q(gamma) backward,
-    forward_chi(kappa) forward.
+    forward_chi(kappa) forward; the backward coupling needs gamma and the
+    forward one refuses it.
 
-    epsilon_signs are stored as given (controls deliberately set wrong
-    signs); the canonical values are enforced only by the checks that
-    assume them, via `require_coupled`.
+    Without epsilon_signs the coupled ones are filled in: every -1
+    backward; forward every +1 below kappa = 4 and every -1 above.  Signs
+    given are stored as given (controls deliberately set wrong signs); the
+    coupled values are enforced only by the checks that assume them, via
+    `require_coupled`.
     """
 
     pspec: PartitionSpec
-    gamma: Optional[float]
-    epsilon_signs: Tuple[int, ...]
+    gamma: Optional[float] = None
+    epsilon_signs: Optional[Tuple[int, ...]] = None
     curvature_constant: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.epsilon_signs) != self.pspec.n_points:
+        signs = (self._coupled_signs() if self.epsilon_signs is None
+                 else tuple(self.epsilon_signs))
+        object.__setattr__(self, "epsilon_signs", signs)
+        if len(signs) != self.pspec.n_points:
             raise ValueError("need one epsilon sign per boundary point")
-        if any(abs(e) != 1 for e in self.epsilon_signs):
+        if any(abs(e) != 1 for e in signs):
             raise ValueError("epsilon signs must be +1 or -1")
         if self.mode == BACKWARD:
             if self.gamma is None:
                 raise ConfigError("backward coupling needs gamma")
-            q_charge(self.gamma)     # refuses a nonpositive gamma
+            curvature = q_charge(self.gamma)     # refuses a nonpositive gamma
         elif self.gamma is not None:
             raise ConfigError("forward coupling takes no gamma: kappa alone "
                               "fixes its signs and curvature")
-        object.__setattr__(self, "curvature_constant",
-                           self.q_charge if self.mode == BACKWARD
-                           else forward_chi(self.kappa))
+        else:
+            curvature = forward_chi(self.kappa)
+        object.__setattr__(self, "curvature_constant", curvature)
 
     @property
     def mode(self) -> str:
@@ -147,35 +136,27 @@ class CouplingSpec:
     def kappa(self) -> float:
         return self.pspec.kappa
 
-    @property
-    def q_charge(self) -> Optional[float]:
-        """2/gamma + gamma/2, or None without gamma."""
-        return None if self.gamma is None else q_charge(self.gamma)
+    def _coupled_signs(self) -> Tuple[int, ...]:
+        sign = 1 if self.mode == FORWARD and self.kappa < 4.0 else -1
+        return (sign,) * self.pspec.n_points
 
     def require_coupled(self) -> None:
-        """Reject parameter combinations outside the coupling theorems."""
-        if self.mode == BACKWARD:
-            check_backward_relation(self.kappa, self.gamma)
-        canonical = default_epsilon_signs(self.mode, self.kappa,
-                                          self.pspec.n_points)
-        if tuple(self.epsilon_signs) != canonical:
+        """Reject parameter combinations outside the coupling theorems:
+        backward, sqrt(kappa) must equal gamma or 4/gamma; the signs must
+        be the coupled ones."""
+        rk, gamma = math.sqrt(self.kappa), self.gamma
+        if self.mode == BACKWARD and min(abs(rk - gamma),
+                                         abs(rk - 4.0 / gamma)) > _RELATION_TOL:
+            raise ConfigError(
+                f"backward coupling needs sqrt(kappa) = gamma or 4/gamma; "
+                f"got kappa={self.kappa}, gamma={gamma}"
+            )
+        canonical = self._coupled_signs()
+        if self.epsilon_signs != canonical:
             raise ConfigError(
                 f"epsilon signs {self.epsilon_signs} are not the coupled "
                 f"choice {canonical} for this mode/kappa"
             )
-
-
-def make_coupling_spec(
-    pspec: PartitionSpec,
-    gamma: Optional[float] = None,
-    epsilon_signs: Optional[Sequence[int]] = None,
-) -> CouplingSpec:
-    """The coupling of the flow `pspec`; the backward one needs gamma and
-    the forward one refuses it."""
-    if epsilon_signs is None:
-        epsilon_signs = default_epsilon_signs(pspec.mode, pspec.kappa,
-                                              pspec.n_points)
-    return CouplingSpec(pspec, gamma, tuple(epsilon_signs))
 
 
 # ---------------------------------------------------------------------------
@@ -635,23 +616,26 @@ def green_increment_check(
     if np.imag(z) <= 0 or np.imag(w) <= 0:
         raise ValueError("bulk points must satisfy Im z > 0")
     kind = MODE_GREEN[mode]
-    deltas = step_sizes(t_final, dt)
-    normals = normal_block(seed, 0, 1, deltas.size)[0]
     pts = np.array([z, w], dtype=complex)
     u = 0.0
     worst = 0.0
-    for k in range(deltas.size):
-        delta = deltas[k]
-        g_before = green(kind, pts[0], pts[1])
-        p0 = green_increment_coefficient(mode, pts[0], pts[1], u)
-        new, _, bad = slit_complex(pts[None, :], u, delta, mode)
-        if np.any(bad):
-            raise Swallowed("bulk point swallowed during Green increment check")
-        pts = new[0]
-        p1 = green_increment_coefficient(mode, pts[0], pts[1], u)
-        g_after = green(kind, pts[0], pts[1])
-        pbar = 0.5 * (p0 + p1)
-        rel = abs((g_after - g_before) / delta - pbar) / max(abs(pbar), 1e-12)
-        worst = max(worst, rel)
-        u = u + math.sqrt(kappa * delta) * normals[k]
+    # one step window of normals and sizes at a time, so memory does not
+    # grow with the horizon
+    for a, b in step_windows(horizon(t_final, dt)[0]):
+        normals = normal_block(seed, 0, 1, b - a, a)[0]
+        for delta, normal in zip(step_sizes(t_final, dt, a, b), normals):
+            g_before = green(kind, pts[0], pts[1])
+            p0 = green_increment_coefficient(mode, pts[0], pts[1], u)
+            new, _, bad = slit_complex(pts[None, :], u, delta, mode)
+            if np.any(bad):
+                raise Swallowed(
+                    "bulk point swallowed during Green increment check")
+            pts = new[0]
+            p1 = green_increment_coefficient(mode, pts[0], pts[1], u)
+            g_after = green(kind, pts[0], pts[1])
+            pbar = 0.5 * (p0 + p1)
+            rel = (abs((g_after - g_before) / delta - pbar)
+                   / max(abs(pbar), 1e-12))
+            worst = max(worst, rel)
+            u = u + math.sqrt(kappa * delta) * normal
     return worst

@@ -112,40 +112,25 @@ def slit_complex(z, U0, delta, mode: str):
 
 @dataclass(frozen=True)
 class ChainState:
-    """Snapshot of a chain: images and derivatives of the tracked points.
-
-    marked_* are real boundary points, bulk_* complex interior points;
-    bulk_initial keeps their time-zero locations so capacity probes can
-    find their points again.
-    """
+    """Snapshot of a chain: images and derivatives of the tracked interior
+    points."""
 
     time: float
     mode: str
-    marked_values: np.ndarray
-    marked_derivs: np.ndarray
     bulk_values: np.ndarray
     bulk_derivs: np.ndarray
-    bulk_initial: np.ndarray
 
 
-def initial_state(mode: str, marked=(), bulk=()) -> ChainState:
-    """Time-zero state tracking the given boundary/interior points."""
+def initial_state(mode: str, bulk=()) -> ChainState:
+    """Time-zero state tracking the given interior points."""
     _check_mode(mode)
-    mk = np.asarray(list(marked), dtype=float)
     bk = np.asarray(list(bulk), dtype=complex)
-    if bk.size and not np.all(bk.imag > 0):
+    if not np.all(bk.imag > 0):
         raise ValueError("bulk points must have positive imaginary part")
-    for p in (*mk, *bk):     # a substep squares its distance from 0
+    for p in bk:     # a substep squares its distance from 0
         require_square(p, f"modulus of point {p}")
-    return ChainState(
-        time=0.0,
-        mode=mode,
-        marked_values=mk.copy(),
-        marked_derivs=np.ones_like(mk),
-        bulk_values=bk.copy(),
-        bulk_derivs=np.ones_like(bk),
-        bulk_initial=bk.copy(),
-    )
+    return ChainState(time=0.0, mode=mode, bulk_values=bk,
+                      bulk_derivs=np.ones_like(bk))
 
 
 def evolve(state: ChainState, path: DrivingPath,
@@ -158,82 +143,50 @@ def evolve(state: ChainState, path: DrivingPath,
     mode = state.mode
     t = state.time
     dt = path.dt
-    mk = state.marked_values.copy()
-    mkd = state.marked_derivs.copy()
-    bk = state.bulk_values.copy()
-    bkd = state.bulk_derivs.copy()
+    bk = state.bulk_values
+    bkd = state.bulk_derivs
 
-    for k in range(path.n_steps):
-        U0 = path.values[k]
+    for k, U0 in enumerate(path.values[:-1]):
         step = first_step + k
-        if mk.size:
-            new, mult, bad = slit_real(mk, U0, dt, mode)
-            if bad.any():
-                j = int(np.argmax(bad))
-                ts = (mk[j] - U0) ** 2 / 4.0
-                raise Swallowed(
-                    f"marked point {j} absorbed during step {step}",
-                    step=step, time=t + ts,
-                )
-            mk, mkd = new, mkd * mult
-        if bk.size:
-            if mode == FORWARD and np.any(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD):
-                j = int(np.argmax(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD))
-                raise Swallowed(f"bulk point {j} within swallow guard at step {step}",
-                                step=step, time=t)
-            new, mult, bad = slit_complex(bk, U0, dt, mode)
-            if bad.any():
-                j = int(np.argmax(bad))
-                ts = (bk[j] - U0).imag ** 2 / 4.0
-                raise Swallowed(
-                    f"bulk point {j} absorbed during step {step}",
-                    step=step, time=t + ts,
-                )
-            bk, bkd = new, bkd * mult
+        if mode == FORWARD and np.any(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD):
+            j = int(np.argmax(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD))
+            raise Swallowed(f"bulk point {j} within swallow guard at step {step}",
+                            step=step, time=t)
+        new, mult, bad = slit_complex(bk, U0, dt, mode)
+        if bad.any():
+            j = int(np.argmax(bad))
+            ts = (bk[j] - U0).imag ** 2 / 4.0
+            raise Swallowed(
+                f"bulk point {j} absorbed during step {step}",
+                step=step, time=t + ts,
+            )
+        bk, bkd = new, bkd * mult
         t += dt
 
-    return replace(
-        state,
-        time=t,
-        marked_values=mk,
-        marked_derivs=mkd,
-        bulk_values=bk,
-        bulk_derivs=bkd,
-    )
+    return replace(state, time=t, bulk_values=bk, bulk_derivs=bkd)
 
 
-def _find_bulk(state: ChainState, z0: complex) -> int:
-    hits = np.flatnonzero(np.isclose(state.bulk_initial, z0, rtol=1e-12, atol=0.0))
-    if hits.size == 0:
-        raise ValueError(
-            f"extract_hcap needs a bulk point tracked from {z0}; "
-            "track i*probe_radius and 2i*probe_radius before evolving"
-        )
-    return int(hits[0])
-
-
-def extract_hcap(state: ChainState, probe_radius: float = DEFAULT_PROBE_RADIUS) -> float:
-    """Capacity read off the hydrodynamic expansion at z = i*probe_radius.
+def extract_hcap(mode: str, f_r: complex, f_2r: complex,
+                 probe_radius: float = DEFAULT_PROBE_RADIUS) -> float:
+    """Capacity read off the hydrodynamic expansion, from the images f_r of
+    z = i*probe_radius and f_2r of 2i*probe_radius under the chain's map.
 
     Uses Re(z*(f(z) - z)): at a purely imaginary probe the real part kills
     the (real) first subleading coefficient, leaving errors O(radius**-2).
     The same quantity at 2i*probe_radius must agree within 1% or the probe
     is declared too close to the hull.
     """
-    iR = _find_bulk(state, 1j * probe_radius)
-    i2R = _find_bulk(state, 2j * probe_radius)
-    z1, f1 = state.bulk_initial[iR], state.bulk_values[iR]
-    z2, f2 = state.bulk_initial[i2R], state.bulk_values[i2R]
-    m1 = abs(f1 - z1) * abs(z1)
-    m2 = abs(f2 - z2) * abs(z2)
+    z1, z2 = 1j * probe_radius, 2j * probe_radius
+    m1 = abs(f_r - z1) * abs(z1)
+    m2 = abs(f_2r - z2) * abs(z2)
     scale = max(abs(m1), abs(m2), 1e-300)
-    if state.time > 0 and abs(m1 - m2) > 0.01 * scale:
+    if abs(m1 - m2) > 0.01 * scale:
         raise NumericalFailure(
             f"|f(z)-z|*|z| varies by {abs(m1 - m2) / scale:.2%} "
             f"between radius {probe_radius:g} and {2 * probe_radius:g}"
         )
-    coef = (z1 * (f1 - z1)).real
-    return -coef if state.mode == BACKWARD else coef
+    coef = (z1 * (f_r - z1)).real
+    return -coef if mode == BACKWARD else coef
 
 
 def reference_map_zero_driving(z, t: float, mode: str):

@@ -14,12 +14,12 @@ import pytest
 from slelab.commutation import commutation_experiment, commutator_residual
 from slelab.core import build_driving_path, normal_block, validate_config
 from slelab.coupling import (
+    CouplingSpec,
     boundary_u,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
     green_increment_check,
-    make_coupling_spec,
 )
 from slelab.loewner import (
     evolve,
@@ -70,7 +70,7 @@ def test_criterion_02_capacity():
     inc = np.sqrt(dt) * normal_block(0, 0, 1, int(T / dt))[0]
     path = build_driving_path(4.0, 0.0, inc, dt)
     state = evolve(initial_state("backward", bulk=(1j * R, 2j * R)), path)
-    got = extract_hcap(state, R)
+    got = extract_hcap("backward", *state.bulk_values, R)
     ok = abs(got - 2 * T) < 1e-4
     _line(2, "capacity 2t", ok, f"hcap {got:.8f} vs 1.0")
     assert ok
@@ -116,9 +116,9 @@ def test_criterion_04_generator_commutator():
 def test_criterion_05_coupling_pde():
     rng = np.random.default_rng(0)
     triples = [
-        make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0),
-        make_coupling_spec(PartitionSpec("backward", 1.0, 2), gamma=4.0),
-        make_coupling_spec(PartitionSpec("forward", 2.0, 2)),
+        CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0),
+        CouplingSpec(PartitionSpec("backward", 1.0, 2), gamma=4.0),
+        CouplingSpec(PartitionSpec("forward", 2.0, 2)),
     ]
     worst = 0.0
     for cspec in triples:
@@ -130,8 +130,8 @@ def test_criterion_05_coupling_pde():
                 if min(abs(z - xi) for xi in x) > 0.5:
                     break
             worst = max(worst, coupling_pde_residual(cspec, z, cfg, k % 2))
-    bad = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0,
-                             epsilon_signs=(1, 1))
+    bad = CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0,
+                       epsilon_signs=(1, 1))
     control = coupling_pde_residual(bad, 1 + 2j, validate_config((0.0, 1.0)), 0)
     ok = worst < 1e-4 and control > 1e-2
     _line(5, "coupling pde", ok, f"max {worst:.2e}, control {control:.2f}")
@@ -224,13 +224,13 @@ def test_criterion_09_inverse_law():
 
 
 def test_criterion_10_coupling_martingale():
-    cspec = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
+    cspec = CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
     cfg = validate_config((0.0, 1.0))
     bulk = [1 + 2j, -1 + 2j]
     reports = coupling_martingale_check(cspec, cfg, 0, bulk, 0.05, 1e-3,
                                         10_000, seed=0)
-    bad = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0,
-                             epsilon_signs=(1, 1))
+    bad = CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0,
+                       epsilon_signs=(1, 1))
     control = coupling_martingale_check(bad, cfg, 0, [1 + 2j], 0.05, 1e-3,
                                         100_000, seed=0)
     ok = all(r.passed for r in reports) and not control[0].passed
@@ -241,7 +241,7 @@ def test_criterion_10_coupling_martingale():
 
 
 def test_criterion_11_cross_variation():
-    cspec = make_coupling_spec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
+    cspec = CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
     cfg = validate_config((0.0, 1.0))
     reports = cross_variation_experiment(cspec, cfg, 0, [1 + 2j, -1 + 2j],
                                          0.05, 1e-4, 200, seed=0)
@@ -282,12 +282,15 @@ def test_criterion_12_invariance_suite():
                   == green("neumann", -2 + 0.5j, 0.3 + 1j))
 
     # substep semigroup under constant driving
-    st = initial_state("backward", marked=(1.3,), bulk=(0.4 + 0.7j,))
+    st = initial_state("backward", bulk=(0.4 + 0.7j,))
     one = evolve(st, build_driving_path(4.0, 0.25, np.zeros(1), 0.1))
     half = build_driving_path(4.0, 0.25, np.zeros(1), 0.05)
     two = evolve(evolve(st, half), half)
     checks.append(abs(one.bulk_values[0] - two.bulk_values[0]) < 1e-12)
-    checks.append(abs(one.marked_values[0] - two.marked_values[0]) < 1e-12)
+    x_one, _, _ = slit_real(np.array([1.3]), 0.25, 0.1, "backward")
+    x_half, _, _ = slit_real(np.array([1.3]), 0.25, 0.05, "backward")
+    x_two, _, _ = slit_real(x_half, 0.25, 0.05, "backward")
+    checks.append(abs(x_one[0] - x_two[0]) < 1e-12)
 
     # tracked derivative equals finite difference of the map
     h, z = 1e-6, 0.8 + 1.1j

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from slelab import cli, sampler
 from slelab.cli import _READERS, CHECKS, main, resolve_workers
-from slelab.core import validate_config
+from slelab.core import ConfigError, validate_config
 from slelab.partition import PartitionSpec, z_value
 from slelab.sampler import girsanov_check, map_chunks, martingale_check
 
@@ -368,6 +368,10 @@ def test_resolve_workers_precedence(monkeypatch):
     assert resolve_workers({"n_workers": 3}) == 3
     monkeypatch.setenv("SLELAB_WORKERS", "5")
     assert resolve_workers({"n_workers": 3}) == 5
+    # the environment overrides n_workers, but a bad one is still refused
+    for bad in ("abc", 0, 1.5):
+        with pytest.raises(ConfigError, match="n_workers"):
+            resolve_workers({"n_workers": bad})
 
 
 class _RecordingPool:
@@ -671,8 +675,9 @@ VALID = {
 
 
 def _run_with(tmp_path, check, **extra) -> int:
-    cfg = write_config(tmp_path, check=check, seed=1, n_workers=1,
-                       out_path=str(tmp_path / "r"), **VALID[check], **extra)
+    fields = dict(seed=1, n_workers=1, out_path=str(tmp_path / "r"),
+                  **VALID[check])
+    cfg = write_config(tmp_path, check=check, **{**fields, **extra})
     return main(["check", cfg])
 
 
@@ -695,6 +700,15 @@ def test_check_reads_exactly_its_fields(tmp_path, monkeypatch, check):
     monkeypatch.setattr(cli, "_get", recording_get)
     assert _run_with(tmp_path, check) in (0, 1)
     assert read - {"seed", "n_workers"} == set(CHECKS[check][1])
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_bad_seed_exit_two(tmp_path, capsys, check):
+    """Every report echoes the seed, so every check refuses a bad one,
+    also the checks that draw no random numbers."""
+    assert _run_with(tmp_path, check, seed="abc") == 2
+    assert "field 'seed'" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))

@@ -214,7 +214,7 @@ def test_normal_block_split_invariance(seed, first_path, n_paths, n_steps,
 def test_build_driving_path_scaling():
     inc = np.sqrt(0.01) * normal_block(7, 0, 1, 5)[0]
     path = build_driving_path(4.0, 1.0, inc, 0.01)
-    assert path.n_steps == 5
+    assert len(path.values) - 1 == 5
     assert path.dt == 0.01
     np.testing.assert_allclose(path.values[0], 1.0)
     np.testing.assert_allclose(path.values[1:], 1.0 + 2.0 * np.cumsum(inc),

@@ -8,19 +8,17 @@ import pytest
 
 from slelab.core import ConfigError, validate_config
 from slelab.coupling import (
+    CouplingSpec,
     _h_run,
     boundary_u,
-    check_backward_relation,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
-    default_epsilon_signs,
     forward_chi,
     green,
     green_increment_check,
     green_increment_coefficient,
     holo_u_tilde,
-    make_coupling_spec,
     q_charge,
 )
 from slelab.partition import PartitionSpec
@@ -28,8 +26,8 @@ from slelab.sampler import REASON_SWALLOWED
 
 CFG = validate_config((0.0, 1.0))
 SPEC_BACK = PartitionSpec("backward", 4.0, 2)
-CS_BACK = make_coupling_spec(SPEC_BACK, gamma=2.0)
-CS_FWD = make_coupling_spec(PartitionSpec("forward", 2.0, 2))
+CS_BACK = CouplingSpec(SPEC_BACK, gamma=2.0)
+CS_FWD = CouplingSpec(PartitionSpec("forward", 2.0, 2))
 
 
 def test_green_neumann_examples():
@@ -78,36 +76,45 @@ def test_forward_chi():
 
 
 def test_check_backward_relation():
-    check_backward_relation(4.0, 2.0)       # sqrt(kappa) = gamma
-    check_backward_relation(16.0, 1.0)      # sqrt(kappa) = 4/gamma
+    CS_BACK.require_coupled()       # sqrt(kappa) = gamma
+    CouplingSpec(PartitionSpec("backward", 16.0, 2),
+                 gamma=1.0).require_coupled()      # sqrt(kappa) = 4/gamma
     with pytest.raises(ConfigError, match="gamma or 4/gamma"):
-        check_backward_relation(4.0, 1.3)
+        CouplingSpec(SPEC_BACK, gamma=1.3).require_coupled()
 
 
 def test_default_epsilon_signs():
-    assert default_epsilon_signs("backward", 4.0, 3) == (-1, -1, -1)
-    assert default_epsilon_signs("forward", 2.0, 3) == (1, 1, 1)
-    assert default_epsilon_signs("forward", 6.0, 3) == (-1, -1, -1)
+    """The spec fills in the coupled signs; given ones are kept, and only
+    require_coupled refuses them."""
+    back3 = PartitionSpec("backward", 4.0, 3)
+    assert CouplingSpec(back3, gamma=2.0).epsilon_signs == (-1, -1, -1)
+    assert CouplingSpec(PartitionSpec("forward", 2.0, 3)).epsilon_signs \
+        == (1, 1, 1)
+    assert CouplingSpec(PartitionSpec("forward", 6.0, 3)).epsilon_signs \
+        == (-1, -1, -1)
+    flipped = CouplingSpec(back3, gamma=2.0, epsilon_signs=[1, -1, -1])
+    assert flipped.epsilon_signs == (1, -1, -1)
+    with pytest.raises(ConfigError, match="not the coupled choice"):
+        flipped.require_coupled()
 
 
 def test_make_coupling_spec_requires_gamma_backward():
     with pytest.raises(ConfigError, match="backward coupling needs gamma"):
-        make_coupling_spec(SPEC_BACK)
+        CouplingSpec(SPEC_BACK)
 
 
 def test_make_coupling_spec_refuses_gamma_forward():
     with pytest.raises(ConfigError, match="forward coupling takes no gamma"):
-        make_coupling_spec(PartitionSpec("forward", 2.0, 2), gamma=2.0)
+        CouplingSpec(PartitionSpec("forward", 2.0, 2), gamma=2.0)
 
 
 def test_q_charge_follows_gamma():
     """Q is read from gamma, not stored next to it, so no spec can carry
     a charge that disagrees with its gamma."""
-    assert "q_charge" not in {f.name for f in dataclasses.fields(CS_BACK)}
-    assert CS_BACK.q_charge == q_charge(2.0)
+    assert not hasattr(CS_BACK, "q_charge")
     assert CS_BACK.curvature_constant == q_charge(2.0)
-    assert CS_FWD.q_charge is None
-    assert make_coupling_spec(SPEC_BACK, gamma=1.0).q_charge == q_charge(1.0)
+    assert CouplingSpec(SPEC_BACK, gamma=1.0).curvature_constant \
+        == q_charge(1.0)
     with pytest.raises(ConfigError, match="gamma must be positive"):
         dataclasses.replace(CS_BACK, gamma=-2.0)
 
@@ -121,7 +128,7 @@ def test_forward_curvature_follows_kappa():
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(CS_FWD, curvature_constant=0.5)
     with pytest.raises(ConfigError, match="degenerate at kappa = 4"):
-        make_coupling_spec(PartitionSpec("forward", 4.0, 2))
+        CouplingSpec(PartitionSpec("forward", 4.0, 2))
 
 
 def test_boundary_u_backward_examples():
@@ -170,8 +177,7 @@ def test_coupling_pde_residual_forward():
 
 
 def test_coupling_pde_residual_flipped_sign_control():
-    bad = make_coupling_spec(SPEC_BACK, gamma=2.0,
-                             epsilon_signs=(1, 1))
+    bad = CouplingSpec(SPEC_BACK, gamma=2.0, epsilon_signs=(1, 1))
     assert coupling_pde_residual(bad, 1 + 2j, CFG, 0) > 1e-2
 
 
@@ -249,8 +255,7 @@ def test_coupling_martingale_check_forward():
 
 
 def test_coupling_martingale_wrong_boundary_data_fails():
-    bad = make_coupling_spec(SPEC_BACK, gamma=2.0,
-                             epsilon_signs=(1, 1))
+    bad = CouplingSpec(SPEC_BACK, gamma=2.0, epsilon_signs=(1, 1))
     rep = coupling_martingale_check(bad, CFG, 0, [1 + 2j], 0.05, 1e-3,
                                     4000, seed=0)
     assert not rep[0].passed

@@ -12,8 +12,8 @@ import pytest
 from slelab import sampler
 from slelab.commutation import commutation_experiment
 from slelab.core import McReport, validate_config
-from slelab.coupling import (coupling_martingale_check,
-                             cross_variation_experiment, make_coupling_spec)
+from slelab.coupling import (CouplingSpec, coupling_martingale_check,
+                             cross_variation_experiment)
 from slelab.partition import PartitionSpec
 from slelab.sampler import girsanov_check, martingale_check
 
@@ -42,9 +42,9 @@ def _run(case: str) -> list[McReport]:
         return commutation_experiment(spec, cfg, i, j, 0.01, 2.0, DT, PATHS,
                                       seed=SEED)
     if mode == "backward":
-        cspec = make_coupling_spec(PartitionSpec(mode, 4.0, n), gamma=2.0)
+        cspec = CouplingSpec(PartitionSpec(mode, 4.0, n), gamma=2.0)
     else:
-        cspec = make_coupling_spec(PartitionSpec(mode, 2.0, n))
+        cspec = CouplingSpec(PartitionSpec(mode, 2.0, n))
     if check.startswith("coupling_mc"):
         # coupling_mc1: one bulk point, whose field terms einsum adds
         bulk = BULK[:1] if check == "coupling_mc1" else BULK

@@ -1,12 +1,13 @@
 """Static checks that need no linter: no dead imports and no uncalled
-module-level names in the package, and every package name the benchmark
-harness in perfbench/ hooks or imports still resolves.  perfbench/ is only
-read here, never changed."""
+module-level names in the package, and every package name that the
+benchmark harness in perfbench/ hooks or imports, or that README.md
+cites, still resolves.  perfbench/ is only read here, never changed."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,20 @@ def test_public_names_have_a_caller():
             if name not in others and name not in _loads(tree, skip=node):
                 uncalled.append(f"{module}:{name}")
     assert uncalled == []
+
+
+def test_readme_names_resolve():
+    """Every backticked `module.name` or `slelab.module.name` of README.md,
+    also one that starts a call, names an attribute of that module."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    names = {(mod, name) for mod, name in re.findall(
+        r"`(?:slelab\.)?(\w+)\.(\w+)", (ROOT / "README.md").read_text())
+        if mod in modules}
+    assert names
+    missing = sorted(f"{mod}.{name}" for mod, name in names
+                     if not hasattr(importlib.import_module(f"slelab.{mod}"),
+                                    name))
+    assert missing == []
 
 
 def test_every_exception_has_one_exit_code():

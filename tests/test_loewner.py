@@ -193,17 +193,10 @@ def test_evolve_zero_driving_bulk():
     np.testing.assert_allclose(out.bulk_values[0], ref, rtol=0, atol=1e-10)
 
 
-def test_evolve_zero_driving_marked():
-    out = evolve(initial_state("backward", marked=(3.0,)), zero_path(100, 0.01))
-    np.testing.assert_allclose(out.marked_values[0], SQRT5, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(out.marked_derivs[0], 3.0 / SQRT5, rtol=0, atol=1e-10)
-
-
 def test_evolve_zero_steps_identity():
-    st = initial_state("forward", marked=(2.0,), bulk=(1j,))
+    st = initial_state("forward", bulk=(1j,))
     out = evolve(st, zero_path(0, 0.01))
     assert out.time == st.time
-    np.testing.assert_array_equal(out.marked_values, st.marked_values)
     np.testing.assert_array_equal(out.bulk_values, st.bulk_values)
 
 
@@ -220,12 +213,10 @@ def test_evolve_matches_reference_grid():
 
 def test_evolve_semigroup_constant_driving():
     """Substeps are exact maps, so splitting a constant leg changes nothing."""
-    st = initial_state("backward", marked=(1.3,), bulk=(0.4 + 0.7j,))
+    st = initial_state("backward", bulk=(0.4 + 0.7j,))
     one = evolve(st, zero_path(1, 0.1, w0=0.25))
     half = zero_path(1, 0.05, w0=0.25)
     two = evolve(evolve(st, half), half)
-    np.testing.assert_allclose(one.marked_values, two.marked_values,
-                               rtol=0, atol=1e-12)
     np.testing.assert_allclose(one.bulk_values, two.bulk_values,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(one.bulk_derivs, two.bulk_derivs,
@@ -253,13 +244,6 @@ def test_evolve_backward_im_nondecreasing():
     assert all(b >= a for a, b in zip(ims, ims[1:]))
 
 
-def test_evolve_swallows_backward_marked():
-    with pytest.raises(Swallowed) as exc:
-        evolve(initial_state("backward", marked=(0.05,)), zero_path(100, 0.01))
-    assert exc.value.step == 0
-    np.testing.assert_allclose(exc.value.time, 0.05**2 / 4.0, rtol=1e-12)
-
-
 def test_evolve_swallows_forward_bulk():
     with pytest.raises(Swallowed) as exc:
         evolve(initial_state("forward", bulk=(0.1j,)), zero_path(100, 0.01))
@@ -275,20 +259,22 @@ def test_hcap_backward():
     R = 1e4
     st = initial_state("backward", bulk=(1j * R, 2j * R))
     out = evolve(st, zero_path(50, 0.01))
-    np.testing.assert_allclose(extract_hcap(out, R), 1.0, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(extract_hcap("backward", *out.bulk_values, R),
+                               1.0, rtol=0, atol=1e-5)
 
 
 def test_hcap_time_zero():
     R = 1e4
     st = initial_state("backward", bulk=(1j * R, 2j * R))
-    assert extract_hcap(st, R) == 0.0
+    assert extract_hcap("backward", *st.bulk_values, R) == 0.0
 
 
 def test_hcap_forward():
     R = 1e4
     st = initial_state("forward", bulk=(1j * R, 2j * R))
     out = evolve(st, zero_path(100, 0.01))
-    np.testing.assert_allclose(extract_hcap(out, R), 2.0, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(extract_hcap("forward", *out.bulk_values, R),
+                               2.0, rtol=0, atol=1e-5)
 
 
 def test_hcap_independent_of_driving():
@@ -299,7 +285,8 @@ def test_hcap_independent_of_driving():
     path = build_driving_path(6.0, 0.0, inc, dt)
     st = initial_state("backward", bulk=(1j * R, 2j * R))
     out = evolve(st, path)
-    np.testing.assert_allclose(extract_hcap(out, R), 2 * T, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(extract_hcap("backward", *out.bulk_values, R),
+                               2 * T, rtol=0, atol=1e-5)
     np.testing.assert_allclose(out.time, T, rtol=1e-12)
 
 
@@ -308,13 +295,7 @@ def test_hcap_probe_too_close():
     st = initial_state("backward", bulk=(1j * r, 2j * r))
     out = evolve(st, zero_path(50, 0.01))
     with pytest.raises(NumericalFailure, match="varies by"):
-        extract_hcap(out, r)
-
-
-def test_hcap_requires_tracked_probes():
-    out = evolve(initial_state("backward", bulk=(1 + 1j,)), zero_path(10, 0.01))
-    with pytest.raises(ValueError):
-        extract_hcap(out)
+        extract_hcap("backward", *out.bulk_values, r)
 
 
 def test_reference_map_examples():

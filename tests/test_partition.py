@@ -6,8 +6,8 @@ import pytest
 from slelab.commutation import (arctan_sum, commutation_experiment,
                                 commutator_residual)
 from slelab.core import ConfigError, validate_config
-from slelab.coupling import (coupling_martingale_check, coupling_pde_residual,
-                             cross_variation_experiment, make_coupling_spec)
+from slelab.coupling import (CouplingSpec, coupling_martingale_check,
+                             coupling_pde_residual, cross_variation_experiment)
 from slelab.partition import (
     PartitionSpec,
     bpz_residual,
@@ -186,7 +186,7 @@ def test_product_z_fn_matches_z_value():
 # a three-point flow next to a two-point configuration, at every entry
 # point that takes both
 SPEC3 = PartitionSpec("backward", 4.0, 3)
-CS3 = make_coupling_spec(SPEC3, gamma=2.0)
+CS3 = CouplingSpec(SPEC3, gamma=2.0)
 CFG2 = validate_config((0.0, 1.0))
 BULK = [1 + 2j, -1 + 2j]
 MISMATCHED = {

@@ -348,7 +348,7 @@ def test_window_step_sizes_are_the_whole_horizon_slices(T, dt, block,
 
 
 CFG3 = validate_config((0.0, 1.0, 3.0))
-CS_BACK = coupling.make_coupling_spec(SPEC_BACK, gamma=2.0)
+CS_BACK = coupling.CouplingSpec(SPEC_BACK, gamma=2.0)
 # (module whose map_chunks the check calls, the check, substeps per path):
 # a horizon of 10.5 substeps is 11; scheme 1 runs legs of 19.2 -> 20 and
 # 10 substeps, scheme 2 legs of 9.2 -> 10 and 20
@@ -427,6 +427,32 @@ HUGE_HORIZON = {"kappa": 4.0, "points": [0.0, 1.0], "t_final": 1e9,
                 "dt": 1.0, "n_paths": 1, "n_workers": 1}
 
 
+def _still_running_after_2s(argv) -> None:
+    """Run `python argv` under a 1.5 GB address-space limit and assert it
+    has not ended after 2 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # one BLAS thread: per-thread buffers must not eat the address space
+    env = dict(os.environ, SLELAB_WORKERS="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   src, os.environ.get("PYTHONPATH")))))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000,) * 2)
+
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=limit)
+    try:
+        time.sleep(2.0)
+        running = proc.poll() is None
+    finally:
+        proc.kill()
+        _, err = proc.communicate()
+    assert running, err.decode()
+
+
 @pytest.mark.parametrize("fields", [
     {"check": "martingale"},
     {"check": "crossvar", "gamma": 2.0, "bulk_points": [[1.0, 2.0],
@@ -439,24 +465,13 @@ def test_huge_horizon_allocates_no_array_of_it(fields, tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(dict(HUGE_HORIZON, **fields,
                                       out_path=str(tmp_path / "r"))))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    # one BLAS thread: per-thread buffers must not eat the address space
-    env = dict(os.environ, SLELAB_WORKERS="1", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (
-                   src, os.environ.get("PYTHONPATH")))))
+    _still_running_after_2s(["-m", "slelab.cli", "check", str(config)])
 
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000,) * 2)
 
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "slelab.cli", "check", str(config)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        preexec_fn=limit)
-    try:
-        time.sleep(2.0)
-        running = proc.poll() is None
-    finally:
-        proc.kill()
-        _, err = proc.communicate()
-    assert running, err.decode()
+def test_green_increment_check_huge_horizon_allocates_no_array_of_it():
+    """The same 10^9 substeps through coupling.green_increment_check, a
+    one-path loop that built all its normals and sizes (7.45 GiB) and
+    died within 0.2 s; one step window at a time, it keeps running."""
+    _still_running_after_2s([
+        "-c", "from slelab.coupling import green_increment_check; "
+        "green_increment_check('backward', 4.0, 1+2j, -1+2j, 1e9, 1.0)"])

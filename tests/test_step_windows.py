@@ -15,16 +15,16 @@ from slelab import cli, coupling, sampler
 from slelab.commutation import commutation_experiment
 from slelab.core import (DrivingPath, build_driving_path, normal_block,
                          validate_config)
-from slelab.coupling import (coupling_martingale_check,
-                             cross_variation_experiment, make_coupling_spec)
+from slelab.coupling import (CouplingSpec, coupling_martingale_check,
+                             cross_variation_experiment)
 from slelab.loewner import Swallowed, evolve, initial_state
 from slelab.partition import PartitionSpec
 from slelab.sampler import girsanov_check, inverse_law_check, martingale_check
 
 CFG2 = validate_config((0.0, 1.0))
 SPEC_BACK = PartitionSpec("backward", 4.0, 2)
-CS_BACK = make_coupling_spec(SPEC_BACK, gamma=2.0)
-CS_FWD = make_coupling_spec(PartitionSpec("forward", 2.0, 2))
+CS_BACK = CouplingSpec(SPEC_BACK, gamma=2.0)
+CS_FWD = CouplingSpec(PartitionSpec("forward", 2.0, 2))
 N = 300
 
 # each check at tiny size; 50 steps, or scheme legs of 192 + 100 and
@@ -172,15 +172,15 @@ def test_windowed_chain_keeps_the_driving_bits(monkeypatch):
 
 
 def test_windowed_chain_reports_the_global_swallow_step(monkeypatch):
-    """A marked point at 1 is swallowed near step 250 of a zero-driven
-    backward chain; evolved in 7-step windows, the chain reports the same
+    """A bulk point at 0.5i is swallowed at step 62 of a zero-driven
+    forward chain; evolved in 7-step windows, the chain reports the same
     step, time and message as one evolve call."""
-    state = initial_state("backward", marked=(1.0,))
+    state = initial_state("forward", bulk=(0.5j,))
     with pytest.raises(Swallowed) as whole:
-        evolve(state, DrivingPath(1e-3, 300, np.zeros(301)))
+        evolve(state, DrivingPath(1e-3, np.zeros(301)))
     monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
     with pytest.raises(Swallowed) as windows:
         cli._evolve_windows(state, 300, 1e-3, lambda a, b: np.zeros(b - a))
-    assert whole.value.step > 7
+    assert whole.value.step == 62
     assert (windows.value.step, windows.value.time, str(windows.value)) == (
         whole.value.step, whole.value.time, str(whole.value))

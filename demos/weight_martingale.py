@@ -10,7 +10,7 @@ Run: python3 demos/weight_martingale.py
 import math
 
 from slelab.core import validate_config
-from slelab.partition import PartitionSpec, grad_log_z
+from slelab.partition import PartitionSpec
 from slelab.sampler import girsanov_check, martingale_check
 
 
@@ -25,8 +25,9 @@ def main():
     print("drift b_i = kappa * d/dx_i log Z at (0, 1, 3):")
     for kappa in (2.0, 4.0):
         spec = PartitionSpec("backward", kappa, 3)
-        bs = [kappa * grad_log_z(spec, cfg, i) for i in range(3)]
-        ss = [math.sqrt(kappa) * grad_log_z(spec, cfg, i) for i in range(3)]
+        grads = [float(spec.grad_log_z(cfg.as_array(), i)) for i in range(3)]
+        bs = [kappa * g for g in grads]
+        ss = [math.sqrt(kappa) * g for g in grads]
         print(f"  kappa={kappa}: b = {[round(b, 4) for b in bs]},"
               f" s = b/sqrt(kappa) = {[round(s, 4) for s in ss]}")
 

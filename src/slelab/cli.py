@@ -18,6 +18,7 @@ initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -120,6 +121,12 @@ def _integer(field: str, val) -> int:
     return val
 
 
+def _seed(field: str, val) -> int:
+    if not 0 <= (val := _integer(field, val)) < 2**64:
+        raise ConfigError(f"field {field!r} must be in [0, 2**64), got {val}")
+    return val
+
+
 def _count(field: str, val) -> int:
     if (val := _integer(field, val)) < 1:
         raise ConfigError(f"field {field!r} must be >= 1, got {val}")
@@ -160,7 +167,8 @@ _READERS: dict[str, Callable] = {
                      "fd_step"), _positive),
     "gamma": _real,
     **dict.fromkeys(("n_paths", "n_workers"), _count),
-    **dict.fromkeys(("seed", "i_index", "j_index"), _integer),
+    "seed": _seed,
+    **dict.fromkeys(("i_index", "j_index"), _integer),
 }
 _REQUIRED = object()
 
@@ -459,16 +467,10 @@ def _fmt(value) -> str:
 
 
 def _row_dict(check: str, row: McReport) -> dict:
-    return {
-        "check": check,
-        "name": row.name,
-        "estimate": float(row.estimate),
-        "std_error": float(row.std_error),
-        "reference": float(row.reference),
-        "tolerance": float(row.tolerance),
-        "n_samples": int(row.n_samples),
-        "pass": bool(row.passed),
-    }
+    # make_report has cast every field; only "passed" is renamed
+    out = {"check": check, **dataclasses.asdict(row)}
+    out["pass"] = out.pop("passed")
+    return out
 
 
 def _out_base(config: dict, check: str, out_dir: Optional[str]) -> Path:

@@ -35,7 +35,7 @@ from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    PointConfig, make_report, mean_var, normal_block,
                    require_gaps, require_square)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
-                        grad_log_z_cols, min_gap, require_points)
+                        min_gap, require_points)
 from .sampler import (REASON_SWALLOWED, chunked, horizon, map_chunks, run_leg,
                       step_sizes, step_windows, sum_stats, tiled)
 
@@ -193,19 +193,14 @@ def commutation_experiment(
     return reports
 
 
-def _drift_b(spec: PartitionSpec, x: np.ndarray, k: int,
-             drift_fn: Callable | None) -> float:
-    if drift_fn is not None:
-        return float(drift_fn(x, k))
-    return float(spec.kappa * grad_log_z_cols(spec.exponent, x, k))
-
-
 def _generator_value(spec: PartitionSpec, phi: Callable, x: np.ndarray,
                      k: int, h: float, drift_fn: Callable | None) -> float:
     """(L_k phi)(x) by 5-point central stencils."""
     sgn = -2.0 if spec.mode == BACKWARD else 2.0
     acc = 0.5 * spec.kappa * fd_second(phi, x, k, h)
-    acc += _drift_b(spec, x, k, drift_fn) * fd_first(phi, x, k, h)
+    b = (drift_fn(x, k) if drift_fn is not None
+         else spec.kappa * spec.grad_log_z(x, k))
+    acc += float(b) * fd_first(phi, x, k, h)
     for l in range(len(x)):
         if l == k:
             continue

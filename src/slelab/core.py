@@ -39,7 +39,7 @@ in windows of steps and never hold more than one window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -153,12 +153,15 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     """(n_paths, n_steps) standard normals, laid out step-major; row p is
     steps first_step .. first_step + n_steps - 1 of the stream keyed by
     (seed, first_path + p), so batching along paths or steps never changes
-    results.  Brownian increments of variance dt are sqrt(dt) times it."""
+    results.  Brownian increments of variance dt are sqrt(dt) times it.
+    A seed outside [0, 2**64) is refused: masked, it would share a stream."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed {seed!r} is outside [0, 2**64)")
     # one Philox for the block: per row, reset it under that row's key to
     # the counter before first_step's 4-word group, with an empty buffer
     counter, skip = divmod(first_step, 4)
     width = skip + n_steps
-    key = [0, seed & _MASK64]
+    key = [0, seed]
     start = {"bit_generator": "Philox",
              "state": {"counter": [counter, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
@@ -198,7 +201,7 @@ class McReport:
     reference: float
     tolerance: float
     n_samples: int
-    passed: bool = field(default=False)
+    passed: bool
 
 
 def make_report(

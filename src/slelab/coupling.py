@@ -47,13 +47,11 @@ from .core import (
 )
 from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
-    LOG_FLOAT_MAX,
     PartitionSpec,
     _check_index,
     _resolve_step,
     bpz_operator,
     fd_first,
-    log_z_cols,
     min_gap,
     require_points,
 )
@@ -255,19 +253,10 @@ def coupling_pde_residual(
     h = _resolve_step(cfg, _coupling_scale(cfg, z), fd_step, 1e-4)
     x0 = np.asarray(cfg.points, dtype=float)
 
-    def z_of(x: np.ndarray) -> float:
-        log_z = log_z_cols(spec.exponent, x)
-        if not log_z < LOG_FLOAT_MAX:
-            raise ConfigError(f"Z overflows at kappa {kappa!r}")
-        zval = math.exp(log_z)
-        if zval == 0.0:
-            raise ConfigError(f"Z underflows at kappa {kappa!r}")
-        return zval
-
-    z_center = z_of(x0)
+    z_center = spec.z(x0)
 
     def x_fn(x: np.ndarray) -> complex:
-        return complex(holo_u_tilde(z, x, kappa, eps)) * z_of(x)
+        return complex(holo_u_tilde(z, x, kappa, eps)) * spec.z(x)
 
     def x_of_z(shift: np.ndarray) -> complex:
         # real-direction shift of z; enough for d/dz of a holomorphic factor

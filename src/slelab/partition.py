@@ -4,9 +4,11 @@ The backward flow pairs with Z = prod |x_i - x_j|**(-2/kappa) and conformal
 weight h = -(kappa+6)/(2*kappa); the forward flow flips both signs of the
 story: Z = prod |x_i - x_j|**(+2/kappa), h = (6-kappa)/(2*kappa).
 
-Only product forms are constructed here, but the residual evaluators accept
-any user-supplied function handle, so deliberately wrong exponents can be
-run through the same code as negative controls.
+PartitionSpec evaluates Z and d(log Z)/dx_i for every caller outside the
+ensemble kernel, which sums log_z_cols over its rows.  Only product forms
+are constructed here, but bpz_residual accepts any function handle as Z,
+so a negative control with a wrong exponent passes another spec's `z`
+(backward kappa = 8/3 has the exponent -3/4).
 
 All indices are 0-based.
 """
@@ -28,7 +30,8 @@ LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Mode/kappa plus the derived exponents (filled automatically)."""
+    """Mode/kappa plus the derived weight and exponent (filled
+    automatically), and the product partition function they define."""
 
     mode: str
     kappa: float
@@ -42,9 +45,30 @@ class PartitionSpec:
             raise ValueError("kappa must be positive")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
-        object.__setattr__(self, "h_weight", h_kappa(self.mode, self.kappa))
-        expo = (-2.0 if self.mode == BACKWARD else 2.0) / self.kappa
-        object.__setattr__(self, "exponent", expo)
+        sign = -1.0 if self.mode == BACKWARD else 1.0
+        # h = -(kappa+6)/(2 kappa) backward, (6-kappa)/(2 kappa) forward
+        object.__setattr__(self, "h_weight",
+                           (6.0 * sign - self.kappa) / (2.0 * self.kappa))
+        object.__setattr__(self, "exponent", 2.0 * sign / self.kappa)
+
+    def z(self, x: np.ndarray) -> float:
+        """Z = prod_{i<j} |x_i - x_j|**exponent at one configuration, via
+        log space.  A Z that overflows or underflows (tiny kappa makes the
+        exponent huge) raises ConfigError instead of turning a residual
+        into nan."""
+        log_z = log_z_cols(self.exponent, x)
+        z = float(np.exp(log_z)) if log_z < LOG_FLOAT_MAX else math.inf
+        if not 0.0 < z < math.inf:
+            raise ConfigError(f"Z {'underflows' if z == 0.0 else 'overflows'}"
+                              f" at kappa {self.kappa!r}")
+        return z
+
+    def grad_log_z(self, x: np.ndarray, i: int) -> np.ndarray:
+        """d(log Z)/dx_i along the last axis: exponent * sum_{j != i}
+        1/(x_i - x_j); the drift is b_i = kappa * grad_log_z."""
+        x = np.asarray(x, dtype=float)
+        d = x[..., i, None] - np.delete(x, i, axis=-1)
+        return self.exponent * np.sum(1.0 / d, axis=-1)
 
 
 def require_points(spec: PartitionSpec, cfg: PointConfig) -> None:
@@ -53,17 +77,6 @@ def require_points(spec: PartitionSpec, cfg: PointConfig) -> None:
     if len(cfg) != spec.n_points:
         raise ValueError(f"the spec is for {spec.n_points} points but the "
                          f"configuration has {len(cfg)}")
-
-
-def h_kappa(mode: str, kappa: float) -> float:
-    """Conformal weight: -(kappa+6)/(2 kappa) backward, (6-kappa)/(2 kappa)
-    forward."""
-    _check_mode(mode)
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    if mode == BACKWARD:
-        return -(kappa + 6.0) / (2.0 * kappa)
-    return (6.0 - kappa) / (2.0 * kappa)
 
 
 def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
@@ -88,27 +101,9 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
     return exponent * sum_columns(logs)
 
 
-def grad_log_z_cols(exponent: float, x: np.ndarray, i: int) -> np.ndarray:
-    """d(log Z)/dx_i along the last axis: exponent * sum_{j != i} 1/(x_i-x_j)."""
-    x = np.asarray(x, dtype=float)
-    d = x[..., i, None] - np.delete(x, i, axis=-1)
-    return exponent * np.sum(1.0 / d, axis=-1)
-
-
 def _check_index(cfg: PointConfig, i: int) -> None:
     if not 0 <= i < len(cfg):
         raise IndexError(f"index {i} out of range for {len(cfg)} points")
-
-
-def z_value(spec: PartitionSpec, cfg: PointConfig) -> float:
-    """prod_{i<j} |x_i - x_j|**exponent via log space, as product_z_fn."""
-    return product_z_fn(spec.exponent)(cfg.as_array())
-
-
-def grad_log_z(spec: PartitionSpec, cfg: PointConfig, i: int) -> float:
-    """Closed-form d(log Z)/dx_i; the drift is b_i = kappa * grad_log_z."""
-    _check_index(cfg, i)
-    return float(grad_log_z_cols(spec.exponent, cfg.as_array(), i))
 
 
 def min_gap(cfg: PointConfig) -> float:
@@ -121,24 +116,6 @@ def min_gap(cfg: PointConfig) -> float:
         return np.inf
     iu, ju = np.triu_indices(n, k=1)
     return float(np.min(np.abs(x[iu] - x[ju])))
-
-
-def product_z_fn(exponent: float) -> Callable[[np.ndarray], float]:
-    """Function handle form of the product partition function (used both for
-    the real thing and for wrong-exponent negative controls).  A Z that
-    overflows or underflows (tiny kappa makes the exponent huge) raises
-    ConfigError instead of turning a residual into nan."""
-
-    def zfn(x: np.ndarray) -> float:
-        log_z = log_z_cols(exponent, x)
-        if not log_z < LOG_FLOAT_MAX:
-            raise ConfigError(f"Z overflows at exponent {exponent!r}")
-        z = float(np.exp(log_z))
-        if z == 0.0:
-            raise ConfigError(f"Z underflows at exponent {exponent!r}")
-        return z
-
-    return zfn
 
 
 # 5-point central stencils (4th order).
@@ -221,7 +198,7 @@ def bpz_residual(
     require_points(spec, cfg)
     _check_index(cfg, i)
     h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-4)
-    f = z_fn if z_fn is not None else product_z_fn(spec.exponent)
+    f = z_fn if z_fn is not None else spec.z
     acc, z0 = bpz_operator(spec, f, cfg.as_array(), i, h)
     return abs(acc) / abs(z0)
 
@@ -239,6 +216,6 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
     def logz(y: np.ndarray) -> float:
         return float(log_z_cols(spec.exponent, y))
 
-    exact = grad_log_z(spec, cfg, i)
+    exact = float(spec.grad_log_z(x, i))
     size = abs(spec.exponent) * float(np.sum(1.0 / np.abs(np.delete(x, i) - x[i])))
     return abs(fd_first(logz, x, i, h) - exact) / max(1.0, size)

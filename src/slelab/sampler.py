@@ -47,7 +47,7 @@ from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    PointConfig, make_report, mean_var, normal_block,
                    require_gaps, require_square, sum_columns)
 from .loewner import reference_map_zero_driving, slit_complex, slit_gap
-from .partition import PartitionSpec, log_z_cols, require_points, z_value
+from .partition import PartitionSpec, log_z_cols, require_points
 
 # why a path stopped; 0 while it runs
 REASON_BOUND = 1
@@ -371,7 +371,7 @@ def _ensemble_chunk(task: dict) -> dict:
 def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
                     first_path, drifted, j) -> list[dict]:
     """Chunk tasks of one arm; bound_n is a multiple of M_0 = Z(initial)."""
-    bound = bound_n * z_value(spec, cfg)
+    bound = bound_n * spec.z(cfg.as_array())
     if not bound > 0:
         raise ConfigError(f"stopping bound {bound!r} is not positive "
                           "(a multiple of a Z that underflows is 0)")

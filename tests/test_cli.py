@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from slelab import cli, sampler
 from slelab.cli import _READERS, CHECKS, main, resolve_workers
 from slelab.core import ConfigError, validate_config
-from slelab.partition import PartitionSpec, z_value
+from slelab.partition import PartitionSpec
 from slelab.sampler import girsanov_check, map_chunks, martingale_check
 
 CSV_COLUMNS = ["check", "name", "estimate", "std_error", "reference",
@@ -627,8 +627,8 @@ FIELDS = {
     "dt": ([1e-3, 1e-3, 2e-3, 0.01, 0.03, 0.05, 1e-300], BAD_DT),
     "n_paths": ([1, 10, 50, 50],
                 [MISSING, 0, -1, 1.5, "10", None, True, NAN, 1e300]),
-    "seed": ([0, 3, 2**64, -1, 10**30],
-             [MISSING, 1.5, "s", None, NAN, 1e300]),
+    "seed": ([0, 3, 2**64 - 1],
+             [MISSING, 1.5, "s", None, NAN, 1e300, 2**64, -1, 10**30]),
     "bound_n": ([0.5, 10.0, 1e-300, 1e300], BAD_NUMBER),
     "eps_tilde": ([0.005, 0.01, 0.01, 0.3, 1e-12], BAD_NUMBER),
     "c": ([1.0, 2.0, 2.0, 1e-300], BAD_NUMBER),
@@ -705,10 +705,14 @@ def test_check_reads_exactly_its_fields(tmp_path, monkeypatch, check):
 @pytest.mark.parametrize("check", sorted(CHECKS))
 def test_bad_seed_exit_two(tmp_path, capsys, check):
     """Every report echoes the seed, so every check refuses a bad one,
-    also the checks that draw no random numbers."""
-    assert _run_with(tmp_path, check, seed="abc") == 2
-    assert "field 'seed'" in _config_error_line(capsys)
-    assert not (tmp_path / "r.csv").exists()
+    also the checks that draw no random numbers.  An integer outside
+    [0, 2**64) is bad too: masked to 64 bits, seeds 0 and 2**64 would
+    draw one stream while their reports echo different seeds."""
+    for seed in ("abc", 2**64, -1, 10**30):
+        assert _run_with(tmp_path, check, seed=seed) == 2
+        assert "field 'seed'" in _config_error_line(capsys)
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
@@ -744,7 +748,7 @@ def test_chi_is_no_field(tmp_path, capsys, check):
 def test_bound_n_is_a_multiple_of_z_in_cli_and_library(tmp_path, check):
     # at points (0, 2) Z is 2^-1/2, so a multiple and an absolute bound differ
     spec, cfg = PartitionSpec("backward", 4.0, 2), validate_config([0.0, 2.0])
-    z = z_value(spec, cfg)
+    z = spec.z(cfg.as_array())
     assert z != 1.0
     run = dict(t_final=0.05, dt=1e-3, n_paths=400)
     path = write_config(tmp_path, check=check, kappa=4.0, points=[0.0, 2.0],

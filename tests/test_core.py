@@ -56,6 +56,13 @@ def test_sample_increments_variance():
     assert abs(inc.var() / 0.01 - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("seed", [2**64, -1, 10**30])
+def test_normal_block_refuses_seed_outside_64_bits(seed):
+    # masked, 2**64 would draw the stream of seed 0
+    with pytest.raises(ConfigError, match="outside"):
+        normal_block(seed, 0, 1, 4)
+
+
 def test_sample_increments_deterministic():
     a = np.sqrt(0.5) * normal_block(7, 0, 1, 64)[0]
     b = np.sqrt(0.5) * normal_block(7, 0, 1, 64)[0]

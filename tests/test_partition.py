@@ -13,20 +13,19 @@ from slelab.partition import (
     bpz_residual,
     fd_first,
     fd_second,
-    grad_log_z,
-    h_kappa,
     kz_residual,
     min_gap,
-    product_z_fn,
-    z_value,
 )
 from slelab.sampler import girsanov_check, martingale_check
 
 
 def test_h_kappa_values():
-    np.testing.assert_allclose(h_kappa("backward", 6.0), -1.0, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(h_kappa("backward", 2.0), -2.0, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(h_kappa("forward", 8.0 / 3.0), 0.625, rtol=1e-14)
+    np.testing.assert_allclose(PartitionSpec("backward", 6.0, 2).h_weight, -1.0,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(PartitionSpec("backward", 2.0, 2).h_weight, -2.0,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(PartitionSpec("forward", 8.0 / 3.0, 2).h_weight,
+                               0.625, rtol=1e-14)
 
 
 def test_spec_derived_fields():
@@ -37,42 +36,42 @@ def test_spec_derived_fields():
 
 def test_z_value_examples():
     np.testing.assert_allclose(
-        z_value(PartitionSpec("backward", 2.0, 3), validate_config((0, 1, 3))),
+        PartitionSpec("backward", 2.0, 3).z((0, 1, 3)),
         1.0 / 6.0, rtol=1e-14)
     np.testing.assert_allclose(
-        z_value(PartitionSpec("backward", 4.0, 2), validate_config((0, 1))),
+        PartitionSpec("backward", 4.0, 2).z((0, 1)),
         1.0, rtol=1e-14)
     np.testing.assert_allclose(
-        z_value(PartitionSpec("forward", 2.0, 2), validate_config((0, 2))),
+        PartitionSpec("forward", 2.0, 2).z((0, 2)),
         2.0, rtol=1e-14)
 
 
 def test_z_value_translation_invariant():
     spec = PartitionSpec("backward", 4.0, 3)
-    a = z_value(spec, validate_config((0, 1, 3)))
-    b = z_value(spec, validate_config((7, 8, 10)))
+    a = spec.z((0, 1, 3))
+    b = spec.z((7, 8, 10))
     assert a == b  # gaps are identical floats, no tolerance needed
 
 
 def test_z_value_homogeneous():
     spec = PartitionSpec("backward", 4.0, 3)
     lam = 2.0
-    a = z_value(spec, validate_config((0, 2, 6)))
+    a = spec.z((0, 2, 6))
     # Z has degree exponent * N(N-1)/2 = 3 * exponent for N = 3
-    b = lam**(spec.exponent * 3) * z_value(spec, validate_config((0, 1, 3)))
+    b = lam**(spec.exponent * 3) * spec.z((0, 1, 3))
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_z_value_permutation_invariant():
     spec = PartitionSpec("forward", 6.0, 3)
-    a = z_value(spec, validate_config((0, 1, 3)))
-    b = z_value(spec, validate_config((3, 0, 1)))
+    a = spec.z((0, 1, 3))
+    b = spec.z((3, 0, 1))
     np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
 def test_grad_log_z_first_point():
     spec = PartitionSpec("backward", 4.0, 2)
-    g = grad_log_z(spec, validate_config((0, 1)), 0)
+    g = spec.grad_log_z((0, 1), 0)
     np.testing.assert_allclose(g, 0.5, rtol=1e-14)
     np.testing.assert_allclose(spec.kappa * g, 2.0, rtol=1e-14)
 
@@ -82,15 +81,15 @@ def test_grad_log_z_middle_point_drift():
     cfg = validate_config((0, 1, 3))
     for kappa in (2.0, 4.0, 6.0):
         spec = PartitionSpec("backward", kappa, 3)
-        np.testing.assert_allclose(kappa * grad_log_z(spec, cfg, 1), -1.0,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            kappa * spec.grad_log_z(cfg.as_array(), 1), -1.0, rtol=1e-14)
 
 
 def test_grad_log_z_antisymmetric_pair():
     cfg = validate_config((-1.5, 1.5))
     spec = PartitionSpec("forward", 3.0, 2)
-    g0 = grad_log_z(spec, cfg, 0)
-    g1 = grad_log_z(spec, cfg, 1)
+    g0 = spec.grad_log_z(cfg.as_array(), 0)
+    g1 = spec.grad_log_z(cfg.as_array(), 1)
     np.testing.assert_allclose(g0, -g1, rtol=1e-14)
 
 
@@ -98,10 +97,11 @@ def test_grad_log_z_matches_fd():
     spec = PartitionSpec("backward", 4.0, 3)
     cfg = validate_config((0.0, 1.0, 3.0))
     x = cfg.as_array()
-    logz = lambda y: np.log(product_z_fn(spec.exponent)(y))
+    logz = lambda y: np.log(spec.z(y))
     for i in range(3):
         fd = fd_first(logz, x, i, 1e-6)
-        np.testing.assert_allclose(grad_log_z(spec, cfg, i), fd, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(spec.grad_log_z(x, i), fd, rtol=0,
+                                   atol=1e-8)
 
 
 def test_fd_stencils_on_polynomial():
@@ -132,10 +132,11 @@ def test_bpz_residual_all_indices_all_kappas():
 
 
 def test_bpz_wrong_exponent_control():
-    """A product with exponent -3/kappa must not satisfy the equation."""
+    """A product with exponent -3/kappa must not satisfy the equation: the
+    Z of backward kappa = 8/3 has the exponent -3/4."""
     spec = PartitionSpec("backward", 4.0, 2)
     bad = bpz_residual(spec, validate_config((0, 1)), 0, 1e-4,
-                       z_fn=product_z_fn(-3.0 / 4.0))
+                       z_fn=PartitionSpec("backward", 8.0 / 3.0, 2).z)
     assert bad > 0.1
 
 
@@ -174,13 +175,6 @@ def test_kz_residual_symmetric_pair():
 def test_min_gap():
     assert min_gap(validate_config((0, 1, 3))) == 1.0
     assert min_gap(validate_config((5, -2))) == 7.0
-
-
-def test_product_z_fn_matches_z_value():
-    spec = PartitionSpec("forward", 2.0, 3)
-    cfg = validate_config((0.0, 0.5, 2.0))
-    fn = product_z_fn(spec.exponent)
-    np.testing.assert_allclose(fn(cfg.as_array()), z_value(spec, cfg), rtol=1e-14)
 
 
 # a three-point flow next to a two-point configuration, at every entry

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from slelab import commutation, coupling, sampler
 from slelab.core import ConfigError, normal_block, validate_config
 from slelab.loewner import slit_real
-from slelab.partition import PartitionSpec, grad_log_z
+from slelab.partition import PartitionSpec
 from slelab.sampler import (
     MAX_PATHS,
     REASON_BOUND,
@@ -65,7 +65,7 @@ def test_drift_s_examples():
     for i in range(3):
         np.testing.assert_allclose(
             _leg_drift("backward", 2.0, cfg.points, i),
-            2.0 * grad_log_z(PartitionSpec("backward", 2.0, 3), cfg, i),
+            2.0 * PartitionSpec("backward", 2.0, 3).grad_log_z(cfg.points, i),
             rtol=1e-12)
 
 

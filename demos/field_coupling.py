@@ -22,8 +22,8 @@ from slelab.partition import PartitionSpec
 
 def main():
     print("half-plane Green functions:")
-    for kind in ("neumann", "dirichlet"):
-        print(f"  {kind:<10} G(i, 2i) = {green(kind, 1j, 2j):+.5f}")
+    for kind, mode in (("neumann", "backward"), ("dirichlet", "forward")):
+        print(f"  {kind:<10} G(i, 2i) = {green(mode, 1j, 2j):+.5f}")
 
     print(f"\nbackground charge Q(gamma=2) = {q_charge(2.0)}"
           f" = Q(gamma=4/2) = {q_charge(4.0 / 2.0)}")

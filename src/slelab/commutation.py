@@ -146,13 +146,6 @@ def _scheme_chunk(task: dict) -> dict:
     return out
 
 
-def _scheme_tasks(order, plan, spec, cfg, dt, n_paths, seed,
-                  first_path) -> list[dict]:
-    task = {"order": order, "plan": plan, "spec": spec,
-            "points": tuple(cfg.points), "dt": dt, "seed": seed}
-    return chunked(task, n_paths, first_path)
-
-
 def commutation_experiment(
     spec: PartitionSpec,
     cfg: PointConfig,
@@ -171,9 +164,10 @@ def commutation_experiment(
     map_chunks call (one pool)."""
     require_points(spec, cfg)
     plan = plan_schemes(cfg, i, j, eps_tilde, c)
-    tasks1 = _scheme_tasks("scheme1", plan, spec, cfg, dt, n_paths, seed, 0)
-    tasks2 = _scheme_tasks("scheme2", plan, spec, cfg, dt, n_paths, seed,
-                           n_paths)
+    task = {"plan": plan, "spec": spec, "points": tuple(cfg.points),
+            "dt": dt, "seed": seed}
+    tasks1 = chunked(dict(task, order="scheme1"), n_paths)
+    tasks2 = chunked(dict(task, order="scheme2"), n_paths, n_paths)
     parts = map_chunks(_scheme_chunk, tasks1 + tasks2, n_workers)
     s1 = sum_stats(parts[:len(tasks1)])
     s2 = sum_stats(parts[len(tasks1):])

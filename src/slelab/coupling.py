@@ -9,10 +9,10 @@ u at the flowed point plus a curvature term built from the map derivative,
 where u is the real (backward) or imaginary (forward) part of the
 holomorphic sum  -(2/sqrt(kappa)) sum_k eps_k log(z - x_k).  Under the
 drifted measure h_t(z) is a martingale in t for every fixed z, and the
-cross variation of h(z), h(w) equals the decrease of a boundary Green
-function along the flow.  Both statements are checked here by Monte
-Carlo; the stationarity of u itself is checked as an exact PDE residual
-via finite differences.
+cross variation of h(z), h(w) equals the decrease of the boundary Green
+function along the flow, Neumann backward and Dirichlet forward.  Both
+statements are checked here by Monte Carlo; the stationarity of u itself
+is checked as an exact PDE residual via finite differences.
 
 Sign conventions are load bearing: the backward coupling needs every
 eps_k = -1 and sqrt(kappa) in {gamma, 4/gamma}; the forward one needs
@@ -57,14 +57,6 @@ from .partition import (
 )
 from .sampler import (REASON_SWALLOWED, Flow, chunked, driver_step, horizon,
                       map_chunks, step_sizes, step_windows, sum_stats, tiled)
-
-NEUMANN = "neumann"
-DIRICHLET = "dirichlet"
-GREEN_KINDS = (NEUMANN, DIRICHLET)
-
-# Green kind is tied to the flow direction: reflecting boundary for the
-# backward (dilating) flow, absorbing for the forward one.
-MODE_GREEN = {BACKWARD: NEUMANN, FORWARD: DIRICHLET}
 
 _RELATION_TOL = 1e-9
 _COINCIDENT_TOL = 1e-14
@@ -161,17 +153,17 @@ class CouplingSpec:
 # Field building blocks
 
 
-def green(kind: str, z: complex, w: complex) -> float:
-    """Boundary Green function of the upper half plane.
+def green(mode: str, z: complex, w: complex) -> float:
+    """Boundary Green function of the upper half plane; the flow fixes
+    the boundary condition.
 
-    neumann:   -log|z-w| - log|z-conj(w)|
-    dirichlet: -log|z-w| + log|z-conj(w)|
+    backward (Neumann):  -log|z-w| - log|z-conj(w)|
+    forward (Dirichlet): -log|z-w| + log|z-conj(w)|
 
     A scalar pair at z == w or z == conj(w) raises ConfigError; arrays
     (one entry per path) give inf there.
     """
-    if kind not in GREEN_KINDS:
-        raise ValueError(f"unknown Green kind {kind!r}")
+    _check_mode(mode)
     za = np.asarray(z, dtype=complex)
     wa = np.asarray(w, dtype=complex)
     direct = np.abs(za - wa)
@@ -179,7 +171,7 @@ def green(kind: str, z: complex, w: complex) -> float:
     scalar = np.isscalar(z) and np.isscalar(w)
     if scalar and min(direct, mirror) < _COINCIDENT_TOL:
         raise ConfigError(f"Green function singular at z={z}, w={w}")
-    sign = -1.0 if kind == NEUMANN else 1.0
+    sign = -1.0 if mode == BACKWARD else 1.0
     out = -np.log(direct) + sign * np.log(mirror)
     return float(out) if scalar else out
 
@@ -221,13 +213,6 @@ def boundary_u(
 # Stationarity PDE residual (finite differences)
 
 
-def _coupling_scale(cfg: PointConfig, z: complex) -> float:
-    xs = np.asarray(cfg.points, dtype=float)
-    dist = float(np.min(np.abs(z - xs)))
-    scale = dist if len(xs) < 2 else min(dist, min_gap(cfg))
-    return scale
-
-
 def coupling_pde_residual(
     cspec: CouplingSpec,
     z: complex,
@@ -250,8 +235,11 @@ def coupling_pde_residual(
     spec = cspec.pspec
     eps = cspec.epsilon_signs
     kappa = cspec.kappa
-    h = _resolve_step(cfg, _coupling_scale(cfg, z), fd_step, 1e-4)
     x0 = np.asarray(cfg.points, dtype=float)
+    # the length scale: z's distance to the points, or their smallest gap
+    # if that is shorter (min_gap is inf for a single point)
+    scale = min(float(np.min(np.abs(z - x0))), min_gap(cfg))
+    h = _resolve_step(cfg, scale, fd_step, 1e-4)
 
     z_center = spec.z(x0)
 
@@ -326,9 +314,9 @@ def _field_values(
     return columns
 
 
-def _pair_green(kind: str, zb: np.ndarray, pairs: List[Tuple[int, int]]) -> np.ndarray:
+def _pair_green(mode: str, zb: np.ndarray, pairs: List[Tuple[int, int]]) -> np.ndarray:
     """Green function per path for each tracked pair; zb (n,M) -> (n,P)."""
-    return _stack([green(kind, zb[:, a], zb[:, b]) for a, b in pairs], zb.shape[0])
+    return _stack([green(mode, zb[:, a], zb[:, b]) for a, b in pairs], zb.shape[0])
 
 
 def _stack(cols: List[np.ndarray], n: int) -> np.ndarray:
@@ -365,7 +353,6 @@ def _h_run(
     curvature = cspec.curvature_constant
     sqk = math.sqrt(kappa)
     kb = kappa * cspec.pspec.exponent
-    kind = MODE_GREEN[mode]
     flow = Flow.start(np.broadcast_to(cfg.as_array(), (n_paths, len(cfg))))
     m_bulk = len(bulk)
     zb = np.empty((n_paths, m_bulk), dtype=complex, order="F")
@@ -375,7 +362,7 @@ def _h_run(
 
     h_prev = _field_values(mode, kappa, eps, curvature, flow.x, zb, db)
     h0 = _stack(h_prev, n_paths)
-    g0 = _pair_green(kind, zb, pairs)
+    g0 = _pair_green(mode, zb, pairs)
     accum = [np.zeros(n_paths) for _ in pairs]
 
     # column views, written in place; frozen rows are never written
@@ -420,7 +407,7 @@ def _h_run(
                                  * (h_new[b] - h_prev[b]))
                 h_prev = h_new
             del normals      # before the next window is drawn
-    gt = _pair_green(kind, zb, pairs)
+    gt = _pair_green(mode, zb, pairs)
     return {
         "h0": h0,
         "ht": _stack(h_prev, n_paths),
@@ -474,7 +461,7 @@ def _run_h_ensemble(
         raise ValueError("bulk points must satisfy Im z > 0")
     require_gaps(cfg, i, bulk)
     for z, w in itertools.combinations(bulk, 2):
-        green(MODE_GREEN[cspec.mode], z, w)      # refuses coincident points
+        green(cspec.mode, z, w)      # refuses coincident points
     horizon(t_final, dt)     # refuses a horizon before any task is built
     task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
             "T": t_final, "dt": dt, "seed": seed}
@@ -482,6 +469,14 @@ def _run_h_ensemble(
     if not all(np.all(np.isfinite(v)) for v in stats.values()):
         raise NumericalFailure("the field sums overflowed")
     return stats
+
+
+def _mean_se(s1: float, s2: float, n: int) -> Tuple[float, float]:
+    """(mean, SE of the mean) of n samples from s1 = sum x, s2 = sum x^2;
+    the h-ensemble rows use the population variance."""
+    mean = s1 / n
+    var = max(s2 / n - mean**2, 0.0)
+    return mean, math.sqrt(var / n)
 
 
 def coupling_martingale_check(
@@ -508,19 +503,10 @@ def coupling_martingale_check(
     n = stats["n"]
     reports = []
     for m, zz in enumerate(bulk):
-        mean = stats["sh"][m] / n
-        var = max(stats["sh2"][m] / n - mean**2, 0.0)
-        se = math.sqrt(var / n)
-        reports.append(
-            make_report(
-                name=f"coupling_drift_z{m}_re{np.real(zz):g}_im{np.imag(zz):g}",
-                estimate=float(mean),
-                std_error=float(se),
-                reference=0.0,
-                tolerance=3.0 * se,
-                n_samples=n,
-            )
-        )
+        mean, se = _mean_se(stats["sh"][m], stats["sh2"][m], n)
+        reports.append(make_report(
+            f"coupling_drift_z{m}_re{np.real(zz):g}_im{np.imag(zz):g}",
+            float(mean), float(se), 0.0, 3.0 * se, n))
     return reports
 
 
@@ -549,21 +535,11 @@ def cross_variation_experiment(
     n = stats["n"]
     reports = []
     for p, (a, b) in enumerate(pairs):
-        est = stats["sx"][p] / n
         ref = stats["sg"][p] / n
-        mean_d = stats["sd"][p] / n
-        var_d = max(stats["sd2"][p] / n - mean_d**2, 0.0)
-        se = math.sqrt(var_d / n)
-        reports.append(
-            make_report(
-                name=f"crossvar_pair_{a}_{b}",
-                estimate=float(est),
-                std_error=float(se),
-                reference=float(ref),
-                tolerance=0.05 * abs(ref),
-                n_samples=n,
-            )
-        )
+        se = _mean_se(stats["sd"][p], stats["sd2"][p], n)[1]
+        reports.append(make_report(
+            f"crossvar_pair_{a}_{b}", float(stats["sx"][p] / n), float(se),
+            float(ref), 0.05 * abs(ref), n))
     return reports
 
 
@@ -598,13 +574,12 @@ def green_increment_check(
     Within a substep the driving is frozen at u0, so the exact slit map
     makes (G_{k+1} - G_k)/delta equal the trapezoid average of the
     coefficient at the substep endpoints up to O(delta^2).  Returns the
-    largest relative mismatch over the path; a wrong sign or a wrong
-    Green kind shows up as O(1).
+    largest relative mismatch over the path; a wrong sign or the other
+    mode's Green function shows up as O(1).
     """
     _check_mode(mode)
     if np.imag(z) <= 0 or np.imag(w) <= 0:
         raise ValueError("bulk points must satisfy Im z > 0")
-    kind = MODE_GREEN[mode]
     pts = np.array([z, w], dtype=complex)
     u = 0.0
     worst = 0.0
@@ -613,7 +588,7 @@ def green_increment_check(
     for a, b in step_windows(horizon(t_final, dt)[0]):
         normals = normal_block(seed, 0, 1, b - a, a)[0]
         for delta, normal in zip(step_sizes(t_final, dt, a, b), normals):
-            g_before = green(kind, pts[0], pts[1])
+            g_before = green(mode, pts[0], pts[1])
             p0 = green_increment_coefficient(mode, pts[0], pts[1], u)
             new, _, bad = slit_complex(pts[None, :], u, delta, mode)
             if np.any(bad):
@@ -621,7 +596,7 @@ def green_increment_check(
                     "bulk point swallowed during Green increment check")
             pts = new[0]
             p1 = green_increment_coefficient(mode, pts[0], pts[1], u)
-            g_after = green(kind, pts[0], pts[1])
+            g_after = green(mode, pts[0], pts[1])
             pbar = 0.5 * (p0 + p1)
             rel = (abs((g_after - g_before) / delta - pbar)
                    / max(abs(pbar), 1e-12))

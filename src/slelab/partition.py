@@ -82,7 +82,8 @@ def require_points(spec: PartitionSpec, cfg: PointConfig) -> None:
 def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
     """log Z along the last axis: exponent * sum_{i<j} log|x_i - x_j|.
 
-    x has shape (..., N); returns shape (...).  Coinciding pairs give -inf
+    x has shape (..., N); returns shape (...).  The pairs add left to
+    right, for one configuration as for many.  Coinciding pairs give -inf
     (backward) which downstream code treats as a collision; a gap that
     overflows gives inf.
     """
@@ -95,9 +96,6 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         logs = [np.log(np.abs(x[..., i] - x[..., j]))
                 for i in range(n) for j in range(i + 1, n)]
-    if x.ndim == 1:
-        # one configuration: summed as a vector, pairwise from 8 pairs on
-        return exponent * np.sum(logs)
     return exponent * sum_columns(logs)
 
 

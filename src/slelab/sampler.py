@@ -142,17 +142,12 @@ def step_windows(n_steps: int) -> Iterator[tuple[int, int]]:
     return _even_split(n_steps, STEP_BLOCK)
 
 
-def path_tiles(count: int) -> Iterator[tuple[int, int]]:
-    """Bounds [a, b) of the ceil(count / TILE) even path tiles of a chunk
-    of `count` paths, relative to its first path."""
-    return _even_split(count, TILE)
-
-
 def tiled(count: int, run_tile: Callable[[int, int], dict]) -> dict:
-    """run_tile(a, b) on each path tile of a chunk; its per-path arrays
-    joined in path order.  np.concatenate keeps the tiles' memory layout,
-    so the chunk's sums over paths read what one call would have built."""
-    parts = [run_tile(a, b) for a, b in path_tiles(count)]
+    """run_tile(a, b) on each of the ceil(count / TILE) even path tiles
+    [a, b) of a chunk, its per-path arrays joined in path order.
+    np.concatenate keeps the tiles' memory layout, so the chunk's sums over
+    paths read what one call would have built."""
+    parts = [run_tile(a, b) for a, b in _even_split(count, TILE)]
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
@@ -346,9 +341,8 @@ def _ensemble_chunk(task: dict) -> dict:
 
     count = task["count"]
     flow = tiled(count, run_tile)
-    x0 = np.tile(points, (count, 1))
     with np.errstate(over="ignore"):     # inf fails the caller's tests
-        log_w = flow["log_m"] - log_z_cols(spec.exponent, x0)
+        log_w = flow["log_m"] - log_z_cols(spec.exponent, points[None, :])
         w = np.exp(log_w)   # M / M_0
     j = task["j"]
     f = flow["x"][:, j] if j is not None else np.zeros(count)
@@ -526,18 +520,24 @@ def inverse_law_check(
     The inverse sample runs a backward chain driven by the time-reversed,
     negated increments of an independent forward driving path and subtracts
     the final driving value.  Compares means and variances of the real and
-    imaginary parts.
+    imaginary parts.  T must be a whole multiple of dt.
+
+    The two arms are equal in law by construction, so a wrong slit map
+    moves both alike: the reversed arm's own iid symmetric normals, read
+    reversed and negated, are again iid N(0, 1), and both arms run the
+    same backward slit_complex chain.  Only an asymmetric RNG can fail a
+    row (ROADMAP item 15).
     """
     if not complex(z0).imag > 0:
         raise ValueError("z0 must lie in the upper half-plane")
     require_square(z0, f"modulus of bulk point {z0}")
     n_steps, last = horizon(T, dt)
-    first = float(dt if n_steps > 1 else last)
-    if not np.isclose(last, first):
+    # horizon gives dt itself as the last step of a whole multiple
+    if n_steps > 1 and last != dt:
         raise ConfigError("inverse check needs T to be a multiple of dt")
     # a constant known before any path runs keeps the sums additive
     shift = complex(reference_map_zero_driving(z0, T, BACKWARD))
-    task = {"z0": complex(z0), "kappa": kappa, "dt": first,
+    task = {"z0": complex(z0), "kappa": kappa, "dt": float(last),
             "n_steps": n_steps, "seed": seed, "shift": shift}
 
     tasks = chunked(dict(task, reversed=False), n_paths)

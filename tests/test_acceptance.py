@@ -278,8 +278,8 @@ def test_criterion_12_invariance_suite():
         checks.append(max(abs(d - deltas[0]) for d in deltas) < 1e-12)
 
     # green symmetry, exact
-    checks.append(green("neumann", 0.3 + 1j, -2 + 0.5j)
-                  == green("neumann", -2 + 0.5j, 0.3 + 1j))
+    checks.append(green("backward", 0.3 + 1j, -2 + 0.5j)
+                  == green("backward", -2 + 0.5j, 0.3 + 1j))
 
     # substep semigroup under constant driving
     st = initial_state("backward", bulk=(0.4 + 0.7j,))

@@ -193,6 +193,15 @@ def test_inverse_ragged_grid_exit_two(tmp_path, capsys):
     assert "multiple of dt" in _config_error_line(capsys)
 
 
+def test_inverse_tiny_dt_misfit_exit_two(tmp_path, capsys):
+    # 2.5 substeps of 1e-8: the last one is half of dt however small dt is
+    cfg = write_config(tmp_path, check="inverse", kappa=4.0, t_final=2.5e-8,
+                       dt=1e-8, n_paths=10, out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 2
+    assert "multiple of dt" in _config_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_inverse_refuses_more_than_one_bulk_point(tmp_path, capsys):
     # the check tracks one start point z0; a second one used to be dropped
     cfg = write_config(tmp_path, check="inverse", kappa=4.0,

@@ -8,7 +8,6 @@ from slelab.commutation import (
     _run_legs,
     _scheme_chunk,
     _scheme_legs,
-    _scheme_tasks,
     arctan_sum,
     commutation_experiment,
     commutator_residual,
@@ -16,6 +15,7 @@ from slelab.commutation import (
 )
 from slelab.core import ConfigError, validate_config
 from slelab.partition import PartitionSpec
+from slelab.sampler import chunked
 
 CFG = validate_config((0.0, 1.0))
 SPEC = PartitionSpec("backward", 4.0, 2)
@@ -142,7 +142,9 @@ def test_run_scheme_zero_drift_breaks_commutation():
 
 def test_run_scheme_repeatable():
     plan = plan_schemes(CFG, 0, 1, 0.01, 2.0)
-    task, = _scheme_tasks("scheme1", plan, SPEC, CFG, 1e-4, 50, 3, 7)
+    task, = chunked({"order": "scheme1", "plan": plan, "spec": SPEC,
+                     "points": tuple(CFG.points), "dt": 1e-4, "seed": 3},
+                    50, 7)
     assert _scheme_chunk(task) == _scheme_chunk(task)
 
 

@@ -31,23 +31,30 @@ CS_FWD = CouplingSpec(PartitionSpec("forward", 2.0, 2))
 
 
 def test_green_neumann_examples():
-    np.testing.assert_allclose(green("neumann", 1j, 2j), -np.log(3.0), rtol=1e-14)
-    np.testing.assert_allclose(green("neumann", 1j, 1 + 1j),
+    """Backward flows couple to the Neumann Green function."""
+    np.testing.assert_allclose(green("backward", 1j, 2j), -np.log(3.0), rtol=1e-14)
+    np.testing.assert_allclose(green("backward", 1j, 1 + 1j),
                                -np.log(np.sqrt(5.0)), rtol=1e-14)
 
 
 def test_green_dirichlet_sign():
-    np.testing.assert_allclose(green("dirichlet", 1j, 2j), np.log(3.0), rtol=1e-14)
+    """Forward flows couple to the Dirichlet Green function."""
+    np.testing.assert_allclose(green("forward", 1j, 2j), np.log(3.0), rtol=1e-14)
 
 
 def test_green_symmetric():
-    for kind in ("neumann", "dirichlet"):
-        assert green(kind, 0.3 + 1j, -2 + 0.5j) == green(kind, -2 + 0.5j, 0.3 + 1j)
+    for mode in ("backward", "forward"):
+        assert green(mode, 0.3 + 1j, -2 + 0.5j) == green(mode, -2 + 0.5j, 0.3 + 1j)
 
 
 def test_green_coincident_points():
     with pytest.raises(ConfigError, match="Green function singular"):
-        green("neumann", 1j, 1j)
+        green("backward", 1j, 1j)
+
+
+def test_green_refuses_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        green("neumann", 1j, 2j)
 
 
 def test_green_dirichlet_positive():
@@ -55,8 +62,8 @@ def test_green_dirichlet_positive():
     for a in zs:
         for b in zs:
             if a != b:
-                assert green("dirichlet", a, b) > 0
-                assert np.isfinite(green("neumann", a, b))
+                assert green("forward", a, b) > 0
+                assert np.isfinite(green("backward", a, b))
 
 
 def test_q_charge_dual_gamma():

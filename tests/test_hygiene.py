@@ -1,7 +1,8 @@
-"""Static checks that need no linter: no dead imports and no uncalled
-module-level names in the package, and every package name that the
-benchmark harness in perfbench/ hooks or imports, or that README.md
-cites, still resolves.  perfbench/ is only read here, never changed."""
+"""Static checks that need no linter: no dead imports, no uncalled
+module-level names and no np.isclose/np.allclose in the package, and
+every package name that the benchmark harness in perfbench/ hooks or
+imports, or that README.md cites, still resolves.  perfbench/ is only
+read here, never changed."""
 
 import ast
 import importlib
@@ -35,6 +36,21 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert _unused_imports(PACKAGE / module) == []
+
+
+def test_no_default_tolerance_comparisons():
+    """The package calls no np.isclose or np.allclose: their default atol
+    of 1e-8 makes a comparison depend on the scale of its operands (it
+    took half a substep of 1e-8 for a whole one)."""
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")
+             and node.func.attr in ("isclose", "allclose")]
+    assert calls == []
 
 
 def _definitions(tree: ast.Module):

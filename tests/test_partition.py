@@ -14,6 +14,7 @@ from slelab.partition import (
     fd_first,
     fd_second,
     kz_residual,
+    log_z_cols,
     min_gap,
 )
 from slelab.sampler import girsanov_check, martingale_check
@@ -67,6 +68,21 @@ def test_z_value_permutation_invariant():
     a = spec.z((0, 1, 3))
     b = spec.z((3, 0, 1))
     np.testing.assert_allclose(a, b, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_points", [5, 6])
+def test_z_sums_as_the_kernel_rows(n_points):
+    """Z of one configuration is the exp of the kernel's log Z of a row of
+    it, bit for bit: the stopping bound and log M_0 share one summation
+    order (from 8 pairs on, np.sum of a vector adds in another)."""
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        x = np.sort(rng.uniform(-3.0, 3.0, n_points))
+        spec = PartitionSpec(rng.choice(["backward", "forward"]),
+                             float(rng.choice([1.0, 2.0, 8 / 3, 4.0, 6.0, 8.0])),
+                             n_points)
+        row = log_z_cols(spec.exponent, x[None, :])[0]
+        assert spec.z(x) == np.exp(row)
 
 
 def test_grad_log_z_first_point():

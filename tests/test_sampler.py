@@ -307,6 +307,12 @@ def test_inverse_law_rejects_ragged_grid():
         inverse_law_check(2.0, 2j, 0.1, 0.03, 10, seed=0)
 
 
+def test_inverse_law_rejects_misfit_at_tiny_dt():
+    # 2.5 substeps of 1e-8: the last one is half of dt however small dt is
+    with pytest.raises(ConfigError, match="multiple of dt"):
+        inverse_law_check(2.0, 2j, 2.5e-8, 1e-8, 10, seed=0)
+
+
 @pytest.mark.parametrize("run", [
     lambda n: martingale_check(SPEC_BACK, CFG2, 0, 0.01, 1e-3, n),
     lambda n: girsanov_check(SPEC_BACK, CFG2, 0, None, 0.01, 1e-3, n),

@@ -24,8 +24,9 @@ def main():
     print(f"{'eps_tilde':>10} {'c':>4} {'eps':>9} {'eps_prime':>10}")
     for eps_tilde in (0.01, 0.005):
         for c in (1.0, 2.0):
-            p = plan_schemes(cfg, 0, 1, eps_tilde, c)
-            print(f"{eps_tilde:>10} {c:>4} {p.eps:>9.4f} {p.eps_prime:>10.4f}")
+            ((_, eps), _), ((_, eps_prime), _) = plan_schemes(
+                cfg, 0, 1, eps_tilde, c)
+            print(f"{eps_tilde:>10} {c:>4} {eps:>9.4f} {eps_prime:>10.4f}")
 
     spec = PartitionSpec("backward", 4.0, 2)
     phi = lambda x: float(x[0] * x[1])

@@ -7,7 +7,7 @@ import numpy as np
 
 from slelab.core import build_driving_path, normal_block
 from slelab.loewner import (
-    SwallowedReference,
+    Swallowed,
     evolve,
     extract_hcap,
     initial_state,
@@ -56,5 +56,5 @@ if __name__ == "__main__":
     # the forward reference has a swallowing region; show the guard
     try:
         reference_map_zero_driving(1j, 1.0, "forward")
-    except SwallowedReference as exc:
+    except Swallowed as exc:
         print(f"\nforward closed form refuses absorbed points: {exc}")

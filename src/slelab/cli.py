@@ -39,12 +39,13 @@ from .core import (
     BACKWARD,
     MODES,
     ConfigError,
-    DrivingPath,
     McReport,
     NumericalFailure,
     PointConfig,
+    build_driving_path,
     make_report,
     normal_block,
+    require_bulk,
     validate_config,
 )
 from .coupling import (
@@ -154,10 +155,8 @@ def _bulk_points(field: str, raw) -> List[complex]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError(
                 f"each bulk point must be a [re, im] pair of reals, got {entry!r}")
-        z = complex(*(_real(field, v) for v in entry))
-        if z.imag <= 0:
-            raise ConfigError(f"bulk point {entry!r} must have positive imaginary part")
-        out.append(z)
+        out.append(complex(*(_real(field, v) for v in entry)))
+    require_bulk(out)
     return out
 
 
@@ -270,24 +269,20 @@ def _exact_row(name: str, estimate: float, tolerance: float,
 # Check runners (config dict -> McReport rows)
 
 
-def _evolve_windows(state: ChainState, n: int, dt: float,
+def _evolve_windows(state: ChainState, kappa: float, n: int, dt: float,
                     steps: Callable[[int, int], np.ndarray]
                     ) -> Tuple[ChainState, float]:
     """(final state, max |W|) of evolving `state` by n substeps of dt
     driven from W = 0, one step window at a time, so memory does not grow
-    with the horizon; steps(a, b) gives the driving increments of steps
-    a .. b - 1.  The last driving value is carried into each window's
-    cumsum, so the values keep the bits of one sequential sum."""
+    with the horizon; steps(a, b) gives the Brownian increments of steps
+    a .. b - 1.  Each window's path starts from the last value of the one
+    before, so the values keep the bits of one path."""
     value = reach = 0.0
     for a, b in step_windows(n):
-        inc = steps(a, b)
-        inc[0] += value
-        values = np.empty(b - a + 1)
-        values[0] = value
-        np.cumsum(inc, out=values[1:])
-        state = evolve(state, DrivingPath(dt, values), first_step=a)
-        value = values[-1]
-        reach = max(reach, float(np.max(np.abs(values))))
+        path = build_driving_path(kappa, value, steps(a, b), dt)
+        state = evolve(state, path, first_step=a)
+        value = path.values[-1]
+        reach = max(reach, float(np.max(np.abs(path.values))))
     return state, reach
 
 
@@ -296,8 +291,8 @@ def _run_zip(config: dict, workers: int) -> List[McReport]:
     t_final, dt = _times(config)
     bulk = _get(config, "bulk_points", list(_DEFAULT_ZIP_GRID))
     n, dt_eff = _uniform_steps(t_final, dt)
-    final, _ = _evolve_windows(initial_state(mode, bulk=bulk), n, dt_eff,
-                               lambda a, b: np.zeros(b - a))
+    final, _ = _evolve_windows(initial_state(mode, bulk=bulk), 0.0, n,
+                               dt_eff, lambda a, b: np.zeros(b - a))
     return [_exact_row(f"zip_z_re{z.real:g}_im{z.imag:g}",
                        abs(final.bulk_values[k]
                            - reference_map_zero_driving(z, t_final, mode)),
@@ -313,13 +308,12 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
     n, dt_eff = _uniform_steps(t_final, dt)
 
     def steps(a: int, b: int) -> np.ndarray:
-        incs = normal_block(seed, 0, 1, b - a, a)[0] * math.sqrt(dt_eff)
-        return np.sqrt(kappa) * incs
+        return normal_block(seed, 0, 1, b - a, a)[0] * math.sqrt(dt_eff)
 
     radius = DEFAULT_PROBE_RADIUS
     final, reach = _evolve_windows(
-        initial_state(mode, bulk=(1j * radius, 2j * radius)), n, dt_eff,
-        steps)
+        initial_state(mode, bulk=(1j * radius, 2j * radius)), kappa, n,
+        dt_eff, steps)
     # the capacity is read off the 1/z expansion about 0
     if not reach < radius / 100:
         raise NumericalFailure(f"the driving reaches |W| = {reach:g}, not "
@@ -571,6 +565,8 @@ def _sweep_values(config: dict) -> tuple[list[str], list[list]]:
             raise ConfigError(f"sweep field {field!r} is empty")
         # an array of arrays sweeps points; a flat array is one config
         if field != "points" or all(isinstance(v, list) for v in val):
+            for v in val:     # every cell's value, before any cell runs
+                _READERS[field](field, v)
             fields.append(field)
             values.append(val)
     if not fields:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,20 +39,15 @@ from .sampler import (REASON_SWALLOWED, chunked, horizon, map_chunks, run_leg,
                       step_sizes, step_windows, sum_stats, tiled)
 
 
-@dataclass(frozen=True)
-class SchemePlan:
-    i: int
-    j: int
-    eps_tilde: float
-    c: float
-    eps: float
-    eps_prime: float
+Legs = tuple[tuple[int, float], ...]
 
 
 def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
-                 c: float) -> SchemePlan:
-    """Fill the truncated first-leg times; refuses eps_tilde too large for
-    the (i, j) gap, or a squared gap to i or j that overflows."""
+                 c: float) -> tuple[Legs, Legs]:
+    """The legs of scheme 1 and of scheme 2, each leg a (driving slot,
+    leg time) pair, with the truncated first-leg times; refuses eps_tilde
+    too large for the (i, j) gap, or a squared gap to i or j that
+    overflows."""
     if i == j:
         raise ValueError("i and j must differ")
     if eps_tilde < 0 or c <= 0:
@@ -67,7 +61,7 @@ def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
             f"must stay below the squared gap {gap2:g}")
     eps = (1.0 - 4.0 * eps_tilde / gap2) * c * eps_tilde
     eps_prime = (1.0 - 4.0 * c * eps_tilde / gap2) * eps_tilde
-    return SchemePlan(i, j, eps_tilde, c, eps, eps_prime)
+    return ((i, eps), (j, eps_tilde)), ((j, eps_prime), (i, c * eps_tilde))
 
 
 def arctan_sum(x: np.ndarray) -> np.ndarray:
@@ -75,26 +69,15 @@ def arctan_sum(x: np.ndarray) -> np.ndarray:
     return np.sum(np.arctan(x), axis=-1)
 
 
-def _scheme_legs(order: str, plan: SchemePlan,
-                 dt: float) -> list[tuple[int, float, float]]:
-    """(driving slot, leg time, substep) of each leg of a scheme."""
-    if order == "scheme1":
-        legs = [(plan.i, plan.eps), (plan.j, plan.eps_tilde)]
-    elif order == "scheme2":
-        legs = [(plan.j, plan.eps_prime), (plan.i, plan.c * plan.eps_tilde)]
-    else:
-        raise ValueError("order must be 'scheme1' or 'scheme2'")
-    return [(slot, T, dt) for slot, T in legs]
-
-
-def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
-              drifted: bool):
-    """Run the legs of a scheme on rows x, each leg on its own steps of the
-    rows' streams; returns the final Flow.  `draw(n_steps, first_step)`
-    gives the normals of steps first_step .. first_step + n_steps - 1 of
-    the whole scheme.  They are drawn one window of step_windows at a time
-    across leg boundaries; each run_leg call covers a window's part of one
-    leg.  The legs carry no weights, so no derivative is tracked.
+def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
+              draw: Callable, drifted: bool):
+    """Run the legs of a scheme on rows x in substeps of dt, each leg on
+    its own steps of the rows' streams; returns the final Flow.
+    `draw(n_steps, first_step)` gives the normals of steps first_step ..
+    first_step + n_steps - 1 of the whole scheme.  They are drawn one
+    window of step_windows at a time across leg boundaries; each run_leg
+    call covers a window's part of one leg.  The legs carry no weights, so
+    no derivative is tracked.
 
     collision_guard=2 keeps only the exact swallow criterion
     gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider layer is
@@ -103,11 +86,11 @@ def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
     the law of the swallow events is not established: with three points
     they swallow at different rates (ROADMAP item 4d).
     """
-    starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T, dt in legs])
+    starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T in legs])
     flow = x
     for a, b in step_windows(int(starts[-1])):
         normals = draw(b - a, a)
-        for (slot, T, dt), start, stop in zip(legs, starts, starts[1:]):
+        for (slot, T), start, stop in zip(legs, starts, starts[1:]):
             lo, hi = max(a, start), min(b, stop)
             if lo >= hi:
                 continue
@@ -121,20 +104,20 @@ def _run_legs(legs, spec: PartitionSpec, x: np.ndarray, draw: Callable,
 
 
 def _scheme_chunk(task: dict) -> dict:
-    legs = _scheme_legs(task["order"], task["plan"], task["dt"])
+    legs, dt = task["legs"], task["dt"]
     points = np.asarray(task["points"])
 
     def run_tile(t0: int, t1: int) -> dict:
         draw = functools.partial(normal_block, task["seed"],
                                  task["first_path"] + t0, t1 - t0)
-        flow = _run_legs(legs, task["spec"], np.tile(points, (t1 - t0, 1)),
-                         draw, drifted=True)
+        x = np.broadcast_to(points, (t1 - t0, len(points)))
+        flow = _run_legs(legs, dt, task["spec"], x, draw, drifted=True)
         return {"x": flow.x, "reason": flow.reason}
 
     flow = tiled(task["count"], run_tile)
     x = flow["x"]
     keep = flow["reason"] != REASON_SWALLOWED
-    steps = task["count"] * sum(horizon(T, dt)[0] for _, T, dt in legs)
+    steps = task["count"] * sum(horizon(T, dt)[0] for _, T in legs)
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum()),
            "path_steps": steps, "draws": steps}
     n_pts = x.shape[1]
@@ -163,11 +146,10 @@ def commutation_experiment(
     max(3 * pooled SE, 10 * eps_tilde**2).  Both schemes share one
     map_chunks call (one pool)."""
     require_points(spec, cfg)
-    plan = plan_schemes(cfg, i, j, eps_tilde, c)
-    task = {"plan": plan, "spec": spec, "points": tuple(cfg.points),
-            "dt": dt, "seed": seed}
-    tasks1 = chunked(dict(task, order="scheme1"), n_paths)
-    tasks2 = chunked(dict(task, order="scheme2"), n_paths, n_paths)
+    legs1, legs2 = plan_schemes(cfg, i, j, eps_tilde, c)
+    task = {"spec": spec, "points": tuple(cfg.points), "dt": dt, "seed": seed}
+    tasks1 = chunked(dict(task, legs=legs1), n_paths)
+    tasks2 = chunked(dict(task, legs=legs2), n_paths, n_paths)
     parts = map_chunks(_scheme_chunk, tasks1 + tasks2, n_workers)
     s1 = sum_stats(parts[:len(tasks1)])
     s2 = sum_stats(parts[len(tasks1):])

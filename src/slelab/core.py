@@ -78,6 +78,15 @@ def require_square(d: complex, what: str) -> None:
         raise ConfigError(f"the squared {what} overflows")
 
 
+def require_bulk(bulk: Sequence[complex]) -> None:
+    """Refuse a bulk point off the open upper half-plane (NaN included)
+    or one whose squared modulus overflows; a chain squares it."""
+    for z in map(complex, bulk):
+        if not z.imag > 0:
+            raise ConfigError(f"bulk point {z} must have Im z > 0")
+        require_square(z, f"modulus of bulk point {z}")
+
+
 def require_gaps(cfg: PointConfig, i: int, bulk: Sequence[complex] = ()) -> None:
     """Refuse points whose squared gap to the driving point i, or bulk
     points whose squared distance to a point, overflows."""
@@ -139,13 +148,13 @@ class DrivingPath:
 def build_driving_path(kappa: float, w0: float, increments: np.ndarray,
                        dt: float) -> DrivingPath:
     """values[k+1] = values[k] + sqrt(kappa)*increments[k], values[0] = w0,
-    from Brownian increments of variance dt each."""
-    increments = np.asarray(increments, dtype=float)
+    from Brownian increments of variance dt each.  w0 is the first term of
+    one sequential sum, so a path continued from another's last value has
+    the bits of one path over both."""
     values = np.empty(len(increments) + 1)
     values[0] = w0
-    np.cumsum(np.sqrt(kappa) * increments, out=values[1:])
-    values[1:] += w0
-    return DrivingPath(dt=dt, values=values)
+    values[1:] = np.sqrt(kappa) * np.asarray(increments, dtype=float)
+    return DrivingPath(dt=dt, values=np.cumsum(values, out=values))
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,

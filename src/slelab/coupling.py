@@ -42,6 +42,7 @@ from .core import (
     _check_mode,
     make_report,
     normal_block,
+    require_bulk,
     require_gaps,
     validate_config,
 )
@@ -229,8 +230,7 @@ def coupling_pde_residual(
     require_points(cspec.pspec, cfg)
     validate_config(cfg.points)
     _check_index(cfg, i)
-    if np.imag(z) <= 0:
-        raise ValueError("bulk point must satisfy Im z > 0")
+    require_bulk([z])
     require_gaps(cfg, i, [z])
     spec = cspec.pspec
     eps = cspec.epsilon_signs
@@ -457,8 +457,7 @@ def _run_h_ensemble(
     n_workers: int,
 ) -> dict:
     validate_config(cfg.points)
-    if any(np.imag(zz) <= 0 for zz in bulk):
-        raise ValueError("bulk points must satisfy Im z > 0")
+    require_bulk(bulk)
     require_gaps(cfg, i, bulk)
     for z, w in itertools.combinations(bulk, 2):
         green(cspec.mode, z, w)      # refuses coincident points
@@ -578,17 +577,17 @@ def green_increment_check(
     mode's Green function shows up as O(1).
     """
     _check_mode(mode)
-    if np.imag(z) <= 0 or np.imag(w) <= 0:
-        raise ValueError("bulk points must satisfy Im z > 0")
+    require_bulk((z, w))
     pts = np.array([z, w], dtype=complex)
     u = 0.0
     worst = 0.0
+    g_before = green(mode, pts[0], pts[1])
     # one step window of normals and sizes at a time, so memory does not
     # grow with the horizon
     for a, b in step_windows(horizon(t_final, dt)[0]):
         normals = normal_block(seed, 0, 1, b - a, a)[0]
         for delta, normal in zip(step_sizes(t_final, dt, a, b), normals):
-            g_before = green(mode, pts[0], pts[1])
+            # p is evaluated afresh at both ends: u moves between steps
             p0 = green_increment_coefficient(mode, pts[0], pts[1], u)
             new, _, bad = slit_complex(pts[None, :], u, delta, mode)
             if np.any(bad):
@@ -601,5 +600,6 @@ def green_increment_check(
             rel = (abs((g_after - g_before) / delta - pbar)
                    / max(abs(pbar), 1e-12))
             worst = max(worst, rel)
+            g_before = g_after
             u = u + math.sqrt(kappa * delta) * normal
     return worst

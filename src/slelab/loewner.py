@@ -22,23 +22,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (BACKWARD, FORWARD, DrivingPath, NumericalFailure,
-                   _check_mode, require_square)
+                   _check_mode, require_bulk)
 
 FORWARD_SWALLOW_GUARD = 1e-6
 DEFAULT_PROBE_RADIUS = 1e4
 
 
 class Swallowed(NumericalFailure):
-    """A tracked point was absorbed by the hull within a substep."""
+    """A tracked point was absorbed by the hull: within substep `step` of
+    a chain, at `time`, or by the closed form, where both are None."""
 
     def __init__(self, msg: str, step: int | None = None, time: float | None = None):
         super().__init__(msg)
         self.step = step
         self.time = time
-
-
-class SwallowedReference(NumericalFailure):
-    """Closed-form reference requested at a point the forward flow absorbs."""
 
 
 def sqrt_him(q):
@@ -125,10 +122,7 @@ def initial_state(mode: str, bulk=()) -> ChainState:
     """Time-zero state tracking the given interior points."""
     _check_mode(mode)
     bk = np.asarray(list(bulk), dtype=complex)
-    if not np.all(bk.imag > 0):
-        raise ValueError("bulk points must have positive imaginary part")
-    for p in bk:     # a substep squares its distance from 0
-        require_square(p, f"modulus of point {p}")
+    require_bulk(bk)
     return ChainState(time=0.0, mode=mode, bulk_values=bk,
                       bulk_derivs=np.ones_like(bk))
 
@@ -200,11 +194,11 @@ def reference_map_zero_driving(z, t: float, mode: str):
     if zc.imag == 0.0:
         arg = zc.real**2 + sign * t
         if arg <= 0.0:
-            raise SwallowedReference(f"real point {z} swallowed by time {t}")
+            raise Swallowed(f"real point {z} swallowed by time {t}")
         return float(np.sign(zc.real) * np.sqrt(arg))
     if mode == FORWARD and zc.real == 0.0 and zc.imag**2 <= 4.0 * t:
-        raise SwallowedReference(f"point {z} swallowed by the forward flow at {t}")
+        raise Swallowed(f"point {z} swallowed by the forward flow at {t}")
     out = complex(sqrt_him(zc * zc + sign * t))
     if mode == FORWARD and out.imag <= 0.0 and zc.imag > 0.0:
-        raise SwallowedReference(f"point {z} swallowed by the forward flow at {t}")
+        raise Swallowed(f"point {z} swallowed by the forward flow at {t}")
     return out

@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    PointConfig, make_report, mean_var, normal_block,
-                   require_gaps, require_square, sum_columns)
+                   require_bulk, require_gaps, sum_columns)
 from .loewner import reference_map_zero_driving, slit_complex, slit_gap
 from .partition import PartitionSpec, log_z_cols, require_points
 
@@ -326,7 +326,7 @@ def _ensemble_chunk(task: dict) -> dict:
     points = np.asarray(task["points"])
 
     def run_tile(t0: int, t1: int) -> dict:
-        flow = np.tile(points, (t1 - t0, 1))
+        flow = np.broadcast_to(points, (t1 - t0, len(points)))
         for a, b in step_windows(n_steps):
             normals = normal_block(task["seed"], task["first_path"] + t0,
                                    t1 - t0, b - a, a)
@@ -528,9 +528,7 @@ def inverse_law_check(
     same backward slit_complex chain.  Only an asymmetric RNG can fail a
     row (ROADMAP item 15).
     """
-    if not complex(z0).imag > 0:
-        raise ValueError("z0 must lie in the upper half-plane")
-    require_square(z0, f"modulus of bulk point {z0}")
+    require_bulk([z0])
     n_steps, last = horizon(T, dt)
     # horizon gives dt itself as the last step of a whole multiple
     if n_steps > 1 and last != dt:

@@ -456,6 +456,15 @@ def test_sweep_cells_and_summary(tmp_path):
     assert ";" in rows[-1]["points"] or "," not in rows[-1]["points"]
 
 
+def test_sweep_refuses_a_bad_value_before_any_cell_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, check="bpz", mode="backward",
+                       kappa=[4.0, -1.0], points=[0.0, 1.0, 2.5],
+                       out_path=str(tmp_path / "s"))
+    assert main(["sweep", cfg]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_sweep_propagates_row_failures(tmp_path):
     cfg = write_config(tmp_path, check="bpz", mode="backward",
                        kappa=[4.0], points=[[0.0, 0.01]],

@@ -7,7 +7,6 @@ from slelab.commutation import (
     _generator_value,
     _run_legs,
     _scheme_chunk,
-    _scheme_legs,
     arctan_sum,
     commutation_experiment,
     commutator_residual,
@@ -21,21 +20,34 @@ CFG = validate_config((0.0, 1.0))
 SPEC = PartitionSpec("backward", 4.0, 2)
 
 
+def _first_legs(i, j, eps_tilde, c):
+    """(eps, eps_prime): the first-leg times of scheme 1 and scheme 2."""
+    ((_, eps), _), ((_, eps_prime), _) = plan_schemes(CFG, i, j, eps_tilde, c)
+    return eps, eps_prime
+
+
+def test_plan_schemes_legs():
+    legs1, legs2 = plan_schemes(CFG, 0, 1, 0.01, 2.0)
+    assert [slot for slot, _ in legs1] == [0, 1]
+    assert [slot for slot, _ in legs2] == [1, 0]
+    assert (legs1[1][1], legs2[1][1]) == (0.01, 2.0 * 0.01)
+
+
 def test_plan_schemes_symmetric_budget():
-    plan = plan_schemes(CFG, 0, 1, 0.01, 1.0)
-    np.testing.assert_allclose(plan.eps, 0.0096, rtol=1e-14)
-    np.testing.assert_allclose(plan.eps_prime, 0.0096, rtol=1e-14)
+    eps, eps_prime = _first_legs(0, 1, 0.01, 1.0)
+    np.testing.assert_allclose(eps, 0.0096, rtol=1e-14)
+    np.testing.assert_allclose(eps_prime, 0.0096, rtol=1e-14)
 
 
 def test_plan_schemes_asymmetric_budget():
-    plan = plan_schemes(CFG, 0, 1, 0.01, 2.0)
-    np.testing.assert_allclose(plan.eps, 0.0192, rtol=1e-14)
-    np.testing.assert_allclose(plan.eps_prime, 0.0092, rtol=1e-14)
+    eps, eps_prime = _first_legs(0, 1, 0.01, 2.0)
+    np.testing.assert_allclose(eps, 0.0192, rtol=1e-14)
+    np.testing.assert_allclose(eps_prime, 0.0092, rtol=1e-14)
 
 
 def test_plan_schemes_zero_budget():
-    plan = plan_schemes(CFG, 0, 1, 0.0, 1.0)
-    assert plan.eps == 0.0 and plan.eps_prime == 0.0
+    eps, eps_prime = _first_legs(0, 1, 0.0, 1.0)
+    assert eps == 0.0 and eps_prime == 0.0
 
 
 def test_plan_schemes_epsilon_too_large():
@@ -46,10 +58,10 @@ def test_plan_schemes_epsilon_too_large():
 def test_plan_schemes_role_swap_symmetry():
     """Swapping (i,j) with c -> 1/c and eps_tilde -> c*eps_tilde exchanges
     the two corrected leg times."""
-    a = plan_schemes(CFG, 0, 1, 0.01, 2.0)
-    b = plan_schemes(CFG, 1, 0, 0.02, 0.5)
-    np.testing.assert_allclose(a.eps, b.eps_prime, rtol=1e-14)
-    np.testing.assert_allclose(a.eps_prime, b.eps, rtol=1e-14)
+    a_eps, a_eps_prime = _first_legs(0, 1, 0.01, 2.0)
+    b_eps, b_eps_prime = _first_legs(1, 0, 0.02, 0.5)
+    np.testing.assert_allclose(a_eps, b_eps_prime, rtol=1e-14)
+    np.testing.assert_allclose(a_eps_prime, b_eps, rtol=1e-14)
 
 
 def _apply_generator(phi):
@@ -103,11 +115,10 @@ def test_arctan_sum_default_observable():
                                [np.pi / 4], rtol=1e-14)
 
 
-def _final_noiseless(order, plan, dt, drifted):
+def _final_noiseless(legs, dt, drifted):
     """Final configuration of one path of a scheme with every normal zero:
     both legs reduce to pure companion slit flows."""
-    flow = _run_legs(_scheme_legs(order, plan, dt), SPEC,
-                     CFG.as_array()[None, :],
+    flow = _run_legs(legs, dt, SPEC, CFG.as_array()[None, :],
                      lambda n_steps, first_step: np.zeros((1, n_steps)),
                      drifted)
     assert flow.active.all()
@@ -117,11 +128,11 @@ def _final_noiseless(order, plan, dt, drifted):
 def test_run_scheme_deterministic_drifted_flows_commute():
     """With noise off and the drift kept, the corrected leg times make the
     two orderings agree up to the O(dt) integrator error."""
-    plan = plan_schemes(CFG, 0, 1, 0.01, 2.0)
+    legs1, legs2 = plan_schemes(CFG, 0, 1, 0.01, 2.0)
     diffs = []
     for dt in (1e-4, 1e-5):
-        x1 = _final_noiseless("scheme1", plan, dt, drifted=True)
-        x2 = _final_noiseless("scheme2", plan, dt, drifted=True)
+        x1 = _final_noiseless(legs1, dt, drifted=True)
+        x2 = _final_noiseless(legs2, dt, drifted=True)
         diffs.append(np.abs(x1 - x2).max())
     assert diffs[0] < 1e-6
     assert diffs[1] < diffs[0] / 5.0  # first-order in dt
@@ -130,28 +141,22 @@ def test_run_scheme_deterministic_drifted_flows_commute():
 def test_run_scheme_zero_drift_breaks_commutation():
     """Dropping the drift violates the commutation identity; the residual
     is dt-independent and far above the drifted case."""
-    plan = plan_schemes(CFG, 0, 1, 0.01, 1.0)
+    legs1, legs2 = plan_schemes(CFG, 0, 1, 0.01, 1.0)
     vals = []
     for dt in (1e-4, 1e-5):
-        x1 = _final_noiseless("scheme1", plan, dt, drifted=False)
-        x2 = _final_noiseless("scheme2", plan, dt, drifted=False)
+        x1 = _final_noiseless(legs1, dt, drifted=False)
+        x2 = _final_noiseless(legs2, dt, drifted=False)
         vals.append(np.abs(x1 - x2).max())
     assert vals[0] > 1e-3
     np.testing.assert_allclose(vals[0], vals[1], rtol=1e-3)
 
 
 def test_run_scheme_repeatable():
-    plan = plan_schemes(CFG, 0, 1, 0.01, 2.0)
-    task, = chunked({"order": "scheme1", "plan": plan, "spec": SPEC,
+    legs1, _ = plan_schemes(CFG, 0, 1, 0.01, 2.0)
+    task, = chunked({"legs": legs1, "spec": SPEC,
                      "points": tuple(CFG.points), "dt": 1e-4, "seed": 3},
                     50, 7)
     assert _scheme_chunk(task) == _scheme_chunk(task)
-
-
-def test_run_scheme_rejects_unknown_order():
-    plan = plan_schemes(CFG, 0, 1, 0.01, 1.0)
-    with pytest.raises(ValueError):
-        _scheme_legs("scheme3", plan, 1e-4)
 
 
 def test_commutation_experiment_small():

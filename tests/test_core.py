@@ -19,6 +19,11 @@ from slelab.core import (
     sum_columns,
     validate_config,
 )
+from slelab.coupling import (CouplingSpec, coupling_martingale_check,
+                             coupling_pde_residual, green_increment_check)
+from slelab.loewner import initial_state
+from slelab.partition import PartitionSpec
+from slelab.sampler import inverse_law_check
 
 
 def test_validate_config_accepts_distinct():
@@ -226,6 +231,41 @@ def test_build_driving_path_scaling():
     np.testing.assert_allclose(path.values[0], 1.0)
     np.testing.assert_allclose(path.values[1:], 1.0 + 2.0 * np.cumsum(inc),
                                rtol=0, atol=1e-14)
+
+
+def test_build_driving_path_continues_bit_for_bit():
+    """A path continued from another path's last value has the bits of
+    one path over both sets of increments."""
+    inc = np.sqrt(0.01) * normal_block(7, 0, 1, 40)[0]
+    whole = build_driving_path(2.0, 0.0, inc, 0.01).values
+    for a in (1, 13, 39):
+        head = build_driving_path(2.0, 0.0, inc[:a], 0.01).values
+        tail = build_driving_path(2.0, head[-1], inc[a:], 0.01).values
+        assert np.concatenate([head, tail[1:]]).tobytes() == whole.tobytes()
+
+
+_CFG = validate_config((0.0, 1.0))
+_CSPEC = CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
+BULK_ENTRY_POINTS = {
+    "initial_state": lambda z: initial_state("backward", bulk=[z]),
+    "inverse_law_check": lambda z: inverse_law_check(2.0, z, 0.01, 1e-3, 10),
+    "coupling_pde_residual": lambda z: coupling_pde_residual(
+        _CSPEC, z, _CFG, 0),
+    "coupling_martingale_check": lambda z: coupling_martingale_check(
+        _CSPEC, _CFG, 0, [z], 0.01, 1e-3, 10),
+    "green_increment_check": lambda z: green_increment_check(
+        "backward", 4.0, z, 1 + 1j, 0.01, 1e-3),
+}
+
+
+@pytest.mark.parametrize("z", [complex(0.5, float("nan")), 0.5 - 1j],
+                         ids=["nan", "lower"])
+@pytest.mark.parametrize("entry", sorted(BULK_ENTRY_POINTS))
+def test_bulk_point_off_the_upper_half_plane_is_refused(entry, z):
+    """Every entry point that takes bulk points refuses one with Im z
+    NaN or negative through the one guard, before any run."""
+    with pytest.raises(ConfigError, match="Im z > 0"):
+        BULK_ENTRY_POINTS[entry](z)
 
 
 def test_make_report_pass_rule():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from slelab.core import NumericalFailure, build_driving_path, normal_block
 from slelab.loewner import (
     Swallowed,
-    SwallowedReference,
     evolve,
     extract_hcap,
     initial_state,
@@ -316,7 +315,7 @@ def test_reference_map_real_axis_signs():
 
 def test_reference_map_swallowed():
     # backward attracts the real axis: x**2 - 4t hits zero at t = x**2/4
-    with pytest.raises(SwallowedReference):
+    with pytest.raises(Swallowed):
         reference_map_zero_driving(1.0, 1.0, "backward")
-    with pytest.raises(SwallowedReference):
+    with pytest.raises(Swallowed):
         reference_map_zero_driving(1j, 1.0, "forward")

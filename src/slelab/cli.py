@@ -468,20 +468,31 @@ def _row_dict(check: str, row: McReport) -> dict:
 
 
 def _out_base(config: dict, check: str, out_dir: Optional[str]) -> Path:
+    """The report stem, its directory created; reports append to its name."""
     raw = config.get("out_path", f"report_{check}")
     if not isinstance(raw, str) or not raw:
         raise ConfigError(f"field 'out_path' must be a non-empty string, got {raw!r}")
     base = Path(raw)
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
+    if not base.name:
+        raise ConfigError(f"field 'out_path' {raw!r} names no file")
     if out_dir is not None:
         base = Path(out_dir) / base.name
+    _report_io(base.parent.mkdir, parents=True, exist_ok=True)
     return base
+
+
+def _report_io(action: Callable, *args, **kwargs) -> None:
+    """action(*args, **kwargs); a report path it cannot use is a ConfigError."""
+    try:
+        action(*args, **kwargs)
+    except (OSError, ValueError) as exc:     # ValueError: a null byte
+        raise ConfigError(f"unusable report path: {exc}")
 
 
 def write_report(base: Path, check: str, config: dict,
                  rows: Sequence[McReport]) -> None:
-    base.parent.mkdir(parents=True, exist_ok=True)
     seed = config.get("seed", 0)
     echo = json.dumps(config, sort_keys=True, separators=(",", ":"))
     dicts = [_row_dict(check, r) for r in rows]
@@ -493,15 +504,15 @@ def write_report(base: Path, check: str, config: dict,
     ]
     for d in dicts:
         lines.append(",".join(_fmt(d[c]) for c in CSV_COLUMNS))
-    base.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    _report_io(Path(f"{base}.csv").write_text, "\n".join(lines) + "\n")
     twin = {
         "artifact_version": __version__,
         "seed": seed,
         "config": config,
         "rows": dicts,
     }
-    base.with_suffix(".json").write_text(
-        json.dumps(twin, sort_keys=True, indent=2) + "\n")
+    _report_io(Path(f"{base}.json").write_text,
+               json.dumps(twin, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +551,11 @@ def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
     check = _check_name(config)
     workers = resolve_workers(config)
     _get(config, "seed", 0)     # echoed in the report, read or not
-    rows = CHECKS[check][0](config, workers)
     base = _out_base(config, check, out_dir)
+    rows = CHECKS[check][0](config, workers)
     write_report(base, check, config, rows)
     n_pass = sum(1 for r in rows if r.passed)
-    print(f"{check}: {n_pass}/{len(rows)} rows pass -> {base.with_suffix('.csv')}")
+    print(f"{check}: {n_pass}/{len(rows)} rows pass -> {base}.csv")
     for r in rows:
         if not r.passed:
             print(f"  FAIL {r.name}: estimate {r.estimate!r} vs "
@@ -600,7 +611,7 @@ def run_sweep(config: dict, out_dir: Optional[str] = None) -> int:
             f"{cell}," + ",".join(cells)
             + f",{n_rows},{n_pass},{_fmt(n_pass == n_rows)}")
     summary_path = Path(f"{base}_summary.csv")
-    summary_path.write_text("\n".join(summary) + "\n")
+    _report_io(summary_path.write_text, "\n".join(summary) + "\n")
     print(f"sweep: {summary_path}")
     return worst
 

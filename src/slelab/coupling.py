@@ -262,21 +262,15 @@ def coupling_pde_residual(
 # Coupled flow ensembles
 
 
-def _field_values(
-    mode: str,
-    kappa: float,
-    eps: np.ndarray,
-    curvature: float,
-    x: np.ndarray,
-    zb: np.ndarray,
-    db: np.ndarray,
-) -> List[np.ndarray]:
+def _field_values(cspec: CouplingSpec, x: np.ndarray, zb: np.ndarray,
+                  db: np.ndarray) -> List[np.ndarray]:
     """h at every bulk point, one (n,) column per bulk point; x (n, N) and
     zb, db (n, M) are column-major, so each call reads one column."""
+    mode, curvature = cspec.mode, cspec.curvature_constant
     # complex minus complex: a float column would go through a slower
     # mixed-type loop, with the same bits
     x_c = [x[:, k].astype(complex) for k in range(x.shape[1])]
-    scale = -(2.0 / math.sqrt(kappa))
+    scale = -(2.0 / math.sqrt(cspec.kappa))
     columns = []
     for m in range(zb.shape[1]):
         parts = []
@@ -287,18 +281,13 @@ def _field_values(
                 parts.append(np.log(part, out=part))
             else:
                 parts.append(np.angle(diff))
-        # the sum over points keeps the bits of einsum("k,nkm->nm"): for a
-        # lone bulk point einsum adds in an order of its own, for several
-        # it adds left to right from zero
-        if zb.shape[1] == 1:
-            h = np.einsum("k,nk->n", eps, np.stack(parts, axis=1))
-        else:
-            h = np.zeros(x.shape[0])
-            for e, part in zip(eps, parts):
-                if e > 0:
-                    h += part
-                else:
-                    h -= part
+        # the sum over points adds left to right from zero
+        h = np.zeros(x.shape[0])
+        for e, part in zip(cspec.epsilon_signs, parts):
+            if e > 0:
+                h += part
+            else:
+                h -= part
         h *= scale
         # plus Q log|db| backward, minus K arg db forward
         if mode == BACKWARD:
@@ -349,8 +338,6 @@ def _h_run(
     """
     mode = cspec.mode
     kappa = cspec.kappa
-    eps = np.asarray(cspec.epsilon_signs, dtype=float)
-    curvature = cspec.curvature_constant
     sqk = math.sqrt(kappa)
     kb = kappa * cspec.pspec.exponent
     flow = Flow.start(np.broadcast_to(cfg.as_array(), (n_paths, len(cfg))))
@@ -360,7 +347,7 @@ def _h_run(
     db = np.ones_like(zb)
     pairs = [(a, b) for a in range(m_bulk) for b in range(a + 1, m_bulk)]
 
-    h_prev = _field_values(mode, kappa, eps, curvature, flow.x, zb, db)
+    h_prev = _field_values(cspec, flow.x, zb, db)
     h0 = _stack(h_prev, n_paths)
     g0 = _pair_green(mode, zb, pairs)
     accum = [np.zeros(n_paths) for _ in pairs]
@@ -400,8 +387,7 @@ def _h_run(
                 for zc, dc, new, mult in zip(z_cols, d_cols, new_b, mult_b):
                     np.copyto(zc, new, where=flow.active)
                     np.multiply(dc, mult, out=dc, where=flow.active)
-                h_new = _field_values(mode, kappa, eps, curvature, flow.x,
-                                      zb, db)
+                h_new = _field_values(cspec, flow.x, zb, db)
                 for p, (a, b) in enumerate(pairs):
                     accum[p] += ((h_new[a] - h_prev[a])
                                  * (h_new[b] - h_prev[b]))

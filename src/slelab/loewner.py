@@ -29,13 +29,8 @@ DEFAULT_PROBE_RADIUS = 1e4
 
 
 class Swallowed(NumericalFailure):
-    """A tracked point was absorbed by the hull: within substep `step` of
-    a chain, at `time`, or by the closed form, where both are None."""
-
-    def __init__(self, msg: str, step: int | None = None, time: float | None = None):
-        super().__init__(msg)
-        self.step = step
-        self.time = time
+    """A tracked point was absorbed by the hull; the message names the point
+    and, from a chain, the step."""
 
 
 def sqrt_him(q):
@@ -47,7 +42,7 @@ def sqrt_him(q):
 
 
 # Vectorized substeps for path-ensemble engines.  No exceptions: swallowed
-# entries keep their incoming value/deriv and are reported through the mask.
+# entries are reported through the mask and left to the caller.
 
 def slit_gap(d, d2, U0, delta, mode: str):
     """(new_x, multiplier) of the real substep from the gap d = x - U0 and
@@ -75,7 +70,7 @@ def slit_gap(d, d2, U0, delta, mode: str):
 
 def slit_real(x, U0, delta, mode: str):
     """(new_x, multiplier, swallowed) for arrays of real boundary points;
-    swallowed entries keep their incoming value and a multiplier of 1."""
+    swallowed entries hold NaN or inf, which the caller masks."""
     d = x - U0
     d2 = d * d
     if mode != BACKWARD:
@@ -85,9 +80,6 @@ def slit_real(x, U0, delta, mode: str):
     bad = d2 <= 4.0 * delta
     with np.errstate(invalid="ignore", divide="ignore"):
         new, mult = slit_gap(d, d2, U0, delta, mode)
-    if bad.any():
-        new = np.where(bad, x, new)
-        mult = np.where(bad, 1.0, mult)
     return new, mult, bad
 
 
@@ -112,7 +104,6 @@ class ChainState:
     """Snapshot of a chain: images and derivatives of the tracked interior
     points."""
 
-    time: float
     mode: str
     bulk_values: np.ndarray
     bulk_derivs: np.ndarray
@@ -123,20 +114,16 @@ def initial_state(mode: str, bulk=()) -> ChainState:
     _check_mode(mode)
     bk = np.asarray(list(bulk), dtype=complex)
     require_bulk(bk)
-    return ChainState(time=0.0, mode=mode, bulk_values=bk,
-                      bulk_derivs=np.ones_like(bk))
+    return ChainState(mode=mode, bulk_values=bk, bulk_derivs=np.ones_like(bk))
 
 
 def evolve(state: ChainState, path: DrivingPath,
            first_step: int = 0) -> ChainState:
     """Apply one exact substep per path step (driving frozen at the step
-    start).  Raises Swallowed with the step index (counted from
-    `first_step`, the index of the path's first step in a longer chain)
-    and the substep-local analytic swallowing time when a tracked point is
-    absorbed."""
+    start).  Raises Swallowed, naming the step (counted from `first_step`,
+    the index of the path's first step in a longer chain), when a tracked
+    point is absorbed."""
     mode = state.mode
-    t = state.time
-    dt = path.dt
     bk = state.bulk_values
     bkd = state.bulk_derivs
 
@@ -144,20 +131,14 @@ def evolve(state: ChainState, path: DrivingPath,
         step = first_step + k
         if mode == FORWARD and np.any(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD):
             j = int(np.argmax(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD))
-            raise Swallowed(f"bulk point {j} within swallow guard at step {step}",
-                            step=step, time=t)
-        new, mult, bad = slit_complex(bk, U0, dt, mode)
+            raise Swallowed(f"bulk point {j} within swallow guard at step {step}")
+        new, mult, bad = slit_complex(bk, U0, path.dt, mode)
         if bad.any():
-            j = int(np.argmax(bad))
-            ts = (bk[j] - U0).imag ** 2 / 4.0
             raise Swallowed(
-                f"bulk point {j} absorbed during step {step}",
-                step=step, time=t + ts,
-            )
+                f"bulk point {int(np.argmax(bad))} absorbed during step {step}")
         bk, bkd = new, bkd * mult
-        t += dt
 
-    return replace(state, time=t, bulk_values=bk, bulk_derivs=bkd)
+    return replace(state, bulk_values=bk, bulk_derivs=bkd)
 
 
 def extract_hcap(mode: str, f_r: complex, f_2r: complex,
@@ -184,21 +165,15 @@ def extract_hcap(mode: str, f_r: complex, f_2r: complex,
 
 
 def reference_map_zero_driving(z, t: float, mode: str):
-    """Closed form of the chain with zero driving: sqrt(z**2 -+ 4t), branch
-    Im >= 0 (real inputs keep the sign of z)."""
+    """Closed form of the chain with zero driving at an interior point z:
+    sqrt(z**2 -+ 4t), branch Im >= 0."""
     _check_mode(mode)
     if t < 0:
         raise ValueError("t must be nonnegative")
     sign = -4.0 if mode == BACKWARD else 4.0
     zc = complex(z)
-    if zc.imag == 0.0:
-        arg = zc.real**2 + sign * t
-        if arg <= 0.0:
-            raise Swallowed(f"real point {z} swallowed by time {t}")
-        return float(np.sign(zc.real) * np.sqrt(arg))
-    if mode == FORWARD and zc.real == 0.0 and zc.imag**2 <= 4.0 * t:
-        raise Swallowed(f"point {z} swallowed by the forward flow at {t}")
+    require_bulk([zc])
     out = complex(sqrt_him(zc * zc + sign * t))
-    if mode == FORWARD and out.imag <= 0.0 and zc.imag > 0.0:
+    if mode == FORWARD and out.imag <= 0.0:
         raise Swallowed(f"point {z} swallowed by the forward flow at {t}")
     return out

@@ -6,8 +6,8 @@ story: Z = prod |x_i - x_j|**(+2/kappa), h = (6-kappa)/(2*kappa).
 
 PartitionSpec evaluates Z and d(log Z)/dx_i for every caller outside the
 ensemble kernel, which sums log_z_cols over its rows.  Only product forms
-are constructed here, but bpz_residual accepts any function handle as Z,
-so a negative control with a wrong exponent passes another spec's `z`
+are constructed here; bpz_operator takes any function of the points, so a
+negative control with a wrong exponent applies it to another spec's `z`
 (backward kappa = 8/3 has the exponent -3/4).
 
 All indices are 0-based.
@@ -182,13 +182,8 @@ def bpz_operator(spec: PartitionSpec, f: Callable, x: np.ndarray, i: int,
     return acc, f0
 
 
-def bpz_residual(
-    spec: PartitionSpec,
-    cfg: PointConfig,
-    i: int,
-    fd_step: float | None = None,
-    z_fn: Callable[[np.ndarray], float] | None = None,
-) -> float:
+def bpz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
+                 fd_step: float | None = None) -> float:
     """|D_i Z| / |Z| with D_i the operator of bpz_operator.  Default
     fd_step is 1e-4 times the minimum pairwise gap; steps at or above a
     tenth of the gap are refused.
@@ -196,8 +191,7 @@ def bpz_residual(
     require_points(spec, cfg)
     _check_index(cfg, i)
     h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-4)
-    f = z_fn if z_fn is not None else spec.z
-    acc, z0 = bpz_operator(spec, f, cfg.as_array(), i, h)
+    acc, z0 = bpz_operator(spec, spec.z, cfg.as_array(), i, h)
     return abs(acc) / abs(z0)
 
 

@@ -28,7 +28,7 @@ from slelab.loewner import (
     slit_real,
     sqrt_him,
 )
-from slelab.partition import PartitionSpec, bpz_residual, min_gap
+from slelab.partition import PartitionSpec, bpz_operator, bpz_residual, min_gap
 from slelab.sampler import girsanov_check, inverse_law_check, martingale_check
 from slelab.coupling import green
 
@@ -88,9 +88,10 @@ def test_criterion_03_bpz_residuals():
                 h = 1e-4 * min_gap(cfg)
                 for i in range(n):
                     worst = max(worst, bpz_residual(spec, cfg, i, h))
-    control = bpz_residual(PartitionSpec("backward", 4.0, 2),
-                           validate_config((0, 1)), 0, 1e-4,
-                           z_fn=PartitionSpec("backward", 8.0 / 3.0, 2).z)
+    acc, z0 = bpz_operator(PartitionSpec("backward", 4.0, 2),
+                           PartitionSpec("backward", 8.0 / 3.0, 2).z,
+                           np.array([0.0, 1.0]), 0, 1e-4)
+    control = abs(acc) / abs(z0)
     elapsed = time.time() - t0
     ok = worst < 1e-5 and control > 1e-1 and elapsed < 10.0
     _line(3, "bpz residuals", ok,

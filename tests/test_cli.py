@@ -367,6 +367,52 @@ def test_out_flag_redirects_stem(tmp_path):
     assert not (tmp_path / "elsewhere").exists()
 
 
+def test_dotted_stem_keeps_its_tail(tmp_path, capsys):
+    # <stem>.csv appends to the whole stem; it replaced the tail ".5"
+    cfg = write_config(tmp_path, check="bpz", kappa=4.0, points=[0.0, 1.0],
+                       out_path=str(tmp_path / "sw" / "bpz_k4.5"))
+    assert main(["check", cfg]) == 0
+    assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == [
+        "bpz_k4.5.csv", "bpz_k4.5.json"]
+    assert capsys.readouterr().out.endswith("bpz_k4.5.csv\n")
+
+
+def test_dotted_sweep_writes_one_report_pair_per_cell(tmp_path):
+    # every cell's stem k.v2_cellNNN once lost its tail to k.csv, so each
+    # cell overwrote the one before
+    cfg = write_config(tmp_path, check="bpz", kappa=[2.0, 4.0, 6.0],
+                       points=[0.0, 1.0], out_path=str(tmp_path / "sw" / "k.v2"))
+    assert main(["sweep", cfg]) == 0
+    cells = [f"k.v2_cell{k:03d}.{ext}" for k in range(3) for ext in ("csv", "json")]
+    assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == sorted(
+        [*cells, "k.v2_summary.csv"])
+
+
+UNUSABLE_STEMS = {
+    "empty_name": (".", ()),
+    "under_a_file": ("f/x", ()),
+    "null_byte": ("a\u0000b", ()),
+    "out_dir_under_a_file": ("r", ("--out", "f/d")),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+@pytest.mark.parametrize("case", sorted(UNUSABLE_STEMS))
+def test_unusable_stem_exit_two_with_no_report(tmp_path, monkeypatch, capsys,
+                                               case, command):
+    """A stem that cannot be written exits 2 with one line, not with a
+    traceback once the check has run."""
+    out_path, flags = UNUSABLE_STEMS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("")
+    kappa = [4.0] if command == "sweep" else 4.0
+    cfg = write_config(tmp_path, check="bpz", kappa=kappa, points=[0.0, 1.0],
+                       out_path=out_path)
+    assert main([command, cfg, *flags]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json", "f"]
+
+
 def test_resolve_workers_precedence(monkeypatch):
     # env, then n_workers, then the CPU count (1 if it is unknown)
     monkeypatch.delenv("SLELAB_WORKERS", raising=False)

@@ -239,6 +239,19 @@ def test_simulate_h_process_forward_bulk_swallowed():
     np.testing.assert_array_equal(run["ht"], run["h0"])
 
 
+def test_simulate_h_process_backward_companion_swallowed():
+    """A companion at gap 0.05 has gap**2 = 0.0025 <= 4 dt, so the first
+    substep swallows it on every path: each row freezes before its first
+    step, and no NaN of the slit map's swallowed entries reaches a
+    returned array."""
+    cfg = validate_config((0.0, 0.05))
+    run = _h_run(CS_BACK, cfg, 0, [0.5 + 1j, -0.5 + 1j], 0.05, 1e-3, 0, 0, 5)
+    np.testing.assert_array_equal(run["reason"], REASON_SWALLOWED)
+    np.testing.assert_array_equal(run["ht"], run["h0"])
+    for name, values in run.items():
+        assert np.isfinite(values).all(), name
+
+
 def test_simulate_h_process_rejects_boundary_bulk():
     with pytest.raises(ValueError):
         coupling_martingale_check(CS_BACK, CFG, 0, [0.5 + 0j], 0.05, 1e-3,

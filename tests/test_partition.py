@@ -10,6 +10,7 @@ from slelab.coupling import (CouplingSpec, coupling_martingale_check,
                              coupling_pde_residual, cross_variation_experiment)
 from slelab.partition import (
     PartitionSpec,
+    bpz_operator,
     bpz_residual,
     fd_first,
     fd_second,
@@ -151,9 +152,9 @@ def test_bpz_wrong_exponent_control():
     """A product with exponent -3/kappa must not satisfy the equation: the
     Z of backward kappa = 8/3 has the exponent -3/4."""
     spec = PartitionSpec("backward", 4.0, 2)
-    bad = bpz_residual(spec, validate_config((0, 1)), 0, 1e-4,
-                       z_fn=PartitionSpec("backward", 8.0 / 3.0, 2).z)
-    assert bad > 0.1
+    acc, z0 = bpz_operator(spec, PartitionSpec("backward", 8.0 / 3.0, 2).z,
+                           np.array([0.0, 1.0]), 0, 1e-4)
+    assert abs(acc) / abs(z0) > 0.1
 
 
 def test_bpz_step_too_large():

@@ -168,13 +168,12 @@ def test_windowed_chain_keeps_the_driving_bits(monkeypatch):
     windows, _ = cli._evolve_windows(state, 4.0, 300, 1e-3,
                                      lambda a, b: inc[a:b])
     assert windows.bulk_values.tolist() == whole.bulk_values.tolist()
-    assert windows.time == whole.time
 
 
 def test_windowed_chain_reports_the_global_swallow_step(monkeypatch):
     """A bulk point at 0.5i is swallowed at step 62 of a zero-driven
     forward chain; evolved in 7-step windows, the chain reports the same
-    step, time and message as one evolve call."""
+    message, naming the step, as one evolve call."""
     state = initial_state("forward", bulk=(0.5j,))
     with pytest.raises(Swallowed) as whole:
         evolve(state, DrivingPath(1e-3, np.zeros(301)))
@@ -182,6 +181,5 @@ def test_windowed_chain_reports_the_global_swallow_step(monkeypatch):
     with pytest.raises(Swallowed) as windows:
         cli._evolve_windows(state, 0.0, 300, 1e-3,
                             lambda a, b: np.zeros(b - a))
-    assert whole.value.step == 62
-    assert (windows.value.step, windows.value.time, str(windows.value)) == (
-        whole.value.step, whole.value.time, str(whole.value))
+    assert str(whole.value).endswith("step 62")
+    assert str(windows.value) == str(whole.value)

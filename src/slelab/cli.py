@@ -11,6 +11,9 @@ outside the check's list in CHECKS, an invalid value, duplicate points, a
 squared gap that overflows), 3 any core.NumericalFailure (a blowup,
 excess swallowing, weight collapse).  Either prints one stderr line.
 
+A check's fields are its runner's parameters, listed in CHECKS; one with
+no default is required.  All are read before any report directory or path.
+
 Indices (i_index, j_index) are 0-based.  bound_n is a multiple of the
 initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -87,16 +91,13 @@ ENV_WORKERS = "SLELAB_WORKERS"
 _GREEN_ID_T = 0.01
 _GREEN_ID_DT = 1e-5
 
-_DEFAULT_ZIP_GRID = tuple(
-    complex(re, im)
-    for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
-    for im in (0.5, 1.0, 1.5, 2.0, 2.5)
-)
+_DEFAULT_ZIP_GRID = tuple(complex(re, im) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
+                          for im in (0.5, 1.0, 1.5, 2.0, 2.5))
 
 
 # ---------------------------------------------------------------------------
 # Config fields: _READERS maps each field to reader(field, value), which
-# checks the value's type and bounds and returns it; runners read via _get
+# checks the value's type and bounds and returns it, for _arguments
 
 
 def _real(field: str, val) -> float:
@@ -169,32 +170,6 @@ _READERS: dict[str, Callable] = {
     "seed": _seed,
     **dict.fromkeys(("i_index", "j_index"), _integer),
 }
-_REQUIRED = object()
-
-
-def _get(config: dict, field: str, default=_REQUIRED):
-    """The checked value of `field`, or `default` where it is absent."""
-    if field in config:
-        return _READERS[field](field, config[field])
-    if default is _REQUIRED:
-        raise ConfigError(f"missing required field {field!r}")
-    return default
-
-
-def _index(config: dict, field: str, n_points: int, default=_REQUIRED):
-    val = _get(config, field, default)
-    if val is not None and not 0 <= val < n_points:
-        raise ConfigError(
-            f"field {field!r} must be a 0-based index below {n_points}, got {val}")
-    return val
-
-
-def _times(config: dict) -> tuple[float, float]:
-    t_final = _get(config, "t_final")
-    dt = _get(config, "dt")
-    if not dt < t_final:
-        raise ConfigError(f"dt ({dt!r}) must be smaller than t_final ({t_final!r})")
-    return t_final, dt
 
 
 def _uniform_steps(t_final: float, dt: float) -> tuple[int, float]:
@@ -207,7 +182,8 @@ def _uniform_steps(t_final: float, dt: float) -> tuple[int, float]:
 def resolve_workers(config: dict) -> int:
     """SLELAB_WORKERS, else n_workers, else the CPU count (1 if unknown);
     n_workers is checked also where the environment overrides it."""
-    n_workers = _get(config, "n_workers", None)
+    n_workers = (_count("n_workers", config["n_workers"])
+                 if "n_workers" in config else None)
     env = os.environ.get(ENV_WORKERS)
     if env is not None:
         try:
@@ -217,44 +193,40 @@ def resolve_workers(config: dict) -> int:
     return n_workers or os.cpu_count() or 1
 
 
-def _flow(config: dict, check: str, min_points: int = 1):
-    """(PartitionSpec, PointConfig) from mode, kappa and points."""
-    mode = _get(config, "mode", BACKWARD)
-    kappa = _get(config, "kappa")
-    cfg = _get(config, "points")
-    if len(cfg) < min_points:
-        raise ConfigError(f"{check} check needs at least {min_points} points")
-    return PartitionSpec(mode, kappa, len(cfg)), cfg
-
-
-def _pair(config: dict, n_points: int,
-          defaults=(_REQUIRED, _REQUIRED)) -> tuple[int, Optional[int]]:
-    i = _index(config, "i_index", n_points, defaults[0])
-    j = _index(config, "j_index", n_points, defaults[1])
-    if i == j:
+def _arguments(config: dict, check: str, workers: int) -> dict:
+    """The check's runner's keyword arguments: every field read (seed too,
+    which the report echoes), defaults, `workers` and cross-field rules."""
+    signature = inspect.signature(CHECKS[check][0])
+    given = {f: _READERS[f](f, v) for f, v in config.items() if f in _READERS}
+    for name, param in signature.parameters.items():
+        if param.default is param.empty and name not in given:
+            raise ConfigError(f"missing required field {name!r}")
+    given["n_workers"] = workers
+    bound = signature.bind(**{f: v for f, v in given.items()
+                              if f in signature.parameters})
+    bound.apply_defaults()
+    args = bound.arguments
+    if "t_final" in args and not args["dt"] < args["t_final"]:
+        raise ConfigError(f"dt ({args['dt']!r}) must be smaller than "
+                          f"t_final ({args['t_final']!r})")
+    n_points = len(args.get("points", ()))
+    if "j_index" in args and n_points < 2:
+        raise ConfigError(f"{check} check needs at least 2 points")
+    for field in ("i_index", "j_index"):
+        if args.get(field) is not None and not 0 <= args[field] < n_points:
+            raise ConfigError(f"field {field!r} must be a 0-based index "
+                              f"below {n_points}, got {args[field]}")
+    if "j_index" in args and args["i_index"] == args["j_index"]:
         raise ConfigError("i_index and j_index must differ")
-    return i, j
+    return args
 
 
-def _indices(config: dict, n_points: int) -> Sequence[int]:
-    """The optional i_index, or every index when it is absent."""
-    i_index = _index(config, "i_index", n_points, None)
-    return range(n_points) if i_index is None else [i_index]
-
-
-def _ensemble(config: dict) -> tuple[float, float, int, int]:
-    """(t_final, dt, n_paths, seed) of a Monte Carlo check."""
-    t_final, dt = _times(config)
-    return t_final, dt, _get(config, "n_paths"), _get(config, "seed", 0)
-
-
-def _coupling(config: dict):
-    """(PointConfig, CouplingSpec) of a coupling check, with the spec
-    checked against the coupling theorems."""
-    spec, cfg = _flow(config, "coupling")
-    cspec = CouplingSpec(spec, gamma=_get(config, "gamma", None))
+def _coupling(mode: str, kappa: float, points: PointConfig,
+              gamma: Optional[float]) -> CouplingSpec:
+    """A coupling check's CouplingSpec, checked against the theorems."""
+    cspec = CouplingSpec(PartitionSpec(mode, kappa, len(points)), gamma=gamma)
     cspec.require_coupled()
-    return cfg, cspec
+    return cspec
 
 
 def _exact_row(name: str, estimate: float, tolerance: float,
@@ -266,7 +238,7 @@ def _exact_row(name: str, estimate: float, tolerance: float,
 
 
 # ---------------------------------------------------------------------------
-# Check runners (config dict -> McReport rows)
+# Check runners: fields in, McReport rows out
 
 
 def _evolve_windows(state: ChainState, kappa: float, n: int, dt: float,
@@ -286,25 +258,21 @@ def _evolve_windows(state: ChainState, kappa: float, n: int, dt: float,
     return state, reach
 
 
-def _run_zip(config: dict, workers: int) -> List[McReport]:
-    mode = _get(config, "mode", BACKWARD)
-    t_final, dt = _times(config)
-    bulk = _get(config, "bulk_points", list(_DEFAULT_ZIP_GRID))
+def _run_zip(t_final: float, dt: float, mode: str = BACKWARD,
+             bulk_points: Sequence[complex] = _DEFAULT_ZIP_GRID
+             ) -> List[McReport]:
     n, dt_eff = _uniform_steps(t_final, dt)
-    final, _ = _evolve_windows(initial_state(mode, bulk=bulk), 0.0, n,
+    final, _ = _evolve_windows(initial_state(mode, bulk=bulk_points), 0.0, n,
                                dt_eff, lambda a, b: np.zeros(b - a))
     return [_exact_row(f"zip_z_re{z.real:g}_im{z.imag:g}",
                        abs(final.bulk_values[k]
                            - reference_map_zero_driving(z, t_final, mode)),
                        1e-10, n)
-            for k, z in enumerate(bulk)]
+            for k, z in enumerate(bulk_points)]
 
 
-def _run_hcap(config: dict, workers: int) -> List[McReport]:
-    mode = _get(config, "mode", BACKWARD)
-    kappa = _get(config, "kappa")
-    t_final, dt = _times(config)
-    seed = _get(config, "seed", 0)
+def _run_hcap(kappa: float, t_final: float, dt: float, mode: str = BACKWARD,
+              seed: int = 0) -> List[McReport]:
     n, dt_eff = _uniform_steps(t_final, dt)
 
     def steps(a: int, b: int) -> np.ndarray:
@@ -324,125 +292,120 @@ def _run_hcap(config: dict, workers: int) -> List[McReport]:
 
 
 def _residual_check(fn: Callable, label: str, tolerance: float) -> Callable:
-    """Runner of the FD residual `fn`: one row per index."""
-    def run(config: dict, workers: int) -> List[McReport]:
-        spec, cfg = _flow(config, label)
-        fd_step = _get(config, "fd_step", None)
-        return [_exact_row(f"{label}_i{i}", fn(spec, cfg, i, fd_step=fd_step),
-                           tolerance)
-                for i in _indices(config, len(cfg))]
+    """Runner of the FD residual `fn`: one row per index, or i_index's."""
+    def run(kappa: float, points: PointConfig, mode: str = BACKWARD,
+            i_index: Optional[int] = None, fd_step: Optional[float] = None
+            ) -> List[McReport]:
+        spec = PartitionSpec(mode, kappa, len(points))
+        indices = range(len(points)) if i_index is None else [i_index]
+        return [_exact_row(f"{label}_i{i}",
+                           fn(spec, points, i, fd_step=fd_step), tolerance)
+                for i in indices]
     return run
 
 
-def _run_commutator(config: dict, workers: int) -> List[McReport]:
-    spec, cfg = _flow(config, "commutator", min_points=2)
-    i, j = _pair(config, len(cfg))
-    fd_step = _get(config, "fd_step", None)
+def _run_commutator(kappa: float, points: PointConfig, i_index: int,
+                    j_index: int, mode: str = BACKWARD,
+                    fd_step: Optional[float] = None) -> List[McReport]:
+    spec = PartitionSpec(mode, kappa, len(points))
     observables = [("x0x1", lambda x: x[0] * x[1]), ("arctan_sum", arctan_sum)]
     return [_exact_row(f"commutator_{obs_name}",
-                       commutator_residual(spec, phi, cfg, i, j,
+                       commutator_residual(spec, phi, points, i_index, j_index,
                                            fd_step=fd_step), 1e-4)
             for obs_name, phi in observables]
 
 
-def _run_schemes(config: dict, workers: int) -> List[McReport]:
-    spec, cfg = _flow(config, "schemes", min_points=2)
-    i, j = _pair(config, len(cfg))
+def _run_schemes(kappa: float, points: PointConfig, i_index: int,
+                 j_index: int, eps_tilde: float, c: float, dt: float,
+                 n_paths: int, mode: str = BACKWARD, seed: int = 0,
+                 n_workers: int = 1) -> List[McReport]:
     return commutation_experiment(
-        spec, cfg, i, j, _get(config, "eps_tilde"), _get(config, "c"),
-        _get(config, "dt"), _get(config, "n_paths"),
-        seed=_get(config, "seed", 0), n_workers=workers)
+        PartitionSpec(mode, kappa, len(points)), points, i_index, j_index,
+        eps_tilde, c, dt, n_paths, seed=seed, n_workers=n_workers)
 
 
-def _run_martingale(config: dict, workers: int) -> List[McReport]:
-    spec, cfg = _flow(config, "martingale")
-    i = _index(config, "i_index", len(cfg), 0)
-    t_final, dt, n_paths, seed = _ensemble(config)
-    return [martingale_check(spec, cfg, i, t_final, dt, n_paths,
-                             bound_n=_get(config, "bound_n", 10.0), seed=seed,
-                             n_workers=workers)]
+def _run_martingale(kappa: float, points: PointConfig, t_final: float,
+                    dt: float, n_paths: int, mode: str = BACKWARD,
+                    i_index: int = 0, bound_n: float = 10.0, seed: int = 0,
+                    n_workers: int = 1) -> List[McReport]:
+    return [martingale_check(PartitionSpec(mode, kappa, len(points)), points,
+                             i_index, t_final, dt, n_paths, bound_n=bound_n,
+                             seed=seed, n_workers=n_workers)]
 
 
-def _run_girsanov(config: dict, workers: int) -> List[McReport]:
-    spec, cfg = _flow(config, "girsanov", min_points=2)
-    i, j = _pair(config, len(cfg), defaults=(0, None))
-    t_final, dt, n_paths, seed = _ensemble(config)
-    return [girsanov_check(spec, cfg, i, j, t_final, dt, n_paths,
-                           bound_n=_get(config, "bound_n", 10.0), seed=seed,
-                           n_workers=workers)]
+def _run_girsanov(kappa: float, points: PointConfig, t_final: float,
+                  dt: float, n_paths: int, mode: str = BACKWARD,
+                  i_index: int = 0, j_index: Optional[int] = None,
+                  bound_n: float = 10.0, seed: int = 0,
+                  n_workers: int = 1) -> List[McReport]:
+    return [girsanov_check(PartitionSpec(mode, kappa, len(points)), points,
+                           i_index, j_index, t_final, dt, n_paths,
+                           bound_n=bound_n, seed=seed, n_workers=n_workers)]
 
 
-def _run_inverse(config: dict, workers: int) -> List[McReport]:
-    kappa = _get(config, "kappa")
-    t_final, dt, n_paths, seed = _ensemble(config)
-    z0, *rest = _get(config, "bulk_points", [2j])
+def _run_inverse(kappa: float, t_final: float, dt: float, n_paths: int,
+                 bulk_points: Sequence[complex] = (2j,), seed: int = 0,
+                 n_workers: int = 1) -> List[McReport]:
+    z0, *rest = bulk_points
     if rest:
         raise ConfigError("inverse check takes one bulk point, got "
                           f"{len(rest) + 1}")
     return inverse_law_check(kappa, z0, t_final, dt, n_paths, seed=seed,
-                             n_workers=workers)
+                             n_workers=n_workers)
 
 
-def _run_coupling_pde(config: dict, workers: int) -> List[McReport]:
-    cfg, cspec = _coupling(config)
-    bulk = _get(config, "bulk_points")
-    fd_step = _get(config, "fd_step", None)
-    indices = _indices(config, len(cfg))
+def _run_coupling_pde(kappa: float, points: PointConfig,
+                      bulk_points: Sequence[complex], mode: str = BACKWARD,
+                      gamma: Optional[float] = None,
+                      i_index: Optional[int] = None,
+                      fd_step: Optional[float] = None) -> List[McReport]:
+    cspec = _coupling(mode, kappa, points, gamma)
+    indices = range(len(points)) if i_index is None else [i_index]
     return [_exact_row(f"coupling_pde_z{m}_i{i}",
-                       coupling_pde_residual(cspec, z, cfg, i, fd_step=fd_step),
-                       1e-4)
-            for m, z in enumerate(bulk) for i in indices]
+                       coupling_pde_residual(cspec, z, points, i,
+                                             fd_step=fd_step), 1e-4)
+            for m, z in enumerate(bulk_points) for i in indices]
 
 
-def _run_coupling_mc(config: dict, workers: int) -> List[McReport]:
-    cfg, cspec = _coupling(config)
-    i = _index(config, "i_index", len(cfg), 0)
-    bulk = _get(config, "bulk_points")
-    t_final, dt, n_paths, seed = _ensemble(config)
-    return coupling_martingale_check(cspec, cfg, i, bulk, t_final, dt,
-                                     n_paths, seed=seed, n_workers=workers)
+def _run_coupling_mc(kappa: float, points: PointConfig,
+                     bulk_points: Sequence[complex], t_final: float,
+                     dt: float, n_paths: int, mode: str = BACKWARD,
+                     gamma: Optional[float] = None, i_index: int = 0,
+                     seed: int = 0, n_workers: int = 1) -> List[McReport]:
+    return coupling_martingale_check(
+        _coupling(mode, kappa, points, gamma), points, i_index, bulk_points,
+        t_final, dt, n_paths, seed=seed, n_workers=n_workers)
 
 
-def _run_crossvar(config: dict, workers: int) -> List[McReport]:
-    cfg, cspec = _coupling(config)
-    i = _index(config, "i_index", len(cfg), 0)
-    bulk = _get(config, "bulk_points")
-    t_final, dt, n_paths, seed = _ensemble(config)
-    rows = cross_variation_experiment(cspec, cfg, i, bulk, t_final, dt,
-                                      n_paths, seed=seed, n_workers=workers)
-    worst = green_increment_check(cspec.mode, cspec.kappa, bulk[0], bulk[1],
+def _run_crossvar(kappa: float, points: PointConfig,
+                  bulk_points: Sequence[complex], t_final: float, dt: float,
+                  n_paths: int, mode: str = BACKWARD,
+                  gamma: Optional[float] = None, i_index: int = 0,
+                  seed: int = 0, n_workers: int = 1) -> List[McReport]:
+    rows = cross_variation_experiment(
+        _coupling(mode, kappa, points, gamma), points, i_index, bulk_points,
+        t_final, dt, n_paths, seed=seed, n_workers=n_workers)
+    worst = green_increment_check(mode, kappa, bulk_points[0], bulk_points[1],
                                   _GREEN_ID_T, _GREEN_ID_DT, seed=seed)
     rows.append(_exact_row("green_increment_identity", worst, 1e-6,
                            int(round(_GREEN_ID_T / _GREEN_ID_DT))))
     return rows
 
 
-# Each check's runner and the fields it reads; a config may also carry
-# "check", "out_path", "seed" (echoed in the report header) and "n_workers"
-_FLOW = ("mode", "kappa", "points")
-_RESIDUAL = (*_FLOW, "i_index", "fd_step")
-_TIMES = ("t_final", "dt")
-_ENSEMBLE = (*_TIMES, "n_paths")
-_COUPLING = (*_FLOW, "gamma", "bulk_points", "i_index")
+# Each check's runner and the fields it reads, its parameters; a config may
+# also carry "check", "out_path", "seed" (echoed in the report) and "n_workers"
 _UNIVERSAL = ("check", "out_path", "seed", "n_workers")
-CHECKS: dict[str, tuple[Callable[[dict, int], List[McReport]],
-                        tuple[str, ...]]] = {
-    "zip": (_run_zip, ("mode", *_TIMES, "bulk_points")),
-    "hcap": (_run_hcap, ("mode", "kappa", *_TIMES)),
-    "bpz": (_residual_check(bpz_residual, "bpz", 1e-5), _RESIDUAL),
-    "kz": (_residual_check(kz_residual, "kz", 1e-7), _RESIDUAL),
-    "commutator": (_run_commutator, (*_RESIDUAL, "j_index")),
-    "schemes": (_run_schemes, (*_FLOW, "i_index", "j_index", "eps_tilde",
-                               "c", "dt", "n_paths")),
-    "martingale": (_run_martingale, (*_FLOW, "i_index", "bound_n",
-                                     *_ENSEMBLE)),
-    "girsanov": (_run_girsanov, (*_FLOW, "i_index", "j_index", "bound_n",
-                                 *_ENSEMBLE)),
-    "inverse": (_run_inverse, ("kappa", "bulk_points", *_ENSEMBLE)),
-    "coupling_pde": (_run_coupling_pde, (*_COUPLING, "fd_step")),
-    "coupling_mc": (_run_coupling_mc, (*_COUPLING, *_ENSEMBLE)),
-    "crossvar": (_run_crossvar, (*_COUPLING, *_ENSEMBLE)),
-}
+CHECKS: dict[str, tuple[Callable[..., List[McReport]], tuple[str, ...]]] = {
+    name: (run, tuple(f for f in inspect.signature(run).parameters
+                      if f not in _UNIVERSAL))
+    for name, run in (
+        ("zip", _run_zip), ("hcap", _run_hcap),
+        ("bpz", _residual_check(bpz_residual, "bpz", 1e-5)),
+        ("kz", _residual_check(kz_residual, "kz", 1e-7)),
+        ("commutator", _run_commutator), ("schemes", _run_schemes),
+        ("martingale", _run_martingale), ("girsanov", _run_girsanov),
+        ("inverse", _run_inverse), ("coupling_pde", _run_coupling_pde),
+        ("coupling_mc", _run_coupling_mc), ("crossvar", _run_crossvar))}
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +435,8 @@ def _out_base(config: dict, check: str, out_dir: Optional[str]) -> Path:
     raw = config.get("out_path", f"report_{check}")
     if not isinstance(raw, str) or not raw:
         raise ConfigError(f"field 'out_path' must be a non-empty string, got {raw!r}")
+    if "\0" in raw:     # the file system refuses it only at the write
+        raise ConfigError(f"field 'out_path' {raw!r} holds a null byte")
     base = Path(raw)
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
@@ -487,7 +452,7 @@ def _report_io(action: Callable, *args, **kwargs) -> None:
     """action(*args, **kwargs); a report path it cannot use is a ConfigError."""
     try:
         action(*args, **kwargs)
-    except (OSError, ValueError) as exc:     # ValueError: a null byte
+    except (OSError, ValueError) as exc:     # ValueError: a name the OS refuses
         raise ConfigError(f"unusable report path: {exc}")
 
 
@@ -549,10 +514,9 @@ def _check_name(config: dict) -> str:
 def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
     """Run the config's check, write its report and print its summary."""
     check = _check_name(config)
-    workers = resolve_workers(config)
-    _get(config, "seed", 0)     # echoed in the report, read or not
+    args = _arguments(config, check, resolve_workers(config))
     base = _out_base(config, check, out_dir)
-    rows = CHECKS[check][0](config, workers)
+    rows = CHECKS[check][0](**args)
     write_report(base, check, config, rows)
     n_pass = sum(1 for r in rows if r.passed)
     print(f"{check}: {n_pass}/{len(rows)} rows pass -> {base}.csv")

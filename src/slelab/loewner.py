@@ -24,7 +24,6 @@ import numpy as np
 from .core import (BACKWARD, FORWARD, DrivingPath, NumericalFailure,
                    _check_mode, require_bulk)
 
-FORWARD_SWALLOW_GUARD = 1e-6
 DEFAULT_PROBE_RADIUS = 1e4
 
 
@@ -123,16 +122,11 @@ def evolve(state: ChainState, path: DrivingPath,
     start).  Raises Swallowed, naming the step (counted from `first_step`,
     the index of the path's first step in a longer chain), when a tracked
     point is absorbed."""
-    mode = state.mode
     bk = state.bulk_values
     bkd = state.bulk_derivs
 
-    for k, U0 in enumerate(path.values[:-1]):
-        step = first_step + k
-        if mode == FORWARD and np.any(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD):
-            j = int(np.argmax(np.abs(bk - U0) < FORWARD_SWALLOW_GUARD))
-            raise Swallowed(f"bulk point {j} within swallow guard at step {step}")
-        new, mult, bad = slit_complex(bk, U0, path.dt, mode)
+    for step, U0 in enumerate(path.values[:-1], start=first_step):
+        new, mult, bad = slit_complex(bk, U0, path.dt, state.mode)
         if bad.any():
             raise Swallowed(
                 f"bulk point {int(np.argmax(bad))} absorbed during step {step}")

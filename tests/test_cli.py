@@ -1,11 +1,14 @@
 """End-to-end tests for the CLI: configs in, reports out, exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
+import inspect
 import json
 import os
 import tempfile
+import textwrap
 import warnings
 from unittest import mock
 
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab import cli, sampler
+from slelab import sampler
 from slelab.cli import _READERS, CHECKS, main, resolve_workers
 from slelab.core import ConfigError, validate_config
 from slelab.partition import PartitionSpec
@@ -413,6 +416,27 @@ def test_unusable_stem_exit_two_with_no_report(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json", "f"]
 
 
+def test_null_byte_stem_is_refused_before_the_run(tmp_path, capsys):
+    """A stem with a null byte is refused with the other unusable stems,
+    not at the report write: this forward chain swallows its bulk point,
+    so a run would end in exit 3 before any write."""
+    cfg = write_config(tmp_path, check="zip", mode="forward", t_final=0.01,
+                       dt=1e-3, bulk_points=[[0.0, 0.05]], out_path="a\u0000b")
+    assert main(["check", cfg]) == 2
+    assert "null byte" in _config_error_line(capsys)
+
+
+def test_forward_zip_keeps_points_near_the_driver(tmp_path):
+    """The forward chain swallows a point only where the slit map's own
+    flag says so; a point 1e-7 from the driver stays in the upper half
+    plane and matches the closed form."""
+    cfg = write_config(tmp_path, check="zip", mode="forward", t_final=0.01,
+                       dt=1e-3, bulk_points=[[1e-7, 1e-7], [0.5, 1.0]],
+                       out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 0
+    assert [r["pass"] for r in read_rows(str(tmp_path / "r"))] == ["true"] * 2
+
+
 def test_resolve_workers_precedence(monkeypatch):
     # env, then n_workers, then the CPU count (1 if it is unknown)
     monkeypatch.delenv("SLELAB_WORKERS", raising=False)
@@ -752,18 +776,16 @@ def test_config_of_check_fields_runs(tmp_path, check):
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-def test_check_reads_exactly_its_fields(tmp_path, monkeypatch, check):
-    # a field the runner reads but the list lacks could never be set
-    read = set()
-
-    def recording_get(config, field, *default):
-        read.add(field)
-        return get(config, field, *default)
-
-    get = cli._get
-    monkeypatch.setattr(cli, "_get", recording_get)
-    assert _run_with(tmp_path, check) in (0, 1)
-    assert read - {"seed", "n_workers"} == set(CHECKS[check][1])
+def test_check_reads_exactly_its_fields(check):
+    """A runner's parameters are its check's fields, so its body loads
+    each one: a parameter it never reads would be a field that changes
+    nothing.  A field read but not listed cannot exist, as a runner sees
+    only its parameters."""
+    run = CHECKS[check][0]
+    body = ast.parse(textwrap.dedent(inspect.getsource(run))).body[0].body
+    loaded = {node.id for stmt in body for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert set(inspect.signature(run).parameters) <= loaded
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))

@@ -117,6 +117,20 @@ def test_readme_names_resolve():
     assert missing == []
 
 
+def test_readme_field_table_is_the_checks():
+    """README's check/field table lists, per check, the fields that
+    `cli.CHECKS` reads from its runner's parameters."""
+    from slelab.cli import CHECKS
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if (cells := re.fullmatch(r"\| (`\w+`(?:, `\w+`)*) \| (.*) \|",
+                                  line)):
+            fields = set(re.findall(r"`(\w+)`", cells[2]))
+            table.update(dict.fromkeys(re.findall(r"`(\w+)`", cells[1]),
+                                       fields))
+    assert table == {check: set(fields) for check, (_, fields) in CHECKS.items()}
+
+
 def test_every_exception_has_one_exit_code():
     """Each exception class of the package derives from exactly one of
     core.ConfigError (exit 2) and core.NumericalFailure (exit 3): the CLI

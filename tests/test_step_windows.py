@@ -151,7 +151,7 @@ def test_chain_runner_memory_does_not_grow_with_horizon(chain):
     run, fields = CHAINS[chain]
     dt = 1e-5
     short, long = (
-        _peak_bytes(lambda c: run(c, 1),
+        _peak_bytes(lambda f: run(**f),
                     dict(fields, t_final=k * sampler.STEP_BLOCK * dt, dt=dt))
         for k in (2, 8))
     assert abs(long - short) < 8 * 2**10, (short, long)

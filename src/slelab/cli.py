@@ -47,7 +47,6 @@ from .core import (
     NumericalFailure,
     PointConfig,
     build_driving_path,
-    make_report,
     normal_block,
     require_bulk,
     validate_config,
@@ -73,10 +72,11 @@ from .partition import (
     kz_residual,
 )
 from .sampler import (
-    check_horizon,
     girsanov_check,
+    horizon,
     inverse_law_check,
     martingale_check,
+    step_sizes,
     step_windows,
 )
 
@@ -172,13 +172,6 @@ _READERS: dict[str, Callable] = {
 }
 
 
-def _uniform_steps(t_final: float, dt: float) -> tuple[int, float]:
-    """Round to a whole number of equal substeps covering t_final exactly."""
-    check_horizon(t_final, dt)
-    n = max(1, int(round(t_final / dt)))
-    return n, t_final / n
-
-
 def resolve_workers(config: dict) -> int:
     """SLELAB_WORKERS, else n_workers, else the CPU count (1 if unknown);
     n_workers is checked also where the environment overrides it."""
@@ -232,26 +225,27 @@ def _coupling(mode: str, kappa: float, points: PointConfig,
 def _exact_row(name: str, estimate: float, tolerance: float,
                n_samples: int = 1, reference: float = 0.0) -> McReport:
     """Row of a deterministic check: no standard error."""
-    return make_report(name=name, estimate=float(estimate), std_error=0.0,
-                       reference=reference, tolerance=tolerance,
-                       n_samples=n_samples)
+    return McReport(name, estimate, 0.0, reference, tolerance, n_samples)
 
 
 # ---------------------------------------------------------------------------
 # Check runners: fields in, McReport rows out
 
 
-def _evolve_windows(state: ChainState, kappa: float, n: int, dt: float,
-                    steps: Callable[[int, int], np.ndarray]
+def _evolve_windows(state: ChainState, kappa: float, t_final: float,
+                    dt: float, steps: Callable[[int, int], np.ndarray]
                     ) -> Tuple[ChainState, float]:
-    """(final state, max |W|) of evolving `state` by n substeps of dt
-    driven from W = 0, one step window at a time, so memory does not grow
-    with the horizon; steps(a, b) gives the Brownian increments of steps
-    a .. b - 1.  Each window's path starts from the last value of the one
+    """(final state, max |W|) of evolving `state` over the substeps of
+    horizon(t_final, dt), driven from W = 0, one step window at a time, so
+    memory does not grow with the horizon; steps(a, b) gives standard
+    normals for steps a .. b - 1, scaled here by the root of each step's
+    size.  Each window's path starts from the last value of the one
     before, so the values keep the bits of one path."""
     value = reach = 0.0
-    for a, b in step_windows(n):
-        path = build_driving_path(kappa, value, steps(a, b), dt)
+    for a, b in step_windows(horizon(t_final, dt)[0]):
+        sizes = step_sizes(t_final, dt, a, b)
+        path = build_driving_path(kappa, value, np.sqrt(sizes) * steps(a, b),
+                                  sizes)
         state = evolve(state, path, first_step=a)
         value = path.values[-1]
         reach = max(reach, float(np.max(np.abs(path.values))))
@@ -261,9 +255,9 @@ def _evolve_windows(state: ChainState, kappa: float, n: int, dt: float,
 def _run_zip(t_final: float, dt: float, mode: str = BACKWARD,
              bulk_points: Sequence[complex] = _DEFAULT_ZIP_GRID
              ) -> List[McReport]:
-    n, dt_eff = _uniform_steps(t_final, dt)
-    final, _ = _evolve_windows(initial_state(mode, bulk=bulk_points), 0.0, n,
-                               dt_eff, lambda a, b: np.zeros(b - a))
+    n = horizon(t_final, dt)[0]
+    final, _ = _evolve_windows(initial_state(mode, bulk=bulk_points), 0.0,
+                               t_final, dt, lambda a, b: np.zeros(b - a))
     return [_exact_row(f"zip_z_re{z.real:g}_im{z.imag:g}",
                        abs(final.bulk_values[k]
                            - reference_map_zero_driving(z, t_final, mode)),
@@ -273,22 +267,17 @@ def _run_zip(t_final: float, dt: float, mode: str = BACKWARD,
 
 def _run_hcap(kappa: float, t_final: float, dt: float, mode: str = BACKWARD,
               seed: int = 0) -> List[McReport]:
-    n, dt_eff = _uniform_steps(t_final, dt)
-
-    def steps(a: int, b: int) -> np.ndarray:
-        return normal_block(seed, 0, 1, b - a, a)[0] * math.sqrt(dt_eff)
-
     radius = DEFAULT_PROBE_RADIUS
     final, reach = _evolve_windows(
-        initial_state(mode, bulk=(1j * radius, 2j * radius)), kappa, n,
-        dt_eff, steps)
+        initial_state(mode, bulk=(1j * radius, 2j * radius)), kappa, t_final,
+        dt, lambda a, b: normal_block(seed, 0, 1, b - a, a)[0])
     # the capacity is read off the 1/z expansion about 0
     if not reach < radius / 100:
         raise NumericalFailure(f"the driving reaches |W| = {reach:g}, not "
                                f"small against the probe radius {radius:g}")
     return [_exact_row(f"hcap_k{kappa:g}_t{t_final:g}",
-                       extract_hcap(mode, *final.bulk_values, radius), 1e-4, n,
-                       reference=2.0 * t_final)]
+                       extract_hcap(mode, *final.bulk_values, radius), 1e-4,
+                       horizon(t_final, dt)[0], reference=2.0 * t_final)]
 
 
 def _residual_check(fn: Callable, label: str, tolerance: float) -> Callable:
@@ -424,7 +413,7 @@ def _fmt(value) -> str:
 
 
 def _row_dict(check: str, row: McReport) -> dict:
-    # make_report has cast every field; only "passed" is renamed
+    # McReport has cast every field; only "passed" is renamed
     out = {"check": check, **dataclasses.asdict(row)}
     out["pass"] = out.pop("passed")
     return out
@@ -437,6 +426,10 @@ def _out_base(config: dict, check: str, out_dir: Optional[str]) -> Path:
         raise ConfigError(f"field 'out_path' must be a non-empty string, got {raw!r}")
     if "\0" in raw:     # the file system refuses it only at the write
         raise ConfigError(f"field 'out_path' {raw!r} holds a null byte")
+    try:     # and a name it cannot encode, too
+        os.fsencode(raw)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"unusable report path: {exc}")
     base = Path(raw)
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")

@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
-                   PointConfig, make_report, mean_var, normal_block,
-                   require_gaps, require_square)
+                   PointConfig, mean_var, normal_block, require_gaps,
+                   require_square)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         min_gap, require_points)
 from .sampler import (REASON_SWALLOWED, chunked, horizon, map_chunks, run_leg,
@@ -164,8 +164,8 @@ def commutation_experiment(
         m2, v2 = mean_var(s2[f"s_{name}"], s2[f"s2_{name}"], s2["n"])
         pooled = math.sqrt(v1 + v2)
         tol = max(3.0 * pooled, 10.0 * eps_tilde**2)
-        reports.append(make_report(f"scheme_diff_{name}", m1, pooled, m2, tol,
-                                   s1["n"] + s2["n"]))
+        reports.append(McReport(f"scheme_diff_{name}", m1, pooled, m2, tol,
+                                s1["n"] + s2["n"]))
     return reports
 
 

@@ -39,7 +39,7 @@ in windows of steps and never hold more than one window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -134,23 +134,24 @@ def validate_config(points: Sequence[float]) -> PointConfig:
 
 @dataclass(frozen=True)
 class DrivingPath:
-    """Realized driving function on a uniform grid: values[k] at time k*dt,
-    values[0] the start point."""
+    """Realized driving function with its substep sizes: values[k] at the
+    start of substep k, of size dt[k] (a scalar dt: one size for every
+    substep), values[0] the start point."""
 
-    dt: float
+    dt: float | np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.dt > 0:
+        if not np.all(np.greater(self.dt, 0)):
             raise ValueError("dt must be positive")
 
 
 def build_driving_path(kappa: float, w0: float, increments: np.ndarray,
-                       dt: float) -> DrivingPath:
+                       dt: float | np.ndarray) -> DrivingPath:
     """values[k+1] = values[k] + sqrt(kappa)*increments[k], values[0] = w0,
-    from Brownian increments of variance dt each.  w0 is the first term of
-    one sequential sum, so a path continued from another's last value has
-    the bits of one path over both."""
+    from Brownian increments of variance dt (or dt[k]) each.  w0 is the
+    first term of one sequential sum, so a path continued from another's
+    last value has the bits of one path over both."""
     values = np.empty(len(increments) + 1)
     values[0] = w0
     values[1:] = np.sqrt(kappa) * np.asarray(increments, dtype=float)
@@ -199,8 +200,9 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
 class McReport:
     """Universal output record of a statistical check.
 
-    `passed` implements the contract pass = (|estimate - reference| <=
-    tolerance); it is serialized under the column name "pass" (a Python
+    `passed` is computed, never given: it implements the contract pass =
+    (|estimate - reference| <= tolerance) on the fields cast to float and
+    int, and is serialized under the column name "pass" (a Python
     keyword, hence the attribute spelling).
     """
 
@@ -210,20 +212,14 @@ class McReport:
     reference: float
     tolerance: float
     n_samples: int
-    passed: bool
+    passed: bool = field(init=False)
 
-
-def make_report(
-    name: str,
-    estimate: float,
-    std_error: float,
-    reference: float,
-    tolerance: float,
-    n_samples: int,
-) -> McReport:
-    ok = abs(estimate - reference) <= tolerance
-    return McReport(name, float(estimate), float(std_error), float(reference),
-                    float(tolerance), int(n_samples), bool(ok))
+    def __post_init__(self):
+        for name in ("estimate", "std_error", "reference", "tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "passed", bool(
+            abs(self.estimate - self.reference) <= self.tolerance))
 
 
 def mean_var(s1: float, s2: float, n: int) -> tuple[float, float]:

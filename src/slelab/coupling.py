@@ -40,7 +40,6 @@ from .core import (
     NumericalFailure,
     PointConfig,
     _check_mode,
-    make_report,
     normal_block,
     require_bulk,
     require_gaps,
@@ -333,8 +332,9 @@ def _h_run(
     steps of dW = sqrt(kappa) dB + kappa (d/dW) log Z dt.  Paths whose
     companion or tracked bulk point is swallowed are frozen at the start
     of the offending substep and kept (their h increments vanish from then
-    on).  The state is column-major and every step works one point's
-    column at a time.
+    on, so once every path is frozen the run ends and draws no further
+    window; path_steps and draws count what ran).  The state is
+    column-major and every step works one point's column at a time.
     """
     mode = cspec.mode
     kappa = cspec.kappa
@@ -357,13 +357,16 @@ def _h_run(
     comps = [flow.x[:, k] for k in range(len(cfg)) if k != i]
     z_cols = [zb[:, m] for m in range(m_bulk)]
     d_cols = [db[:, m] for m in range(m_bulk)]
+    ran = drawn = 0     # steps run and normals drawn, each path
     # a frozen row may hold a zero gap, so an inf driver step, but no
     # frozen row is ever copied back
     with np.errstate(divide="ignore", invalid="ignore"):
         for first, stop in step_windows(horizon(T, dt)[0]):
             normals = normal_block(seed, first_path, n_paths, stop - first,
                                    first)
+            drawn = stop
             for k, delta in enumerate(step_sizes(T, dt, first, stop)):
+                ran = first + k + 1
                 new_c, bad = [], []
                 for xc in comps:
                     new, _, swallowed = slit_real(xc, u0, delta, mode)
@@ -379,6 +382,9 @@ def _h_run(
                 if any(b.any() for b in bad):
                     flow.stop(functools.reduce(np.logical_or, bad),
                               REASON_SWALLOWED)
+                    # frozen rows never change: steps left add zeros only
+                    if not flow.active.any():
+                        break
                 w_new = driver_step(u0, [xc - u0 for xc in comps],
                                     normals[:, k], delta, sqk, kb)
                 for xc, new in zip(comps, new_c):
@@ -393,6 +399,8 @@ def _h_run(
                                  * (h_new[b] - h_prev[b]))
                 h_prev = h_new
             del normals      # before the next window is drawn
+            if not flow.active.any():
+                break
     gt = _pair_green(mode, zb, pairs)
     return {
         "h0": h0,
@@ -400,6 +408,9 @@ def _h_run(
         "accum": _stack(accum, n_paths),
         "g_drop": g0 - gt,
         "reason": flow.reason,
+        # one entry per tile, which tiled joins like the per-path arrays
+        "path_steps": np.array([n_paths * ran]),
+        "draws": np.array([n_paths * drawn]),
     }
 
 
@@ -414,7 +425,6 @@ def _h_chunk(task: dict) -> dict:
     run = tiled(task["count"], run_tile)
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
-    steps = task["count"] * horizon(T, dt)[0]
     # h scales as 1/sqrt(kappa): at tiny kappa the sums of squares leave
     # the floats, which _run_h_ensemble refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -427,7 +437,8 @@ def _h_chunk(task: dict) -> dict:
             "sd": xv_err.sum(axis=0),
             "sd2": (xv_err**2).sum(axis=0),
             "n_swallowed": int(np.sum(run["reason"] == REASON_SWALLOWED)),
-            "path_steps": steps, "draws": steps,
+            "path_steps": int(run["path_steps"].sum()),
+            "draws": int(run["draws"].sum()),
         }
 
 
@@ -489,9 +500,9 @@ def coupling_martingale_check(
     reports = []
     for m, zz in enumerate(bulk):
         mean, se = _mean_se(stats["sh"][m], stats["sh2"][m], n)
-        reports.append(make_report(
+        reports.append(McReport(
             f"coupling_drift_z{m}_re{np.real(zz):g}_im{np.imag(zz):g}",
-            float(mean), float(se), 0.0, 3.0 * se, n))
+            mean, se, 0.0, 3.0 * se, n))
     return reports
 
 
@@ -522,9 +533,9 @@ def cross_variation_experiment(
     for p, (a, b) in enumerate(pairs):
         ref = stats["sg"][p] / n
         se = _mean_se(stats["sd"][p], stats["sd2"][p], n)[1]
-        reports.append(make_report(
-            f"crossvar_pair_{a}_{b}", float(stats["sx"][p] / n), float(se),
-            float(ref), 0.05 * abs(ref), n))
+        reports.append(McReport(
+            f"crossvar_pair_{a}_{b}", stats["sx"][p] / n, se, ref,
+            0.05 * abs(ref), n))
     return reports
 
 

@@ -118,15 +118,17 @@ def initial_state(mode: str, bulk=()) -> ChainState:
 
 def evolve(state: ChainState, path: DrivingPath,
            first_step: int = 0) -> ChainState:
-    """Apply one exact substep per path step (driving frozen at the step
-    start).  Raises Swallowed, naming the step (counted from `first_step`,
-    the index of the path's first step in a longer chain), when a tracked
-    point is absorbed."""
+    """Apply one exact substep per path step, of the path's size for it
+    (driving frozen at the step start).  Raises Swallowed, naming the step
+    (counted from `first_step`, the index of the path's first step in a
+    longer chain), when a tracked point is absorbed."""
     bk = state.bulk_values
     bkd = state.bulk_derivs
+    sizes = np.broadcast_to(path.dt, len(path.values) - 1).tolist()
 
-    for step, U0 in enumerate(path.values[:-1], start=first_step):
-        new, mult, bad = slit_complex(bk, U0, path.dt, state.mode)
+    for step, (U0, delta) in enumerate(zip(path.values[:-1], sizes),
+                                       start=first_step):
+        new, mult, bad = slit_complex(bk, U0, delta, state.mode)
         if bad.any():
             raise Swallowed(
                 f"bulk point {int(np.argmax(bad))} absorbed during step {step}")

@@ -44,8 +44,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
-                   PointConfig, make_report, mean_var, normal_block,
-                   require_bulk, require_gaps, sum_columns)
+                   PointConfig, mean_var, normal_block, require_bulk,
+                   require_gaps, sum_columns)
 from .loewner import reference_map_zero_driving, slit_complex, slit_gap
 from .partition import PartitionSpec, log_z_cols, require_points
 
@@ -86,22 +86,18 @@ TILE = 10_000
 COLLISION_GUARD = 12.0
 
 
-def check_horizon(T: float, dt: float) -> None:
-    """Refuse a horizon of MAX_STEPS substeps or more (T / dt may be inf)
-    before anything is allocated for it."""
+def horizon(T: float, dt: float) -> tuple[int, float]:
+    """(substep count, size of the last substep) of the horizon T: uniform
+    substeps of size dt, plus one shorter remainder step if T is not a
+    multiple of dt.  The one substep rule of every check.  A horizon of
+    MAX_STEPS substeps or more (T / dt may be inf) is refused before
+    anything is allocated for it."""
+    if not T > 0 or not dt > 0:
+        raise ValueError("T and dt must be positive")
     if not T / dt < MAX_STEPS:
         raise ConfigError(
             f"horizon {T!r} is {T / dt:g} substeps of {dt!r}, more than an "
             "array can hold")
-
-
-def horizon(T: float, dt: float) -> tuple[int, float]:
-    """(substep count, size of the last substep) of the horizon T: uniform
-    substeps of size dt, plus one shorter remainder step if T is not a
-    multiple of dt."""
-    if not T > 0 or not dt > 0:
-        raise ValueError("T and dt must be positive")
-    check_horizon(T, dt)
     n_full = int(math.floor(T / dt + 1e-9))
     rem = T - n_full * dt
     if rem > 1e-6 * dt:
@@ -112,12 +108,10 @@ def horizon(T: float, dt: float) -> tuple[int, float]:
     return n_full, dt
 
 
-def step_sizes(T: float, dt: float, a: int = 0,
-               b: int | None = None) -> np.ndarray:
-    """Sizes of substeps a .. b - 1 of the horizon T (default: all of
-    them), so a step window never builds the whole horizon's sizes."""
+def step_sizes(T: float, dt: float, a: int, b: int) -> np.ndarray:
+    """Sizes of substeps a .. b - 1 of the horizon T, so a step window
+    never builds the whole horizon's sizes."""
     n, last = horizon(T, dt)
-    b = n if b is None else b
     out = np.full(b - a, dt, dtype=float)
     if b == n and a < b:
         out[-1] = last
@@ -400,7 +394,7 @@ def martingale_check(
             f"{st['n_underflow']} of {n} weights M/M_0 underflow to 0")
     mean, var = mean_var(st["sw"], st["sw2"], n)
     se = math.sqrt(var)
-    return make_report(
+    return McReport(
         f"martingale_mean_weight_k{spec.kappa:g}_N{len(cfg)}",
         mean, se, 1.0, 3.0 * se, n,
     )
@@ -451,7 +445,7 @@ def girsanov_check(
     est2, var2 = mean_var(drift["sf"], drift["sf2"], drift["n"])
     se2 = math.sqrt(var2)
     pooled = math.hypot(se1, se2)
-    return make_report("girsanov", est1, pooled, est2, 3.0 * pooled, n)
+    return McReport("girsanov", est1, pooled, est2, 3.0 * pooled, n)
 
 
 def _inverse_chunk(task: dict) -> dict:
@@ -557,8 +551,8 @@ def inverse_law_check(
         mb, vb, smb, svb = _moment_stats(b, tag, c)
         se_mean = math.hypot(sma, smb)
         se_var = math.hypot(sva, svb)
-        reports.append(make_report(f"inverse_mean_{label}", ma, se_mean, mb,
-                                   3.0 * se_mean, a["n"]))
-        reports.append(make_report(f"inverse_var_{label}", va, se_var, vb,
-                                   3.0 * se_var, a["n"]))
+        reports.append(McReport(f"inverse_mean_{label}", ma, se_mean, mb,
+                                3.0 * se_mean, a["n"]))
+        reports.append(McReport(f"inverse_var_{label}", va, se_var, vb,
+                                3.0 * se_var, a["n"]))
     return reports

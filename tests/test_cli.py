@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab import sampler
+from slelab import cli, sampler
 from slelab.cli import _READERS, CHECKS, main, resolve_workers
-from slelab.core import ConfigError, validate_config
+from slelab.core import ConfigError, McReport, validate_config
 from slelab.partition import PartitionSpec
-from slelab.sampler import girsanov_check, map_chunks, martingale_check
+from slelab.sampler import (girsanov_check, horizon, map_chunks,
+                            martingale_check)
 
 CSV_COLUMNS = ["check", "name", "estimate", "std_error", "reference",
                "tolerance", "n_samples", "pass"]
@@ -424,6 +425,35 @@ def test_null_byte_stem_is_refused_before_the_run(tmp_path, capsys):
                        dt=1e-3, bulk_points=[[0.0, 0.05]], out_path="a\u0000b")
     assert main(["check", cfg]) == 2
     assert "null byte" in _config_error_line(capsys)
+
+
+def test_unencodable_stem_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                    capsys):
+    """A stem the file system cannot encode (a lone surrogate) is refused
+    before the check runs, not at the report write after it."""
+    monkeypatch.chdir(tmp_path)
+    runner = mock.Mock(return_value=McReport("m", 1.0, 0.0, 1.0, 0.0, 1))
+    monkeypatch.setattr(cli, "martingale_check", runner)
+    cfg = write_config(tmp_path, check="martingale", kappa=4.0,
+                       points=[0.0, 1.0], t_final=0.01, dt=1e-3, n_paths=100,
+                       out_path="a\ud800b")
+    assert main(["check", cfg]) == 2
+    assert "unusable report path" in _config_error_line(capsys)
+    runner.assert_not_called()
+
+
+@pytest.mark.parametrize("check, fields", [("hcap", {"kappa": 4.0}),
+                                           ("zip", {})], ids=["hcap", "zip"])
+def test_chain_checks_run_the_horizon_substeps(tmp_path, check, fields):
+    """hcap and zip walk sampler.horizon's substeps, as every other check
+    does: t_final 0.014 at dt 0.01 is a substep of 0.01 and a remainder of
+    0.004, not one substep of 0.014, longer than dt."""
+    cfg = write_config(tmp_path, check=check, t_final=0.014, dt=0.01,
+                       out_path=str(tmp_path / "r"), **fields)
+    assert main(["check", cfg]) == 0
+    rows = read_rows(str(tmp_path / "r"))
+    assert {r["n_samples"] for r in rows} == {str(horizon(0.014, 0.01)[0])}
+    assert horizon(0.014, 0.01)[0] == 2
 
 
 def test_forward_zip_keeps_points_near_the_driver(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for configurations, driving paths, and the RNG plumbing."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from slelab.core import (
     ConfigError,
     McReport,
     build_driving_path,
-    make_report,
     normal_block,
     sum_columns,
     validate_config,
@@ -268,12 +268,18 @@ def test_bulk_point_off_the_upper_half_plane_is_refused(entry, z):
         BULK_ENTRY_POINTS[entry](z)
 
 
-def test_make_report_pass_rule():
-    r = make_report("x", 1.0, 0.1, 1.5, 0.5, 10)
-    assert isinstance(r, McReport)
+def test_mc_report_pass_rule():
+    """McReport computes its own verdict, on its fields cast to float and
+    int; a verdict cannot be passed in."""
+    r = McReport("x", np.float64(1.0), 0.1, 1.5, 0.5, np.int64(10))
     assert r.passed  # boundary inclusive
-    assert not make_report("x", 1.0, 0.1, 1.6, 0.5, 10).passed
-    assert make_report("x", 0.0, 0.0, 0.0, 0.0, 1).passed
+    assert [type(v) for v in dataclasses.astuple(r)] == [
+        str, float, float, float, float, int, bool]
+    assert not McReport("x", 1.0, 0.1, 1.6, 0.5, 10).passed
+    assert McReport("x", 0.0, 0.0, 0.0, 0.0, 1).passed
+    assert not McReport("x", float("nan"), 0.0, 0.0, 1.0, 1).passed
+    with pytest.raises(TypeError):
+        McReport("x", 1.0, 0.1, 1.6, 0.5, 10, True)
 
 
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 7, 8, 9, 15])

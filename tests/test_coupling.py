@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from slelab import coupling
 from slelab.core import ConfigError, validate_config
 from slelab.coupling import (
     CouplingSpec,
@@ -250,6 +251,34 @@ def test_simulate_h_process_backward_companion_swallowed():
     np.testing.assert_array_equal(run["ht"], run["h0"])
     for name, values in run.items():
         assert np.isfinite(values).all(), name
+
+
+def test_h_run_with_every_path_frozen_draws_no_further_window(monkeypatch):
+    """At gap 0.05 every path is swallowed at step 0 of 500, two windows
+    of 250 steps: the tile ends there and draws only the first window.
+    The chunk counts the one step run and the normals drawn, as
+    coupling.normal_block sees them, and the run's arrays are those of a
+    one-step run, bit for bit."""
+    cfg = validate_config((0.0, 0.05))
+    bulk = (0.5 + 1j, -0.5 + 1j)
+    drawn = []
+    draw = coupling.normal_block
+
+    def counting(*args):
+        out = draw(*args)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(coupling, "normal_block", counting)
+    task = {"cspec": CS_BACK, "cfg": cfg, "i": 0, "bulk": bulk, "T": 0.5,
+            "dt": 1e-3, "seed": 0, "first_path": 0, "count": 5}
+    out = coupling._h_chunk(task)
+    assert drawn == [(5, 250)]
+    assert (out["path_steps"], out["draws"]) == (5, 5 * 250)
+    run = _h_run(CS_BACK, cfg, 0, bulk, 0.5, 1e-3, 0, 0, 5)
+    one = _h_run(CS_BACK, cfg, 0, bulk, 1e-3, 1e-3, 0, 0, 5)
+    for key in ("h0", "ht", "accum", "g_drop", "reason"):
+        assert run[key].tobytes() == one[key].tobytes(), key
 
 
 def test_simulate_h_process_rejects_boundary_bulk():

@@ -8,7 +8,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,3 +190,22 @@ def test_run_leg_as_micro_benchmark_calls_it():
 def test_benchmark_micro_imports():
     micro = _load_perfbench("micro")
     assert callable(micro.one_round)
+
+
+def test_cli_import_adds_only_stdlib_modules():
+    """Once numpy and scipy.special (ndtri) are in, importing slelab.cli
+    adds only standard-library modules, the package itself and
+    __mp_main__.  A module-level import of scipy.optimize would add 259
+    modules and about 0.26 s to every run's start-up (2-vCPU host)."""
+    code = ("import sys, numpy, scipy.special\n"
+            "before = set(sys.modules)\n"
+            "import slelab.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "slelab.cli" in added
+    assert [m for m in added
+            if m.split(".")[0] not in sys.stdlib_module_names
+            and m.split(".")[0] not in ("slelab", "__mp_main__")] == []

@@ -37,10 +37,11 @@ SPEC_BACK = PartitionSpec("backward", 4.0, 2)
 
 
 def test_step_sizes_remainder():
-    np.testing.assert_allclose(step_sizes(0.1, 0.03), [0.03, 0.03, 0.03, 0.01])
-    np.testing.assert_allclose(step_sizes(0.09, 0.03), [0.03, 0.03, 0.03])
-    np.testing.assert_allclose(step_sizes(0.01, 0.03), [0.01])
-    assert step_sizes(0.1, 1e-3).sum() == pytest.approx(0.1, rel=1e-12)
+    np.testing.assert_allclose(step_sizes(0.1, 0.03, 0, 4),
+                               [0.03, 0.03, 0.03, 0.01])
+    np.testing.assert_allclose(step_sizes(0.09, 0.03, 0, 3), [0.03, 0.03, 0.03])
+    np.testing.assert_allclose(step_sizes(0.01, 0.03, 0, 1), [0.01])
+    assert step_sizes(0.1, 1e-3, 0, 100).sum() == pytest.approx(0.1, rel=1e-12)
 
 
 def _leg_drift(mode, kappa, pts, slot, delta=1e-2):
@@ -350,7 +351,7 @@ def test_window_step_sizes_are_the_whole_horizon_slices(T, dt, block,
     monkeypatch.setattr(sampler, "STEP_BLOCK", block)
     for a, b in step_windows(whole.size):
         assert step_sizes(T, dt, a, b).tobytes() == whole[a:b].tobytes()
-    assert step_sizes(T, dt).tobytes() == whole.tobytes()
+    assert step_sizes(T, dt, 0, whole.size).tobytes() == whole.tobytes()
 
 
 CFG3 = validate_config((0.0, 1.0, 3.0))
@@ -461,8 +462,10 @@ def _still_running_after_2s(argv) -> None:
 
 @pytest.mark.parametrize("fields", [
     {"check": "martingale"},
-    {"check": "crossvar", "gamma": 2.0, "bulk_points": [[1.0, 2.0],
-                                                        [-1.0, 2.0]]},
+    # a companion at 1e6: at gap 1 it is swallowed at step 0, and a tile
+    # whose paths have all stopped ends at once
+    {"check": "crossvar", "gamma": 2.0, "points": [0.0, 1e6],
+     "bulk_points": [[1.0, 2.0], [-1.0, 2.0]]},
 ], ids=["martingale", "crossvar"])
 def test_huge_horizon_allocates_no_array_of_it(fields, tmp_path):
     """10^9 substeps under a 1.5 GB address-space limit: a check that

@@ -161,12 +161,13 @@ def test_windowed_chain_keeps_the_driving_bits(monkeypatch):
     """Starting each window's path from the last driving value of the one
     before gives the values of one sequential sum, so bulk points near the
     driver end where one evolve call puts them, bit for bit."""
-    inc = normal_block(3, 0, 1, 300)[0] * math.sqrt(1e-3)
+    normals = normal_block(3, 0, 1, 300)[0]
+    inc = normals * math.sqrt(1e-3)
     state = initial_state("backward", bulk=(0.3 + 0.5j, -0.2 + 1j))
     whole = evolve(state, build_driving_path(4.0, 0.0, inc, 1e-3))
     monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
-    windows, _ = cli._evolve_windows(state, 4.0, 300, 1e-3,
-                                     lambda a, b: inc[a:b])
+    windows, _ = cli._evolve_windows(state, 4.0, 0.3, 1e-3,
+                                     lambda a, b: normals[a:b])
     assert windows.bulk_values.tolist() == whole.bulk_values.tolist()
 
 
@@ -179,7 +180,7 @@ def test_windowed_chain_reports_the_global_swallow_step(monkeypatch):
         evolve(state, DrivingPath(1e-3, np.zeros(301)))
     monkeypatch.setattr(sampler, "STEP_BLOCK", 7)
     with pytest.raises(Swallowed) as windows:
-        cli._evolve_windows(state, 0.0, 300, 1e-3,
+        cli._evolve_windows(state, 0.0, 0.3, 1e-3,
                             lambda a, b: np.zeros(b - a))
     assert str(whole.value).endswith("step 62")
     assert str(windows.value) == str(whole.value)

@@ -35,8 +35,8 @@ from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    require_square)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         min_gap, require_points)
-from .sampler import (REASON_SWALLOWED, chunked, horizon, map_chunks, run_leg,
-                      step_sizes, step_windows, sum_stats, tiled)
+from .sampler import (REASON_SWALLOWED, Flow, chunked, horizon, map_chunks,
+                      run_leg, step_sizes, step_windows, sum_stats, tiled)
 
 
 Legs = tuple[tuple[int, float], ...]
@@ -70,37 +70,39 @@ def arctan_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
-              draw: Callable, drifted: bool):
+              draw: Callable, drifted: bool) -> tuple[Flow, int]:
     """Run the legs of a scheme on rows x in substeps of dt, each leg on
-    its own steps of the rows' streams; returns the final Flow.
-    `draw(n_steps, first_step)` gives the normals of steps first_step ..
-    first_step + n_steps - 1 of the whole scheme.  They are drawn one
+    its own steps of the rows' streams; returns the final Flow and the
+    steps drawn per row.  `draw(n_steps, first_step)` gives the normals of
+    steps first_step .. first_step + n_steps - 1 of the whole scheme, one
     window of step_windows at a time across leg boundaries; each run_leg
-    call covers a window's part of one leg.  The legs carry no weights, so
-    no derivative is tracked.
+    call covers a window's part of one leg, and none is made once every
+    row has stopped.
 
     collision_guard=2 keeps only the exact swallow criterion
-    gap^2 <= 4*delta.  Scheme runs carry no weights, so the wider layer is
-    not needed, and stopping near-miss paths would condition the two
-    schemes on the minimum gap over time.  Whether the two orders share
-    the law of the swallow events is not established: with three points
-    they swallow at different rates (ROADMAP item 4d).
+    gap^2 <= 4*delta.  Scheme runs carry no weights, so no derivative is
+    tracked and the wider layer is not needed; stopping near-miss paths
+    would condition the two schemes on the minimum gap over time.  Whether
+    the two orders share the law of the swallow events is not established:
+    with three points they swallow at different rates (ROADMAP item 4d).
     """
     starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T in legs])
-    flow = x
+    flow = Flow.start(x)
+    drawn = 0
     for a, b in step_windows(int(starts[-1])):
         normals = draw(b - a, a)
+        drawn = b
         for (slot, T), start, stop in zip(legs, starts, starts[1:]):
             lo, hi = max(a, start), min(b, stop)
-            if lo >= hi:
-                continue
-            flow = run_leg(spec.mode, spec.kappa, spec.exponent,
-                           spec.h_weight, flow, slot,
-                           normals[:, lo - a:hi - a],
-                           step_sizes(T, dt, lo - start, hi - start),
-                           drifted=drifted, collision_guard=2.0)
+            if lo < hi and flow.active.any():
+                run_leg(spec.mode, spec.kappa, spec.exponent, spec.h_weight,
+                        flow, slot, normals[:, lo - a:hi - a],
+                        step_sizes(T, dt, lo - start, hi - start),
+                        drifted=drifted, collision_guard=2.0)
         del normals      # before the next window is drawn
-    return flow
+        if not flow.active.any():
+            break
+    return flow, drawn
 
 
 def _scheme_chunk(task: dict) -> dict:
@@ -111,13 +113,15 @@ def _scheme_chunk(task: dict) -> dict:
         draw = functools.partial(normal_block, task["seed"],
                                  task["first_path"] + t0, t1 - t0)
         x = np.broadcast_to(points, (t1 - t0, len(points)))
-        flow = _run_legs(legs, dt, task["spec"], x, draw, drifted=True)
-        return {"x": flow.x, "reason": flow.reason}
+        flow, drawn = _run_legs(legs, dt, task["spec"], x, draw,
+                                drifted=True)
+        return {"x": flow.x, "reason": flow.reason,
+                "steps": np.array([(t1 - t0) * drawn])}
 
     flow = tiled(task["count"], run_tile)
     x = flow["x"]
     keep = flow["reason"] != REASON_SWALLOWED
-    steps = task["count"] * sum(horizon(T, dt)[0] for _, T in legs)
+    steps = int(flow["steps"].sum())     # of the windows drawn
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum()),
            "path_steps": steps, "draws": steps}
     n_pts = x.shape[1]

@@ -261,43 +261,37 @@ def coupling_pde_residual(
 # Coupled flow ensembles
 
 
+def _log_abs(z: np.ndarray) -> np.ndarray:
+    a = np.abs(z)
+    return np.log(a, out=a)
+
+
 def _field_values(cspec: CouplingSpec, x: np.ndarray, zb: np.ndarray,
                   db: np.ndarray) -> List[np.ndarray]:
     """h at every bulk point, one (n,) column per bulk point; x (n, N) and
     zb, db (n, M) are column-major, so each call reads one column."""
-    mode, curvature = cspec.mode, cspec.curvature_constant
+    # log|.| and +Q backward, arg and -K forward
+    if cspec.mode == BACKWARD:
+        part, curvature = _log_abs, cspec.curvature_constant
+    else:
+        part, curvature = np.angle, -cspec.curvature_constant
     # complex minus complex: a float column would go through a slower
     # mixed-type loop, with the same bits
     x_c = [x[:, k].astype(complex) for k in range(x.shape[1])]
     scale = -(2.0 / math.sqrt(cspec.kappa))
     columns = []
     for m in range(zb.shape[1]):
-        parts = []
-        for xk in x_c:
-            diff = zb[:, m] - xk
-            if mode == BACKWARD:
-                part = np.abs(diff)
-                parts.append(np.log(part, out=part))
-            else:
-                parts.append(np.angle(diff))
         # the sum over points adds left to right from zero
         h = np.zeros(x.shape[0])
-        for e, part in zip(cspec.epsilon_signs, parts):
+        for e, xk in zip(cspec.epsilon_signs, x_c):
             if e > 0:
-                h += part
+                h += part(zb[:, m] - xk)
             else:
-                h -= part
+                h -= part(zb[:, m] - xk)
         h *= scale
-        # plus Q log|db| backward, minus K arg db forward
-        if mode == BACKWARD:
-            curv = np.abs(db[:, m])
-            np.log(curv, out=curv)
-            curv *= curvature
-            h += curv
-        else:
-            curv = np.angle(db[:, m])
-            curv *= curvature
-            h -= curv
+        curv = part(db[:, m])
+        curv *= curvature
+        h += curv
         columns.append(h)
     return columns
 
@@ -378,13 +372,12 @@ def _h_run(
                     new_b.append(new)
                     mult_b.append(mult)
                     bad.append(swallowed)
-                # most steps swallow nothing: test the whole masks first
-                if any(b.any() for b in bad):
-                    flow.stop(functools.reduce(np.logical_or, bad),
-                              REASON_SWALLOWED)
-                    # frozen rows never change: steps left add zeros only
-                    if not flow.active.any():
-                        break
+                # most steps swallow nothing: test the whole masks first;
+                # frozen rows never change, so steps left add zeros only
+                if any(b.any() for b in bad) and not flow.stop(
+                        functools.reduce(np.logical_or, bad),
+                        REASON_SWALLOWED):
+                    break
                 w_new = driver_step(u0, [xc - u0 for xc in comps],
                                     normals[:, k], delta, sqk, kb)
                 for xc, new in zip(comps, new_c):
@@ -408,7 +401,6 @@ def _h_run(
         "accum": _stack(accum, n_paths),
         "g_drop": g0 - gt,
         "reason": flow.reason,
-        # one entry per tile, which tiled joins like the per-path arrays
         "path_steps": np.array([n_paths * ran]),
         "draws": np.array([n_paths * drawn]),
     }

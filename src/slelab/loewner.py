@@ -11,8 +11,8 @@ Substep closed forms, with d = w - U0 and step capacity 2*delta:
     forward:   w  ->  U0 + sqrt(d**2 + 4*delta)
 
 with the square-root branch of nonnegative imaginary part for complex w and
-the sign of d for real w; both maps multiply an incoming derivative by
-d / (new - U0).
+the sign of d for real w (copysign, so d = +-0 picks a prime end); both
+maps multiply an incoming derivative by d / (new - U0).
 """
 
 from __future__ import annotations
@@ -45,38 +45,29 @@ def sqrt_him(q):
 
 def slit_gap(d, d2, U0, delta, mode: str):
     """(new_x, multiplier) of the real substep from the gap d = x - U0 and
-    its square d2 = d * d, which becomes new_x.  No swallow patch: a
+    its square d2 = d * d, which becomes new_x: U0 + copysign(root, d) with
+    root = sqrt(d2 -+ 4 * delta), so the forward base d = +-0 goes to the
+    prime end U0 +- 2 * sqrt(delta) with multiplier 0.  No swallow patch: a
     swallowed entry (backward, d2 <= 4 * delta) gets NaN or inf, which the
     caller masks, so the caller also sets np.errstate for them."""
-    if mode == BACKWARD:
-        # d is 0 only where swallowed, so copysign gives the sign of d
-        # everywhere else
-        d2 -= 4.0 * delta
-        root = np.sqrt(d2, out=d2)
-        mult = np.abs(d)
-        mult /= root
-        new = np.copysign(root, d, out=root)
-    else:
-        d2 += 4.0 * delta
-        root = np.sqrt(d2, out=d2)
-        mult = np.abs(d)
-        mult /= root
-        new = np.sign(d)
-        new *= root
+    d2 += (-4.0 if mode == BACKWARD else 4.0) * delta
+    root = np.sqrt(d2, out=d2)
+    mult = np.abs(d)
+    mult /= root
+    new = np.copysign(root, d, out=root)
     new += U0
     return new, mult
 
 
 def slit_real(x, U0, delta, mode: str):
     """(new_x, multiplier, swallowed) for arrays of real boundary points;
-    swallowed entries hold NaN or inf, which the caller masks."""
+    swallowed entries hold NaN or inf, which the caller masks.  The forward
+    map swallows no real point."""
     d = x - U0
     d2 = d * d
-    if mode != BACKWARD:
-        new, mult = slit_gap(d, d2, U0, delta, mode)
-        return new, mult, np.zeros(new.shape, dtype=bool)
     # d2 - 4 delta <= 0 exactly when d2 <= 4 delta (gradual underflow)
-    bad = d2 <= 4.0 * delta
+    bad = (d2 <= 4.0 * delta if mode == BACKWARD
+           else np.zeros(d.shape, dtype=bool))
     with np.errstate(invalid="ignore", divide="ignore"):
         new, mult = slit_gap(d, d2, U0, delta, mode)
     return new, mult, bad
@@ -85,16 +76,14 @@ def slit_real(x, U0, delta, mode: str):
 def slit_complex(z, U0, delta, mode: str):
     """(new_z, multiplier, swallowed) for arrays of interior points."""
     d = z - U0
-    sign = -4.0 if mode == BACKWARD else 4.0
-    s = sqrt_him(d * d + sign * delta)
+    s = sqrt_him(d * d + (-4.0 if mode == BACKWARD else 4.0) * delta)
     new = s + U0
-    if mode == BACKWARD:
-        bad = np.zeros(new.shape, dtype=bool)
-    else:
-        bad = s.imag <= 0.0
-        if bad.any():
-            new = np.where(bad, z, new)
-            s = np.where(bad, d, s)
+    # the backward map swallows no interior point
+    bad = (np.zeros(new.shape, dtype=bool) if mode == BACKWARD
+           else s.imag <= 0.0)
+    if bad.any():
+        new = np.where(bad, z, new)
+        s = np.where(bad, d, s)
     return new, np.divide(d, s, out=d), bad
 
 

@@ -138,7 +138,8 @@ def step_windows(n_steps: int) -> Iterator[tuple[int, int]]:
 
 def tiled(count: int, run_tile: Callable[[int, int], dict]) -> dict:
     """run_tile(a, b) on each of the ceil(count / TILE) even path tiles
-    [a, b) of a chunk, its per-path arrays joined in path order.
+    [a, b) of a chunk, its per-path arrays (or one-entry arrays, such as a
+    tile's count of path-steps) joined in path order.
     np.concatenate keeps the tiles' memory layout, so the chunk's sums over
     paths read what one call would have built."""
     parts = [run_tile(a, b) for a, b in _even_split(count, TILE)]
@@ -170,12 +171,15 @@ class Flow:
         return cls(xs, None, np.ones(n, dtype=bool), np.zeros(n, dtype=np.int8),
                    None)
 
-    def stop(self, mask: np.ndarray, reason: int) -> None:
-        """Freeze the active rows of `mask` with `reason`."""
+    def stop(self, mask: np.ndarray, reason: int) -> bool:
+        """Freeze the active rows of `mask` with `reason`; False once no
+        row is active, which is counted only when a row was frozen."""
         hit = mask & self.active
-        if hit.any():
-            self.reason[hit] = reason
-            self.active[hit] = False
+        if not hit.any():
+            return True
+        self.reason[hit] = reason
+        self.active[hit] = False
+        return bool(self.active.any())
 
 
 def driver_step(u0: np.ndarray, gaps: Sequence[np.ndarray],
@@ -219,7 +223,8 @@ def run_leg(
     neither is reset on a Flow.  Paths whose smallest companion gap enters
     the collision layer (gap^2 <= collision_guard^2 * dt, checked at the
     substep start) freeze there with reason `swallowed`; bound-stopped
-    paths freeze at the boundary where |M| first exceeded the bound."""
+    paths freeze at the boundary where |M| first exceeded the bound.  Once
+    no row is active the call returns: the steps left would write no row."""
     flow = x if isinstance(x, Flow) else Flow.start(x)
     if track_weight and flow.derivs is None:
         flow.derivs = np.ones_like(flow.x)
@@ -248,7 +253,8 @@ def run_leg(
                 layer = sqs[0] <= lim
                 for d2 in sqs[1:]:
                     layer |= d2 <= lim
-                flow.stop(layer, REASON_SWALLOWED)
+                if not flow.stop(layer, REASON_SWALLOWED):
+                    break
                 # active rows sit outside the layer (guard2 >= 4), so the
                 # substep swallows none of them
                 for j, (xc, d, d2) in enumerate(zip(comps, gaps, sqs)):
@@ -276,8 +282,9 @@ def run_leg(
                     logs += new_m
                     new_m = logs
                 np.copyto(log_m, new_m, where=active)
-                if log_bound is not None:
-                    flow.stop(log_m > log_bound, REASON_BOUND)
+                if (log_bound is not None
+                        and not flow.stop(log_m > log_bound, REASON_BOUND)):
+                    break
     return flow
 
 
@@ -321,9 +328,11 @@ def _ensemble_chunk(task: dict) -> dict:
 
     def run_tile(t0: int, t1: int) -> dict:
         flow = np.broadcast_to(points, (t1 - t0, len(points)))
+        drawn = 0
         for a, b in step_windows(n_steps):
             normals = normal_block(task["seed"], task["first_path"] + t0,
                                    t1 - t0, b - a, a)
+            drawn = b
             flow = run_leg(
                 spec.mode, spec.kappa, spec.exponent, spec.h_weight,
                 flow, task["slot"], normals, step_sizes(T, dt, a, b),
@@ -331,7 +340,10 @@ def _ensemble_chunk(task: dict) -> dict:
                 log_bound=task["log_bound"],
             )
             del normals      # before the next window is drawn
-        return {"x": flow.x, "log_m": flow.log_m, "reason": flow.reason}
+            if not flow.active.any():    # frozen rows never change
+                break
+        return {"x": flow.x, "log_m": flow.log_m, "reason": flow.reason,
+                "steps": np.array([(t1 - t0) * drawn])}
 
     count = task["count"]
     flow = tiled(count, run_tile)
@@ -340,6 +352,7 @@ def _ensemble_chunk(task: dict) -> dict:
         w = np.exp(log_w)   # M / M_0
     j = task["j"]
     f = flow["x"][:, j] if j is not None else np.zeros(count)
+    steps = int(flow["steps"].sum())     # of the windows drawn
     return {
         "n": count,
         "sw": float(np.sum(w)),
@@ -352,7 +365,7 @@ def _ensemble_chunk(task: dict) -> dict:
         "n_swallowed": int(np.sum(flow["reason"] == REASON_SWALLOWED)),
         "n_bound": int(np.sum(flow["reason"] == REASON_BOUND)),
         "n_underflow": int(np.sum((w == 0.0) & np.isfinite(log_w))),
-        "path_steps": count * n_steps, "draws": count * n_steps,
+        "path_steps": steps, "draws": steps,
     }
 
 

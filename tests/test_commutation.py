@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slelab import commutation
 from slelab.commutation import (
     _generator_value,
     _run_legs,
@@ -118,9 +119,9 @@ def test_arctan_sum_default_observable():
 def _final_noiseless(legs, dt, drifted):
     """Final configuration of one path of a scheme with every normal zero:
     both legs reduce to pure companion slit flows."""
-    flow = _run_legs(legs, dt, SPEC, CFG.as_array()[None, :],
-                     lambda n_steps, first_step: np.zeros((1, n_steps)),
-                     drifted)
+    flow, _ = _run_legs(legs, dt, SPEC, CFG.as_array()[None, :],
+                        lambda n_steps, first_step: np.zeros((1, n_steps)),
+                        drifted)
     assert flow.active.all()
     return flow.x[0]
 
@@ -157,6 +158,36 @@ def test_run_scheme_repeatable():
                      "points": tuple(CFG.points), "dt": 1e-4, "seed": 3},
                     50, 7)
     assert _scheme_chunk(task) == _scheme_chunk(task)
+
+
+def test_scheme_tile_with_every_path_swallowed_draws_no_further_window(
+        monkeypatch):
+    """Scheme 2 at (0, 1, 1.001) first drives slot 1, whose companion at
+    gap 0.001 is swallowed at step 0 on every row: of the 92 + 200 steps,
+    two windows of 146, the tile draws only the first, as
+    commutation.normal_block sees it.  The chunk counts that window, and
+    its other sums are those of a one-step run, bit for bit."""
+    cfg = validate_config((0.0, 1.0, 1.001))
+    spec = PartitionSpec("backward", 4.0, 3)
+    _, legs2 = plan_schemes(cfg, 0, 1, 0.01, 2.0)
+    drawn = []
+    draw = commutation.normal_block
+
+    def counting(*args):
+        out = draw(*args)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(commutation, "normal_block", counting)
+    task, = chunked({"legs": legs2, "spec": spec, "points": cfg.points,
+                     "dt": 1e-4, "seed": 0}, 20)
+    out = _scheme_chunk(task)
+    assert drawn == [(20, 146)]
+    assert (out.pop("path_steps"), out.pop("draws")) == (20 * 146, 20 * 146)
+    assert (out["n"], out["n_discarded"]) == (0, 20)
+    one = _scheme_chunk(dict(task, legs=((1, 1e-4),)))
+    del one["path_steps"], one["draws"]
+    assert out == one
 
 
 def test_commutation_experiment_small():

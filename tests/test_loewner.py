@@ -14,6 +14,7 @@ from slelab.loewner import (
     initial_state,
     reference_map_zero_driving,
     slit_complex,
+    slit_gap,
     slit_real,
     sqrt_him,
 )
@@ -71,6 +72,18 @@ def test_substep_forward_real():
     np.testing.assert_allclose(new, [SQRT5], rtol=0, atol=1e-12)
     np.testing.assert_allclose(mult, [1.0 / SQRT5], rtol=0, atol=1e-12)
     assert not bad.any()
+
+
+@pytest.mark.parametrize("d, end", [(0.0, 0.7), (-0.0, 0.3)])
+def test_substep_forward_base_goes_to_its_prime_end(d, end):
+    """The forward map sends the slit base d = +-0 to the prime end
+    U0 +- 2 sqrt(delta) with multiplier 0, by the sign bit of d."""
+    gap = np.array([d])
+    new, mult = slit_gap(gap, gap * gap, 0.5, 0.01, "forward")
+    assert (new[0], mult[0]) == (end, 0.0)
+    # x - U0 keeps the sign of a zero gap only at U0 = +0.0
+    new, mult, bad = slit_real(gap, 0.0, 0.01, "forward")
+    assert (new[0] + 0.5, mult[0], bad[0]) == (end, 0.0, False)
 
 
 def test_substep_forward_flags_absorbed_bulk():

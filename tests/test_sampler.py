@@ -430,6 +430,37 @@ def test_chunk_work_counts(check, monkeypatch):
     assert total["draws"] == total["path_steps"] == 30 * len(tasks) * substeps
 
 
+def test_ensemble_tile_with_every_path_stopped_draws_no_further_window(
+        monkeypatch):
+    """At gap 0.05 every path sits inside the guard-12 layer at step 0 of
+    500, two windows of 250 steps: the tile ends there and draws only the
+    first window, as sampler.normal_block sees it.  The chunk counts that
+    window, and its other sums are those of a one-step run, bit for bit."""
+    cfg = validate_config((0.0, 0.05))
+    drawn = []
+    draw = sampler.normal_block
+
+    def counting(*args):
+        out = draw(*args)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(sampler, "normal_block", counting)
+
+    def chunk(T):
+        task, = sampler._ensemble_tasks(SPEC_BACK, cfg, 0, T, 1e-3, 30, 10.0,
+                                        0, 0, drifted=False, j=None)
+        return sampler._ensemble_chunk(task)
+
+    out = chunk(0.5)
+    assert drawn == [(30, 250)]
+    assert (out.pop("path_steps"), out.pop("draws")) == (30 * 250, 30 * 250)
+    assert out["n_swallowed"] == 30
+    one = chunk(1e-3)
+    del one["path_steps"], one["draws"]
+    assert out == one
+
+
 HUGE_HORIZON = {"kappa": 4.0, "points": [0.0, 1.0], "t_final": 1e9,
                 "dt": 1.0, "n_paths": 1, "n_workers": 1}
 
@@ -460,10 +491,10 @@ def _still_running_after_2s(argv) -> None:
     assert running, err.decode()
 
 
+# a companion at 1e6: at gap 1 it stops at step 0, and a tile whose paths
+# have all stopped ends at once
 @pytest.mark.parametrize("fields", [
-    {"check": "martingale"},
-    # a companion at 1e6: at gap 1 it is swallowed at step 0, and a tile
-    # whose paths have all stopped ends at once
+    {"check": "martingale", "points": [0.0, 1e6]},
     {"check": "crossvar", "gamma": 2.0, "points": [0.0, 1e6],
      "bulk_points": [[1.0, 2.0], [-1.0, 2.0]]},
 ], ids=["martingale", "crossvar"])

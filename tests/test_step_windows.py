@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab import cli, coupling, sampler
+from slelab import cli, commutation, coupling, sampler
 from slelab.commutation import commutation_experiment
 from slelab.core import (DrivingPath, build_driving_path, normal_block,
                          validate_config)
@@ -120,6 +120,33 @@ def test_chunk_memory_does_not_exceed_an_even_window():
                                _ensemble_task(k, dt))
                    for k in (n_steps // 2, n_steps))
     assert whole - half < 2**20, (half, whole)
+
+
+@pytest.mark.parametrize("scheme", [0, 1], ids=["scheme1", "scheme2"])
+def test_scheme_legs_share_equal_step_windows(scheme, monkeypatch):
+    """The schemes of the criterion-08 cell run legs of 192 + 100 and
+    92 + 200 steps; each tile draws both as two equal windows of 146
+    steps across the leg boundary, as commutation.normal_block sees them.
+    Windows that followed each leg gave the same bits, but unequal window
+    sizes raised a 1e5-path worker's peak RSS by about 19 MiB."""
+    legs = commutation.plan_schemes(CFG2, 0, 1, 0.01, 2.0)[scheme]
+    assert [sampler.horizon(T, 1e-4)[0] for _, T in legs] == (
+        [[192, 100], [92, 200]][scheme])
+    drawn = []
+    draw = commutation.normal_block
+
+    def counting(*args):
+        out = draw(*args)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(commutation, "normal_block", counting)
+    monkeypatch.setattr(sampler, "TILE", 3)
+    task, = sampler.chunked({"legs": legs, "spec": SPEC_BACK,
+                             "points": CFG2.points, "dt": 1e-4, "seed": 0},
+                            5)
+    commutation._scheme_chunk(task)
+    assert drawn == [(3, 146), (3, 146), (2, 146), (2, 146)]
 
 
 @pytest.mark.parametrize("fn, make_task", [

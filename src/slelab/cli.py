@@ -12,7 +12,8 @@ squared gap that overflows), 3 any core.NumericalFailure (a blowup,
 excess swallowing, weight collapse).  Either prints one stderr line.
 
 A check's fields are its runner's parameters, listed in CHECKS; one with
-no default is required.  All are read before any report directory or path.
+no default is required.  `check` reads every field, and `sweep` every
+cell's, the rules between fields too, before any report directory or path.
 
 Indices (i_index, j_index) are 0-based.  bound_n is a multiple of the
 initial weight M_0, so 0.5 means "stop when |M| exceeds half its start".
@@ -97,7 +98,7 @@ _DEFAULT_ZIP_GRID = tuple(complex(re, im) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 # ---------------------------------------------------------------------------
 # Config fields: _READERS maps each field to reader(field, value), which
-# checks the value's type and bounds and returns it, for _arguments
+# checks the value's type and bounds and returns it, for _read
 
 
 def _real(field: str, val) -> float:
@@ -184,34 +185,6 @@ def resolve_workers(config: dict) -> int:
         except ValueError:
             raise ConfigError(f"{ENV_WORKERS} must be an integer, got {env!r}")
     return n_workers or os.cpu_count() or 1
-
-
-def _arguments(config: dict, check: str, workers: int) -> dict:
-    """The check's runner's keyword arguments: every field read (seed too,
-    which the report echoes), defaults, `workers` and cross-field rules."""
-    signature = inspect.signature(CHECKS[check][0])
-    given = {f: _READERS[f](f, v) for f, v in config.items() if f in _READERS}
-    for name, param in signature.parameters.items():
-        if param.default is param.empty and name not in given:
-            raise ConfigError(f"missing required field {name!r}")
-    given["n_workers"] = workers
-    bound = signature.bind(**{f: v for f, v in given.items()
-                              if f in signature.parameters})
-    bound.apply_defaults()
-    args = bound.arguments
-    if "t_final" in args and not args["dt"] < args["t_final"]:
-        raise ConfigError(f"dt ({args['dt']!r}) must be smaller than "
-                          f"t_final ({args['t_final']!r})")
-    n_points = len(args.get("points", ()))
-    if "j_index" in args and n_points < 2:
-        raise ConfigError(f"{check} check needs at least 2 points")
-    for field in ("i_index", "j_index"):
-        if args.get(field) is not None and not 0 <= args[field] < n_points:
-            raise ConfigError(f"field {field!r} must be a 0-based index "
-                              f"below {n_points}, got {args[field]}")
-    if "j_index" in args and args["i_index"] == args["j_index"]:
-        raise ConfigError("i_index and j_index must differ")
-    return args
 
 
 def _coupling(mode: str, kappa: float, points: PointConfig,
@@ -377,7 +350,7 @@ def _run_crossvar(kappa: float, points: PointConfig,
     worst = green_increment_check(mode, kappa, bulk_points[0], bulk_points[1],
                                   _GREEN_ID_T, _GREEN_ID_DT, seed=seed)
     rows.append(_exact_row("green_increment_identity", worst, 1e-6,
-                           int(round(_GREEN_ID_T / _GREEN_ID_DT))))
+                           horizon(_GREEN_ID_T, _GREEN_ID_DT)[0]))
     return rows
 
 
@@ -490,8 +463,11 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _check_name(config: dict) -> str:
-    """The config's check; a field the check does not read is refused."""
+def _read(config: dict) -> Tuple[str, dict]:
+    """The config's check and its runner's keyword arguments: a field the
+    check does not read is refused, every field is read (seed too, which
+    the report echoes), defaults are filled, the worker count is resolved
+    and the rules between fields are checked."""
     if "check" not in config:
         raise ConfigError("missing required field 'check'")
     check = config["check"]
@@ -501,14 +477,35 @@ def _check_name(config: dict) -> str:
     unknown = sorted(set(config) - set(CHECKS[check][1]) - set(_UNIVERSAL))
     if unknown:
         raise ConfigError(f"unknown field {unknown[0]!r} for check {check!r}")
-    return check
+    workers = resolve_workers(config)
+    signature = inspect.signature(CHECKS[check][0])
+    given = {f: _READERS[f](f, v) for f, v in config.items() if f in _READERS}
+    for name, param in signature.parameters.items():
+        if param.default is param.empty and name not in given:
+            raise ConfigError(f"missing required field {name!r}")
+    given["n_workers"] = workers
+    bound = signature.bind(**{f: v for f, v in given.items()
+                              if f in signature.parameters})
+    bound.apply_defaults()
+    args = bound.arguments
+    if "t_final" in args and not args["dt"] < args["t_final"]:
+        raise ConfigError(f"dt ({args['dt']!r}) must be smaller than "
+                          f"t_final ({args['t_final']!r})")
+    n_points = len(args.get("points", ()))
+    if "j_index" in args and n_points < 2:
+        raise ConfigError(f"{check} check needs at least 2 points")
+    for field in ("i_index", "j_index"):
+        if args.get(field) is not None and not 0 <= args[field] < n_points:
+            raise ConfigError(f"field {field!r} must be a 0-based index "
+                              f"below {n_points}, got {args[field]}")
+    if "j_index" in args and args["i_index"] == args["j_index"]:
+        raise ConfigError("i_index and j_index must differ")
+    return check, args
 
 
-def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
-    """Run the config's check, write its report and print its summary."""
-    check = _check_name(config)
-    args = _arguments(config, check, resolve_workers(config))
-    base = _out_base(config, check, out_dir)
+def _run(check: str, args: dict, config: dict, base: Path) -> List[McReport]:
+    """The step of `check` and of every sweep cell: run a read config's
+    check, write its report at `base` and print its summary."""
     rows = CHECKS[check][0](**args)
     write_report(base, check, config, rows)
     n_pass = sum(1 for r in rows if r.passed)
@@ -520,52 +517,47 @@ def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
     return rows
 
 
+def run_check(config: dict, out_dir: Optional[str] = None) -> List[McReport]:
+    """Run the config's check, write its report and print its summary."""
+    check, args = _read(config)
+    return _run(check, args, config, _out_base(config, check, out_dir))
+
+
 _SWEEPABLE = ("kappa", "points", "eps_tilde")
 
 
-def _sweep_values(config: dict) -> tuple[list[str], list[list]]:
-    fields, values = [], []
-    for field in _SWEEPABLE:
-        val = config.get(field)
-        if not isinstance(val, list):
-            continue
-        if not val:
-            raise ConfigError(f"sweep field {field!r} is empty")
-        # an array of arrays sweeps points; a flat array is one config
-        if field != "points" or all(isinstance(v, list) for v in val):
-            for v in val:     # every cell's value, before any cell runs
-                _READERS[field](field, v)
-            fields.append(field)
-            values.append(val)
+def run_sweep(config: dict, out_dir: Optional[str] = None) -> int:
+    """Run one check per cell of the grid of the array-valued fields, each
+    cell read before the report directory is made or any cell runs."""
+    # an array of arrays sweeps points; a flat array is one config
+    fields = [f for f in _SWEEPABLE if isinstance(config.get(f), list) and
+              (f != "points" or all(isinstance(v, list) for v in config[f]))]
     if not fields:
         raise ConfigError(
             f"sweep needs at least one array-valued field among {_SWEEPABLE}")
-    return fields, values
-
-
-def run_sweep(config: dict, out_dir: Optional[str] = None) -> int:
-    check = _check_name(config)
-    fields, values = _sweep_values(config)
-    base = _out_base(config, check, out_dir)
+    for field in fields:
+        if not config[field]:
+            raise ConfigError(f"sweep field {field!r} is empty")
+    combos = list(itertools.product(*(config[f] for f in fields)))
+    cells = [{**config, **dict(zip(fields, combo))} for combo in combos]
+    reads = [_read(cell) for cell in cells]
+    base = _out_base(config, reads[0][0], out_dir)
     summary = [
         f"# artifact_version: {__version__}",
         f"# config: {json.dumps(config, sort_keys=True, separators=(',', ':'))}",
         "cell," + ",".join(fields) + ",n_rows,n_pass,all_pass",
     ]
     worst = EXIT_PASS
-    for cell, combo in enumerate(itertools.product(*values)):
-        cell_config = dict(config)
-        for field, val in zip(fields, combo):
-            cell_config[field] = val
-        cell_config["out_path"] = f"{base}_cell{cell:03d}"
-        rows = run_check(cell_config, out_dir=None)
+    for k, (combo, cell, (check, args)) in enumerate(zip(combos, cells, reads)):
+        stem = f"{base}_cell{k:03d}"
+        rows = _run(check, args, dict(cell, out_path=stem), Path(stem))
         n_rows, n_pass = len(rows), sum(1 for r in rows if r.passed)
         if n_pass < n_rows:
             worst = EXIT_FAILED_ROW
-        cells = [json.dumps(v, separators=(",", ":")).replace(",", ";")
-                 for v in combo]
+        values = [json.dumps(v, separators=(",", ":")).replace(",", ";")
+                  for v in combo]
         summary.append(
-            f"{cell}," + ",".join(cells)
+            f"{k}," + ",".join(values)
             + f",{n_rows},{n_pass},{_fmt(n_pass == n_rows)}")
     summary_path = Path(f"{base}_summary.csv")
     _report_io(summary_path.write_text, "\n".join(summary) + "\n")

@@ -79,11 +79,12 @@ def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
     call covers a window's part of one leg, and none is made once every
     row has stopped.
 
-    collision_guard=2 keeps only the exact swallow criterion
-    gap^2 <= 4*delta.  Scheme runs carry no weights, so no derivative is
-    tracked and the wider layer is not needed; stopping near-miss paths
-    would condition the two schemes on the minimum gap over time.  Whether
-    the two orders share the law of the swallow events is not established:
+    collision_guard=2 freezes a row at gap^2 <= 4*delta; scheme runs carry
+    no weights, so the wider layer is not needed.  Backward, that is the
+    exact swallow criterion.  Forward, the slit map swallows no real point,
+    so it freezes near misses, which _scheme_chunk discards with swallowed
+    rows: forward schemes are conditioned on the minimum gap.  Whether the
+    two orders share the law of the swallow events is not established:
     with three points they swallow at different rates (ROADMAP item 4d).
     """
     starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T in legs])

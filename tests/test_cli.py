@@ -565,6 +565,43 @@ def test_sweep_refuses_a_bad_value_before_any_cell_runs(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+BAD_CELL_SWEEPS = {
+    # i_index 2 is out of range for the second cell's two points
+    "index_out_of_range": dict(check="kz", kappa=4.0, i_index=2,
+                               points=[[0.0, 1.0, 2.5], [0.0, 1.0]]),
+    # the second cell has too few points for j_index
+    "too_few_points": dict(check="commutator", kappa=4.0, i_index=0,
+                           j_index=1, points=[[0.0, 1.0, 2.5], [0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CELL_SWEEPS))
+def test_sweep_reads_every_cell_before_any_cell_runs(tmp_path, capsys, case):
+    """A rule between fields that only a later cell breaks exits 2 with
+    one line before the first cell writes its report, as `check` does."""
+    cfg = write_config(tmp_path, out_path=str(tmp_path / "sw" / "s"),
+                       **BAD_CELL_SWEEPS[case])
+    assert main(["sweep", cfg]) == 2
+    _config_error_line(capsys)
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_cell_report_is_the_report_of_its_check(tmp_path):
+    """Each cell runs through the path `check` takes: its report is the
+    one `check` writes for the cell's config, byte for byte."""
+    sweep = dict(check="kz", mode="backward", points=[0.0, 1.0, 2.5])
+    assert main(["sweep", write_config(tmp_path, kappa=[2.0, 4.0],
+                                       out_path=str(tmp_path / "s"),
+                                       **sweep)]) == 0
+    for k, kappa in enumerate([2.0, 4.0]):
+        files = [tmp_path / f"s_cell{k:03d}.{ext}" for ext in ("csv", "json")]
+        swept = [f.read_bytes() for f in files]
+        cfg = write_config(tmp_path, name=f"cell{k}.json", kappa=kappa,
+                           out_path=str(tmp_path / f"s_cell{k:03d}"), **sweep)
+        assert main(["check", cfg]) == 0
+        assert [f.read_bytes() for f in files] == swept
+
+
 def test_sweep_propagates_row_failures(tmp_path):
     cfg = write_config(tmp_path, check="bpz", mode="backward",
                        kappa=[4.0], points=[[0.0, 0.01]],

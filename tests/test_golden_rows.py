@@ -3,8 +3,10 @@
 Every benchmark workload and census ensemble has two points, so nothing
 else pins the order in which the kernels add per-point terms (the drift,
 sum log f', the pairs of log Z): reordering any of those sums changes
-the last bits of these rows.  tests/golden_rows.json stores each case's
-rows; JSON writes every float through repr, so they read back exactly.
+the last bits of these rows.  Every ensemble check runs in both modes,
+so the forward scheme legs and crossvar's forward pair sums are pinned
+too.  tests/golden_rows.json stores each case's rows; JSON writes every
+float through repr, so they read back exactly.
 
 The stored rows are re-recorded only in a declared re-pin, from a commit
 whose rows are trusted:
@@ -34,12 +36,10 @@ I = 1
 BULK = (0.5 + 1j, 2.0 + 1.5j)
 PAIR_BULK = (1 + 2j, -1 + 2j)
 SCHEME_PAIR = {"N3": (0, 1), "N4": (1, 2)}
-CASES = sorted(
-    [f"{check}-{mode}-{tag}"
-     for check in ("martingale", "girsanov", "coupling_mc", "coupling_mc1")
-     for mode in ("backward", "forward") for tag in POINTS]
-    + [f"{check}-backward-{tag}" for check in ("crossvar", "schemes")
-       for tag in POINTS])
+CASES = sorted(f"{check}-{mode}-{tag}"
+               for check in ("martingale", "girsanov", "coupling_mc",
+                             "coupling_mc1", "crossvar", "schemes")
+               for mode in ("backward", "forward") for tag in POINTS)
 GOLDEN = Path(__file__).resolve().parent / "golden_rows.json"
 
 

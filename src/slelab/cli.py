@@ -97,8 +97,8 @@ _DEFAULT_ZIP_GRID = tuple(complex(re, im) for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# Config fields: _READERS maps each field to reader(field, value), which
-# checks the value's type and bounds and returns it, for _read
+# Config fields: _READERS maps each field but n_workers (resolve_workers's)
+# to reader(field, value), which checks its type and bounds and returns it
 
 
 def _real(field: str, val) -> float:
@@ -167,8 +167,7 @@ _READERS: dict[str, Callable] = {
     **dict.fromkeys(("kappa", "t_final", "dt", "eps_tilde", "c", "bound_n",
                      "fd_step"), _positive),
     "gamma": _real,
-    **dict.fromkeys(("n_paths", "n_workers"), _count),
-    "seed": _seed,
+    "n_paths": _count, "seed": _seed,
     **dict.fromkeys(("i_index", "j_index"), _integer),
 }
 

@@ -4,11 +4,14 @@ Scheme 1 grows a hull at point i for time eps, then one at point j for time
 eps_tilde; Scheme 2 grows at j for time eps_prime, then at i for c*eps_tilde.
 The first-leg times are the first-order capacity-matching truncations
 
-    eps       = (1 - 4*eps_tilde/(X_i-X_j)**2) * c * eps_tilde
-    eps_prime = (1 - 4*c*eps_tilde/(X_j-X_i)**2) * eps_tilde
+    eps       = (1 -+ 4*eps_tilde/(X_i-X_j)**2) * c * eps_tilde
+    eps_prime = (1 -+ 4*c*eps_tilde/(X_j-X_i)**2) * eps_tilde
 
-so scheme comparisons carry an o(eps_tilde**2) allowance on top of Monte
-Carlo error.
+(- backward, + forward): to second order they cancel the commutator
+[L_i, L_j] = +-4/(X_i-X_j)**2 (L_i - L_j) that commutator_residual checks,
+so the orders differ at third order in eps_tilde (at second with the other
+sign), and scheme comparisons carry an o(eps_tilde**2) allowance on top of
+Monte Carlo error.
 
 The generator of the k-th flow acting on functions of the configuration is
 
@@ -31,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
-                   PointConfig, mean_var, normal_block, require_gaps,
-                   require_square)
+                   PointConfig, _check_mode, mean_var, normal_block,
+                   require_gaps, require_square)
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         min_gap, require_points)
 from .sampler import (REASON_SWALLOWED, Flow, chunked, horizon, map_chunks,
@@ -42,12 +45,12 @@ from .sampler import (REASON_SWALLOWED, Flow, chunked, horizon, map_chunks,
 Legs = tuple[tuple[int, float], ...]
 
 
-def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
-                 c: float) -> tuple[Legs, Legs]:
+def plan_schemes(mode: str, cfg: PointConfig, i: int, j: int,
+                 eps_tilde: float, c: float) -> tuple[Legs, Legs]:
     """The legs of scheme 1 and of scheme 2, each leg a (driving slot,
-    leg time) pair, with the truncated first-leg times; refuses eps_tilde
-    too large for the (i, j) gap, or a squared gap to i or j that
-    overflows."""
+    leg time) pair, with the truncated first-leg times, whose -+ follows
+    the flow `mode` (module docstring); refuses eps_tilde too large for the
+    (i, j) gap, or a squared gap to i or j that overflows."""
     if i == j:
         raise ValueError("i and j must differ")
     if eps_tilde < 0 or c <= 0:
@@ -59,8 +62,9 @@ def plan_schemes(cfg: PointConfig, i: int, j: int, eps_tilde: float,
         raise ConfigError(
             f"4*max(1,c)*eps_tilde = {4 * max(1.0, c) * eps_tilde:g} "
             f"must stay below the squared gap {gap2:g}")
-    eps = (1.0 - 4.0 * eps_tilde / gap2) * c * eps_tilde
-    eps_prime = (1.0 - 4.0 * c * eps_tilde / gap2) * eps_tilde
+    four = -4.0 if _check_mode(mode) == BACKWARD else 4.0
+    eps = (1.0 + four * eps_tilde / gap2) * c * eps_tilde
+    eps_prime = (1.0 + four * c * eps_tilde / gap2) * eps_tilde
     return ((i, eps), (j, eps_tilde)), ((j, eps_prime), (i, c * eps_tilde))
 
 
@@ -151,13 +155,11 @@ def commutation_experiment(
     max(3 * pooled SE, 10 * eps_tilde**2).  Both schemes share one
     map_chunks call (one pool)."""
     require_points(spec, cfg)
-    legs1, legs2 = plan_schemes(cfg, i, j, eps_tilde, c)
     task = {"spec": spec, "points": tuple(cfg.points), "dt": dt, "seed": seed}
-    tasks1 = chunked(dict(task, legs=legs1), n_paths)
-    tasks2 = chunked(dict(task, legs=legs2), n_paths, n_paths)
-    parts = map_chunks(_scheme_chunk, tasks1 + tasks2, n_workers)
-    s1 = sum_stats(parts[:len(tasks1)])
-    s2 = sum_stats(parts[len(tasks1):])
+    arms = [dict(task, legs=legs)
+            for legs in plan_schemes(spec.mode, cfg, i, j, eps_tilde, c)]
+    s1, s2 = sum_stats(map_chunks(_scheme_chunk, chunked(arms, n_paths),
+                                  n_workers), len(arms))
     for order, st in (("scheme1", s1), ("scheme2", s2)):
         if st["n"] == 0:
             raise NumericalFailure(

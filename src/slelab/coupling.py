@@ -453,7 +453,8 @@ def _run_h_ensemble(
     horizon(t_final, dt)     # refuses a horizon before any task is built
     task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
             "T": t_final, "dt": dt, "seed": seed}
-    stats = sum_stats(map_chunks(_h_chunk, chunked(task, n_paths), n_workers))
+    stats, = sum_stats(map_chunks(_h_chunk, chunked([task], n_paths),
+                                  n_workers))
     if not all(np.all(np.isfinite(v)) for v in stats.values()):
         raise NumericalFailure("the field sums overflowed")
     return stats

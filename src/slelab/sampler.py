@@ -288,22 +288,27 @@ def run_leg(
     return flow
 
 
-def chunked(task: dict, n_paths: int, first_path: int = 0) -> list[dict]:
-    """One copy of `task` per DEFAULT_CHUNK paths, keyed by its first path
-    index and path count; more than MAX_PATHS paths are refused first."""
+def chunked(arms: Sequence[dict], n_paths: int) -> list[dict]:
+    """Arm k's task once per DEFAULT_CHUNK of paths k * n_paths ..
+    (k + 1) * n_paths - 1, whose streams it reads, keyed by its first path
+    index and path count; more than MAX_PATHS paths an arm are refused."""
     if n_paths > MAX_PATHS:
         raise ConfigError(f"{n_paths} paths are more than the {MAX_PATHS} "
                           "a run may have")
-    return [dict(task, first_path=first_path + a,
+    return [dict(task, first_path=k * n_paths + a,
                  count=min(DEFAULT_CHUNK, n_paths - a))
+            for k, task in enumerate(arms)
             for a in range(0, n_paths, DEFAULT_CHUNK)]
 
 
-def sum_stats(parts: list[dict]) -> dict:
-    """Key-wise sum of chunk statistics.  The sum starts from the first
-    part, so array values and -0.0 pass through unchanged."""
-    return {k: functools.reduce(operator.add, (p[k] for p in parts))
-            for k in parts[0]}
+def sum_stats(parts: list[dict], arms: int = 1) -> list[dict]:
+    """Key-wise sums of each arm's chunk statistics as chunked laid them
+    out, in chunk order.  A sum starts from its arm's first part, so array
+    values and -0.0 pass through unchanged."""
+    size = len(parts) // arms
+    return [{k: functools.reduce(operator.add, (p[k] for p in arm))
+             for k in arm[0]}
+            for arm in (parts[a:a + size] for a in range(0, len(parts), size))]
 
 
 def map_chunks(fn: Callable, tasks: Sequence, n_workers: int = 1) -> list:
@@ -369,18 +374,16 @@ def _ensemble_chunk(task: dict) -> dict:
     }
 
 
-def _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed,
-                    first_path, drifted, j) -> list[dict]:
-    """Chunk tasks of one arm; bound_n is a multiple of M_0 = Z(initial)."""
+def _ensemble_task(spec, cfg, i, T, dt, bound_n, seed, j) -> dict:
+    """A driftless arm's task; bound_n is a multiple of M_0 = Z(initial)."""
     bound = bound_n * spec.z(cfg.as_array())
     if not bound > 0:
         raise ConfigError(f"stopping bound {bound!r} is not positive "
                           "(a multiple of a Z that underflows is 0)")
-    task = {
+    return {
         "spec": spec, "points": tuple(cfg.points), "slot": i, "T": T, "dt": dt,
-        "seed": seed, "drifted": drifted, "log_bound": math.log(bound), "j": j,
+        "seed": seed, "drifted": False, "log_bound": math.log(bound), "j": j,
     }
-    return chunked(task, n_paths, first_path)
 
 
 def martingale_check(
@@ -398,9 +401,9 @@ def martingale_check(
     weight whose finite log underflows exp to 0 raises NumericalFailure."""
     require_points(spec, cfg)
     require_gaps(cfg, i)
-    tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n, seed, 0,
-                            drifted=False, j=None)
-    st = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers))
+    task = _ensemble_task(spec, cfg, i, T, dt, bound_n, seed, j=None)
+    st, = sum_stats(map_chunks(_ensemble_chunk, chunked([task], n_paths),
+                               n_workers))
     n = st["n"]
     if st["n_underflow"]:
         raise NumericalFailure(
@@ -430,9 +433,8 @@ def girsanov_check(
 
     Arm 1 simulates driftless paths and weights the observable by the
     terminal M/M_0 (self-normalized); arm 2 simulates drifted paths stopped
-    by the same bound rule applied to their reconstructed M.  The two arms
-    use disjoint path_index ranges, hence independent streams, and share
-    one map_chunks call (one pool).
+    by the same bound rule applied to their reconstructed M.  The arms read
+    disjoint streams and share one map_chunks call (one pool).
     """
     require_points(spec, cfg)
     require_gaps(cfg, i)
@@ -440,13 +442,9 @@ def girsanov_check(
         j = 0 if i != 0 else 1
     if j == i or not 0 <= j < len(cfg):
         raise IndexError(f"companion index {j} invalid for driver {i}")
-    base_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
-                                 seed, 0, drifted=False, j=j)
-    drift_tasks = _ensemble_tasks(spec, cfg, i, T, dt, n_paths, bound_n,
-                                  seed, n_paths, drifted=True, j=j)
-    parts = map_chunks(_ensemble_chunk, base_tasks + drift_tasks, n_workers)
-    base = sum_stats(parts[:len(base_tasks)])
-    drift = sum_stats(parts[len(base_tasks):])
+    task = _ensemble_task(spec, cfg, i, T, dt, bound_n, seed, j)
+    tasks = chunked([task, dict(task, drifted=True)], n_paths)
+    base, drift = sum_stats(map_chunks(_ensemble_chunk, tasks, n_workers), 2)
     n = base["n"]
     ess = base["sw"] ** 2 / max(base["sw2"], 1e-300)
     if not ess >= 0.01 * n:     # nan where the weights overflowed
@@ -545,11 +543,8 @@ def inverse_law_check(
     task = {"z0": complex(z0), "kappa": kappa, "dt": float(last),
             "n_steps": n_steps, "seed": seed, "shift": shift}
 
-    tasks = chunked(dict(task, reversed=False), n_paths)
-    rev_tasks = chunked(dict(task, reversed=True), n_paths, n_paths)
-    parts = map_chunks(_inverse_chunk, tasks + rev_tasks, n_workers)
-    a = sum_stats(parts[:len(tasks)])
-    b = sum_stats(parts[len(tasks):])
+    tasks = chunked([dict(task, reversed=r) for r in (False, True)], n_paths)
+    a, b = sum_stats(map_chunks(_inverse_chunk, tasks, n_workers), 2)
     for st in (a, b):
         if st["n_failed"] > 0.01 * n_paths:
             raise NumericalFailure(

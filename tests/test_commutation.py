@@ -23,12 +23,13 @@ SPEC = PartitionSpec("backward", 4.0, 2)
 
 def _first_legs(i, j, eps_tilde, c):
     """(eps, eps_prime): the first-leg times of scheme 1 and scheme 2."""
-    ((_, eps), _), ((_, eps_prime), _) = plan_schemes(CFG, i, j, eps_tilde, c)
+    ((_, eps), _), ((_, eps_prime), _) = plan_schemes("backward", CFG, i, j,
+                                                      eps_tilde, c)
     return eps, eps_prime
 
 
 def test_plan_schemes_legs():
-    legs1, legs2 = plan_schemes(CFG, 0, 1, 0.01, 2.0)
+    legs1, legs2 = plan_schemes("backward", CFG, 0, 1, 0.01, 2.0)
     assert [slot for slot, _ in legs1] == [0, 1]
     assert [slot for slot, _ in legs2] == [1, 0]
     assert (legs1[1][1], legs2[1][1]) == (0.01, 2.0 * 0.01)
@@ -53,7 +54,7 @@ def test_plan_schemes_zero_budget():
 
 def test_plan_schemes_epsilon_too_large():
     with pytest.raises(ConfigError, match="must stay below the squared gap"):
-        plan_schemes(CFG, 0, 1, 0.3, 1.0)
+        plan_schemes("backward", CFG, 0, 1, 0.3, 1.0)
 
 
 def test_plan_schemes_role_swap_symmetry():
@@ -116,10 +117,10 @@ def test_arctan_sum_default_observable():
                                [np.pi / 4], rtol=1e-14)
 
 
-def _final_noiseless(legs, dt, drifted):
+def _final_noiseless(legs, dt, drifted, spec=SPEC, cfg=CFG):
     """Final configuration of one path of a scheme with every normal zero:
     both legs reduce to pure companion slit flows."""
-    flow, _ = _run_legs(legs, dt, SPEC, CFG.as_array()[None, :],
+    flow, _ = _run_legs(legs, dt, spec, cfg.as_array()[None, :],
                         lambda n_steps, first_step: np.zeros((1, n_steps)),
                         drifted)
     assert flow.active.all()
@@ -129,7 +130,7 @@ def _final_noiseless(legs, dt, drifted):
 def test_run_scheme_deterministic_drifted_flows_commute():
     """With noise off and the drift kept, the corrected leg times make the
     two orderings agree up to the O(dt) integrator error."""
-    legs1, legs2 = plan_schemes(CFG, 0, 1, 0.01, 2.0)
+    legs1, legs2 = plan_schemes("backward", CFG, 0, 1, 0.01, 2.0)
     diffs = []
     for dt in (1e-4, 1e-5):
         x1 = _final_noiseless(legs1, dt, drifted=True)
@@ -139,10 +140,29 @@ def test_run_scheme_deterministic_drifted_flows_commute():
     assert diffs[1] < diffs[0] / 5.0  # first-order in dt
 
 
+@pytest.mark.parametrize("mode, kappa", [("backward", 4.0),
+                                         ("forward", 2.0)])
+def test_planned_leg_times_cancel_the_flows_commutator(mode, kappa):
+    """At three points, with noise off and the drift kept, the two orders
+    planned with the flow's sign differ at third order in eps_tilde: at
+    most 1e-4 at 0.01, and at least 6x less at 0.005.  Planned with the
+    backward sign, forward schemes differed by 1.4e-3 at 0.01, only 3.8x
+    less at 0.005."""
+    cfg = validate_config((0.0, 1.0, 3.0))
+    spec = PartitionSpec(mode, kappa, 3)
+    diffs = []
+    for eps_tilde in (0.01, 0.005):
+        x1, x2 = (_final_noiseless(legs, 1e-5, True, spec, cfg)
+                  for legs in plan_schemes(mode, cfg, 0, 1, eps_tilde, 2.0))
+        diffs.append(np.abs(x1 - x2).max())
+    assert diffs[0] <= 1e-4
+    assert diffs[1] * 6.0 <= diffs[0]
+
+
 def test_run_scheme_zero_drift_breaks_commutation():
     """Dropping the drift violates the commutation identity; the residual
     is dt-independent and far above the drifted case."""
-    legs1, legs2 = plan_schemes(CFG, 0, 1, 0.01, 1.0)
+    legs1, legs2 = plan_schemes("backward", CFG, 0, 1, 0.01, 1.0)
     vals = []
     for dt in (1e-4, 1e-5):
         x1 = _final_noiseless(legs1, dt, drifted=False)
@@ -153,10 +173,11 @@ def test_run_scheme_zero_drift_breaks_commutation():
 
 
 def test_run_scheme_repeatable():
-    legs1, _ = plan_schemes(CFG, 0, 1, 0.01, 2.0)
-    task, = chunked({"legs": legs1, "spec": SPEC,
-                     "points": tuple(CFG.points), "dt": 1e-4, "seed": 3},
-                    50, 7)
+    legs1, _ = plan_schemes("backward", CFG, 0, 1, 0.01, 2.0)
+    task, = chunked([{"legs": legs1, "spec": SPEC,
+                      "points": tuple(CFG.points), "dt": 1e-4, "seed": 3}],
+                    50)
+    task = dict(task, first_path=7)
     assert _scheme_chunk(task) == _scheme_chunk(task)
 
 
@@ -169,7 +190,7 @@ def test_scheme_tile_with_every_path_swallowed_draws_no_further_window(
     its other sums are those of a one-step run, bit for bit."""
     cfg = validate_config((0.0, 1.0, 1.001))
     spec = PartitionSpec("backward", 4.0, 3)
-    _, legs2 = plan_schemes(cfg, 0, 1, 0.01, 2.0)
+    _, legs2 = plan_schemes("backward", cfg, 0, 1, 0.01, 2.0)
     drawn = []
     draw = commutation.normal_block
 
@@ -179,8 +200,8 @@ def test_scheme_tile_with_every_path_swallowed_draws_no_further_window(
         return out
 
     monkeypatch.setattr(commutation, "normal_block", counting)
-    task, = chunked({"legs": legs2, "spec": spec, "points": cfg.points,
-                     "dt": 1e-4, "seed": 0}, 20)
+    task, = chunked([{"legs": legs2, "spec": spec, "points": cfg.points,
+                      "dt": 1e-4, "seed": 0}], 20)
     out = _scheme_chunk(task)
     assert drawn == [(20, 146)]
     assert (out.pop("path_steps"), out.pop("draws")) == (20 * 146, 20 * 146)

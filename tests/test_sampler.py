@@ -390,6 +390,39 @@ def _chunk_calls(check, monkeypatch):
     return fn, tasks
 
 
+def test_chunked_lays_out_each_arm_on_its_own_paths():
+    """Arm k reads paths k * n_paths .. (k + 1) * n_paths - 1, in tasks of
+    DEFAULT_CHUNK paths, arm by arm."""
+    a, b = {"arm": "a"}, {"arm": "b"}
+    tasks = sampler.chunked([a, b], 45_000)
+    assert [(t["arm"], t["first_path"], t["count"]) for t in tasks] == [
+        ("a", 0, 20_000), ("a", 20_000, 20_000), ("a", 40_000, 5_000),
+        ("b", 45_000, 20_000), ("b", 65_000, 20_000), ("b", 85_000, 5_000)]
+    assert a == {"arm": "a"} and b == {"arm": "b"}
+
+
+def test_sum_stats_adds_each_arm_alone():
+    """Two arms' totals are those of each arm's parts summed alone, in
+    chunk order; arrays and -0.0 pass through unchanged."""
+    parts = [{"n": 1, "s": 0.1, "v": np.array([1.0, -0.0]), "z": -0.0},
+             {"n": 2, "s": 0.2, "v": np.array([2.0, -0.0]), "z": -0.0},
+             {"n": 3, "s": 0.7, "v": np.array([-0.0, 3.0]), "z": -0.0},
+             {"n": 4, "s": 1e16, "v": np.array([-0.0, 4.0]), "z": -0.0}]
+    both = sampler.sum_stats(parts, 2)
+    assert len(both) == 2
+    for total, arm in zip(both, (parts[:2], parts[2:])):
+        alone, = sampler.sum_stats(arm)
+        assert total.keys() == alone.keys() == arm[0].keys()
+        assert total["n"] == alone["n"] == arm[0]["n"] + arm[1]["n"]
+        assert total["s"] == alone["s"] == arm[0]["s"] + arm[1]["s"]
+        assert total["v"].tobytes() == alone["v"].tobytes() == (
+            arm[0]["v"] + arm[1]["v"]).tobytes()
+        assert math.copysign(1.0, total["z"]) == -1.0
+    assert both[0]["v"].tobytes() == np.array([3.0, -0.0]).tobytes()
+    one, = sampler.sum_stats(parts[:1])
+    assert one["v"] is parts[0]["v"] and one["z"] is parts[0]["z"]
+
+
 @pytest.mark.parametrize("check", sorted(ENSEMBLE_CHECKS))
 def test_chunk_tasks_are_plain_data(check, monkeypatch):
     """A task holds no callable, so it and the chunk function pickle into
@@ -426,7 +459,7 @@ def test_chunk_work_counts(check, monkeypatch):
         assert len(drawn) >= 3
         assert parts[-1]["path_steps"] == task["count"] * substeps
         assert parts[-1]["draws"] == sum(drawn) == task["count"] * substeps
-    total = sampler.sum_stats(parts)
+    total, = sampler.sum_stats(parts)
     assert total["draws"] == total["path_steps"] == 30 * len(tasks) * substeps
 
 
@@ -448,8 +481,8 @@ def test_ensemble_tile_with_every_path_stopped_draws_no_further_window(
     monkeypatch.setattr(sampler, "normal_block", counting)
 
     def chunk(T):
-        task, = sampler._ensemble_tasks(SPEC_BACK, cfg, 0, T, 1e-3, 30, 10.0,
-                                        0, 0, drifted=False, j=None)
+        task, = sampler.chunked([sampler._ensemble_task(
+            SPEC_BACK, cfg, 0, T, 1e-3, 10.0, 0, j=None)], 30)
         return sampler._ensemble_chunk(task)
 
     out = chunk(0.5)

@@ -129,7 +129,8 @@ def test_scheme_legs_share_equal_step_windows(scheme, monkeypatch):
     steps across the leg boundary, as commutation.normal_block sees them.
     Windows that followed each leg gave the same bits, but unequal window
     sizes raised a 1e5-path worker's peak RSS by about 19 MiB."""
-    legs = commutation.plan_schemes(CFG2, 0, 1, 0.01, 2.0)[scheme]
+    legs = commutation.plan_schemes("backward", CFG2, 0, 1, 0.01,
+                                    2.0)[scheme]
     assert [sampler.horizon(T, 1e-4)[0] for _, T in legs] == (
         [[192, 100], [92, 200]][scheme])
     drawn = []
@@ -142,8 +143,8 @@ def test_scheme_legs_share_equal_step_windows(scheme, monkeypatch):
 
     monkeypatch.setattr(commutation, "normal_block", counting)
     monkeypatch.setattr(sampler, "TILE", 3)
-    task, = sampler.chunked({"legs": legs, "spec": SPEC_BACK,
-                             "points": CFG2.points, "dt": 1e-4, "seed": 0},
+    task, = sampler.chunked([{"legs": legs, "spec": SPEC_BACK,
+                              "points": CFG2.points, "dt": 1e-4, "seed": 0}],
                             5)
     commutation._scheme_chunk(task)
     assert drawn == [(3, 146), (3, 146), (2, 146), (2, 146)]

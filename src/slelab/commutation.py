@@ -36,6 +36,7 @@ import numpy as np
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    PointConfig, _check_mode, mean_var, normal_block,
                    require_gaps, require_square)
+from .loewner import slit_shift
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         min_gap, require_points)
 from .sampler import (REASON_SWALLOWED, Flow, chunked, horizon, map_chunks,
@@ -62,7 +63,7 @@ def plan_schemes(mode: str, cfg: PointConfig, i: int, j: int,
         raise ConfigError(
             f"4*max(1,c)*eps_tilde = {4 * max(1.0, c) * eps_tilde:g} "
             f"must stay below the squared gap {gap2:g}")
-    four = -4.0 if _check_mode(mode) == BACKWARD else 4.0
+    four = slit_shift(_check_mode(mode))
     eps = (1.0 + four * eps_tilde / gap2) * c * eps_tilde
     eps_prime = (1.0 + four * c * eps_tilde / gap2) * eps_tilde
     return ((i, eps), (j, eps_tilde)), ((j, eps_prime), (i, c * eps_tilde))
@@ -81,15 +82,8 @@ def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
     steps first_step .. first_step + n_steps - 1 of the whole scheme, one
     window of step_windows at a time across leg boundaries; each run_leg
     call covers a window's part of one leg, and none is made once every
-    row has stopped.
-
-    collision_guard=2 freezes a row at gap^2 <= 4*delta; scheme runs carry
-    no weights, so the wider layer is not needed.  Backward, that is the
-    exact swallow criterion.  Forward, the slit map swallows no real point,
-    so it freezes near misses, which _scheme_chunk discards with swallowed
-    rows: forward schemes are conditioned on the minimum gap.  Whether the
-    two orders share the law of the swallow events is not established:
-    with three points they swallow at different rates (ROADMAP item 4d).
+    row has stopped.  Scheme legs carry no weights, so a row stops exactly
+    where the slit map swallows a companion, which it never does forward.
     """
     starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T in legs])
     flow = Flow.start(x)
@@ -103,7 +97,7 @@ def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
                 run_leg(spec.mode, spec.kappa, spec.exponent, spec.h_weight,
                         flow, slot, normals[:, lo - a:hi - a],
                         step_sizes(T, dt, lo - start, hi - start),
-                        drifted=drifted, collision_guard=2.0)
+                        drifted=drifted)
         del normals      # before the next window is drawn
         if not flow.active.any():
             break
@@ -164,6 +158,8 @@ def commutation_experiment(
         if st["n"] == 0:
             raise NumericalFailure(
                 f"{order} swallowed all {n_paths} paths; no mean is left")
+        if not all(map(math.isfinite, st.values())):
+            raise NumericalFailure(f"the {order} sums overflowed")
     names = [f"x_{k}" for k in range(len(cfg))] + ["phi"]
     reports = []
     for name in names:

@@ -591,5 +591,5 @@ def green_increment_check(
                    / max(abs(pbar), 1e-12))
             worst = max(worst, rel)
             g_before = g_after
-            u = u + math.sqrt(kappa * delta) * normal
+            u = driver_step(u, (), normal, delta, math.sqrt(kappa), 0.0)
     return worst

@@ -40,17 +40,22 @@ def sqrt_him(q):
     return s
 
 
+def slit_shift(mode: str) -> float:
+    """-4 backward, +4 forward: the slit root is sqrt(d**2 + shift * delta),
+    and a real gap d is swallowed where d**2 + shift * delta <= 0."""
+    return -4.0 if mode == BACKWARD else 4.0
+
+
 # Vectorized substeps for path-ensemble engines.  No exceptions: swallowed
 # entries are reported through the mask and left to the caller.
 
 def slit_gap(d, d2, U0, delta, mode: str):
     """(new_x, multiplier) of the real substep from the gap d = x - U0 and
     its square d2 = d * d, which becomes new_x: U0 + copysign(root, d) with
-    root = sqrt(d2 -+ 4 * delta), so the forward base d = +-0 goes to the
-    prime end U0 +- 2 * sqrt(delta) with multiplier 0.  No swallow patch: a
-    swallowed entry (backward, d2 <= 4 * delta) gets NaN or inf, which the
-    caller masks, so the caller also sets np.errstate for them."""
-    d2 += (-4.0 if mode == BACKWARD else 4.0) * delta
+    root = sqrt(d2 + slit_shift * delta), so the forward base d = +-0 goes
+    to the prime end U0 +- 2 * sqrt(delta) with multiplier 0.  A swallowed
+    entry gets NaN or inf, which the caller masks under its np.errstate."""
+    d2 += slit_shift(mode) * delta
     root = np.sqrt(d2, out=d2)
     mult = np.abs(d)
     mult /= root
@@ -61,13 +66,11 @@ def slit_gap(d, d2, U0, delta, mode: str):
 
 def slit_real(x, U0, delta, mode: str):
     """(new_x, multiplier, swallowed) for arrays of real boundary points;
-    swallowed entries hold NaN or inf, which the caller masks.  The forward
-    map swallows no real point."""
+    swallowed entries hold NaN or inf, which the caller masks."""
     d = x - U0
     d2 = d * d
-    # d2 - 4 delta <= 0 exactly when d2 <= 4 delta (gradual underflow)
-    bad = (d2 <= 4.0 * delta if mode == BACKWARD
-           else np.zeros(d.shape, dtype=bool))
+    # d2 + shift * delta <= 0, exact under gradual underflow; never forward
+    bad = d2 <= -slit_shift(mode) * delta
     with np.errstate(invalid="ignore", divide="ignore"):
         new, mult = slit_gap(d, d2, U0, delta, mode)
     return new, mult, bad
@@ -76,7 +79,7 @@ def slit_real(x, U0, delta, mode: str):
 def slit_complex(z, U0, delta, mode: str):
     """(new_z, multiplier, swallowed) for arrays of interior points."""
     d = z - U0
-    s = sqrt_him(d * d + (-4.0 if mode == BACKWARD else 4.0) * delta)
+    s = sqrt_him(d * d + slit_shift(mode) * delta)
     new = s + U0
     # the backward map swallows no interior point
     bad = (np.zeros(new.shape, dtype=bool) if mode == BACKWARD
@@ -155,10 +158,9 @@ def reference_map_zero_driving(z, t: float, mode: str):
     _check_mode(mode)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    sign = -4.0 if mode == BACKWARD else 4.0
     zc = complex(z)
     require_bulk([zc])
-    out = complex(sqrt_him(zc * zc + sign * t))
+    out = complex(sqrt_him(zc * zc + slit_shift(mode) * t))
     if mode == FORWARD and out.imag <= 0.0:
         raise Swallowed(f"point {z} swallowed by the forward flow at {t}")
     return out

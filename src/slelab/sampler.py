@@ -46,7 +46,8 @@ import numpy as np
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    PointConfig, mean_var, normal_block, require_bulk,
                    require_gaps, sum_columns)
-from .loewner import reference_map_zero_driving, slit_complex, slit_gap
+from .loewner import (reference_map_zero_driving, slit_complex, slit_gap,
+                      slit_shift)
 from .partition import PartitionSpec, log_z_cols, require_points
 
 # why a path stopped; 0 while it runs
@@ -75,9 +76,9 @@ STEP_BLOCK = 256
 # interleaved pairs.
 TILE = 10_000
 
-# Paths stop when a companion gap enters the collision layer
-# gap^2 <= COLLISION_GUARD^2 * dt.  The slit substep itself only swallows at
-# gap^2 <= 4 dt, but substeps taken inside the wider layer are where the
+# Weighted paths stop when a companion gap enters the collision layer
+# gap^2 <= COLLISION_GUARD^2 * dt (a guard of at least 2).  The slit map
+# swallows only at gap^2 <= 4 dt backward, but inside the wider layer the
 # frozen-driver splitting stops being a martingale step (per-step weight
 # error ~ dt/gap^2 is O(1) there, independent of dt).  Stopping at the layer
 # edge is a legitimate stopping time, so means of the stopped weight are
@@ -212,7 +213,6 @@ def run_leg(
     drifted: bool,
     track_weight: bool = False,
     log_bound: float | None = None,
-    collision_guard: float = COLLISION_GUARD,
 ) -> Flow:
     """Advance an ensemble for len(deltas) substeps with driving in column
     `slot`.  `x` is either an (n, N) start array, which is copied into a
@@ -220,11 +220,13 @@ def run_leg(
     which is continued in place: splitting the steps over several calls
     gives the same bits as one call.  Weighted calls start the derivatives
     at 1 and log M at log Z of the configuration where tracking begins;
-    neither is reset on a Flow.  Paths whose smallest companion gap enters
-    the collision layer (gap^2 <= collision_guard^2 * dt, checked at the
-    substep start) freeze there with reason `swallowed`; bound-stopped
-    paths freeze at the boundary where |M| first exceeded the bound.  Once
-    no row is active the call returns: the steps left would write no row."""
+    neither is reset on a Flow.  A path freezes with reason `swallowed` at
+    the start of the substep where its smallest companion gap is inside
+    the stop layer: weighted calls stop at the collision layer gap^2 <=
+    COLLISION_GUARD^2 * delta, unweighted ones exactly where the slit map
+    swallows (slit_shift; never forward).  Bound-stopped paths freeze at
+    the boundary where |M| first exceeded the bound.  Once no row is
+    active the call returns: the steps left would write no row."""
     flow = x if isinstance(x, Flow) else Flow.start(x)
     if track_weight and flow.derivs is None:
         flow.derivs = np.ones_like(flow.x)
@@ -239,7 +241,8 @@ def run_leg(
     sqk = math.sqrt(kappa)
     kb = kappa * exponent
 
-    guard2 = max(collision_guard, 2.0) ** 2
+    # the docstring's stop layer d^2 <= stop_at * delta
+    stop_at = COLLISION_GUARD**2 if track_weight else -slit_shift(mode)
     # a stopped row may hold a zero gap, so an inf drift and a NaN slit
     # value, but no stopped row is ever copied back
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,14 +252,13 @@ def run_leg(
             gaps = [xc - U0 for xc in comps]
             if comps:
                 sqs = [d * d for d in gaps]
-                lim = guard2 * delta
+                lim = stop_at * delta
                 layer = sqs[0] <= lim
                 for d2 in sqs[1:]:
                     layer |= d2 <= lim
                 if not flow.stop(layer, REASON_SWALLOWED):
                     break
-                # active rows sit outside the layer (guard2 >= 4), so the
-                # substep swallows none of them
+                # no active row is inside the layer, so none is swallowed
                 for j, (xc, d, d2) in enumerate(zip(comps, gaps, sqs)):
                     new, mult = slit_gap(d, d2, U0, delta, mode)
                     np.copyto(xc, new, where=active)
@@ -464,7 +466,7 @@ def _inverse_chunk(task: dict) -> dict:
     chunk's increments; the reversed arm reads the steps from the last one
     back, in mirrored windows, each reversed and negated."""
     dt, n = task["dt"], task["n_steps"]
-    sq = math.sqrt(task["kappa"] * dt)
+    sqk = math.sqrt(task["kappa"])
 
     def run_tile(t0: int, t1: int) -> dict:
         W = np.zeros(t1 - t0)
@@ -478,7 +480,7 @@ def _inverse_chunk(task: dict) -> dict:
                 normals = np.negative(normals, out=normals)[:, ::-1]
             for k in range(b - a):
                 Z = slit_complex(Z, W, dt, BACKWARD)[0]
-                W = W + sq * normals[:, k]
+                W = driver_step(W, (), normals[:, k], dt, sqk, 0.0)
             del normals      # before the next window is drawn
         return {"val": Z - W}
 

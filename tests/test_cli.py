@@ -658,6 +658,9 @@ ESCAPES = {
     "every_scheme_path_swallowed": (3, dict(
         check="schemes", kappa=1e300, points=[0.0, 1.0, 2.5], i_index=0,
         j_index=1, eps_tilde=0.005, c=1.0, dt=1e-3, n_paths=1)),
+    "forward_scheme_sums_overflow": (3, dict(
+        check="schemes", mode="forward", kappa=1e300, points=[0.0, 1.0, 3.0],
+        i_index=0, j_index=1, eps_tilde=0.01, c=2.0, dt=1e-3, n_paths=50)),
     "inverse_power_sums_overflow": (3, dict(
         check="inverse", kappa=1e300, bulk_points=[[0.5, 1.0]],
         t_final=0.01, dt=1e-3, n_paths=1)),

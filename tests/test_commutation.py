@@ -211,6 +211,21 @@ def test_scheme_tile_with_every_path_swallowed_draws_no_further_window(
     assert out == one
 
 
+def test_forward_scheme_keeps_its_near_misses():
+    """Forward legs stop only where the slit map swallows, which it never
+    does forward: at gap 0.1 with kappa 6, eps_tilde 0.001 and dt 1e-4 both
+    schemes keep all 100 rows, where a stop at gap^2 <= 4 * dt in both
+    modes froze and discarded 12 and 23 of them."""
+    cfg = validate_config((0.0, 0.1))
+    spec = PartitionSpec("forward", 6.0, 2)
+    for legs in plan_schemes("forward", cfg, 0, 1, 0.001, 2.0):
+        task, = chunked([{"legs": legs, "spec": spec, "points": cfg.points,
+                          "dt": 1e-4, "seed": 0}], 100)
+        out = _scheme_chunk(task)
+        assert (out["n"], out["n_discarded"]) == (100, 0)
+        assert all(np.isfinite(v) for v in out.values())
+
+
 def test_commutation_experiment_small():
     reports = commutation_experiment(SPEC, CFG, 0, 1, 0.02, 1.0,
                                      1e-4, 2000, seed=0)

@@ -49,8 +49,7 @@ def _leg_drift(mode, kappa, pts, slot, delta=1e-2):
     the SDE drift b = sqrt(kappa) * s that run_leg applies."""
     spec = PartitionSpec(mode, kappa, len(pts))
     res = run_leg(mode, kappa, spec.exponent, spec.h_weight, np.array([pts]),
-                  slot, np.zeros((1, 1)), np.array([delta]), drifted=True,
-                  collision_guard=2.0)
+                  slot, np.zeros((1, 1)), np.array([delta]), drifted=True)
     return (res.x[0, slot] - pts[slot]) / delta
 
 
@@ -76,13 +75,15 @@ def test_drift_s_kappa_free_combination():
     np.testing.assert_allclose(vals, -1.0, rtol=1e-12)
 
 
-def test_run_leg_deterministic_single_step():
+def test_run_leg_deterministic_single_step(monkeypatch):
     """Zero noise, no drift: companion moves by the exact slit map (the
-    derivative is tracked by weighted calls only)."""
+    derivative is tracked by weighted calls only).  At guard 12 the gap 1
+    would sit inside the collision layer 144 * 0.01, so guard 2 it is."""
+    monkeypatch.setattr(sampler, "COLLISION_GUARD", 2.0)
     x = np.array([[0.0, 1.0]])
     res = run_leg("backward", 4.0, -0.5, -1.25, x, 0,
                   np.zeros((1, 1)), np.array([0.01]),
-                  drifted=False, track_weight=True, collision_guard=2.0)
+                  drifted=False, track_weight=True)
     np.testing.assert_allclose(res.x[0, 1], np.sqrt(0.96), rtol=1e-14)
     np.testing.assert_allclose(res.derivs[0, 1], 1.0 / np.sqrt(0.96), rtol=1e-14)
     assert res.active[0]
@@ -91,11 +92,9 @@ def test_run_leg_deterministic_single_step():
 def test_run_leg_substep_semigroup():
     x = np.array([[0.0, 1.0]])
     one = run_leg("backward", 4.0, -0.5, -1.25, x, 0,
-                  np.zeros((1, 1)), np.array([0.01]),
-                  drifted=False, collision_guard=2.0)
+                  np.zeros((1, 1)), np.array([0.01]), drifted=False)
     two = run_leg("backward", 4.0, -0.5, -1.25, x, 0,
-                  np.zeros((1, 2)), np.array([0.005, 0.005]),
-                  drifted=False, collision_guard=2.0)
+                  np.zeros((1, 2)), np.array([0.005, 0.005]), drifted=False)
     np.testing.assert_allclose(one.x, two.x, rtol=0, atol=1e-14)
 
 
@@ -134,8 +133,11 @@ def test_run_leg_flow_continues_in_place():
 def test_run_leg_substep_is_the_slit_map(mode, n_points, weighted, drifted,
                                          guard, delta, data):
     """One substep moves every row that stays active to exactly
-    slit_real's value and multiplier, stops exactly the active rows whose
-    smallest gap entered the layer, and writes no stopped row."""
+    slit_real's value and multiplier and writes no stopped row.  It stops
+    exactly the active rows that one companion gap puts inside the stop
+    layer: weighted, the collision layer gap^2 <= COLLISION_GUARD^2 *
+    delta, in both modes; unweighted, slit_real's swallowed rows, so no
+    forward row."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     slot = data.draw(st.integers(0, n_points - 1))
     n = 40
@@ -154,19 +156,26 @@ def test_run_leg_substep_is_the_slit_map(mode, n_points, weighted, drifted,
     before = {f: getattr(flow, f).copy()
               for f in ("x", "derivs", "active", "reason", "log_m")
               if getattr(flow, f) is not None}
-    run_leg(*args, flow, slot, rng.standard_normal((n, 1)),
-            np.array([delta]), drifted=drifted, track_weight=weighted,
-            collision_guard=guard)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "COLLISION_GUARD", guard)
+        run_leg(*args, flow, slot, rng.standard_normal((n, 1)),
+                np.array([delta]), drifted=drifted, track_weight=weighted)
 
     u0 = before["x"][:, slot]
     others = [c for c in range(n_points) if c != slot]
-    gap2 = np.array([(before["x"][:, c] - u0) ** 2 for c in others])
-    entered = (gap2 <= guard**2 * delta).any(axis=0) & before["active"]
+    maps = [slit_real(before["x"][:, c], u0, delta, mode) for c in others]
+    if weighted:
+        inside = [(before["x"][:, c] - u0) ** 2 <= guard**2 * delta
+                  for c in others]
+    else:
+        inside = [swallowed for _, _, swallowed in maps]
+    entered = np.any(inside, axis=0) & before["active"]
+    if mode == "forward" and not weighted:
+        assert not entered.any()
     np.testing.assert_array_equal(flow.active, before["active"] & ~entered)
     np.testing.assert_array_equal(flow.reason[entered], REASON_SWALLOWED)
     moved = flow.active
-    for c in others:
-        new, mult, _ = slit_real(before["x"][:, c], u0, delta, mode)
+    for c, (new, mult, _) in zip(others, maps):
         np.testing.assert_array_equal(flow.x[moved, c], new[moved])
         if weighted:
             np.testing.assert_array_equal(flow.derivs[moved, c],
@@ -177,6 +186,28 @@ def test_run_leg_substep_is_the_slit_map(mode, n_points, weighted, drifted,
             np.testing.assert_array_equal(getattr(flow, field)[~moved],
                                           old[~moved])
     np.testing.assert_array_equal(flow.reason[stopped], REASON_BOUND)
+
+
+@pytest.mark.parametrize("drifted", [False, True])
+def test_forward_unweighted_leg_keeps_near_misses(drifted):
+    """The forward slit map swallows no real point, so an unweighted
+    forward leg started with every companion gap inside 2 * sqrt(delta)
+    keeps every row active and moves each companion to slit_real's
+    value."""
+    delta = 1e-4
+    n = 200
+    spec = PartitionSpec("forward", 6.0, 3)
+    gaps = np.random.default_rng(0).uniform(-2.0, 2.0, (n, 2))
+    x0 = np.column_stack([gaps[:, 0], np.zeros(n), gaps[:, 1]])
+    x0 *= np.sqrt(delta)
+    flow = run_leg("forward", 6.0, spec.exponent, spec.h_weight, x0, 1,
+                   np.zeros((n, 1)), np.array([delta]), drifted=drifted)
+    assert flow.active.all()
+    assert not flow.reason.any()
+    for c in (0, 2):
+        new, _, swallowed = slit_real(x0[:, c], 0.0, delta, "forward")
+        assert not swallowed.any()
+        np.testing.assert_array_equal(flow.x[:, c], new)
 
 
 def test_flow_columns_contiguous():

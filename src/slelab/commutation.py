@@ -158,8 +158,6 @@ def commutation_experiment(
         if st["n"] == 0:
             raise NumericalFailure(
                 f"{order} swallowed all {n_paths} paths; no mean is left")
-        if not all(map(math.isfinite, st.values())):
-            raise NumericalFailure(f"the {order} sums overflowed")
     names = [f"x_{k}" for k in range(len(cfg))] + ["phi"]
     reports = []
     for name in names:

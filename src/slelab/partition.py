@@ -50,6 +50,9 @@ class PartitionSpec:
         object.__setattr__(self, "h_weight",
                            (6.0 * sign - self.kappa) / (2.0 * self.kappa))
         object.__setattr__(self, "exponent", 2.0 * sign / self.kappa)
+        if not (math.isfinite(self.h_weight) and math.isfinite(self.exponent)):
+            raise ConfigError(f"kappa {self.kappa!r} puts the weight h or "
+                              "the exponent 2/kappa outside the floats")
 
     def z(self, x: np.ndarray) -> float:
         """Z = prod_{i<j} |x_i - x_j|**exponent at one configuration, via
@@ -96,7 +99,7 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         logs = [np.log(np.abs(x[..., i] - x[..., j]))
                 for i in range(n) for j in range(i + 1, n)]
-    return exponent * sum_columns(logs)
+        return exponent * sum_columns(logs)
 
 
 def _check_index(cfg: PointConfig, i: int) -> None:
@@ -141,9 +144,9 @@ def _resolve_step(cfg: PointConfig, gap: float, fd_step: float | None,
     gap, the stencil points x ± 2 * scale * step must stay finite, and its
     square, which the second-difference stencils divide by, must not
     underflow (as it does for points 1e-300 apart)."""
-    if fd_step is None:
+    if fd_step is None:     # 0 where the gap is tiny: refused below
         fd_step = default_frac * gap
-    if not fd_step > 0:
+    elif not fd_step > 0:
         raise ValueError("fd_step must be positive")
     if scale * fd_step >= gap / 10.0:
         raise ConfigError(
@@ -206,7 +209,10 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
     x = cfg.as_array()
 
     def logz(y: np.ndarray) -> float:
-        return float(log_z_cols(spec.exponent, y))
+        if not math.isfinite(out := float(log_z_cols(spec.exponent, y))):
+            raise ConfigError(
+                f"log Z leaves the floats at kappa {spec.kappa!r}")
+        return out
 
     exact = float(spec.grad_log_z(x, i))
     size = abs(spec.exponent) * float(np.sum(1.0 / np.abs(np.delete(x, i) - x[i])))

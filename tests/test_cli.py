@@ -731,6 +731,40 @@ ESCAPES = {
     "martingale_weights_underflow": (3, dict(
         check="martingale", kappa=1e-300, points=[0.0, 1.0], bound_n=0.5,
         t_final=0.01, dt=1e-3, n_paths=1000)),
+    # the default step, 1e-4 of a gap of 5e-324, is 0
+    **{f"{check}_default_fd_step_underflows": (2, dict(
+        check=check, kappa=4.0, points=[0.0, 5e-324], **fields))
+       for check, fields in (
+           ("bpz", {}), ("kz", {}),
+           ("commutator", dict(i_index=0, j_index=1)),
+           ("coupling_pde", dict(gamma=2.0, bulk_points=[[0.5, 1.0]])))},
+    "forward_bpz_default_fd_step_underflows": (2, dict(
+        check="bpz", mode="forward", kappa=4.0, points=[0.0, 5e-324, 1e6])),
+    # 2/kappa is inf at kappa 5e-324, and h is -inf at 1.2e-308
+    "kz_exponent_beyond_floats": (2, dict(
+        check="kz", kappa=5e-324, points=[0.001, 4.0])),
+    "martingale_exponent_beyond_floats": (2, dict(
+        check="martingale", kappa=5e-324, points=[0.0, 1.0], **SMALL_RUN)),
+    "forward_coupling_pde_exponent_beyond_floats": (2, dict(
+        check="coupling_pde", mode="forward", kappa=5e-324,
+        points=[0.0, 1.0], bulk_points=[[0.5, 1.0]])),
+    "bpz_weight_beyond_floats": (2, dict(
+        check="bpz", kappa=1.2e-308, points=[0.001, 4.0])),
+    "martingale_weight_beyond_floats": (2, dict(
+        check="martingale", kappa=1.2e-308, points=[0.0, 4.0], **SMALL_RUN)),
+    "kz_weight_beyond_floats": (2, dict(
+        check="kz", kappa=1.2e-308, points=[0.001, 4.0])),
+    # at kappa 2e-308 h and 2/kappa are finite, but log Z is not
+    "bpz_log_z_overflows": (2, dict(
+        check="bpz", kappa=2e-308, points=[0.0, 100.0])),
+    "kz_log_z_overflows": (2, dict(
+        check="kz", kappa=2e-308, points=[0.0, 100.0])),
+    "martingale_weight_sums_overflow": (3, dict(
+        check="martingale", kappa=1e300, points=[1e-12, 0.5, 8.0],
+        bound_n=1.0, t_final=0.01, dt=1e-3, n_paths=3)),
+    "girsanov_weight_sums_overflow": (3, dict(
+        check="girsanov", kappa=1e300, points=[1e-12, 0.5, 8.0],
+        bound_n=1.0, t_final=0.01, dt=1e-3, n_paths=3)),
 }
 
 
@@ -775,9 +809,11 @@ BAD_DT = (MISSING, "1", None, True, [1.0], NAN, 0, -1, -0.5, -1e300, 1e308)
 FIELDS = {
     "mode": (["backward"] * 3 + ["forward"] * 2,
              ["sideways", 1, None, MISSING]),
-    "kappa": ([2.0, 4.0, 4.0, 6.0, 8.0 / 3.0, 1e-300], BAD_NUMBER),
+    "kappa": ([2.0, 4.0, 4.0, 6.0, 8.0 / 3.0, 1e-300, 1.2e-308, 5e-324],
+              BAD_NUMBER),
     "points": ([[0.0, 1.0]] * 3 + [[0.0, 1.0, 2.5], [-1.0, 0.5, 2.0], [0.0],
-                [0.0, 1e-300], [0.0, 1e300], [1e308, -1e308], [0.0, 0.0]],
+                [0.0, 1e-300], [0.0, 5e-324], [0.0, 1e300], [1e308, -1e308],
+                [0.0, 0.0]],
                [MISSING, [], "x", [NAN, 1.0], [0.0, "a"], None, 5]),
     "i_index": ([0, 0, 1], BAD_INDEX),
     "j_index": ([1, 1, 0, 2], BAD_INDEX),

@@ -7,14 +7,9 @@ the report rows that moved.
 - census/<check>: perfbench/workloads.census_configs(0), every check once
   at tiny size on 2 workers; its CSV and JSON report.  perfbench/ is only
   read here.
-- golden/<case>: three and four points.  Every benchmark workload and
-  census ensemble has two points, so nothing else pins the order in which
-  the kernels add per-point terms (the drift, sum log f', the pairs of
-  log Z): reordering any of those sums changes the last bits of these
-  rows.  Every ensemble check runs in both modes, so the forward scheme
-  legs and crossvar's forward pair sums are pinned too.  Each also runs
-  with sampler.TILE 7: 43 tiles of 6 or 7 paths in place of one of 300,
-  whose joined rows must keep every bit of the chunk sums.
+- golden/<case>: every ensemble check at three and four points, in both
+  modes, on one worker; its CSV and JSON report.  tests/test_golden_rows.py
+  compares these, and says why they are pinned.
 - demo/<script>: the standard output of each script in demos/.
 
 The store is re-recorded only in a declared re-pin, from a commit whose
@@ -34,7 +29,6 @@ from unittest import mock
 
 import pytest
 
-from slelab import sampler
 from slelab.cli import ENV_WORKERS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,14 +99,9 @@ def produce(key: str) -> dict:
     return entry
 
 
-@pytest.mark.parametrize("key, tile", [
-    *(pytest.param(key, None, id=key) for key in KEYS),
-    *(pytest.param(key, 7, id=f"{key}-tile7") for key in KEYS
-      if key.startswith("golden/")),
-])
-def test_pin(key, tile, monkeypatch):
-    if tile is not None:
-        monkeypatch.setattr(sampler, "TILE", tile)
+@pytest.mark.parametrize("key", [
+    key for key in KEYS if not key.startswith("golden/")])
+def test_pin(key):
     assert produce(key) == json.loads(PINS.read_text())[key]
 
 

@@ -31,7 +31,8 @@ def main():
     spec = PartitionSpec("backward", 4.0, 2)
     phi = lambda x: float(x[0] * x[1])
     good = commutator_residual(spec, phi, cfg, 0, 1)
-    bad = commutator_residual(spec, phi, cfg, 0, 1, drift_fn=lambda x, k: 0.0)
+    bad = commutator_residual(PartitionSpec("backward", 4.0, 2, exponent=0.0),
+                              phi, cfg, 0, 1)
     print("\ngenerator commutator [L_i, L_j] -+ 4/(x_i-x_j)^2 (L_i - L_j):")
     print(f"  product-form drifts: {good:.2e}   (identity holds)")
     print(f"  drifts zeroed:       {bad:.2f}       (identity broken)")

@@ -17,7 +17,8 @@ The generator of the k-th flow acting on functions of the configuration is
 
     L_k = (kappa/2) d^2/dx_k^2 + b_k d/dx_k -+ sum_{l != k} 2/(x_l-x_k) d/dx_l
 
-(transport sign - backward, + forward) with b_k = kappa * d(log Z)/dx_k.
+(transport sign - backward, + forward) with b_k = kappa * d(log Z)/dx_k
+from the PartitionSpec, as in every kernel; exponent 0.0 is the zero drift.
 Nested finite differences evaluate the commutator [L_i, L_j]; the outer
 differences use a 10x larger step than the inner ones, which keeps the
 rounding noise of the nested evaluation far below the truncation target.
@@ -75,15 +76,15 @@ def arctan_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
-              draw: Callable, drifted: bool) -> tuple[Flow, int]:
+              draw: Callable) -> tuple[Flow, int]:
     """Run the legs of a scheme on rows x in substeps of dt, each leg on
     its own steps of the rows' streams; returns the final Flow and the
     steps drawn per row.  `draw(n_steps, first_step)` gives the normals of
     steps first_step .. first_step + n_steps - 1 of the whole scheme, one
     window of step_windows at a time across leg boundaries; each run_leg
     call covers a window's part of one leg, and none is made once every
-    row has stopped.  Scheme legs carry no weights, so a row stops exactly
-    where the slit map swallows a companion, which it never does forward.
+    row has stopped.  The drift is the spec's; legs carry no weights, so
+    a row stops exactly where the slit map swallows, never forward.
     """
     starts = np.cumsum([0] + [horizon(T, dt)[0] for _, T in legs])
     flow = Flow.start(x)
@@ -97,7 +98,7 @@ def _run_legs(legs: Legs, dt: float, spec: PartitionSpec, x: np.ndarray,
                 run_leg(spec.mode, spec.kappa, spec.exponent, spec.h_weight,
                         flow, slot, normals[:, lo - a:hi - a],
                         step_sizes(T, dt, lo - start, hi - start),
-                        drifted=drifted)
+                        drifted=True)
         del normals      # before the next window is drawn
         if not flow.active.any():
             break
@@ -112,8 +113,7 @@ def _scheme_chunk(task: dict) -> dict:
         draw = functools.partial(normal_block, task["seed"],
                                  task["first_path"] + t0, t1 - t0)
         x = np.broadcast_to(points, (t1 - t0, len(points)))
-        flow, drawn = _run_legs(legs, dt, task["spec"], x, draw,
-                                drifted=True)
+        flow, drawn = _run_legs(legs, dt, task["spec"], x, draw)
         return {"x": flow.x, "reason": flow.reason,
                 "steps": np.array([(t1 - t0) * drawn])}
 
@@ -171,13 +171,11 @@ def commutation_experiment(
 
 
 def _generator_value(spec: PartitionSpec, phi: Callable, x: np.ndarray,
-                     k: int, h: float, drift_fn: Callable | None) -> float:
-    """(L_k phi)(x) by 5-point central stencils."""
+                     k: int, h: float) -> float:
+    """(L_k phi)(x) by 5-point central stencils, drift from the spec."""
     sgn = -2.0 if spec.mode == BACKWARD else 2.0
     acc = 0.5 * spec.kappa * fd_second(phi, x, k, h)
-    b = (drift_fn(x, k) if drift_fn is not None
-         else spec.kappa * spec.grad_log_z(x, k))
-    acc += float(b) * fd_first(phi, x, k, h)
+    acc += float(spec.kappa * spec.grad_log_z(x, k)) * fd_first(phi, x, k, h)
     for l in range(len(x)):
         if l == k:
             continue
@@ -192,7 +190,6 @@ def commutator_residual(
     i: int,
     j: int,
     fd_step: float | None = None,
-    drift_fn: Callable | None = None,
 ) -> float:
     """|([L_i, L_j] -+ 4/(x_i-x_j)**2 (L_i - L_j)) phi| at cfg via nested
     finite differences (outer step = 10 * fd_step); the right-hand sign
@@ -213,7 +210,7 @@ def commutator_residual(
     x = cfg.as_array()
 
     def L(k: int, g: Callable) -> Callable:
-        return lambda y: _generator_value(spec, g, y, k, h, drift_fn)
+        return lambda y: _generator_value(spec, g, y, k, h)
 
     li_phi = L(i, phi)
     lj_phi = L(j, phi)
@@ -223,8 +220,8 @@ def commutator_residual(
     sgn = 1.0 if spec.mode == BACKWARD else -1.0
     # kappa scales the stencils' rounding noise, past the floats if huge
     with np.errstate(over="ignore", invalid="ignore"):
-        lij = _generator_value(spec, lj_phi, x, i, outer, drift_fn)
-        lji = _generator_value(spec, li_phi, x, j, outer, drift_fn)
+        lij = _generator_value(spec, lj_phi, x, i, outer)
+        lji = _generator_value(spec, li_phi, x, j, outer)
         rhs = sgn * 4.0 / (x[i] - x[j]) ** 2 * (li_phi(x) - lj_phi(x))
         out = abs(lij - lji - rhs)
     if not math.isfinite(out):

@@ -4,11 +4,12 @@ The backward flow pairs with Z = prod |x_i - x_j|**(-2/kappa) and conformal
 weight h = -(kappa+6)/(2*kappa); the forward flow flips both signs of the
 story: Z = prod |x_i - x_j|**(+2/kappa), h = (6-kappa)/(2*kappa).
 
-PartitionSpec evaluates Z and d(log Z)/dx_i for every caller outside the
-ensemble kernel, which sums log_z_cols over its rows.  Only product forms
-are constructed here; bpz_operator takes any function of the points, so a
-negative control with a wrong exponent applies it to another spec's `z`
-(backward kappa = 8/3 has the exponent -3/4).
+PartitionSpec is every flow's one source of drift, kappa * d(log Z)/dx_i:
+it evaluates Z and d(log Z)/dx_i for every caller outside the ensemble
+kernel, which sums log_z_cols over its rows.  Only product forms are built
+here.  The exponent defaults to the derived one; a control sets another (0.0:
+no drift), as does the second two-point BPZ root, 1 + 6/kappa backward and
+(kappa - 6)/kappa forward, whose flows commute but fail the coupling.
 
 All indices are 0-based.
 """
@@ -30,14 +31,14 @@ LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Mode/kappa plus the derived weight and exponent (filled
-    automatically), and the product partition function they define."""
+    """Mode/kappa, the derived weight h and the exponent (2*(-+1)/kappa
+    unless given), and the product partition function they define."""
 
     mode: str
     kappa: float
     n_points: int
     h_weight: float = field(init=False)
-    exponent: float = field(init=False)
+    exponent: float | None = None
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -47,12 +48,13 @@ class PartitionSpec:
             raise ValueError("n_points must be >= 1")
         sign = -1.0 if self.mode == BACKWARD else 1.0
         # h = -(kappa+6)/(2 kappa) backward, (6-kappa)/(2 kappa) forward
-        object.__setattr__(self, "h_weight",
-                           (6.0 * sign - self.kappa) / (2.0 * self.kappa))
-        object.__setattr__(self, "exponent", 2.0 * sign / self.kappa)
-        if not (math.isfinite(self.h_weight) and math.isfinite(self.exponent)):
-            raise ConfigError(f"kappa {self.kappa!r} puts the weight h or "
-                              "the exponent 2/kappa outside the floats")
+        twice = 2.0 * self.kappa     # inf above about 9e307: refused
+        object.__setattr__(self, "h_weight", (6.0 * sign - self.kappa) / twice)
+        if self.exponent is None:
+            object.__setattr__(self, "exponent", 2.0 * sign / self.kappa)
+        if not all(map(math.isfinite, (twice, self.h_weight, self.exponent))):
+            raise ConfigError(f"2 kappa, h or the exponent {self.exponent!r} "
+                              f"leaves the floats at kappa {self.kappa!r}")
 
     def z(self, x: np.ndarray) -> float:
         """Z = prod_{i<j} |x_i - x_j|**exponent at one configuration, via

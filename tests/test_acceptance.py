@@ -106,8 +106,8 @@ def test_criterion_04_generator_commutator():
     phi_atan = lambda x: float(np.arctan(x).sum())
     r1 = commutator_residual(spec, phi_prod, cfg, 0, 1)
     r2 = commutator_residual(spec, phi_atan, cfg, 0, 1)
-    control = commutator_residual(spec, phi_prod, cfg, 0, 1,
-                                  drift_fn=lambda x, k: 0.0)
+    control = commutator_residual(
+        PartitionSpec("backward", 4.0, 2, exponent=0.0), phi_prod, cfg, 0, 1)
     ok = r1 < 1e-4 and r2 < 1e-4 and control > 1e-1
     _line(4, "generator commutator", ok,
           f"residuals {r1:.2e}/{r2:.2e}, control {control:.2f}")

@@ -754,6 +754,12 @@ ESCAPES = {
         check="martingale", kappa=1.2e-308, points=[0.0, 4.0], **SMALL_RUN)),
     "kz_weight_beyond_floats": (2, dict(
         check="kz", kappa=1.2e-308, points=[0.001, 4.0])),
+    # 2 kappa is inf above about 9e307, which made h -0.0
+    "martingale_twice_kappa_beyond_floats": (2, dict(
+        check="martingale", kappa=1e308, points=[0.0, 1.0], t_final=0.01,
+        dt=1e-3, n_paths=50)),
+    "bpz_twice_kappa_beyond_floats": (2, dict(
+        check="bpz", kappa=1e308, points=[0.0, 1.0])),
     # at kappa 2e-308 h and 2/kappa are finite, but log Z is not
     "bpz_log_z_overflows": (2, dict(
         check="bpz", kappa=2e-308, points=[0.0, 100.0])),
@@ -809,7 +815,8 @@ BAD_DT = (MISSING, "1", None, True, [1.0], NAN, 0, -1, -0.5, -1e300, 1e308)
 FIELDS = {
     "mode": (["backward"] * 3 + ["forward"] * 2,
              ["sideways", 1, None, MISSING]),
-    "kappa": ([2.0, 4.0, 4.0, 6.0, 8.0 / 3.0, 1e-300, 1.2e-308, 5e-324],
+    "kappa": ([2.0, 4.0, 4.0, 6.0, 8.0 / 3.0, 1e-300, 1.2e-308, 5e-324,
+               1e308],
               BAD_NUMBER),
     "points": ([[0.0, 1.0]] * 3 + [[0.0, 1.0, 2.5], [-1.0, 0.5, 2.0], [0.0],
                 [0.0, 1e-300], [0.0, 5e-324], [0.0, 1e300], [1e308, -1e308],

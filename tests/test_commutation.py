@@ -19,6 +19,7 @@ from slelab.sampler import chunked
 
 CFG = validate_config((0.0, 1.0))
 SPEC = PartitionSpec("backward", 4.0, 2)
+ZERO_DRIFT = PartitionSpec("backward", 4.0, 2, exponent=0.0)
 
 
 def _first_legs(i, j, eps_tilde, c):
@@ -69,7 +70,7 @@ def test_plan_schemes_role_swap_symmetry():
 def _apply_generator(phi):
     """(L_0 phi) at CFG with the default single-level step, 1e-4 times
     the gap."""
-    return _generator_value(SPEC, phi, CFG.as_array(), 0, 1e-4, None)
+    return _generator_value(SPEC, phi, CFG.as_array(), 0, 1e-4)
 
 
 def test_apply_generator_constant():
@@ -93,8 +94,7 @@ def test_commutator_residual_product_drifts():
 
 def test_commutator_residual_zero_drift_control():
     phi = lambda x: float(x[0] * x[1])
-    res = commutator_residual(SPEC, phi, CFG, 0, 1, 1e-3,
-                              drift_fn=lambda x, k: 0.0)
+    res = commutator_residual(ZERO_DRIFT, phi, CFG, 0, 1, 1e-3)
     assert res > 0.1
 
 
@@ -117,12 +117,11 @@ def test_arctan_sum_default_observable():
                                [np.pi / 4], rtol=1e-14)
 
 
-def _final_noiseless(legs, dt, drifted, spec=SPEC, cfg=CFG):
+def _final_noiseless(legs, dt, spec=SPEC, cfg=CFG):
     """Final configuration of one path of a scheme with every normal zero:
     both legs reduce to pure companion slit flows."""
     flow, _ = _run_legs(legs, dt, spec, cfg.as_array()[None, :],
-                        lambda n_steps, first_step: np.zeros((1, n_steps)),
-                        drifted)
+                        lambda n_steps, first_step: np.zeros((1, n_steps)))
     assert flow.active.all()
     return flow.x[0]
 
@@ -133,8 +132,8 @@ def test_run_scheme_deterministic_drifted_flows_commute():
     legs1, legs2 = plan_schemes("backward", CFG, 0, 1, 0.01, 2.0)
     diffs = []
     for dt in (1e-4, 1e-5):
-        x1 = _final_noiseless(legs1, dt, drifted=True)
-        x2 = _final_noiseless(legs2, dt, drifted=True)
+        x1 = _final_noiseless(legs1, dt)
+        x2 = _final_noiseless(legs2, dt)
         diffs.append(np.abs(x1 - x2).max())
     assert diffs[0] < 1e-6
     assert diffs[1] < diffs[0] / 5.0  # first-order in dt
@@ -152,7 +151,7 @@ def test_planned_leg_times_cancel_the_flows_commutator(mode, kappa):
     spec = PartitionSpec(mode, kappa, 3)
     diffs = []
     for eps_tilde in (0.01, 0.005):
-        x1, x2 = (_final_noiseless(legs, 1e-5, True, spec, cfg)
+        x1, x2 = (_final_noiseless(legs, 1e-5, spec, cfg)
                   for legs in plan_schemes(mode, cfg, 0, 1, eps_tilde, 2.0))
         diffs.append(np.abs(x1 - x2).max())
     assert diffs[0] <= 1e-4
@@ -165,8 +164,8 @@ def test_run_scheme_zero_drift_breaks_commutation():
     legs1, legs2 = plan_schemes("backward", CFG, 0, 1, 0.01, 1.0)
     vals = []
     for dt in (1e-4, 1e-5):
-        x1 = _final_noiseless(legs1, dt, drifted=False)
-        x2 = _final_noiseless(legs2, dt, drifted=False)
+        x1 = _final_noiseless(legs1, dt, ZERO_DRIFT)
+        x2 = _final_noiseless(legs2, dt, ZERO_DRIFT)
         vals.append(np.abs(x1 - x2).max())
     assert vals[0] > 1e-3
     np.testing.assert_allclose(vals[0], vals[1], rtol=1e-3)

@@ -36,6 +36,27 @@ def test_spec_derived_fields():
     np.testing.assert_allclose(s.h_weight, -1.25)
 
 
+def test_spec_given_exponent():
+    """A given exponent replaces the derived one and leaves h alone; it
+    must be finite."""
+    s = PartitionSpec("backward", 4.0, 2, exponent=0.0)
+    assert (s.exponent, s.h_weight) == (0.0, -1.25)
+    assert s.grad_log_z(np.array([0.0, 1.0]), 0) == 0.0
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            PartitionSpec("forward", 2.0, 2, exponent=bad)
+
+
+def test_spec_refuses_kappa_whose_double_overflows():
+    """h = (-+6 - kappa)/(2 kappa) read -0.0 once 2 kappa overflowed,
+    above about 9e307; such a kappa is refused, a smaller one keeps h."""
+    for mode in ("backward", "forward"):
+        np.testing.assert_allclose(PartitionSpec(mode, 8e307, 2).h_weight,
+                                   -0.5, rtol=1e-15)
+        with pytest.raises(ConfigError, match="2 kappa"):
+            PartitionSpec(mode, 1e308, 2)
+
+
 def test_z_value_examples():
     np.testing.assert_allclose(
         PartitionSpec("backward", 2.0, 3).z((0, 1, 3)),
@@ -224,3 +245,55 @@ MISMATCHED = {
 def test_point_count_mismatch_is_refused(entry):
     with pytest.raises(ValueError, match="spec is for 3 points"):
         MISMATCHED[entry]()
+
+
+# The second root of the two-point BPZ equation for Z = |x_1 - x_2|**a,
+# (kappa/2) a^2 - (kappa/2 -+ 2) a + 2h = 0: besides the derived exponent,
+# a2 = 1 + 6/kappa backward and (kappa - 6)/kappa forward.  Its flows
+# commute at N = 2, but the coupling keeps the derived root only, and at
+# N = 3 the product form solves the system with the derived root alone.
+def _second_root(mode, kappa, n_points):
+    a2 = 1.0 + 6.0 / kappa if mode == "backward" else (kappa - 6.0) / kappa
+    return PartitionSpec(mode, kappa, n_points, exponent=a2)
+
+
+SECOND_ROOT_N2 = [("backward", 2.0), ("backward", 4.0), ("backward", 6.0),
+                  ("forward", 2.0), ("forward", 8.0 / 3.0), ("forward", 6.0)]
+
+
+@pytest.mark.parametrize("mode, kappa", SECOND_ROOT_N2)
+def test_second_root_solves_bpz_and_commutes_at_two_points(mode, kappa):
+    spec = _second_root(mode, kappa, 2)
+    assert max(bpz_residual(spec, CFG2, i) for i in (0, 1)) <= 1e-5
+    assert commutator_residual(spec, arctan_sum, CFG2, 0, 1) <= 1e-4
+
+
+@pytest.mark.parametrize("mode, kappa", SECOND_ROOT_N2)
+def test_coupling_keeps_one_root(mode, kappa):
+    def residuals(spec):
+        gamma = np.sqrt(kappa) if mode == "backward" else None
+        return [coupling_pde_residual(CouplingSpec(spec, gamma=gamma),
+                                      0.5 + 1j, CFG2, i) for i in (0, 1)]
+
+    assert min(residuals(_second_root(mode, kappa, 2))) > 1.0
+    assert max(residuals(PartitionSpec(mode, kappa, 2))) <= 1e-4
+
+
+# forward kappa 6 is left out: there a2 = 0 and h = 0, so Z = 1 solves
+# the system at every N
+@pytest.mark.parametrize("mode, kappa", SECOND_ROOT_N2[:-1])
+def test_second_root_fails_bpz_at_three_points(mode, kappa):
+    spec = _second_root(mode, kappa, 3)
+    cfg = validate_config((0.0, 1.0, 2.5))
+    assert max(bpz_residual(spec, cfg, i) for i in range(3)) >= 100 * 1e-5
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0, 6.0])
+def test_second_root_weight_is_a_martingale(kappa):
+    rep = martingale_check(_second_root("backward", kappa, 2), CFG2, 0, 0.1,
+                           1e-3, 4000, seed=0)
+    assert rep.passed, rep
+    control = martingale_check(PartitionSpec("backward", kappa, 2,
+                                             exponent=0.5),
+                               CFG2, 0, 0.1, 1e-3, 4000, seed=0)
+    assert not control.passed, control

@@ -186,14 +186,6 @@ def resolve_workers(config: dict) -> int:
     return n_workers or os.cpu_count() or 1
 
 
-def _coupling(mode: str, kappa: float, points: PointConfig,
-              gamma: Optional[float]) -> CouplingSpec:
-    """A coupling check's CouplingSpec, checked against the theorems."""
-    cspec = CouplingSpec(PartitionSpec(mode, kappa, len(points)), gamma=gamma)
-    cspec.require_coupled()
-    return cspec
-
-
 def _exact_row(name: str, estimate: float, tolerance: float,
                n_samples: int = 1, reference: float = 0.0) -> McReport:
     """Row of a deterministic check: no standard error."""
@@ -320,7 +312,7 @@ def _run_coupling_pde(kappa: float, points: PointConfig,
                       gamma: Optional[float] = None,
                       i_index: Optional[int] = None,
                       fd_step: Optional[float] = None) -> List[McReport]:
-    cspec = _coupling(mode, kappa, points, gamma)
+    cspec = CouplingSpec(PartitionSpec(mode, kappa, len(points)), gamma=gamma)
     indices = range(len(points)) if i_index is None else [i_index]
     return [_exact_row(f"coupling_pde_z{m}_i{i}",
                        coupling_pde_residual(cspec, z, points, i,
@@ -333,9 +325,10 @@ def _run_coupling_mc(kappa: float, points: PointConfig,
                      dt: float, n_paths: int, mode: str = BACKWARD,
                      gamma: Optional[float] = None, i_index: int = 0,
                      seed: int = 0, n_workers: int = 1) -> List[McReport]:
-    return coupling_martingale_check(
-        _coupling(mode, kappa, points, gamma), points, i_index, bulk_points,
-        t_final, dt, n_paths, seed=seed, n_workers=n_workers)
+    cspec = CouplingSpec(PartitionSpec(mode, kappa, len(points)), gamma=gamma)
+    return coupling_martingale_check(cspec, points, i_index, bulk_points,
+                                     t_final, dt, n_paths, seed=seed,
+                                     n_workers=n_workers)
 
 
 def _run_crossvar(kappa: float, points: PointConfig,
@@ -343,9 +336,10 @@ def _run_crossvar(kappa: float, points: PointConfig,
                   n_paths: int, mode: str = BACKWARD,
                   gamma: Optional[float] = None, i_index: int = 0,
                   seed: int = 0, n_workers: int = 1) -> List[McReport]:
-    rows = cross_variation_experiment(
-        _coupling(mode, kappa, points, gamma), points, i_index, bulk_points,
-        t_final, dt, n_paths, seed=seed, n_workers=n_workers)
+    cspec = CouplingSpec(PartitionSpec(mode, kappa, len(points)), gamma=gamma)
+    rows = cross_variation_experiment(cspec, points, i_index, bulk_points,
+                                      t_final, dt, n_paths, seed=seed,
+                                      n_workers=n_workers)
     worst = green_increment_check(mode, kappa, bulk_points[0], bulk_points[1],
                                   _GREEN_ID_T, _GREEN_ID_DT, seed=seed)
     rows.append(_exact_row("green_increment_identity", worst, 1e-6,

@@ -115,14 +115,13 @@ def _scheme_chunk(task: dict) -> dict:
         x = np.broadcast_to(points, (t1 - t0, len(points)))
         flow, drawn = _run_legs(legs, dt, task["spec"], x, draw)
         return {"x": flow.x, "reason": flow.reason,
-                "steps": np.array([(t1 - t0) * drawn])}
+                "draws": np.array([(t1 - t0) * drawn])}
 
     flow = tiled(task["count"], run_tile)
     x = flow["x"]
     keep = flow["reason"] != REASON_SWALLOWED
-    steps = int(flow["steps"].sum())     # of the windows drawn
     out = {"n": int(keep.sum()), "n_discarded": int((~keep).sum()),
-           "path_steps": steps, "draws": steps}
+           "draws": int(flow["draws"].sum())}
     n_pts = x.shape[1]
     cols = {f"x_{k}": x[keep, k] for k in range(n_pts)}
     cols["phi"] = arctan_sum(x[keep])

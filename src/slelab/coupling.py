@@ -82,15 +82,15 @@ def forward_chi(kappa: float) -> float:
 class CouplingSpec:
     """A coupled flow: the flow's PartitionSpec plus the field side
     (gamma, signs, and which part of the holomorphic sum is the field).
+    A spec exists only where a coupling theorem holds: backward needs
+    sqrt(kappa) = gamma or 4/gamma, forward refuses a gamma and kappa = 4.
     The curvature constant is computed here: the charge Q(gamma) backward,
-    forward_chi(kappa) forward; the backward coupling needs gamma and the
-    forward one refuses it.
+    forward_chi(kappa) forward.
 
     Without epsilon_signs the coupled ones are filled in: every -1
     backward; forward every +1 below kappa = 4 and every -1 above.  Signs
-    given are stored as given (controls deliberately set wrong signs); the
-    coupled values are enforced only by the checks that assume them, via
-    `require_coupled`.
+    given are stored as given: flipped signs are the one control, and
+    must fail.
     """
 
     pspec: PartitionSpec
@@ -99,8 +99,11 @@ class CouplingSpec:
     curvature_constant: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        signs = (self._coupled_signs() if self.epsilon_signs is None
-                 else tuple(self.epsilon_signs))
+        if self.epsilon_signs is None:
+            sign = 1 if self.mode == FORWARD and self.kappa < 4.0 else -1
+            signs = (sign,) * self.pspec.n_points
+        else:
+            signs = tuple(self.epsilon_signs)
         object.__setattr__(self, "epsilon_signs", signs)
         if len(signs) != self.pspec.n_points:
             raise ValueError("need one epsilon sign per boundary point")
@@ -110,6 +113,12 @@ class CouplingSpec:
             if self.gamma is None:
                 raise ConfigError("backward coupling needs gamma")
             curvature = q_charge(self.gamma)     # refuses a nonpositive gamma
+            rk = math.sqrt(self.kappa)
+            if min(abs(rk - self.gamma),
+                   abs(rk - 4.0 / self.gamma)) > _RELATION_TOL:
+                raise ConfigError(
+                    f"backward coupling needs sqrt(kappa) = gamma or "
+                    f"4/gamma; got kappa={self.kappa}, gamma={self.gamma}")
         elif self.gamma is not None:
             raise ConfigError("forward coupling takes no gamma: kappa alone "
                               "fixes its signs and curvature")
@@ -124,28 +133,6 @@ class CouplingSpec:
     @property
     def kappa(self) -> float:
         return self.pspec.kappa
-
-    def _coupled_signs(self) -> Tuple[int, ...]:
-        sign = 1 if self.mode == FORWARD and self.kappa < 4.0 else -1
-        return (sign,) * self.pspec.n_points
-
-    def require_coupled(self) -> None:
-        """Reject parameter combinations outside the coupling theorems:
-        backward, sqrt(kappa) must equal gamma or 4/gamma; the signs must
-        be the coupled ones."""
-        rk, gamma = math.sqrt(self.kappa), self.gamma
-        if self.mode == BACKWARD and min(abs(rk - gamma),
-                                         abs(rk - 4.0 / gamma)) > _RELATION_TOL:
-            raise ConfigError(
-                f"backward coupling needs sqrt(kappa) = gamma or 4/gamma; "
-                f"got kappa={self.kappa}, gamma={gamma}"
-            )
-        canonical = self._coupled_signs()
-        if self.epsilon_signs != canonical:
-            raise ConfigError(
-                f"epsilon signs {self.epsilon_signs} are not the coupled "
-                f"choice {canonical} for this mode/kappa"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +313,7 @@ def _h_run(
     companion or tracked bulk point is swallowed are frozen at the start
     of the offending substep and kept (their h increments vanish from then
     on, so once every path is frozen the run ends and draws no further
-    window; path_steps and draws count what ran).  The state is
+    window; draws counts the normals drawn).  The state is
     column-major and every step works one point's column at a time.
     """
     mode = cspec.mode
@@ -350,7 +337,7 @@ def _h_run(
     comps = [flow.x[:, k] for k in range(len(cfg)) if k != i]
     z_cols = [zb[:, m] for m in range(m_bulk)]
     d_cols = [db[:, m] for m in range(m_bulk)]
-    ran = drawn = 0     # steps run and normals drawn, each path
+    drawn = 0     # normals drawn, each path
     # a frozen row may hold a zero gap, so an inf driver step, but no
     # frozen row is ever copied back
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,7 +346,6 @@ def _h_run(
                                    first)
             drawn = stop
             for k, delta in enumerate(step_sizes(T, dt, first, stop)):
-                ran = first + k + 1
                 new_c, bad = [], []
                 for xc in comps:
                     new, _, swallowed = slit_real(xc, u0, delta, mode)
@@ -400,7 +386,6 @@ def _h_run(
         "accum": _stack(accum, n_paths),
         "g_drop": g0 - gt,
         "reason": flow.reason,
-        "path_steps": np.array([n_paths * ran]),
         "draws": np.array([n_paths * drawn]),
     }
 
@@ -428,7 +413,6 @@ def _h_chunk(task: dict) -> dict:
             "sd": xv_err.sum(axis=0),
             "sd2": (xv_err**2).sum(axis=0),
             "n_swallowed": int(np.sum(run["reason"] == REASON_SWALLOWED)),
-            "path_steps": int(run["path_steps"].sum()),
             "draws": int(run["draws"].sum()),
         }
 

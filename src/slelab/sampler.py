@@ -359,7 +359,7 @@ def _ensemble_chunk(task: dict) -> dict:
             if not flow.active.any():    # frozen rows never change
                 break
         return {"x": flow.x, "log_m": flow.log_m, "reason": flow.reason,
-                "steps": np.array([(t1 - t0) * drawn])}
+                "draws": np.array([(t1 - t0) * drawn])}
 
     count = task["count"]
     flow = tiled(count, run_tile)
@@ -368,7 +368,6 @@ def _ensemble_chunk(task: dict) -> dict:
         w = np.exp(log_w)   # M / M_0
     j = task["j"]
     f = flow["x"][:, j] if j is not None else np.zeros(count)
-    steps = int(flow["steps"].sum())     # of the windows drawn
     # a product that overflows makes a sum that sum_stats refuses
     with np.errstate(over="ignore", invalid="ignore"):
         return {
@@ -383,7 +382,7 @@ def _ensemble_chunk(task: dict) -> dict:
             "n_swallowed": int(np.sum(flow["reason"] == REASON_SWALLOWED)),
             "n_bound": int(np.sum(flow["reason"] == REASON_BOUND)),
             "n_underflow": int(np.sum((w == 0.0) & np.isfinite(log_w))),
-            "path_steps": steps, "draws": steps,
+            "draws": int(flow["draws"].sum()),
         }
 
 
@@ -500,7 +499,7 @@ def _inverse_chunk(task: dict) -> dict:
     shifted = val[~bad] - task["shift"]
     re, im = shifted.real, shifted.imag
     out = {"n": int((~bad).sum()), "n_failed": int(bad.sum()),
-           "path_steps": task["count"] * n, "draws": task["count"] * n}
+           "draws": task["count"] * n}
     # a sum that overflows (inf, or inf - inf) fails the caller's test
     with np.errstate(over="ignore", invalid="ignore"):
         for tag, arr in (("re", re), ("im", im)):

@@ -282,6 +282,37 @@ def test_forward_coupling_gamma_exit_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+OFF_RELATION = {
+    "coupling_pde": dict(bulk_points=[[0.5, 1.0]]),
+    "coupling_mc": dict(bulk_points=[[0.5, 1.0]], n_paths=10, **SHORT),
+    "crossvar": dict(bulk_points=[[1.0, 2.0], [-1.0, 2.0]], n_paths=10,
+                     **SHORT),
+}
+
+
+@pytest.mark.parametrize("check", sorted(OFF_RELATION))
+def test_coupling_off_the_gamma_relation_exit_two(tmp_path, capsys, check):
+    # at kappa 4 the coupled gamma is 2 (= 4/2); 1.3 is neither
+    cfg = write_config(tmp_path, check=check, mode="backward", kappa=4.0,
+                       gamma=1.3, points=[0.0, 1.0], n_workers=1,
+                       out_path=str(tmp_path / "r"), **OFF_RELATION[check])
+    assert main(["check", cfg]) == 2
+    assert _config_error_line(capsys) == (
+        "config error: backward coupling needs sqrt(kappa) = gamma or "
+        "4/gamma; got kappa=4.0, gamma=1.3\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_coupling_on_the_dual_gamma_branch_runs(tmp_path):
+    # sqrt(16) = 4/gamma at gamma 1
+    cfg = write_config(tmp_path, check="coupling_mc", mode="backward",
+                       kappa=16.0, gamma=1.0, points=[0.0, 1.0],
+                       bulk_points=[[0.5, 1.0]], t_final=0.01, dt=1e-3,
+                       n_paths=200, n_workers=1, out_path=str(tmp_path / "r"))
+    assert main(["check", cfg]) == 0
+    assert read_rows(str(tmp_path / "r"))[0]["pass"] == "true"
+
+
 def test_schemes_leg_shorter_than_substep_exit_two(tmp_path, capsys):
     # the first leg lasts about 2e-12, far less than one substep of dt
     cfg = write_config(tmp_path, check="schemes", mode="backward", kappa=4.0,

@@ -84,16 +84,18 @@ def test_forward_chi():
 
 
 def test_check_backward_relation():
-    CS_BACK.require_coupled()       # sqrt(kappa) = gamma
+    """A backward spec is built only at sqrt(kappa) = gamma or 4/gamma."""
+    CouplingSpec(SPEC_BACK, gamma=2.0)       # sqrt(kappa) = gamma
     CouplingSpec(PartitionSpec("backward", 16.0, 2),
-                 gamma=1.0).require_coupled()      # sqrt(kappa) = 4/gamma
-    with pytest.raises(ConfigError, match="gamma or 4/gamma"):
-        CouplingSpec(SPEC_BACK, gamma=1.3).require_coupled()
+                 gamma=1.0)      # sqrt(kappa) = 4/gamma
+    with pytest.raises(ConfigError, match="gamma or 4/gamma; got kappa=4.0, "
+                                          "gamma=1.3"):
+        CouplingSpec(SPEC_BACK, gamma=1.3)
 
 
 def test_default_epsilon_signs():
-    """The spec fills in the coupled signs; given ones are kept, and only
-    require_coupled refuses them."""
+    """The spec fills in the coupled signs; given ones are kept as given,
+    because flipped signs are the control that must fail."""
     back3 = PartitionSpec("backward", 4.0, 3)
     assert CouplingSpec(back3, gamma=2.0).epsilon_signs == (-1, -1, -1)
     assert CouplingSpec(PartitionSpec("forward", 2.0, 3)).epsilon_signs \
@@ -102,8 +104,6 @@ def test_default_epsilon_signs():
         == (-1, -1, -1)
     flipped = CouplingSpec(back3, gamma=2.0, epsilon_signs=[1, -1, -1])
     assert flipped.epsilon_signs == (1, -1, -1)
-    with pytest.raises(ConfigError, match="not the coupled choice"):
-        flipped.require_coupled()
 
 
 def test_make_coupling_spec_requires_gamma_backward():
@@ -121,8 +121,8 @@ def test_q_charge_follows_gamma():
     a charge that disagrees with its gamma."""
     assert not hasattr(CS_BACK, "q_charge")
     assert CS_BACK.curvature_constant == q_charge(2.0)
-    assert CouplingSpec(SPEC_BACK, gamma=1.0).curvature_constant \
-        == q_charge(1.0)
+    assert CouplingSpec(PartitionSpec("backward", 16.0, 2),
+                        gamma=1.0).curvature_constant == q_charge(1.0)
     with pytest.raises(ConfigError, match="gamma must be positive"):
         dataclasses.replace(CS_BACK, gamma=-2.0)
 
@@ -256,9 +256,8 @@ def test_simulate_h_process_backward_companion_swallowed():
 def test_h_run_with_every_path_frozen_draws_no_further_window(monkeypatch):
     """At gap 0.05 every path is swallowed at step 0 of 500, two windows
     of 250 steps: the tile ends there and draws only the first window.
-    The chunk counts the one step run and the normals drawn, as
-    coupling.normal_block sees them, and the run's arrays are those of a
-    one-step run, bit for bit."""
+    The chunk counts the normals drawn, as coupling.normal_block sees
+    them, and the run's arrays are those of a one-step run, bit for bit."""
     cfg = validate_config((0.0, 0.05))
     bulk = (0.5 + 1j, -0.5 + 1j)
     drawn = []
@@ -274,7 +273,7 @@ def test_h_run_with_every_path_frozen_draws_no_further_window(monkeypatch):
             "dt": 1e-3, "seed": 0, "first_path": 0, "count": 5}
     out = coupling._h_chunk(task)
     assert drawn == [(5, 250)]
-    assert (out["path_steps"], out["draws"]) == (5, 5 * 250)
+    assert out["draws"] == 5 * 250
     run = _h_run(CS_BACK, cfg, 0, bulk, 0.5, 1e-3, 0, 0, 5)
     one = _h_run(CS_BACK, cfg, 0, bulk, 1e-3, 1e-3, 0, 0, 5)
     for key in ("h0", "ht", "accum", "g_drop", "reason"):

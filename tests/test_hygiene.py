@@ -57,8 +57,14 @@ def test_no_default_tolerance_comparisons():
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) of each module-level function, class and constant."""
+    """(name, node) of each module-level function, class and constant, and
+    of each method and property of a class but its dunders."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield item.name, item
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         elif isinstance(node, ast.Assign):
@@ -85,7 +91,8 @@ def _loads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 
 def test_public_names_have_a_caller():
-    """Every module-level name of the package is loaded somewhere other
+    """Every module-level name of the package, and every method and
+    property of its classes but the dunders, is loaded somewhere other
     than its own definition: in another part of the package (not
     __init__.py), in demos/ or in perfbench/.  A name only its own unit
     test calls is API nothing needs."""

@@ -297,3 +297,14 @@ def test_second_root_weight_is_a_martingale(kappa):
                                              exponent=0.5),
                                CFG2, 0, 0.1, 1e-3, 4000, seed=0)
     assert not control.passed, control
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0, 6.0])
+def test_second_root_is_a_girsanov_transform(kappa):
+    rep = girsanov_check(_second_root("backward", kappa, 2), CFG2, 0, None,
+                         0.1, 1e-3, 4000, seed=0)
+    assert rep.passed, rep
+    control = girsanov_check(PartitionSpec("backward", kappa, 2,
+                                           exponent=0.5),
+                             CFG2, 0, None, 0.1, 1e-3, 4000, seed=0)
+    assert not control.passed, control

@@ -467,9 +467,9 @@ def test_chunk_tasks_are_plain_data(check, monkeypatch):
 
 @pytest.mark.parametrize("check", sorted(ENSEMBLE_CHECKS))
 def test_chunk_work_counts(check, monkeypatch):
-    """Each chunk returns its path-steps, count x substeps, and the normals
-    it drew, as a counting wrapper on its module's normal_block sees them;
-    sum_stats adds both up.  4-step windows make several draws a tile."""
+    """Each chunk returns the normals it drew, count x substeps, as a
+    counting wrapper on its module's normal_block sees them; sum_stats adds
+    them up.  4-step windows make several draws a tile."""
     fn, tasks = _chunk_calls(check, monkeypatch)
     substeps = ENSEMBLE_CHECKS[check][2]
     module = sys.modules[fn.__module__]
@@ -488,10 +488,9 @@ def test_chunk_work_counts(check, monkeypatch):
         drawn.clear()
         parts.append(fn(task))
         assert len(drawn) >= 3
-        assert parts[-1]["path_steps"] == task["count"] * substeps
         assert parts[-1]["draws"] == sum(drawn) == task["count"] * substeps
     total, = sampler.sum_stats(parts)
-    assert total["draws"] == total["path_steps"] == 30 * len(tasks) * substeps
+    assert total["draws"] == 30 * len(tasks) * substeps
 
 
 def test_ensemble_tile_with_every_path_stopped_draws_no_further_window(
@@ -518,10 +517,10 @@ def test_ensemble_tile_with_every_path_stopped_draws_no_further_window(
 
     out = chunk(0.5)
     assert drawn == [(30, 250)]
-    assert (out.pop("path_steps"), out.pop("draws")) == (30 * 250, 30 * 250)
+    assert out.pop("draws") == 30 * 250
     assert out["n_swallowed"] == 30
     one = chunk(1e-3)
-    del one["path_steps"], one["draws"]
+    del one["draws"]
     assert out == one
 
 

@@ -42,7 +42,6 @@ from .core import (
     normal_block,
     require_bulk,
     require_gaps,
-    validate_config,
 )
 from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
@@ -139,27 +138,29 @@ class CouplingSpec:
 # Field building blocks
 
 
-def green(mode: str, z: complex, w: complex) -> float:
+def green(mode: str, z: np.ndarray | complex,
+          w: np.ndarray | complex) -> np.ndarray | float:
     """Boundary Green function of the upper half plane; the flow fixes
     the boundary condition.
 
     backward (Neumann):  -log|z-w| - log|z-conj(w)|
     forward (Dirichlet): -log|z-w| + log|z-conj(w)|
 
-    A scalar pair at z == w or z == conj(w) raises ConfigError; arrays
-    (one entry per path) give inf there.
+    It is infinite at z == w and z == conj(w), a pair the checks refuse.
     """
     _check_mode(mode)
     za = np.asarray(z, dtype=complex)
     wa = np.asarray(w, dtype=complex)
     direct = np.abs(za - wa)
     mirror = np.abs(za - np.conj(wa))
-    scalar = np.isscalar(z) and np.isscalar(w)
-    if scalar and min(direct, mirror) < _COINCIDENT_TOL:
-        raise ConfigError(f"Green function singular at z={z}, w={w}")
     sign = -1.0 if mode == BACKWARD else 1.0
-    out = -np.log(direct) + sign * np.log(mirror)
-    return float(out) if scalar else out
+    return -np.log(direct) + sign * np.log(mirror)
+
+
+def _require_apart(z: complex, w: complex) -> None:
+    """Refuse a bulk pair where the Green function is singular."""
+    if min(np.abs(z - w), np.abs(z - np.conj(w))) < _COINCIDENT_TOL:
+        raise ConfigError(f"Green function singular at z={z}, w={w}")
 
 
 def holo_u_tilde(
@@ -173,10 +174,7 @@ def holo_u_tilde(
     xs = np.asarray(points, dtype=float)
     eps = np.asarray(epsilon_signs, dtype=float)
     diff = za[..., None] - xs
-    val = -(2.0 / math.sqrt(kappa)) * np.sum(eps * np.log(diff), axis=-1)
-    if np.isscalar(z):
-        return complex(val)
-    return val
+    return -(2.0 / math.sqrt(kappa)) * np.sum(eps * np.log(diff), axis=-1)
 
 
 def boundary_u(
@@ -189,10 +187,7 @@ def boundary_u(
     """Real part of the holomorphic sum backward, imaginary part forward."""
     _check_mode(mode)
     val = holo_u_tilde(z, points, kappa, epsilon_signs)
-    out = np.real(val) if mode == BACKWARD else np.imag(val)
-    if np.isscalar(z):
-        return float(out)
-    return out
+    return np.real(val) if mode == BACKWARD else np.imag(val)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +208,6 @@ def coupling_pde_residual(
     forward:  D_i X + (2/(z-x_i)) X_z + 2 K Z/(z-x_i)^2 = 0
     """
     require_points(cspec.pspec, cfg)
-    validate_config(cfg.points)
     _check_index(cfg, i)
     require_bulk([z])
     require_gaps(cfg, i, [z])
@@ -428,11 +422,10 @@ def _run_h_ensemble(
     seed: int,
     n_workers: int,
 ) -> dict:
-    validate_config(cfg.points)
     require_bulk(bulk)
     require_gaps(cfg, i, bulk)
     for z, w in itertools.combinations(bulk, 2):
-        green(cspec.mode, z, w)      # refuses coincident points
+        _require_apart(z, w)
     horizon(t_final, dt)     # refuses a horizon before any task is built
     task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
             "T": t_final, "dt": dt, "seed": seed}
@@ -549,6 +542,7 @@ def green_increment_check(
     """
     _check_mode(mode)
     require_bulk((z, w))
+    _require_apart(z, w)
     pts = np.array([z, w], dtype=complex)
     u = 0.0
     worst = 0.0

@@ -77,17 +77,17 @@ def slit_real(x, U0, delta, mode: str):
 
 
 def slit_complex(z, U0, delta, mode: str):
-    """(new_z, multiplier, swallowed) for arrays of interior points."""
+    """(new_z, multiplier, swallowed) for arrays of interior points;
+    swallowed entries hold whatever the map gives, which the caller drops."""
     d = z - U0
     s = sqrt_him(d * d + slit_shift(mode) * delta)
     new = s + U0
     # the backward map swallows no interior point
     bad = (np.zeros(new.shape, dtype=bool) if mode == BACKWARD
            else s.imag <= 0.0)
-    if bad.any():
-        new = np.where(bad, z, new)
-        s = np.where(bad, d, s)
-    return new, np.divide(d, s, out=d), bad
+    # a forward point at the slit tip has s = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return new, np.divide(d, s, out=d), bad
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,11 @@ def test_green_symmetric():
 
 
 def test_green_coincident_points():
+    """green only evaluates: +inf at z == w.  The check refuses the pair."""
+    with np.errstate(divide="ignore"):
+        assert green("backward", 1j, 1j) == np.inf
     with pytest.raises(ConfigError, match="Green function singular"):
-        green("backward", 1j, 1j)
+        green_increment_check("backward", 4.0, 1j, 1j, 0.01, 1e-3)
 
 
 def test_green_refuses_unknown_mode():

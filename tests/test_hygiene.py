@@ -1,5 +1,6 @@
 """Static checks that need no linter: no dead imports, no uncalled
-module-level names and no np.isclose/np.allclose in the package, and
+module-level names and no np.isclose/np.allclose/np.isscalar in the
+package, and
 every package name that the benchmark harness in perfbench/ hooks or
 imports, or that README.md cites, still resolves.  perfbench/ is only
 read here, never changed."""
@@ -41,19 +42,30 @@ def test_no_unused_imports(module):
     assert _unused_imports(PACKAGE / module) == []
 
 
+def _numpy_calls(*names: str) -> list[str]:
+    """file:line of every np.<name>(...) call in the package."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and node.func.attr in names]
+
+
 def test_no_default_tolerance_comparisons():
     """The package calls no np.isclose or np.allclose: their default atol
     of 1e-8 makes a comparison depend on the scale of its operands (it
     took half a substep of 1e-8 for a whole one)."""
-    calls = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and isinstance(node.func.value, ast.Name)
-             and node.func.value.id in ("np", "numpy")
-             and node.func.attr in ("isclose", "allclose")]
-    assert calls == []
+    assert _numpy_calls("isclose", "allclose") == []
+
+
+def test_no_scalar_special_cases():
+    """The package calls no np.isscalar: a numpy function gives a numpy
+    scalar for a scalar input, and a refusal belongs to the check that
+    reads the input, not to a scalar branch of the kernel."""
+    assert _numpy_calls("isscalar") == []
 
 
 def _definitions(tree: ast.Module):

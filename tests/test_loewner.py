@@ -87,10 +87,18 @@ def test_substep_forward_base_goes_to_its_prime_end(d, end):
 
 
 def test_substep_forward_flags_absorbed_bulk():
-    """w=i is absorbed at t=1/4 < 1: flagged, value and derivative kept."""
-    new, mult, bad = slit_complex(np.array([1j, 3j]), 0.0, 1.0, "forward")
+    """w=i is absorbed at t=1/4 < 1: flagged; its value is left to the
+    caller."""
+    _, _, bad = slit_complex(np.array([1j, 3j]), 0.0, 1.0, "forward")
     np.testing.assert_array_equal(bad, [True, False])
-    assert new[0] == 1j and mult[0] == 1.0
+
+
+def test_substep_forward_flags_slit_tip_without_warning():
+    """w=2i is the slit tip after capacity 2: the root is exactly 0, so the
+    multiplier divides by zero, and the point is flagged without a
+    warning."""
+    _, _, bad = slit_complex(np.array([2j]), 0.0, 1.0, "forward")
+    np.testing.assert_array_equal(bad, [True])
 
 
 def test_substep_deriv_chains():

@@ -1,11 +1,14 @@
-"""Walk through the slit-map integrator: closed form, capacity, inverse law.
+"""Walk through the slit-map integrator: closed form, capacity, one-point
+martingales.
 
 Run: python3 demos/zipper_map.py
 """
 
 import numpy as np
 
+from slelab import loewner
 from slelab.core import build_driving_path, normal_block
+from slelab.coupling import bulk_martingale_check
 from slelab.loewner import (
     Swallowed,
     evolve,
@@ -14,7 +17,6 @@ from slelab.loewner import (
     reference_map_zero_driving,
     sqrt_him,
 )
-from slelab.sampler import inverse_law_check
 
 
 def closed_form_table():
@@ -42,17 +44,27 @@ def capacity_demo():
           f" (want {2 * T})")
 
 
-def inverse_demo():
-    print("\nbackward map vs inverted forward map at z0 = 2i, kappa = 2:")
-    for r in inverse_law_check(2.0, 2j, 0.1, 1e-3, 10_000, seed=0):
+def martingale_demo():
+    print("\none-point martingales E[M_T]/M_0 at z0 = 2i, kappa = 2:")
+    for r in bulk_martingale_check(2.0, [2j], 0.1, 1e-3, 10_000, seed=0):
         flag = "ok" if r.passed else "MISMATCH"
-        print(f"  {r.name:<18} {r.estimate:>12.6f} vs {r.reference:>12.6f}  {flag}")
+        print(f"  {r.name:<22} {r.estimate:>10.6f} +- {r.std_error:.6f}"
+              f"  {flag}")
+    # a wrong slit root, -6 dt in place of -4 dt, moves every row
+    shift = loewner.slit_shift
+    loewner.slit_shift = lambda mode: 1.5 * shift(mode)
+    try:
+        worst = max(abs(r.estimate - 1.0) / r.std_error for r in
+                    bulk_martingale_check(2.0, [2j], 0.1, 1e-3, 10_000, seed=0))
+    finally:
+        loewner.slit_shift = shift
+    print(f"  control: slit root -6 dt fails by {worst:.1f} SE")
 
 
 if __name__ == "__main__":
     closed_form_table()
     capacity_demo()
-    inverse_demo()
+    martingale_demo()
     # the forward reference has a swallowing region; show the guard
     try:
         reference_map_zero_driving(1j, 1.0, "forward")

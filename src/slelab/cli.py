@@ -54,6 +54,7 @@ from .core import (
 )
 from .coupling import (
     CouplingSpec,
+    bulk_martingale_check,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
@@ -75,7 +76,6 @@ from .partition import (
 from .sampler import (
     girsanov_check,
     horizon,
-    inverse_law_check,
     martingale_check,
     step_sizes,
     step_windows,
@@ -299,12 +299,8 @@ def _run_girsanov(kappa: float, points: PointConfig, t_final: float,
 def _run_inverse(kappa: float, t_final: float, dt: float, n_paths: int,
                  bulk_points: Sequence[complex] = (2j,), seed: int = 0,
                  n_workers: int = 1) -> List[McReport]:
-    z0, *rest = bulk_points
-    if rest:
-        raise ConfigError("inverse check takes one bulk point, got "
-                          f"{len(rest) + 1}")
-    return inverse_law_check(kappa, z0, t_final, dt, n_paths, seed=seed,
-                             n_workers=n_workers)
+    return bulk_martingale_check(kappa, bulk_points, t_final, dt, n_paths,
+                                 seed=seed, n_workers=n_workers)
 
 
 def _run_coupling_pde(kappa: float, points: PointConfig,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
                    PointConfig, _check_mode, mean_var, normal_block,
-                   require_gaps, require_square)
+                   require_gaps, require_index, require_square)
 from .loewner import slit_shift
 from .partition import (PartitionSpec, _resolve_step, fd_first, fd_second,
                         min_gap, require_points)
@@ -203,6 +203,8 @@ def commutator_residual(
     require_points(spec, cfg)
     if i == j:
         raise ValueError("i and j must differ")
+    require_index(cfg, i)
+    require_index(cfg, j)
     require_square(cfg.points[i] - cfg.points[j],
                    f"gap between points {i} and {j}")
     h = _resolve_step(cfg, min_gap(cfg), fd_step, 2e-3, scale=10.0)

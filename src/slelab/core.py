@@ -87,9 +87,18 @@ def require_bulk(bulk: Sequence[complex]) -> None:
         require_square(z, f"modulus of bulk point {z}")
 
 
+def require_index(cfg: PointConfig, i: int) -> None:
+    """Refuse a point index outside [0, N): -1 would name the last point,
+    so a driver its own companion."""
+    if not 0 <= i < len(cfg):
+        raise ConfigError(f"index {i} is outside [0, {len(cfg)})")
+
+
 def require_gaps(cfg: PointConfig, i: int, bulk: Sequence[complex] = ()) -> None:
-    """Refuse points whose squared gap to the driving point i, or bulk
-    points whose squared distance to a point, overflows."""
+    """Refuse a driving index i outside [0, N), points whose squared gap
+    to the driving point i, or bulk points whose squared distance to a
+    point, overflows."""
+    require_index(cfg, i)
     for k, x in enumerate(cfg.points):
         require_square(x - cfg.points[i], f"gap between points {i} and {k}")
         for z in bulk:

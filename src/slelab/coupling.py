@@ -11,8 +11,9 @@ holomorphic sum  -(2/sqrt(kappa)) sum_k eps_k log(z - x_k).  Under the
 drifted measure h_t(z) is a martingale in t for every fixed z, and the
 cross variation of h(z), h(w) equals the decrease of the boundary Green
 function along the flow, Neumann backward and Dirichlet forward.  Both
-statements are checked here by Monte Carlo; the stationarity of u itself
-is checked as an exact PDE residual via finite differences.
+statements, and the one-point martingales of the driftless backward flow,
+are checked here by Monte Carlo; the stationarity of u itself is checked
+as an exact PDE residual via finite differences.
 
 Sign conventions are load bearing: the backward coupling needs every
 eps_k = -1 and sqrt(kappa) in {gamma, 4/gamma}; the forward one needs
@@ -28,7 +29,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .core import (
     McReport,
     PointConfig,
     _check_mode,
+    mean_var,
     normal_block,
     require_bulk,
     require_gaps,
@@ -46,7 +48,6 @@ from .core import (
 from .loewner import Swallowed, slit_complex, slit_real
 from .partition import (
     PartitionSpec,
-    _check_index,
     _resolve_step,
     bpz_operator,
     fd_first,
@@ -208,7 +209,6 @@ def coupling_pde_residual(
     forward:  D_i X + (2/(z-x_i)) X_z + 2 K Z/(z-x_i)^2 = 0
     """
     require_points(cspec.pspec, cfg)
-    _check_index(cfg, i)
     require_bulk([z])
     require_gaps(cfg, i, [z])
     spec = cspec.pspec
@@ -309,6 +309,8 @@ def _h_run(
     on, so once every path is frozen the run ends and draws no further
     window; draws counts the normals drawn).  The state is
     column-major and every step works one point's column at a time.
+    It also returns the final bulk images zb, their derivatives db (the
+    product of the slit multipliers, f') and the driver column w.
     """
     mode = cspec.mode
     kappa = cspec.kappa
@@ -381,18 +383,25 @@ def _h_run(
         "g_drop": g0 - gt,
         "reason": flow.reason,
         "draws": np.array([n_paths * drawn]),
+        "zb": zb,
+        "db": db,
+        "w": u0,
     }
 
 
-def _h_chunk(task: dict) -> dict:
-    cspec: CouplingSpec = task["cspec"]
-    T, dt = task["T"], task["dt"]
-
+def _tile_run(task: dict, keys: Sequence[str]) -> Dict[str, np.ndarray]:
+    """_h_run of the task's paths, tile by tile, keeping only `keys`."""
     def run_tile(t0: int, t1: int) -> dict:
-        return _h_run(cspec, task["cfg"], task["i"], task["bulk"], T, dt,
-                      task["seed"], task["first_path"] + t0, t1 - t0)
+        run = _h_run(task["cspec"], task["cfg"], task["i"], task["bulk"],
+                     task["T"], task["dt"], task["seed"],
+                     task["first_path"] + t0, t1 - t0)
+        return {k: run[k] for k in keys}
 
-    run = tiled(task["count"], run_tile)
+    return tiled(task["count"], run_tile)
+
+
+def _h_chunk(task: dict) -> dict:
+    run = _tile_run(task, ("h0", "ht", "accum", "g_drop", "reason", "draws"))
     diff = run["ht"] - run["h0"]
     xv_err = run["accum"] - run["g_drop"]
     # h scales as 1/sqrt(kappa): at tiny kappa the sums of squares leave
@@ -411,7 +420,30 @@ def _h_chunk(task: dict) -> dict:
         }
 
 
+ONE_POINT_C = np.array([-1.0, 1.0, 2.0])     # fixed, not a field
+
+
+def _one_point_chunk(task: dict) -> dict:
+    """Sums of M_T / M_0 and of its square, an (M, 3) array each (bulk
+    point by c), for bulk_martingale_check's M = |f'|^a (Im Z)^b |Z|^c;
+    the ratio is built in log space, with M_0 = (Im z)^b |z|^c."""
+    kappa, z0 = task["cspec"].kappa, np.asarray(task["bulk"])
+    b = -kappa * ONE_POINT_C**2 / 8.0
+    a = ONE_POINT_C * (1.0 + kappa / 4.0) + b
+    run = _tile_run(task, ("zb", "db", "w", "draws"))
+    zt = run["zb"] - run["w"][:, None]
+    # a huge kappa takes log M past the floats: a sum sum_stats refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_r = (_log_abs(run["db"])[..., None] * a
+                 + np.log(zt.imag / z0.imag)[..., None] * b
+                 + np.log(np.abs(zt) / np.abs(z0))[..., None] * ONE_POINT_C)
+        r = np.exp(log_r)
+        return {"n": task["count"], "s1": r.sum(axis=0),
+                "s2": (r * r).sum(axis=0), "draws": int(run["draws"].sum())}
+
+
 def _run_h_ensemble(
+    chunk: Callable[[dict], dict],
     cspec: CouplingSpec,
     cfg: PointConfig,
     i: int,
@@ -422,6 +454,7 @@ def _run_h_ensemble(
     seed: int,
     n_workers: int,
 ) -> dict:
+    """`chunk`'s sums over the flow's paths, refusing bad points first."""
     require_bulk(bulk)
     require_gaps(cfg, i, bulk)
     for z, w in itertools.combinations(bulk, 2):
@@ -429,7 +462,7 @@ def _run_h_ensemble(
     horizon(t_final, dt)     # refuses a horizon before any task is built
     task = {"cspec": cspec, "cfg": cfg, "i": i, "bulk": tuple(bulk),
             "T": t_final, "dt": dt, "seed": seed}
-    stats, = sum_stats(map_chunks(_h_chunk, chunked([task], n_paths),
+    stats, = sum_stats(map_chunks(chunk, chunked([task], n_paths),
                                   n_workers))
     return stats
 
@@ -462,7 +495,8 @@ def coupling_martingale_check(
     singularity at a companion collision, so no collision layer is needed.
     """
     require_points(cspec.pspec, cfg)
-    stats = _run_h_ensemble(cspec, cfg, i, bulk, t_final, dt, n_paths, seed, n_workers)
+    stats = _run_h_ensemble(_h_chunk, cspec, cfg, i, bulk, t_final, dt,
+                            n_paths, seed, n_workers)
     n = stats["n"]
     reports = []
     for m, zz in enumerate(bulk):
@@ -494,7 +528,8 @@ def cross_variation_experiment(
     if len(bulk) < 2:
         raise ConfigError("cross variation needs at least two bulk points")
     pairs = [(a, b) for a in range(len(bulk)) for b in range(a + 1, len(bulk))]
-    stats = _run_h_ensemble(cspec, cfg, i, bulk, t_final, dt, n_paths, seed, n_workers)
+    stats = _run_h_ensemble(_h_chunk, cspec, cfg, i, bulk, t_final, dt,
+                            n_paths, seed, n_workers)
     n = stats["n"]
     reports = []
     for p, (a, b) in enumerate(pairs):
@@ -503,6 +538,35 @@ def cross_variation_experiment(
         reports.append(McReport(
             f"crossvar_pair_{a}_{b}", stats["sx"][p] / n, se, ref,
             0.05 * abs(ref), n))
+    return reports
+
+
+def bulk_martingale_check(kappa: float, bulk: Sequence[complex],
+                          t_final: float, dt: float, n_paths: int,
+                          seed: int = 0, n_workers: int = 1) -> List[McReport]:
+    """The one-point martingales of driftless backward SLE_kappa from 0
+    (Rohde & Schramm, Ann. Math. 161, 2005): with Z = f_T(z) - W_T,
+
+        M = |f_T'(z)|^a (Im Z)^b |Z|^c,  b = -kappa c^2 / 8,
+        a = c (1 + kappa / 4) + b,
+
+    has mean M_0 = (Im z)^b |z|^c for every real c.  One row per bulk
+    point and c in ONE_POINT_C: the mean of M_T / M_0 against 1, at 3 SE.
+    The flow is _h_run's with one marked point at 0 and no companion, so
+    no drift; the reference is absolute, so a wrong slit map fails a row.
+    """
+    cspec = CouplingSpec(PartitionSpec(BACKWARD, kappa, 1),
+                         gamma=math.sqrt(kappa))
+    stats = _run_h_ensemble(_one_point_chunk, cspec, PointConfig((0.0,)), 0,
+                            bulk, t_final, dt, n_paths, seed, n_workers)
+    n = stats["n"]
+    reports = []
+    for m in range(len(bulk)):
+        for k, c in enumerate(ONE_POINT_C):
+            mean, var = mean_var(stats["s1"][m, k], stats["s2"][m, k], n)
+            se = math.sqrt(var)
+            reports.append(McReport(f"bulk_martingale_z{m}_c{c:g}", mean, se,
+                                    1.0, 3.0 * se, n))
     return reports
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (BACKWARD, ConfigError, PointConfig, _check_mode,
-                   sum_columns)
+                   require_index, sum_columns)
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -102,11 +102,6 @@ def log_z_cols(exponent: float, x: np.ndarray) -> np.ndarray:
         logs = [np.log(np.abs(x[..., i] - x[..., j]))
                 for i in range(n) for j in range(i + 1, n)]
         return exponent * sum_columns(logs)
-
-
-def _check_index(cfg: PointConfig, i: int) -> None:
-    if not 0 <= i < len(cfg):
-        raise IndexError(f"index {i} out of range for {len(cfg)} points")
 
 
 def min_gap(cfg: PointConfig) -> float:
@@ -194,7 +189,7 @@ def bpz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
     tenth of the gap are refused.
     """
     require_points(spec, cfg)
-    _check_index(cfg, i)
+    require_index(cfg, i)
     h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-4)
     acc, z0 = bpz_operator(spec, spec.z, cfg.as_array(), i, h)
     return abs(acc) / abs(z0)
@@ -206,7 +201,7 @@ def kz_residual(spec: PartitionSpec, cfg: PointConfig, i: int,
     1/|x_i - x_j|): an exact identity, so FD truncation and rounding, which
     grow with the size of the closed form's terms, remain."""
     require_points(spec, cfg)
-    _check_index(cfg, i)
+    require_index(cfg, i)
     h = _resolve_step(cfg, min_gap(cfg), fd_step, 1e-5)
     x = cfg.as_array()
 

@@ -43,11 +43,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (BACKWARD, ConfigError, McReport, NumericalFailure,
-                   PointConfig, mean_var, normal_block, require_bulk,
-                   require_gaps, sum_columns)
-from .loewner import (reference_map_zero_driving, slit_complex, slit_gap,
-                      slit_shift)
+from .core import (ConfigError, McReport, NumericalFailure, PointConfig,
+                   mean_var, normal_block, require_gaps, sum_columns)
+from .loewner import slit_gap, slit_shift
 from .partition import PartitionSpec, log_z_cols, require_points
 
 # why a path stopped; 0 while it runs
@@ -89,8 +87,8 @@ COLLISION_GUARD = 12.0
 
 def horizon(T: float, dt: float) -> tuple[int, float]:
     """(substep count, size of the last substep) of the horizon T: uniform
-    substeps of size dt, plus one shorter remainder step if T is not a
-    multiple of dt.  The one substep rule of every check.  A horizon of
+    substeps of size dt, plus one shorter remainder step if dt does not
+    divide T.  The one substep rule of every check.  A horizon of
     MAX_STEPS substeps or more (T / dt may be inf) is refused before
     anything is allocated for it."""
     if not T > 0 or not dt > 0:
@@ -469,108 +467,3 @@ def girsanov_check(
     se2 = math.sqrt(var2)
     pooled = math.hypot(se1, se2)
     return McReport("girsanov", est1, pooled, est2, 3.0 * pooled, n)
-
-
-def _inverse_chunk(task: dict) -> dict:
-    """Backward chains tracking one bulk point, driven from 0 by the
-    chunk's increments; the reversed arm reads the steps from the last one
-    back, in mirrored windows, each reversed and negated."""
-    dt, n = task["dt"], task["n_steps"]
-    sqk = math.sqrt(task["kappa"])
-
-    def run_tile(t0: int, t1: int) -> dict:
-        W = np.zeros(t1 - t0)
-        Z = np.full(t1 - t0, task["z0"], dtype=complex)
-        for a, b in step_windows(n):
-            if task["reversed"]:
-                a, b = n - b, n - a
-            normals = normal_block(task["seed"], task["first_path"] + t0,
-                                   t1 - t0, b - a, a)
-            if task["reversed"]:
-                normals = np.negative(normals, out=normals)[:, ::-1]
-            for k in range(b - a):
-                Z = slit_complex(Z, W, dt, BACKWARD)[0]
-                W = driver_step(W, (), normals[:, k], dt, sqk, 0.0)
-            del normals      # before the next window is drawn
-        return {"val": Z - W}
-
-    val = tiled(task["count"], run_tile)["val"]
-    bad = ~(val.imag > 0.0) | ~np.isfinite(val.real) | ~np.isfinite(val.imag)
-    shifted = val[~bad] - task["shift"]
-    re, im = shifted.real, shifted.imag
-    out = {"n": int((~bad).sum()), "n_failed": int(bad.sum()),
-           "draws": task["count"] * n}
-    # a sum that overflows (inf, or inf - inf) fails the caller's test
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tag, arr in (("re", re), ("im", im)):
-            for p in (1, 2, 3, 4):
-                out[f"{tag}{p}"] = float(np.sum(arr**p))
-    return out
-
-
-def _moment_stats(st: dict, tag: str, shift: float):
-    """(mean, variance, SE of mean, SE of variance) from power sums of the
-    samples minus `shift`.  A shift near the mean keeps the fourth central
-    moment from cancelling when the spread is small against the mean."""
-    n = st["n"]
-    m1 = st[f"{tag}1"] / n
-    c2 = st[f"{tag}2"] / n - m1 * m1
-    c4 = (st[f"{tag}4"] / n - 4 * m1 * st[f"{tag}3"] / n
-          + 6 * m1**2 * st[f"{tag}2"] / n - 3 * m1**4)
-    se_mean = math.sqrt(max(c2, 0.0) / n)
-    se_var = math.sqrt(max(c4 - c2 * c2, 0.0) / n)
-    return m1 + shift, c2, se_mean, se_var
-
-
-def inverse_law_check(
-    kappa: float,
-    z0: complex,
-    T: float,
-    dt: float,
-    n_paths: int,
-    seed: int = 0,
-    n_workers: int = 1,
-) -> list[McReport]:
-    """Distributional identity between the hydrodynamically-centered
-    backward map f_T(z0) - W_T and the inverse of the centered forward map.
-
-    The inverse sample runs a backward chain driven by the time-reversed,
-    negated increments of an independent forward driving path and subtracts
-    the final driving value.  Compares means and variances of the real and
-    imaginary parts.  T must be a whole multiple of dt.
-
-    The two arms are equal in law by construction, so a wrong slit map
-    moves both alike: the reversed arm's own iid symmetric normals, read
-    reversed and negated, are again iid N(0, 1), and both arms run the
-    same backward slit_complex chain.  Only an asymmetric RNG can fail a
-    row (ROADMAP item 15).
-    """
-    require_bulk([z0])
-    n_steps, last = horizon(T, dt)
-    # horizon gives dt itself as the last step of a whole multiple
-    if n_steps > 1 and last != dt:
-        raise ConfigError("inverse check needs T to be a multiple of dt")
-    # a constant known before any path runs keeps the sums additive
-    shift = complex(reference_map_zero_driving(z0, T, BACKWARD))
-    task = {"z0": complex(z0), "kappa": kappa, "dt": float(last),
-            "n_steps": n_steps, "seed": seed, "shift": shift}
-
-    tasks = chunked([dict(task, reversed=r) for r in (False, True)], n_paths)
-    a, b = sum_stats(map_chunks(_inverse_chunk, tasks, n_workers), 2)
-    for st in (a, b):
-        if st["n_failed"] > 0.01 * n_paths:
-            raise NumericalFailure(
-                f"{st['n_failed']} of {n_paths} inverse paths failed")
-
-    reports = []
-    for tag, label, c in (("re", "real", shift.real),
-                          ("im", "imag", shift.imag)):
-        ma, va, sma, sva = _moment_stats(a, tag, c)
-        mb, vb, smb, svb = _moment_stats(b, tag, c)
-        se_mean = math.hypot(sma, smb)
-        se_var = math.hypot(sva, svb)
-        reports.append(McReport(f"inverse_mean_{label}", ma, se_mean, mb,
-                                3.0 * se_mean, a["n"]))
-        reports.append(McReport(f"inverse_var_{label}", va, se_var, vb,
-                                3.0 * se_var, a["n"]))
-    return reports

@@ -13,9 +13,11 @@ import pytest
 
 from slelab.commutation import commutation_experiment, commutator_residual
 from slelab.core import build_driving_path, normal_block, validate_config
+from slelab import loewner
 from slelab.coupling import (
     CouplingSpec,
     boundary_u,
+    bulk_martingale_check,
     coupling_martingale_check,
     coupling_pde_residual,
     cross_variation_experiment,
@@ -29,7 +31,7 @@ from slelab.loewner import (
     sqrt_him,
 )
 from slelab.partition import PartitionSpec, bpz_operator, bpz_residual, min_gap
-from slelab.sampler import girsanov_check, inverse_law_check, martingale_check
+from slelab.sampler import girsanov_check, martingale_check
 from slelab.coupling import green
 
 
@@ -215,12 +217,28 @@ def test_criterion_08_commutation_experiment():
     assert ok, "rows out of tolerance:\n" + "\n".join(failures + growth)
 
 
-def test_criterion_09_inverse_law():
-    reports = inverse_law_check(2.0, 2j, 0.1, 1e-3, 10_000, seed=0)
-    ok = all(r.passed for r in reports)
-    detail = ", ".join(f"{r.name.split('_', 1)[1]} ok" if r.passed else
-                       f"{r.name} FAIL" for r in reports)
-    _line(9, "inverse law", ok, detail)
+def test_criterion_09_inverse_law(monkeypatch):
+    """The backward flow's one-point martingales have mean 1 at the
+    criterion's config, and a slit root of -4.4 or -6 times the substep in
+    place of -4 fails a row by at least 5 or 20 SE.  The mutants patch
+    loewner.slit_shift, which slit_complex reads."""
+    def z_scores():
+        return [(r.estimate - r.reference) / r.std_error
+                for r in bulk_martingale_check(2.0, [2j], 0.1, 1e-3, 10_000,
+                                               seed=0)]
+
+    zs = z_scores()
+    shift = loewner.slit_shift
+    worst = {}
+    for factor in (1.1, 1.5):
+        monkeypatch.setattr(loewner, "slit_shift",
+                            lambda mode, f=factor: f * shift(mode))
+        worst[factor] = max(map(abs, z_scores()))
+    ok = (max(map(abs, zs)) <= 3.0 and worst[1.1] >= 5.0
+          and worst[1.5] >= 20.0)
+    _line(9, "inverse law", ok,
+          f"z {', '.join(format(z, '+.2f') for z in zs)}; slit root x1.1 "
+          f"fails by {worst[1.1]:.1f} SE, x1.5 by {worst[1.5]:.1f} SE")
     assert ok
 
 

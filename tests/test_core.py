@@ -19,11 +19,15 @@ from slelab.core import (
     sum_columns,
     validate_config,
 )
-from slelab.coupling import (CouplingSpec, coupling_martingale_check,
-                             coupling_pde_residual, green_increment_check)
+from slelab.commutation import (arctan_sum, commutation_experiment,
+                                commutator_residual)
+from slelab.coupling import (CouplingSpec, bulk_martingale_check,
+                             coupling_martingale_check, coupling_pde_residual,
+                             cross_variation_experiment,
+                             green_increment_check)
 from slelab.loewner import initial_state
-from slelab.partition import PartitionSpec
-from slelab.sampler import inverse_law_check
+from slelab.partition import PartitionSpec, bpz_residual, kz_residual
+from slelab.sampler import girsanov_check, martingale_check
 
 
 def test_validate_config_accepts_distinct():
@@ -248,7 +252,8 @@ _CFG = validate_config((0.0, 1.0))
 _CSPEC = CouplingSpec(PartitionSpec("backward", 4.0, 2), gamma=2.0)
 BULK_ENTRY_POINTS = {
     "initial_state": lambda z: initial_state("backward", bulk=[z]),
-    "inverse_law_check": lambda z: inverse_law_check(2.0, z, 0.01, 1e-3, 10),
+    "bulk_martingale_check": lambda z: bulk_martingale_check(
+        2.0, [z], 0.01, 1e-3, 10),
     "coupling_pde_residual": lambda z: coupling_pde_residual(
         _CSPEC, z, _CFG, 0),
     "coupling_martingale_check": lambda z: coupling_martingale_check(
@@ -266,6 +271,42 @@ def test_bulk_point_off_the_upper_half_plane_is_refused(entry, z):
     NaN or negative through the one guard, before any run."""
     with pytest.raises(ConfigError, match="Im z > 0"):
         BULK_ENTRY_POINTS[entry](z)
+
+
+_SPEC = _CSPEC.pspec
+# each entry point that takes a point index, called with index k
+INDEXED_ENTRY_POINTS = {
+    "martingale_check": lambda k: martingale_check(
+        _SPEC, _CFG, k, 0.01, 1e-3, 10),
+    "girsanov_check": lambda k: girsanov_check(
+        _SPEC, _CFG, k, None, 0.01, 1e-3, 10),
+    "coupling_martingale_check": lambda k: coupling_martingale_check(
+        _CSPEC, _CFG, k, [1 + 1j], 0.01, 1e-3, 10),
+    "cross_variation_experiment": lambda k: cross_variation_experiment(
+        _CSPEC, _CFG, k, [1 + 1j, -1 + 1j], 0.01, 1e-3, 10),
+    "commutation_experiment_i": lambda k: commutation_experiment(
+        _SPEC, _CFG, k, 1, 0.01, 2.0, 1e-3, 10),
+    "commutation_experiment_j": lambda k: commutation_experiment(
+        _SPEC, _CFG, 0, k, 0.01, 2.0, 1e-3, 10),
+    "commutator_residual_i": lambda k: commutator_residual(
+        _SPEC, arctan_sum, _CFG, k, 1),
+    "commutator_residual_j": lambda k: commutator_residual(
+        _SPEC, arctan_sum, _CFG, 0, k),
+    "coupling_pde_residual": lambda k: coupling_pde_residual(
+        _CSPEC, 1 + 1j, _CFG, k),
+    "bpz_residual": lambda k: bpz_residual(_SPEC, _CFG, k),
+    "kz_residual": lambda k: kz_residual(_SPEC, _CFG, k),
+}
+
+
+@pytest.mark.parametrize("k", [-1, 2], ids=["minus_one", "n"])
+@pytest.mark.parametrize("entry", sorted(INDEXED_ENTRY_POINTS))
+def test_point_index_outside_the_points_is_refused(entry, k):
+    """An index of -1 would name the last point, so a driver its own
+    companion whose paths all freeze at step 0, and an index of N no
+    point: both are refused before any run."""
+    with pytest.raises(ConfigError, match=f"index {k} is outside"):
+        INDEXED_ENTRY_POINTS[entry](k)
 
 
 def test_mc_report_pass_rule():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from slelab import coupling
-from slelab.core import ConfigError, validate_config
+from slelab.core import (ConfigError, build_driving_path, normal_block,
+                         validate_config)
 from slelab.coupling import (
     CouplingSpec,
     _h_run,
@@ -22,6 +23,7 @@ from slelab.coupling import (
     holo_u_tilde,
     q_charge,
 )
+from slelab.loewner import evolve, initial_state
 from slelab.partition import PartitionSpec
 from slelab.sampler import REASON_SWALLOWED
 
@@ -281,6 +283,25 @@ def test_h_run_with_every_path_frozen_draws_no_further_window(monkeypatch):
     one = _h_run(CS_BACK, cfg, 0, bulk, 1e-3, 1e-3, 0, 0, 5)
     for key in ("h0", "ht", "accum", "g_drop", "reason"):
         assert run[key].tobytes() == one[key].tobytes(), key
+
+
+def test_h_run_final_state_is_the_backward_chain():
+    """With one marked point and no companion the flow is driftless: its
+    final bulk images, derivatives and driver are those of the one-path
+    backward chain on each path's own Brownian driving."""
+    kappa, bulk, dt = 2.0, (2j, 0.3 + 1j), 1e-3
+    cspec = CouplingSpec(PartitionSpec("backward", kappa, 1),
+                         gamma=np.sqrt(kappa))
+    run = _h_run(cspec, validate_config((0.0,)), 0, bulk, 0.05, dt, 4, 0, 3)
+    for p in range(3):
+        inc = np.sqrt(dt) * normal_block(4, p, 1, 50)[0]
+        path = build_driving_path(kappa, 0.0, inc, dt)
+        chain = evolve(initial_state("backward", bulk=bulk), path)
+        np.testing.assert_allclose(run["zb"][p], chain.bulk_values,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(run["db"][p], chain.bulk_derivs,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(run["w"][p], path.values[-1], rtol=1e-12)
 
 
 def test_simulate_h_process_rejects_boundary_bulk():

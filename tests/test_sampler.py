@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from slelab import commutation, coupling, sampler
 from slelab.core import ConfigError, normal_block, validate_config
+from slelab.coupling import bulk_martingale_check
 from slelab.loewner import slit_real
 from slelab.partition import PartitionSpec
 from slelab.sampler import (
@@ -25,7 +26,6 @@ from slelab.sampler import (
     REASON_SWALLOWED,
     girsanov_check,
     horizon,
-    inverse_law_check,
     martingale_check,
     run_leg,
     step_sizes,
@@ -306,49 +306,31 @@ def test_girsanov_refuses_bad_companion(j):
 
 
 def test_inverse_law_check():
-    reports = inverse_law_check(2.0, 2j, 0.1, 1e-3, 4000, seed=0)
-    names = {r.name for r in reports}
-    assert {"inverse_mean_real", "inverse_mean_imag"} <= names
+    """The inverse check's rows are the one-point martingales: one per c
+    for each bulk point, each passing at this size."""
+    reports = bulk_martingale_check(2.0, [2j, 0.3 + 1j], 0.1, 1e-3, 4000,
+                                    seed=0)
+    assert [r.name for r in reports] == [
+        f"bulk_martingale_z{m}_c{c}" for m in (0, 1) for c in (-1, 1, 2)]
     for r in reports:
         assert r.passed, r
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_inverse_variance_standard_error(seed):
-    """The imaginary part's variance (about 1.3e-10 around a mean near
-    2.005) gets a positive SE below the variance itself."""
-    reports = inverse_law_check(4.0, 2j, 0.005, 1e-3, 20_001, seed=seed)
-    row = next(r for r in reports if r.name == "inverse_var_imag")
-    assert 0.0 < row.std_error < row.estimate
-    assert row.passed
+        assert r.reference == 1.0 and r.tolerance == 3.0 * r.std_error > 0
 
 
 def test_inverse_law_rejects_degenerate_horizon():
     with pytest.raises(ValueError):
-        inverse_law_check(2.0, 2j, 0.0, 1e-3, 10, seed=0)
+        bulk_martingale_check(2.0, [2j], 0.0, 1e-3, 10, seed=0)
 
 
 def test_inverse_law_rejects_lower_half_plane_start():
     with pytest.raises(ValueError):
-        inverse_law_check(2.0, 1.0 - 1j, 0.1, 1e-3, 10, seed=0)
-
-
-def test_inverse_law_rejects_ragged_grid():
-    # time reversal needs a uniform grid
-    with pytest.raises(ConfigError, match="multiple of dt"):
-        inverse_law_check(2.0, 2j, 0.1, 0.03, 10, seed=0)
-
-
-def test_inverse_law_rejects_misfit_at_tiny_dt():
-    # 2.5 substeps of 1e-8: the last one is half of dt however small dt is
-    with pytest.raises(ConfigError, match="multiple of dt"):
-        inverse_law_check(2.0, 2j, 2.5e-8, 1e-8, 10, seed=0)
+        bulk_martingale_check(2.0, [1.0 - 1j], 0.1, 1e-3, 10, seed=0)
 
 
 @pytest.mark.parametrize("run", [
     lambda n: martingale_check(SPEC_BACK, CFG2, 0, 0.01, 1e-3, n),
     lambda n: girsanov_check(SPEC_BACK, CFG2, 0, None, 0.01, 1e-3, n),
-    lambda n: inverse_law_check(4.0, 2j, 0.01, 1e-3, n),
+    lambda n: bulk_martingale_check(4.0, [2j], 0.01, 1e-3, n),
 ], ids=["martingale", "girsanov", "inverse"])
 def test_more_paths_than_a_run_may_have_are_refused(run):
     """The path count is refused before one task per chunk is built, so a
@@ -398,8 +380,8 @@ ENSEMBLE_CHECKS = {
         seed=1), 11),
     "schemes": (commutation, lambda: commutation.commutation_experiment(
         SPEC_BACK, CFG2, 0, 1, 0.01, 2.0, 1e-3, 30, seed=1), 30),
-    "inverse": (sampler, lambda: inverse_law_check(
-        4.0, 2j, 0.01, 1e-3, 30, seed=1), 10),
+    "inverse": (coupling, lambda: bulk_martingale_check(
+        4.0, [2j], 0.0105, 1e-3, 30, seed=1), 11),
     "coupling": (coupling, lambda: coupling.cross_variation_experiment(
         CS_BACK, CFG2, 0, [1 + 2j, -1 + 2j], 0.0105, 1e-3, 30, seed=1), 11),
 }

@@ -15,11 +15,12 @@ from slelab import cli, commutation, coupling, sampler
 from slelab.commutation import commutation_experiment
 from slelab.core import (DrivingPath, build_driving_path, normal_block,
                          validate_config)
-from slelab.coupling import (CouplingSpec, coupling_martingale_check,
+from slelab.coupling import (CouplingSpec, bulk_martingale_check,
+                             coupling_martingale_check,
                              cross_variation_experiment)
 from slelab.loewner import Swallowed, evolve, initial_state
 from slelab.partition import PartitionSpec
-from slelab.sampler import girsanov_check, inverse_law_check, martingale_check
+from slelab.sampler import girsanov_check, martingale_check
 
 CFG2 = validate_config((0.0, 1.0))
 SPEC_BACK = PartitionSpec("backward", 4.0, 2)
@@ -37,7 +38,8 @@ CHECKS = {
                                         N, seed=1)],
     "schemes": lambda: commutation_experiment(SPEC_BACK, CFG2, 0, 1, 0.01,
                                               2.0, 1e-4, N, seed=1),
-    "inverse": lambda: inverse_law_check(4.0, 2j, 0.05, 1e-3, N, seed=1),
+    "inverse": lambda: bulk_martingale_check(4.0, [2j, 0.3 + 1j], 0.05, 1e-3,
+                                             N, seed=1),
     "coupling_mc": lambda: coupling_martingale_check(
         CS_FWD, CFG2, 0, [-1 + 1j, 1 + 2j], 0.05, 1e-3, N, seed=1),
     "crossvar": lambda: cross_variation_experiment(
